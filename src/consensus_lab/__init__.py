@@ -12,7 +12,6 @@ from .errors import (
     AmbiguousSpectrum,
     BalanceViolated,
     ConsensusLabError,
-    CoverageGap,
     DegenerateSeries,
     EmptyVector,
     HistoryGap,
@@ -63,7 +62,6 @@ from .digraph import (
 )
 from .dynamics import (
     DelayHistory,
-    StepControl,
     Trajectory,
     delayed_functional_series,
     interpolate_state,
@@ -87,7 +85,6 @@ from .lyapunov import (
     potential_gradient_fd,
     spread,
     sum_of_squares,
-    symmetric_eigenvalues,
     symmetric_part_nsd,
     weighted_convex_functional,
     weighted_invariance_check,
@@ -109,7 +106,6 @@ from .spectral import (
     SpectrumVerdict,
     consensus_spectrum_verdict,
     eigenvalues,
-    hessenberg_form,
     spectral_graph_equivalence,
 )
 from .scenario_cli import (

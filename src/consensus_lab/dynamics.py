@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -39,20 +39,6 @@ from .errors import (
     WindowNotCovered,
 )
 from .metzler_core import CouplingSchedule, evaluate_schedule
-
-
-@dataclass(frozen=True)
-class StepControl:
-    """Integration step request.  max_step bounds the step from above; the
-    actual step inside each schedule piece divides the piece exactly.  When
-    max_step is None a default is derived from the schedule bound (and the
-    delay, for delayed runs)."""
-
-    max_step: Optional[float] = None
-
-    def __post_init__(self):
-        if self.max_step is not None and not (self.max_step > 0.0):
-            raise ValueError(f"max_step must be positive, got {self.max_step!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,16 +76,20 @@ class Trajectory:
         return float(self.times[-1])
 
 
-def _normalize_step(step: Union[None, float, StepControl]) -> StepControl:
-    if step is None:
-        return StepControl()
-    if isinstance(step, StepControl):
-        return step
-    return StepControl(max_step=float(step))
+# Largest r for which h*A with spectrum in the Gershgorin disc
+# {|z + r| <= r} stays inside RK4's stability region |R(z)| <= 1; the disc
+# touches the real-axis limit -2.785 at r ~ 1.3926.
+_RK4_DISC_RADIUS = 1.39
 
 
-def _default_step(schedule: CouplingSchedule, span: float, n: int,
-                  tau: Optional[float] = None) -> float:
+def _step_target(step: Optional[float], schedule: CouplingSchedule,
+                 span: float, n: int, tau: Optional[float] = None) -> float:
+    """The requested step, or a default derived from the schedule bound
+    (and the delay, for delayed runs)."""
+    if step is not None:
+        if not (step > 0.0):
+            raise ValueError(f"step must be positive, got {step!r}")
+        return float(step)
     candidates = []
     if schedule.bound > 0.0:
         candidates.append(1.0 / (10.0 * n * schedule.bound))
@@ -110,10 +100,17 @@ def _default_step(schedule: CouplingSchedule, span: float, n: int,
     return min(min(candidates), span)
 
 
-def _advise_on_step(h: float, n: int, bound: float):
-    if bound > 0.0 and h > 2.0 / (n * bound):
+def _advise_on_step(h: float, bound: float):
+    """Warn when h*A may leave RK4's stability region.
+
+    With zero row sums and entries bounded by M, every Gershgorin disc of A
+    lies in {|z + M| <= M}, so h <= _RK4_DISC_RADIUS / M keeps the whole
+    spectrum of h*A stable.
+    """
+    if bound > 0.0 and h * bound > _RK4_DISC_RADIUS:
         warnings.warn(
-            f"step {h} exceeds the stability budget 2/(n*M) = {2.0 / (n * bound)}",
+            f"step {h} exceeds the RK4 stability budget "
+            f"{_RK4_DISC_RADIUS}/M = {_RK4_DISC_RADIUS / bound}",
             StepTooLargeWarning,
             stacklevel=3,
         )
@@ -203,17 +200,13 @@ class _NodeStore:
         s = self.size
         return self._t[:s], self._x[:s], self._dr[:s], self._dl[:s]
 
-    def arrays(self):
-        t, x, dr, dl = self.view()
-        return t.copy(), x.copy(), dr.copy(), dl.copy()
-
 
 def simulate_ode(
     schedule: CouplingSchedule,
     x0: Sequence,
     t0: float,
     t1: float,
-    step: Union[None, float, StepControl] = None,
+    step: Optional[float] = None,
 ) -> Trajectory:
     """Integrate dx/dt = A(t) x from x(t0) = x0 up to t1.
 
@@ -226,11 +219,8 @@ def simulate_ode(
     n = schedule.n
     if x.shape != (n,):
         raise ValueError(f"x0 must have shape ({n},), got {x.shape}")
-    control = _normalize_step(step)
-    h_target = control.max_step
-    if h_target is None:
-        h_target = _default_step(schedule, t1 - t0, n)
-    _advise_on_step(h_target, n, schedule.bound)
+    h_target = _step_target(step, schedule, t1 - t0, n)
+    _advise_on_step(h_target, schedule.bound)
 
     store = _NodeStore(n)
     store.append(t0, x.copy(), evaluate_schedule(schedule, t0).entries @ x)
@@ -257,10 +247,10 @@ def simulate_ode(
                 x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
                 store.append(tt, x, a_end @ x)
                 tprev = tt
-    times, states, derivs, derivs_left = store.arrays()
+    times, states, derivs, derivs_left = store.view()
     meta = {
         "method": "rk4",
-        "requested_step": control.max_step,
+        "requested_step": step,
         "effective_step_target": h_target,
         "schedule_bound": schedule.bound,
     }
@@ -378,7 +368,7 @@ def simulate_dde(
     history,
     t0: float,
     t1: float,
-    step: Union[None, float, StepControl] = None,
+    step: Optional[float] = None,
     delay_diagonal: bool = False,
 ) -> Trajectory:
     """Integrate the delayed dynamics by the method of steps.
@@ -397,12 +387,8 @@ def simulate_dde(
     if hist.states.shape[1] != n:
         raise ValueError(
             f"history has {hist.states.shape[1]} components, schedule has {n}")
-    control = _normalize_step(step)
-    h_target = control.max_step
-    if h_target is None:
-        h_target = _default_step(schedule, t1 - t0, n, tau=tau)
-    h_target = min(h_target, tau)
-    _advise_on_step(h_target, n, schedule.bound)
+    h_target = min(_step_target(step, schedule, t1 - t0, n, tau), tau)
+    _advise_on_step(h_target, schedule.bound)
     clamp_slack = 1e-12 * tau
 
     def rhs_parts(entries: np.ndarray):
@@ -476,12 +462,12 @@ def simulate_dde(
                 past.append(tt, x, dx)
                 tprev = tt
         w0 = w1
-    times, states, derivs, derivs_left = store.arrays()
+    times, states, derivs, derivs_left = store.view()
     meta = {
         "method": "rk4-method-of-steps",
         "tau": tau,
         "delay_diagonal": delay_diagonal,
-        "requested_step": control.max_step,
+        "requested_step": step,
         "effective_step_target": h_target,
         "schedule_bound": schedule.bound,
     }

@@ -109,10 +109,6 @@ class OrderingViolated(ConsensusLabError):
     """Bracket values violate mu_min <= g_min <= g_max <= mu_max."""
 
 
-class CoverageGap(ConsensusLabError):
-    """The trajectory does not cover the requested window."""
-
-
 class NoTrappedComponent(ConsensusLabError):
     """A certification stage found no component strictly trapped."""
 
@@ -135,7 +131,7 @@ class DegenerateSeries(ConsensusLabError):
 # --- spectra ----------------------------------------------------------------
 
 class NoConvergence(ConsensusLabError):
-    """Eigenvalue iteration exceeded its iteration budget."""
+    """An eigenvalue computation did not converge."""
 
 
 class AmbiguousSpectrum(ConsensusLabError):

@@ -16,10 +16,10 @@ equivalence package for balanced coupling:
 together with the doubly-stochastic character of exp(At) and conservation
 of weighted sums p'x when p'A = 0.
 
-Eigenvalues of symmetric matrices are computed with cyclic Jacobi sweeps;
-the matrix exponential uses scaling and squaring with a truncated Taylor
-series.  Both are self-contained so the audits do not lean on the code
-they are meant to check.
+The negative-semidefiniteness test takes the eigenvalues of A + A' from
+LAPACK (numpy.linalg.eigvalsh).  numpy has no matrix exponential, so
+exp(At) is computed here by scaling and squaring with a truncated Taylor
+series.
 """
 
 from __future__ import annotations
@@ -106,48 +106,13 @@ def weighted_convex_functional(x, p, f: str) -> float:
 
 
 # --------------------------------------------------------------------------
-# Symmetric eigenvalues (cyclic Jacobi) and matrix exponential
+# Symmetric-part definiteness and matrix exponential
 # --------------------------------------------------------------------------
-
-def symmetric_eigenvalues(S, max_sweeps: int = 60) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations,
-    descending."""
-    A = np.array(S, dtype=float)
-    n = A.shape[0]
-    if n == 1:
-        return A[0, :1].copy()
-    scale = max(1.0, float(np.abs(A).max()))
-    stop = 1e-15 * scale
-    for _ in range(max_sweeps):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                off = max(off, abs(A[p, q]))
-                apq = A[p, q]
-                if abs(apq) <= stop:
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rp = A[p, :].copy()
-                rq = A[q, :].copy()
-                A[p, :] = c * rp - s * rq
-                A[q, :] = s * rp + c * rq
-                cp = A[:, p].copy()
-                cq = A[:, q].copy()
-                A[:, p] = c * cp - s * cq
-                A[:, q] = s * cp + c * cq
-        if off <= stop:
-            break
-    return np.sort(np.diag(A))[::-1].copy()
-
 
 def symmetric_part_nsd(A, tol: float = 1e-10) -> bool:
     """Whether A + A' has no eigenvalue above tol."""
     entries = coupling_entries(A)
-    eigs = symmetric_eigenvalues(entries + entries.T)
-    return bool(eigs[0] <= tol)
+    return bool(np.linalg.eigvalsh(entries + entries.T)[-1] <= tol)
 
 
 def column_sums_zero(A, tol: float = 1e-10) -> bool:

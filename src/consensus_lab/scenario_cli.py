@@ -92,6 +92,11 @@ TOPOLOGY_KINDS = _CONSTANT_KINDS + (
     "sinusoidal",
 )
 ANALYSIS_KINDS = ("connectivity", "audit", "lemma", "certificate", "spectral")
+# Audit names as base words ("weighted:<f>" -> "weighted"), plus the
+# delayed sliding-window spread that only the scenario runner evaluates.
+_AUDIT_BASES = tuple(
+    name.split(":", 1)[0] for name in lyapunov.AUDIT_FUNCTIONALS
+) + ("delayed_spread",)
 
 
 def _fmt(x: float) -> str:
@@ -419,10 +424,7 @@ def _validate_analyses(value, n: int, t0: float, delay, topology) -> tuple:
                     f"{where}.functionals", "expected a non-empty list")
             for fname in names:
                 base = str(fname).split(":", 1)[0]
-                known = ("spread", "sum_of_squares", "centered_sum_of_squares",
-                         "max_component", "min_component", "potential",
-                         "weighted", "delayed_spread")
-                if base not in known:
+                if base not in _AUDIT_BASES:
                     raise ValidationError(
                         f"{where}.functionals", f"unknown functional {fname!r}")
                 if base == "weighted":

@@ -3,16 +3,8 @@
 A fixed Metzler matrix with zero row sums drives every initial state to
 consensus exactly when 0 is a simple eigenvalue and the rest of the
 spectrum sits strictly in the left half plane.  This module computes the
-spectrum with its own dense solver (Householder reduction to Hessenberg
-form followed by unshifted QR sweeps with Givens rotations) so the verdict
-does not depend on the graph machinery it is compared against.
-
-Unshifted sweeps converge at a rate set by eigenvalue modulus ratios.
-Conjugate pairs and equal-modulus real pairs never drive their own
-subdiagonal entry to zero; they are picked off as trailing 2x2 blocks once
-the entry below the block has converged.  Spectra with three or more
-eigenvalues of equal modulus can stall, which surfaces as NoConvergence
-rather than a wrong answer.
+spectrum with LAPACK (numpy.linalg.eigvals) and classifies it, so the
+verdict does not depend on the graph machinery it is compared against.
 """
 
 from __future__ import annotations
@@ -26,107 +18,19 @@ from .digraph import delta_digraph, root_nodes
 from .errors import AmbiguousSpectrum, NoConvergence
 from .metzler_core import coupling_entries
 
-_DEFLATION_REL = 1e-13
 DEFAULT_GAP_TOL = 1e-7
 
 
-def hessenberg_form(A) -> np.ndarray:
-    """Orthogonally similar upper Hessenberg form, by Householder reflectors."""
-    H = np.array(coupling_entries(A), dtype=float)
-    n = H.shape[0]
-    for k in range(n - 2):
-        x = H[k + 1:, k].copy()
-        xnorm = float(np.sqrt(np.dot(x, x)))
-        if xnorm == 0.0:
-            continue
-        v = x
-        v[0] += math.copysign(xnorm, x[0] if x[0] != 0.0 else 1.0)
-        vnorm2 = float(np.dot(v, v))
-        if vnorm2 == 0.0:
-            continue
-        # H <- P H P with P = I - 2 v v'/v'v acting on rows/cols k+1..n-1
-        H[k + 1:, k:] -= np.outer(v, (2.0 / vnorm2) * (v @ H[k + 1:, k:]))
-        H[:, k + 1:] -= np.outer((2.0 / vnorm2) * (H[:, k + 1:] @ v), v)
-        H[k + 2:, k] = 0.0
-    return H
-
-
-def _givens_sweep(H: np.ndarray, m: int):
-    """One unshifted QR step (H <- R Q) on the leading m-by-m block, in place."""
-    rotations = []
-    for k in range(m - 1):
-        a = H[k, k]
-        b = H[k + 1, k]
-        r = math.hypot(a, b)
-        if r == 0.0:
-            c, s = 1.0, 0.0
-        else:
-            c, s = a / r, b / r
-        rotations.append((c, s))
-        rk = c * H[k, k:m] + s * H[k + 1, k:m]
-        H[k + 1, k:m] = -s * H[k, k:m] + c * H[k + 1, k:m]
-        H[k, k:m] = rk
-    for k, (c, s) in enumerate(rotations):
-        hi = min(k + 2, m - 1) + 1
-        ck = c * H[:hi, k] + s * H[:hi, k + 1]
-        H[:hi, k + 1] = -s * H[:hi, k] + c * H[:hi, k + 1]
-        H[:hi, k] = ck
-    return H
-
-
-def _two_by_two_eigs(a, b, c, d):
-    half_tr = 0.5 * (a + d)
-    det = a * d - b * c
-    disc = half_tr * half_tr - det
-    if disc >= 0.0:
-        s = math.sqrt(disc)
-        big = half_tr + math.copysign(s, half_tr) if half_tr != 0.0 else s
-        if big == 0.0:
-            return complex(0.0), complex(0.0)
-        return complex(big), complex(det / big)
-    s = math.sqrt(-disc)
-    return complex(half_tr, s), complex(half_tr, -s)
-
-
-def _negligible(H: np.ndarray, i: int) -> bool:
-    tol = _DEFLATION_REL * (abs(H[i, i]) + abs(H[i + 1, i + 1]))
-    return abs(H[i + 1, i]) <= tol + 1e-300
-
-
-def eigenvalues(A, max_iterations: int = 100_000) -> np.ndarray:
+def eigenvalues(A) -> np.ndarray:
     """Full spectrum of a real square matrix, sorted by descending real
     part (descending imaginary part within ties).
 
-    Raises NoConvergence when the sweep budget is exhausted before the
-    active block deflates completely.
+    Raises NoConvergence when LAPACK's QR iteration does not converge.
     """
-    H = hessenberg_form(A)
-    n = H.shape[0]
-    found: list = []
-    m = n
-    sweeps = 0
-    while m > 0:
-        if m == 1:
-            found.append(complex(H[0, 0]))
-            m = 0
-            continue
-        if _negligible(H, m - 2):
-            found.append(complex(H[m - 1, m - 1]))
-            m -= 1
-            continue
-        if m == 2 or _negligible(H, m - 3):
-            lam1, lam2 = _two_by_two_eigs(
-                H[m - 2, m - 2], H[m - 2, m - 1], H[m - 1, m - 2], H[m - 1, m - 1])
-            found.extend([lam1, lam2])
-            m -= 2
-            continue
-        _givens_sweep(H, m)
-        sweeps += 1
-        if sweeps > max_iterations:
-            raise NoConvergence(
-                f"QR sweeps exceeded {max_iterations} with a {m}-by-{m} "
-                "block still active")
-    eigs = np.array(found, dtype=complex)
+    try:
+        eigs = np.linalg.eigvals(coupling_entries(A)).astype(complex)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"eigenvalue computation failed: {exc}") from exc
     order = np.lexsort((-eigs.imag, -eigs.real))
     return eigs[order]
 
@@ -192,7 +96,6 @@ def spectral_graph_equivalence(
     A,
     delta: float = 0.0,
     gap_tol: float = DEFAULT_GAP_TOL,
-    max_iterations: int = 100_000,
 ) -> SpectralGraphReport:
     """Compare the eigenvalue verdict with rootedness of the delta-digraph.
 
@@ -201,8 +104,7 @@ def spectral_graph_equivalence(
     with the rest of the spectrum strictly decaying.
     """
     entries = coupling_entries(A)
-    verdict = consensus_spectrum_verdict(
-        eigenvalues(entries, max_iterations=max_iterations), gap_tol=gap_tol)
+    verdict = consensus_spectrum_verdict(eigenvalues(entries), gap_tol=gap_tol)
     graph = delta_digraph(entries, delta)
     roots = root_nodes(graph)
     graph_stable = len(roots) > 0

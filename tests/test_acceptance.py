@@ -205,28 +205,42 @@ def test_c3_certificate_validity(capsys, switching_sweep):
 # Criterion 4: spectrum verdict agrees with graph rootedness
 # --------------------------------------------------------------------------
 
+def _c4_case(rng, n, closed_blocks=False):
+    density = float(rng.uniform(0.1, 0.9))
+    off = rng.uniform(0.1, 2.0, (n, n))
+    off[rng.random((n, n)) > density] = 0.0
+    np.fill_diagonal(off, 0.0)
+    if closed_blocks:
+        # no arc between the two halves: each is closed, so nothing roots both
+        k = n // 2
+        off[:k, k:] = 0.0
+        off[k:, :k] = 0.0
+    return spectral_graph_equivalence(from_offdiagonal(off).entries)
+
+
 def test_c4_spectral_graph_agreement(capsys):
     rng = np.random.default_rng(31415)
-    cases = 200
-    stable = unstable = disagreements = 0
-    for _ in range(cases):
-        n = int(rng.integers(2, 9))
-        density = float(rng.uniform(0.1, 0.9))
-        off = rng.uniform(0.1, 2.0, (n, n))
-        off[rng.random((n, n)) > density] = 0.0
-        np.fill_diagonal(off, 0.0)
-        report = spectral_graph_equivalence(from_offdiagonal(off).entries)
-        disagreements += not report.agree
-        if report.graph_stable:
-            stable += 1
-        else:
-            unstable += 1
-    ok = disagreements == 0 and stable > 0 and unstable > 0
+    small, large = 200, 60
+    reports = [_c4_case(rng, int(rng.integers(2, 9))) for _ in range(small)]
+    # Random dense draws at n > 8 are almost always rooted, so every other
+    # large case splits into two closed blocks.
+    reports += [_c4_case(rng, int(rng.integers(9, 201)), closed_blocks=i % 2 == 1)
+                for i in range(large)]
+    cases = small + large
+    disagreements = sum(not r.agree for r in reports)
+    stable = sum(r.graph_stable for r in reports[:small])
+    unstable = small - stable
+    large_stable = sum(r.graph_stable for r in reports[small:])
+    large_unstable = large - large_stable
+    ok = (disagreements == 0 and stable > 0 and unstable > 0
+          and large_stable > 0 and large_unstable > 0)
     _line(capsys, ok, "C4 spectral-graph agreement",
-          f"{cases - disagreements}/{cases} agree ({stable} rooted, "
-          f"{unstable} unrooted, 0 ambiguous allowed)")
+          f"{cases - disagreements}/{cases} agree; n <= 8: {stable} rooted, "
+          f"{unstable} unrooted; 9 <= n <= 200: {large_stable} rooted, "
+          f"{large_unstable} unrooted; 0 ambiguous allowed")
     assert disagreements == 0
     assert stable > 0 and unstable > 0
+    assert large_stable > 0 and large_unstable > 0
 
 
 # --------------------------------------------------------------------------

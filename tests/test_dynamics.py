@@ -10,6 +10,7 @@ d(t) = 2 - 4t on [0, tau], then d(tau) - 4 v + 4 v^2 at v = t - tau.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,13 +25,19 @@ from consensus_lab import (
     build_schedule,
     constant_schedule,
     delayed_functional_series,
+    generate_topology,
     interpolate_state,
     simulate_dde,
     simulate_ode,
     spread_series,
 )
+from consensus_lab.dynamics import _RK4_DISC_RADIUS
 
 from conftest import chain_matrix, random_metzler, symmetric_pair
+
+
+def rk4_amplification(z):
+    return 1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0
 
 
 class TestOde:
@@ -120,6 +127,45 @@ class TestOde:
         sch = constant_schedule(chain_matrix(), 0.0, 8.0)
         with pytest.warns(StepTooLargeWarning):
             simulate_ode(sch, [1.0, 0.0], 0.0, 8.0, step=4.0)
+
+    def test_advisory_disc_inside_rk4_stability_region(self):
+        # h*A has its spectrum in {|z + hM| <= hM}; at hM = the advisory
+        # constant that whole disc must stay where |R(z)| <= 1
+        theta = np.linspace(0.0, 2.0 * np.pi, 20001)
+        r = _RK4_DISC_RADIUS
+        boundary = -r + r * np.exp(1j * theta)
+        assert np.abs(rk4_amplification(boundary)).max() <= 1.0 + 1e-12
+        # and the constant is close to the largest such radius (~1.3926)
+        wider = -1.40 + 1.40 * np.exp(1j * theta)
+        assert np.abs(rk4_amplification(wider)).max() > 1.0
+
+    def test_stable_step_does_not_warn(self):
+        # n = 12 dense switching, M ~ 13: step 0.02 is well inside the
+        # RK4 stability region although it exceeds 2/(n*M)
+        spec = {"kind": "random_switching", "period": 0.5,
+                "link_probability": 0.9, "weight_range": [0.5, 1.5],
+                "seed": 0}
+        sch = generate_topology(spec, 12, 0.0, 15.0)
+        x0 = np.random.default_rng(0).uniform(-1.0, 1.0, 12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", StepTooLargeWarning)
+            traj = simulate_ode(sch, x0, 0.0, 15.0, step=0.02)
+        assert spread_series(traj)[-1][1] < 1e-12
+
+    @pytest.mark.parametrize("step", [0.0, -0.1])
+    def test_step_must_be_positive(self, step):
+        sch = constant_schedule(chain_matrix(), 0.0, 1.0)
+        with pytest.raises(ValueError):
+            simulate_ode(sch, [1.0, 0.0], 0.0, 1.0, step=step)
+        with pytest.raises(ValueError):
+            simulate_dde(sch, 0.5, [1.0, 0.0], 0.0, 1.0, step=step)
+
+    def test_requested_step_recorded(self):
+        sch = constant_schedule(chain_matrix(), 0.0, 1.0)
+        assert simulate_ode(sch, [1.0, 0.0], 0.0, 1.0).meta[
+            "requested_step"] is None
+        assert simulate_ode(sch, [1.0, 0.0], 0.0, 1.0, step=0.1).meta[
+            "requested_step"] == 0.1
 
     def test_trajectory_rejects_unsorted_times(self):
         times = np.array([0.0, 1.0, 0.5])

@@ -34,7 +34,6 @@ from consensus_lab import (
     simulate_ode,
     spread,
     sum_of_squares,
-    symmetric_eigenvalues,
     symmetric_part_nsd,
     weighted_convex_functional,
     weighted_invariance_check,
@@ -81,15 +80,6 @@ class TestFunctionals:
 
 
 class TestEigenAndExp:
-    def test_jacobi_matches_numpy(self, rng):
-        for _ in range(100):
-            n = int(rng.integers(1, 9))
-            s = rng.standard_normal((n, n))
-            s = s + s.T
-            ours = symmetric_eigenvalues(s)
-            oracle = np.sort(np.linalg.eigvalsh(s))[::-1]
-            assert np.max(np.abs(ours - oracle)) < 1e-9
-
     def test_nsd_detection(self):
         assert symmetric_part_nsd(symmetric_pair())
         assert not symmetric_part_nsd(np.array([[0.0, 0.0], [1.0, -1.0]]))

@@ -1,7 +1,6 @@
-"""Hessenberg reduction, QR eigenvalues, consensus spectrum verdicts.
+"""Eigenvalues, consensus spectrum verdicts, spectral-vs-graph agreement.
 
-numpy.linalg.eig serves as the independent oracle for eigenvalue
-accuracy; frozen small-matrix spectra were derived by hand first:
+Frozen small-matrix spectra were derived by hand:
   - [[-1, 1], [0, 0]]: {0, -1};
   - unit 4-ring coupling: {0, -2, -1 + i, -1 - i}.
 """
@@ -16,8 +15,11 @@ from consensus_lab import (
     delta_digraph,
     eigenvalues,
     from_offdiagonal,
-    hessenberg_form,
+    generate_topology,
+    integrate_schedule,
+    parse_config,
     root_nodes,
+    run_scenario,
     spectral_graph_equivalence,
 )
 
@@ -41,21 +43,6 @@ def assert_spectra_match(computed, expected, tol=1e-8):
     b = sorted_eigs(expected)
     assert a.shape == b.shape
     assert np.max(np.abs(a - b)) < tol
-
-
-class TestHessenberg:
-    def test_structure_and_similarity(self, rng):
-        A = rng.standard_normal((6, 6))
-        H = hessenberg_form(A)
-        below = np.tril(H, -2)
-        assert np.max(np.abs(below)) < 1e-12
-        assert_spectra_match(np.linalg.eigvals(H), np.linalg.eigvals(A), 1e-8)
-
-    def test_small_matrices_untouched(self):
-        A = np.array([[2.0]])
-        assert np.allclose(hessenberg_form(A), A)
-        B = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.allclose(hessenberg_form(B), B)
 
 
 class TestEigenvalues:
@@ -90,18 +77,6 @@ class TestEigenvalues:
             for v in eigenvalues(A):
                 assert v.real <= 1e-9
                 assert abs(v) <= radius + 1e-9
-
-    def test_no_convergence_on_unit_circle_companion(self):
-        # companion matrix of z^4 - 1: eigenvalues 1, -1, i, -i all sit
-        # on the unit circle, so unshifted sweeps cannot separate them
-        C = np.array([
-            [0.0, 0.0, 0.0, 1.0],
-            [1.0, 0.0, 0.0, 0.0],
-            [0.0, 1.0, 0.0, 0.0],
-            [0.0, 0.0, 1.0, 0.0],
-        ])
-        with pytest.raises(NoConvergence):
-            eigenvalues(C, max_iterations=500)
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
@@ -173,3 +148,49 @@ class TestGraphEquivalence:
         assert report.graph_stable == bool(roots)
         verdict = consensus_spectrum_verdict(eigenvalues(A))
         assert report.verdict.consensus_stable == verdict.consensus_stable
+
+
+def _switching_time_average():
+    # n = 20 random switching, averaged over its horizon as the spectral
+    # analysis does for time-varying coupling
+    spec = {"kind": "random_switching", "period": 0.5,
+            "link_probability": 0.3, "weight_range": [0.5, 1.5], "seed": 2}
+    sch = generate_topology(spec, 20, 0.0, 10.0)
+    return integrate_schedule(sch, 0.0, 10.0).entries / 10.0
+
+
+def _dense_constant():
+    # n = 24 constant coupling at link density 0.3
+    fixed = np.random.default_rng(9024)
+    off = fixed.uniform(0.5, 1.5, (24, 24)) * (fixed.random((24, 24)) < 0.3)
+    np.fill_diagonal(off, 0.0)
+    return from_offdiagonal(off).entries
+
+
+@pytest.mark.parametrize("make", [_switching_time_average, _dense_constant],
+                         ids=["switching-n20", "dense-n24"])
+def test_unshifted_qr_stall_inputs_agree(make):
+    # Both matrices stalled an unshifted QR iteration at 100 000 sweeps.
+    report = spectral_graph_equivalence(make())
+    assert report.agree
+
+
+def test_lapack_failure_reports_error_exit_5(tmp_path, monkeypatch):
+    def fail(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", fail)
+    with pytest.raises(NoConvergence):
+        eigenvalues(chain_matrix())
+    cfg = parse_config("""\
+nodes: 3
+horizon: 2.0
+topology:
+  kind: ring
+initial_state: [1.0, 0.0, -1.0]
+analyses:
+  - kind: spectral
+""")
+    assert run_scenario(cfg, str(tmp_path / "o")) == 5
+    report = (tmp_path / "o" / "report.txt").read_text()
+    assert "[ERROR] spectral: NoConvergence" in report
