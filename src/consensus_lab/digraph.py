@@ -78,10 +78,8 @@ def root_nodes(g: Digraph) -> set:
     for tail, head in g.arcs:
         reach[tail - 1, head - 1] = True
     # Repeated boolean squaring: paths of length up to 2^i after i rounds.
-    hops = 1
-    while hops < n:
-        reach = reach | (reach.astype(np.uint8) @ reach.astype(np.uint8) > 0)
-        hops *= 2
+    for _ in range((n - 1).bit_length()):
+        reach = reach @ reach
     return {k + 1 for k in range(n) if reach[k].all()}
 
 

@@ -19,6 +19,7 @@ timestamps enter the outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import math
 import os
@@ -84,14 +85,6 @@ _NUMERICAL_ERRORS = (
     DegenerateSeries,
 )
 
-_CONSTANT_KINDS = ("constant", "ring", "star", "line")
-TOPOLOGY_KINDS = _CONSTANT_KINDS + (
-    "piecewise",
-    "alternating_leader_follower",
-    "random_switching",
-    "sinusoidal",
-)
-ANALYSIS_KINDS = ("connectivity", "audit", "lemma", "certificate", "spectral")
 # Audit names as base words ("weighted:<f>" -> "weighted"), plus the
 # delayed sliding-window spread that only the scenario runner evaluates.
 _AUDIT_BASES = tuple(
@@ -137,37 +130,83 @@ class SinusoidalCoupling(TimeVaryingCoupling):
 
 
 # --------------------------------------------------------------------------
-# Configuration parsing (strict: unknown keys are rejected everywhere)
+# Reading a scenario file (strict: unknown keys are rejected everywhere)
 # --------------------------------------------------------------------------
 
-def _require_mapping(value, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise ValidationError(where, f"expected a mapping, got {type(value).__name__}")
-    return value
+class _Keys:
+    """Strict reader of one mapping of a scenario file.
 
+    ``allow`` rejects unknown keys and missing required ones.  Calling the
+    reader with a key returns the value passed through ``check`` (type and
+    range, under the key's field path), or ``default`` when the key is
+    absent.  ``where`` names the mapping in error messages.
+    """
 
-def _take(mapping: dict, where: str, required=(), optional=()) -> dict:
-    unknown = set(mapping) - set(required) - set(optional)
-    if unknown:
-        raise ValidationError(
-            where, f"unknown keys {sorted(unknown)}; "
-            f"allowed: {sorted(set(required) | set(optional))}")
-    for key in required:
-        if key not in mapping:
-            raise ValidationError(where, f"missing required key {key!r}")
-    return mapping
+    def __init__(self, value, where: str, prefix: Optional[str] = None):
+        if not isinstance(value, dict):
+            raise ValidationError(
+                where, f"expected a mapping, got {type(value).__name__}")
+        self.value = value
+        self.where = where
+        self._prefix = f"{where}." if prefix is None else prefix
+        self._known = set()
+
+    def kind(self, table: dict):
+        """The table entry named by the ``kind`` key, with this reader as its
+        first argument; field paths then name the kind."""
+        kind = self.value.get("kind")
+        if not isinstance(kind, str) or kind not in table:
+            raise ValidationError(
+                f"{self.where}.kind", f"{kind!r} is not one of {list(table)}")
+        self.where = f"{self.where}({kind})"
+        self._prefix = f"{self.where}."
+        self._known = {"kind"}
+        return functools.partial(table[kind], self)
+
+    def allow(self, required=(), optional=()) -> "_Keys":
+        allowed = set(required) | set(optional) | self._known
+        unknown = set(self.value) - allowed
+        if unknown:
+            raise ValidationError(
+                self.where, f"unknown keys {sorted(unknown, key=str)}; "
+                f"allowed: {sorted(allowed)}")
+        for key in required:
+            if key not in self.value:
+                raise ValidationError(self.where, f"missing required key {key!r}")
+        return self
+
+    def path(self, key: str) -> str:
+        return self._prefix + key
+
+    def __call__(self, key: str, check=None, default=None):
+        if key not in self.value:
+            return default
+        return self.value[key] if check is None else check(self.value[key], self.path(key))
 
 
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(where, f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        num = float(value)
+    except OverflowError:  # an integer beyond the float range
+        num = math.inf
+    if not math.isfinite(num):
+        raise ValidationError(where, f"expected a finite number, got {value!r}")
+    return num
 
 
 def _positive(value, where: str) -> float:
     num = _number(value, where)
     if not num > 0.0:
         raise ValidationError(where, f"must be positive, got {num!r}")
+    return num
+
+
+def _nonnegative(value, where: str) -> float:
+    num = _number(value, where)
+    if num < 0.0:
+        raise ValidationError(where, "must be >= 0")
     return num
 
 
@@ -183,26 +222,39 @@ def _boolean(value, where: str) -> bool:
     return value
 
 
+def _node(value, n: int, where: str) -> int:
+    """A 1-based node number of an n-node network."""
+    node = _integer(value, where)
+    if not 1 <= node <= n:
+        raise ValidationError(where, f"{node} outside 1..{n}")
+    return node
+
+
 def _matrix_of(value, n: int, where: str) -> np.ndarray:
     try:
         arr = np.array(value, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        raise ValidationError(where, "entries must be finite") from None
     except (TypeError, ValueError):
         raise ValidationError(where, "expected a nested list of numbers") from None
     if arr.shape != (n, n):
         raise ValidationError(where, f"expected shape ({n}, {n}), got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError(where, "entries must be finite")
     return arr
 
 
-def _coupling_from(spec: dict, n: int, where: str):
-    """Exactly one of ``matrix`` (full, zero row sums) or ``weights``
-    (off-diagonal, zero diagonal)."""
-    has_matrix = "matrix" in spec
-    has_weights = "weights" in spec
-    if has_matrix == has_weights:
-        raise ValidationError(where, "give exactly one of 'matrix' or 'weights'")
-    if has_matrix:
-        return validate_coupling_matrix(_matrix_of(spec["matrix"], n, where))
-    return from_offdiagonal(_matrix_of(spec["weights"], n, where))
+def _coupling(keys: _Keys, n: int):
+    """The coupling given by exactly one of ``matrix`` (full, zero row sums)
+    or ``weights`` (off-diagonal, zero diagonal)."""
+    if ("matrix" in keys.value) == ("weights" in keys.value):
+        raise ValidationError(keys.where, "give exactly one of 'matrix' or 'weights'")
+    if "matrix" in keys.value:
+        return validate_coupling_matrix(_matrix_of(keys("matrix"), n, keys.where))
+    weights = _matrix_of(keys("weights"), n, keys.where)
+    if np.any(np.diag(weights) != 0.0):
+        raise ValidationError(keys.path("weights"), "the diagonal must be zero")
+    return from_offdiagonal(weights)
 
 
 @dataclass(frozen=True)
@@ -211,9 +263,17 @@ class DelaySpec:
     full: bool = False
 
 
+def _delay(value, where: str) -> DelaySpec:
+    keys = _Keys(value, where).allow(required=("tau",), optional=("full",))
+    return DelaySpec(tau=keys("tau", _positive),
+                     full=keys("full", _boolean, False))
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated scenario: everything needed to rerun it exactly."""
+    """Checked scenario: everything needed to rerun it exactly.  The
+    topology, initial state and analyses keep the file's entries, which
+    ``run_scenario`` reads through the same checks as ``parse_config``."""
 
     name: str
     n: int
@@ -237,260 +297,256 @@ def parse_config(text: str, name: str = "<memory>") -> ScenarioConfig:
         if mark is not None:
             line = mark.line + 1
         raise ParseError(f"not valid YAML: {exc}", line=line) from None
-    raw = _require_mapping(raw, "scenario")
-    _take(raw, "scenario",
-          required=("nodes", "horizon", "topology", "initial_state"),
-          optional=("name", "t0", "seed", "step", "delay", "analyses"))
-    n = _integer(raw["nodes"], "nodes")
+    keys = _Keys(raw, "scenario", prefix="").allow(
+        required=("nodes", "horizon", "topology", "initial_state"),
+        optional=("name", "t0", "seed", "step", "delay", "analyses"))
+    n = keys("nodes", _integer)
     if n < 1:
         raise ValidationError("nodes", f"need at least one node, got {n}")
-    horizon = _positive(raw["horizon"], "horizon")
-    t0 = _number(raw.get("t0", 0.0), "t0")
-    seed = None
-    if "seed" in raw:
-        seed = _integer(raw["seed"], "seed")
-    step = None
-    if "step" in raw:
-        step = _positive(raw["step"], "step")
-    delay = None
-    if "delay" in raw:
-        dmap = _take(_require_mapping(raw["delay"], "delay"), "delay",
-                     required=("tau",), optional=("full",))
-        delay = DelaySpec(
-            tau=_positive(dmap["tau"], "delay.tau"),
-            full=_boolean(dmap.get("full", False), "delay.full"),
-        )
-    topology = _validate_topology(raw["topology"], n, seed)
-    initial = _validate_initial(raw["initial_state"], n, seed)
-    analyses = _validate_analyses(raw.get("analyses", []), n, t0, delay, topology)
-    return ScenarioConfig(
-        name=str(raw.get("name", name)),
+    horizon = keys("horizon", _positive)
+    t0 = keys("t0", _number, 0.0)
+    seed = keys("seed", _integer)
+    step = keys("step", _positive)
+    delay = keys("delay", _delay)
+    # The entries are checked here and built by run_scenario: loading a
+    # file builds no schedule.
+    topology = keys("topology")
+    _topology(topology, n, seed)
+    initial = keys("initial_state")
+    _initial_state(initial, n, seed)
+    analyses = keys("analyses", default=[])
+    if not isinstance(analyses, list):
+        raise ValidationError("analyses", "expected a list")
+    config = ScenarioConfig(
+        name=str(keys("name", default=name)),
         n=n,
         horizon=horizon,
         t0=t0,
-        topology=topology,
-        initial_state=initial,
-        analyses=analyses,
+        topology=dict(topology),
+        initial_state=tuple(initial) if isinstance(initial, list) else dict(initial),
+        analyses=tuple(analyses),
         seed=seed,
         step=step,
         delay=delay,
         source=name,
     )
+    _analyses(config)
+    return config
+
+
+def _stem(path: str) -> str:
+    """File name without directory or extension: the default scenario name."""
+    return os.path.splitext(os.path.basename(path))[0]
 
 
 def load_config(path: str) -> ScenarioConfig:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    stem = os.path.splitext(os.path.basename(path))[0]
-    cfg = parse_config(text, name=stem)
-    return cfg
+    return parse_config(text, name=_stem(path))
 
 
-def _validate_topology(value, n: int, scenario_seed) -> dict:
-    spec = dict(_require_mapping(value, "topology"))
-    kind = spec.get("kind")
-    if kind not in TOPOLOGY_KINDS:
-        raise ValidationError(
-            "topology.kind", f"{kind!r} is not one of {list(TOPOLOGY_KINDS)}")
-    where = f"topology({kind})"
-    if kind == "constant":
-        _take(spec, where, required=("kind",), optional=("matrix", "weights"))
-        _coupling_from(spec, n, where)
-    elif kind == "piecewise":
-        _take(spec, where, required=("kind", "pieces"))
-        pieces = spec["pieces"]
-        if not isinstance(pieces, list) or not pieces:
-            raise ValidationError(where, "pieces must be a non-empty list")
-        last = 0.0
-        for i, piece in enumerate(pieces):
-            pwhere = f"{where}.pieces[{i}]"
-            pmap = _take(_require_mapping(piece, pwhere), pwhere,
-                         required=("until",), optional=("matrix", "weights"))
-            until = _positive(pmap["until"], f"{pwhere}.until")
-            if until <= last:
-                raise ValidationError(
-                    f"{pwhere}.until", f"must exceed previous piece end {last}")
-            last = until
-            _coupling_from(pmap, n, pwhere)
-    elif kind in ("ring", "star", "line"):
-        optional = ["weight", "bidirectional"]
-        if kind == "star":
-            optional.append("hub")
-        _take(spec, where, required=("kind",), optional=tuple(optional))
-        if "weight" in spec:
-            _positive(spec["weight"], f"{where}.weight")
-        if "bidirectional" in spec:
-            _boolean(spec["bidirectional"], f"{where}.bidirectional")
-        if kind == "star":
-            hub = _integer(spec.get("hub", 1), f"{where}.hub")
-            if not 1 <= hub <= n:
-                raise ValidationError(f"{where}.hub", f"{hub} outside 1..{n}")
-        if kind in ("ring", "star") and n < 2:
-            raise ValidationError(where, f"{kind} needs at least 2 nodes")
-    elif kind == "alternating_leader_follower":
-        _take(spec, where, required=("kind", "period"), optional=("weight",))
-        _positive(spec["period"], f"{where}.period")
-        if "weight" in spec:
-            _positive(spec["weight"], f"{where}.weight")
-        if n < 2:
-            raise ValidationError(where, "needs at least 2 nodes")
-    elif kind == "random_switching":
-        _take(spec, where, required=("kind", "period", "link_probability",
-                                     "weight_range"),
-              optional=("seed",))
-        _positive(spec["period"], f"{where}.period")
-        prob = _number(spec["link_probability"], f"{where}.link_probability")
-        if not 0.0 <= prob <= 1.0:
-            raise ValidationError(
-                f"{where}.link_probability", f"must be in [0, 1], got {prob}")
-        wr = spec["weight_range"]
-        if (not isinstance(wr, list) or len(wr) != 2):
-            raise ValidationError(
-                f"{where}.weight_range", "expected a [low, high] pair")
-        lo = _number(wr[0], f"{where}.weight_range[0]")
-        hi = _number(wr[1], f"{where}.weight_range[1]")
-        if not 0.0 <= lo <= hi:
-            raise ValidationError(
-                f"{where}.weight_range", f"need 0 <= low <= high, got {wr}")
-        if "seed" in spec:
-            _integer(spec["seed"], f"{where}.seed")
-        elif scenario_seed is None:
-            raise ValidationError(
-                f"{where}.seed",
-                "random_switching needs a seed (topology or scenario level) "
-                "so reruns are reproducible")
-    elif kind == "sinusoidal":
-        _take(spec, where, required=("kind", "depth", "period"),
-              optional=("matrix", "weights"))
-        _coupling_from(spec, n, where)
-        depth = _number(spec["depth"], f"{where}.depth")
-        if not abs(depth) <= 1.0:
-            raise ValidationError(
-                f"{where}.depth", f"must lie in [-1, 1], got {depth}")
-        _positive(spec["period"], f"{where}.period")
-    return spec
-
-
-def _validate_initial(value, n: int, scenario_seed):
-    if isinstance(value, list):
+def _initial_state(value, n: int, seed):
+    """Draw of the initial state: n listed values, or a seeded uniform
+    sample."""
+    if isinstance(value, (list, tuple)):
         if len(value) != n:
             raise ValidationError(
                 "initial_state", f"expected {n} values, got {len(value)}")
-        return tuple(_number(v, f"initial_state[{i}]") for i, v in enumerate(value))
-    spec = _take(_require_mapping(value, "initial_state"), "initial_state",
-                 required=("distribution", "low", "high"), optional=("seed",))
-    if spec["distribution"] != "uniform":
+        x0 = [_number(v, f"initial_state[{i}]") for i, v in enumerate(value)]
+        return lambda: np.array(x0, dtype=float)
+    keys = _Keys(value, "initial_state").allow(
+        required=("distribution", "low", "high"), optional=("seed",))
+    if keys("distribution") != "uniform":
         raise ValidationError(
-            "initial_state.distribution",
-            f"only 'uniform' is supported, got {spec['distribution']!r}")
-    low = _number(spec["low"], "initial_state.low")
-    high = _number(spec["high"], "initial_state.high")
+            keys.path("distribution"),
+            f"only 'uniform' is supported, got {keys('distribution')!r}")
+    low = keys("low", _number)
+    high = keys("high", _number)
     if not low <= high:
         raise ValidationError("initial_state", f"need low <= high, got {value}")
-    if "seed" in spec:
-        _integer(spec["seed"], "initial_state.seed")
-    elif scenario_seed is None:
+    draw_seed = keys("seed", _integer, seed)
+    if draw_seed is None:
         raise ValidationError(
-            "initial_state.seed",
+            keys.path("seed"),
             "sampled initial states need a seed (here or at scenario level)")
-    return dict(spec)
+    return lambda: np.random.default_rng(draw_seed).uniform(low, high, n)
 
 
-def _validate_analyses(value, n: int, t0: float, delay, topology) -> tuple:
-    if not isinstance(value, list):
-        raise ValidationError("analyses", "expected a list")
-    out = []
-    for i, item in enumerate(value):
-        where = f"analyses[{i}]"
-        spec = dict(_require_mapping(item, where))
-        kind = spec.get("kind")
-        if kind not in ANALYSIS_KINDS:
+def resolve_initial_state(config: ScenarioConfig) -> np.ndarray:
+    return _initial_state(config.initial_state, config.n, config.seed)()
+
+
+# --------------------------------------------------------------------------
+# Topologies: each entry checks its keys and returns build(t0, t1), the
+# list of (start, end, coupling) segments over [t0, t1]
+# --------------------------------------------------------------------------
+
+def _arc_coupling(keys: _Keys, n: int, bidirectional: bool = False):
+    """coupling(arcs): node k listens to node l at ``weight`` for each
+    0-based arc (k, l), and l to k as well when ``bidirectional``."""
+    w = keys("weight", _positive, 1.0)
+    both = keys("bidirectional", _boolean, bidirectional)
+
+    def coupling(arcs):
+        off = np.zeros((n, n))
+        for k, l in arcs:
+            off[k, l] = w
+            if both:
+                off[l, k] = w
+        return from_offdiagonal(off)
+    return coupling
+
+
+def _periods(t0: float, t1: float, length: float):
+    """Consecutive intervals of ``length`` covering [t0, t1]; the last one
+    is cut at t1."""
+    start = t0
+    while start < t1 - 1e-12:
+        end = min(start + length, t1)
+        yield start, end
+        start = end
+
+
+def _constant(keys, n, seed):
+    keys.allow(optional=("matrix", "weights"))
+    coupling = _coupling(keys, n)
+    return lambda t0, t1: [(t0, t1, coupling)]
+
+
+def _ring(keys, n, seed):
+    keys.allow(optional=("weight", "bidirectional"))
+    coupling = _arc_coupling(keys, n)
+    if n < 2:
+        raise ValidationError(keys.where, "ring needs at least 2 nodes")
+    return lambda t0, t1: [
+        (t0, t1, coupling([(k, (k + 1) % n) for k in range(n)]))]
+
+
+def _star(keys, n, seed):
+    keys.allow(optional=("weight", "bidirectional", "hub"))
+    coupling = _arc_coupling(keys, n)
+    hub = _node(keys("hub", default=1), n, keys.path("hub")) - 1
+    if n < 2:
+        raise ValidationError(keys.where, "star needs at least 2 nodes")
+    return lambda t0, t1: [
+        (t0, t1, coupling([(k, hub) for k in range(n) if k != hub]))]
+
+
+def _line(keys, n, seed):
+    keys.allow(optional=("weight", "bidirectional"))
+    coupling = _arc_coupling(keys, n, bidirectional=True)
+    return lambda t0, t1: [
+        (t0, t1, coupling([(k, k - 1) for k in range(1, n)]))]
+
+
+def _piecewise(keys, n, seed):
+    keys.allow(required=("pieces",))
+    pieces = keys("pieces")
+    if not isinstance(pieces, list) or not pieces:
+        raise ValidationError(keys.where, "pieces must be a non-empty list")
+    ends, couplings = [0.0], []
+    for i, piece in enumerate(pieces):
+        pkeys = _Keys(piece, f"{keys.where}.pieces[{i}]").allow(
+            required=("until",), optional=("matrix", "weights"))
+        ends.append(pkeys("until", _positive))
+        if ends[-1] <= ends[-2]:
             raise ValidationError(
-                f"{where}.kind", f"{kind!r} is not one of {list(ANALYSIS_KINDS)}")
-        where = f"{where}({kind})"
-        if kind == "connectivity":
-            _take(spec, where, required=("kind", "delta", "window"),
-                  optional=("sample_step",))
-            _positive(spec["delta"], f"{where}.delta")
-            _positive(spec["window"], f"{where}.window")
-            if "sample_step" in spec:
-                _positive(spec["sample_step"], f"{where}.sample_step")
-        elif kind == "audit":
-            _take(spec, where, required=("kind", "functionals"),
-                  optional=("weights", "slack"))
-            names = spec["functionals"]
-            if not isinstance(names, list) or not names:
-                raise ValidationError(
-                    f"{where}.functionals", "expected a non-empty list")
-            for fname in names:
-                base = str(fname).split(":", 1)[0]
-                if base not in _AUDIT_BASES:
-                    raise ValidationError(
-                        f"{where}.functionals", f"unknown functional {fname!r}")
-                if base == "weighted":
-                    sub = str(fname).split(":", 1)
-                    if len(sub) != 2 or sub[1] not in lyapunov.CONVEX_REGISTRY:
-                        raise ValidationError(
-                            f"{where}.functionals",
-                            f"{fname!r} must be weighted:<f> with f in "
-                            f"{sorted(lyapunov.CONVEX_REGISTRY)}")
-                if fname == "potential" and topology["kind"] not in _CONSTANT_KINDS:
-                    raise ValidationError(
-                        f"{where}.functionals",
-                        "the potential audit needs constant coupling")
-                if fname == "delayed_spread" and delay is None:
-                    raise ValidationError(
-                        f"{where}.functionals",
-                        "delayed_spread needs a delay section")
-            if "weights" in spec:
-                if (not isinstance(spec["weights"], list)
-                        or len(spec["weights"]) != n):
-                    raise ValidationError(
-                        f"{where}.weights", f"expected {n} values")
-            if "slack" in spec:
-                _positive(spec["slack"], f"{where}.slack")
-        elif kind == "lemma":
-            _take(spec, where, required=("kind", "group", "window"),
-                  optional=("t_start", "slack"))
-            group = spec["group"]
-            if not isinstance(group, list) or not group:
-                raise ValidationError(f"{where}.group", "expected a non-empty list")
-            for node in group:
-                node = _integer(node, f"{where}.group")
-                if not 1 <= node <= n:
-                    raise ValidationError(f"{where}.group", f"{node} outside 1..{n}")
-            _positive(spec["window"], f"{where}.window")
-            if "t_start" in spec:
-                _number(spec["t_start"], f"{where}.t_start")
-            if "slack" in spec:
-                _positive(spec["slack"], f"{where}.slack")
-        elif kind == "certificate":
-            _take(spec, where, required=("kind", "delta", "window", "root"),
-                  optional=("verify_hypothesis", "slack_factor"))
-            _positive(spec["delta"], f"{where}.delta")
-            _positive(spec["window"], f"{where}.window")
-            root = _integer(spec["root"], f"{where}.root")
-            if not 1 <= root <= n:
-                raise ValidationError(f"{where}.root", f"{root} outside 1..{n}")
-            if "verify_hypothesis" in spec:
-                _boolean(spec["verify_hypothesis"], f"{where}.verify_hypothesis")
-            if "slack_factor" in spec:
-                _positive(spec["slack_factor"], f"{where}.slack_factor")
-        elif kind == "spectral":
-            _take(spec, where, required=("kind",), optional=("delta", "gap_tol"))
-            if "delta" in spec:
-                delta = _number(spec["delta"], f"{where}.delta")
-                if delta < 0.0:
-                    raise ValidationError(f"{where}.delta", "must be >= 0")
-            if "gap_tol" in spec:
-                _positive(spec["gap_tol"], f"{where}.gap_tol")
-        out.append(spec)
-    return tuple(out)
+                pkeys.path("until"), f"must exceed previous piece end {ends[-2]}")
+        couplings.append(_coupling(pkeys, n))
+
+    def build(t0, t1):
+        segments, prev = [], t0
+        for until, coupling in zip(ends[1:], couplings):
+            end = min(t0 + until, t1)
+            if end > prev:
+                segments.append((prev, end, coupling))
+                prev = end
+        if prev < t1 - 1e-12:
+            raise InvalidSpec(
+                f"pieces cover [{t0}, {prev}] but the horizon runs to {t1}")
+        return segments
+    return build
 
 
-# --------------------------------------------------------------------------
-# Topology generators
-# --------------------------------------------------------------------------
+def _alternating_leader_follower(keys, n, seed):
+    keys.allow(required=("period",), optional=("weight",))
+    half = keys("period", _positive) / 2.0
+    coupling = _arc_coupling(keys, n)
+    if n < 2:
+        raise ValidationError(keys.where, "needs at least 2 nodes")
+
+    def build(t0, t1):
+        leaders = [coupling([(k, leader) for k in range(n) if k != leader])
+                   for leader in (0, 1)]
+        return [(start, end, leaders[i % 2])
+                for i, (start, end) in enumerate(_periods(t0, t1, half))]
+    return build
+
+
+def _random_switching(keys, n, seed):
+    keys.allow(required=("period", "link_probability", "weight_range"),
+               optional=("seed",))
+    period = keys("period", _positive)
+    prob = keys("link_probability", _number)
+    if not 0.0 <= prob <= 1.0:
+        raise ValidationError(
+            keys.path("link_probability"), f"must be in [0, 1], got {prob}")
+    wr, where = keys("weight_range"), keys.path("weight_range")
+    if not isinstance(wr, list) or len(wr) != 2:
+        raise ValidationError(where, "expected a [low, high] pair")
+    lo, hi = (_number(v, f"{where}[{i}]") for i, v in enumerate(wr))
+    if not 0.0 <= lo <= hi:
+        raise ValidationError(where, f"need 0 <= low <= high, got {wr}")
+    draw_seed = keys("seed", _integer, seed)
+    if draw_seed is None:
+        raise ValidationError(
+            keys.path("seed"),
+            "random_switching needs a seed (topology or scenario level) "
+            "so reruns are reproducible")
+
+    def build(t0, t1):
+        rng = np.random.default_rng(draw_seed)
+        segments = []
+        for start, end in _periods(t0, t1, period):
+            mask = rng.random((n, n)) < prob
+            weights = rng.uniform(lo, hi, (n, n))
+            off = np.where(mask, weights, 0.0)
+            np.fill_diagonal(off, 0.0)
+            segments.append((start, end, from_offdiagonal(off)))
+        return segments
+    return build
+
+
+def _sinusoidal(keys, n, seed):
+    keys.allow(required=("depth", "period"), optional=("matrix", "weights"))
+    base = _coupling(keys, n).entries.copy()
+    np.fill_diagonal(base, 0.0)
+    depth = keys("depth", _number)
+    if not abs(depth) <= 1.0:
+        raise ValidationError(keys.path("depth"), f"must lie in [-1, 1], got {depth}")
+    period = keys("period", _positive)
+    return lambda t0, t1: [(t0, t1, SinusoidalCoupling(base, depth, period))]
+
+
+_TOPOLOGIES = {
+    "constant": _constant,
+    "ring": _ring,
+    "star": _star,
+    "line": _line,
+    "piecewise": _piecewise,
+    "alternating_leader_follower": _alternating_leader_follower,
+    "random_switching": _random_switching,
+    "sinusoidal": _sinusoidal,
+}
+# Kinds whose coupling does not change over time: the one fact about a
+# kind kept outside its entry, read by the potential audit at parse time.
+_CONSTANT_KINDS = ("constant", "ring", "star", "line")
+
+
+def _topology(value, n: int, seed):
+    """build(t0, t1) for a topology mapping, once its keys are checked."""
+    return _Keys(value, "topology").kind(_TOPOLOGIES)(n, seed)
+
 
 def generate_topology(
     spec: dict,
@@ -499,105 +555,16 @@ def generate_topology(
     horizon: float,
     seed: Optional[int] = None,
 ) -> CouplingSchedule:
-    """Build the coupling schedule for a validated topology spec over
-    [t0, t0 + horizon]."""
-    kind = spec["kind"]
-    t1 = t0 + horizon
-    if kind == "constant":
-        return build_schedule([(t0, t1, _coupling_from(spec, n, kind))])
-    if kind == "ring":
-        w = float(spec.get("weight", 1.0))
-        off = np.zeros((n, n))
-        for k in range(n):
-            off[k, (k + 1) % n] = w
-            if spec.get("bidirectional", False):
-                off[(k + 1) % n, k] = w
-        return build_schedule([(t0, t1, from_offdiagonal(off))])
-    if kind == "star":
-        w = float(spec.get("weight", 1.0))
-        hub = int(spec.get("hub", 1)) - 1
-        off = np.zeros((n, n))
-        for k in range(n):
-            if k != hub:
-                off[k, hub] = w
-                if spec.get("bidirectional", False):
-                    off[hub, k] = w
-        return build_schedule([(t0, t1, from_offdiagonal(off))])
-    if kind == "line":
-        w = float(spec.get("weight", 1.0))
-        both = spec.get("bidirectional", True)
-        off = np.zeros((n, n))
-        for k in range(1, n):
-            off[k, k - 1] = w
-            if both:
-                off[k - 1, k] = w
-        return build_schedule([(t0, t1, from_offdiagonal(off))])
-    if kind == "piecewise":
-        segments = []
-        prev = t0
-        for piece in spec["pieces"]:
-            end = min(t0 + float(piece["until"]), t1)
-            if end > prev:
-                segments.append((prev, end, _coupling_from(piece, n, "piece")))
-                prev = end
-        if prev < t1 - 1e-12:
-            raise InvalidSpec(
-                f"pieces cover [{t0}, {prev}] but the horizon runs to {t1}")
-        return build_schedule(segments)
-    if kind == "alternating_leader_follower":
-        period = float(spec["period"])
-        w = float(spec.get("weight", 1.0))
-        half = period / 2.0
-        matrices = []
-        for leader in (0, 1):
-            off = np.zeros((n, n))
-            for k in range(n):
-                if k != leader:
-                    off[k, leader] = w
-            matrices.append(from_offdiagonal(off))
-        segments = []
-        start = t0
-        idx = 0
-        while start < t1 - 1e-12:
-            end = min(start + half, t1)
-            segments.append((start, end, matrices[idx % 2]))
-            start = end
-            idx += 1
-        return build_schedule(segments)
-    if kind == "random_switching":
-        period = float(spec["period"])
-        prob = float(spec["link_probability"])
-        lo, hi = (float(v) for v in spec["weight_range"])
-        rng = np.random.default_rng(spec.get("seed", seed))
-        segments = []
-        start = t0
-        while start < t1 - 1e-12:
-            end = min(start + period, t1)
-            mask = rng.random((n, n)) < prob
-            weights = rng.uniform(lo, hi, (n, n))
-            off = np.where(mask, weights, 0.0)
-            np.fill_diagonal(off, 0.0)
-            segments.append((start, end, from_offdiagonal(off)))
-            start = end
-        return build_schedule(segments)
-    if kind == "sinusoidal":
-        base = _coupling_from(spec, n, kind).entries.copy()
-        np.fill_diagonal(base, 0.0)
-        family = SinusoidalCoupling(base, float(spec["depth"]), float(spec["period"]))
-        return build_schedule([(t0, t1, family)])
-    raise InvalidSpec(f"unhandled topology kind {kind!r}")
-
-
-def resolve_initial_state(config: ScenarioConfig) -> np.ndarray:
-    init = config.initial_state
-    if isinstance(init, tuple):
-        return np.array(init, dtype=float)
-    rng = np.random.default_rng(init.get("seed", config.seed))
-    return rng.uniform(float(init["low"]), float(init["high"]), config.n)
+    """Check a topology spec as ``parse_config`` does, then build its
+    coupling schedule over [t0, t0 + horizon]."""
+    build = _topology(spec, n, seed)
+    t0 = _number(t0, "t0")
+    return build_schedule(build(t0, t0 + _positive(horizon, "horizon")))
 
 
 # --------------------------------------------------------------------------
-# Analyses
+# Analyses: each entry checks its keys against the config and returns
+# run(schedule, trajectory, x0) -> (passed, detail)
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -607,109 +574,170 @@ class AnalysisResult:
     detail: str
 
 
-def _run_connectivity(spec, config, schedule, trajectory) -> AnalysisResult:
-    report = window_connectivity_report(
-        schedule, float(spec["delta"]), float(spec["window"]),
-        sample_step=spec.get("sample_step"))
-    roots = ",".join(str(r) for r in sorted(report.common_roots)) or "none"
-    detail = (f"common roots {{{roots}}} across {len(report.window_starts)} "
-              f"sampled windows (delta={_fmt(spec['delta'])}, "
-              f"T={_fmt(spec['window'])})")
-    if report.has_common_root:
-        return AnalysisResult("connectivity", "pass", detail)
-    return AnalysisResult("connectivity", "fail", detail)
+def _connectivity(keys, config):
+    keys.allow(required=("delta", "window"), optional=("sample_step",))
+    delta = keys("delta", _positive)
+    window = keys("window", _positive)
+    sample_step = keys("sample_step", _positive)
+    if (config.t0 + config.horizon) - config.t0 < window:
+        raise ValidationError(
+            keys.path("window"), f"{window} exceeds the horizon {config.horizon}")
+
+    def run(schedule, trajectory, x0):
+        report = window_connectivity_report(
+            schedule, delta, window, sample_step=sample_step)
+        roots = ",".join(str(r) for r in sorted(report.common_roots)) or "none"
+        return report.has_common_root, (
+            f"common roots {{{roots}}} across {len(report.window_starts)} "
+            f"sampled windows (delta={_fmt(delta)}, T={_fmt(window)})")
+    return run
 
 
-def _run_audit_one(fname, spec, config, schedule, trajectory):
-    slack = spec.get("slack")
-    if fname == "delayed_spread":
-        series = delayed_functional_series(trajectory, config.delay.tau)
-        return lyapunov.monotonicity_from_series("delayed_spread", series,
-                                                 slack=slack)
-    matrix = None
-    if fname == "potential":
-        matrix = evaluate_schedule(schedule, config.t0)
-    weights = spec.get("weights")
-    return lyapunov.audit_monotonicity(
-        trajectory, fname, weights=weights, matrix=matrix, slack=slack)
+def _audit(keys, config):
+    keys.allow(required=("functionals",), optional=("weights", "slack"))
+    names = keys("functionals")
+    where = keys.path("functionals")
+    if not isinstance(names, list) or not names:
+        raise ValidationError(where, "expected a non-empty list")
+    for fname in names:
+        base, _, convex = str(fname).partition(":")
+        if base not in _AUDIT_BASES:
+            raise ValidationError(where, f"unknown functional {fname!r}")
+        if base == "weighted" and convex not in lyapunov.CONVEX_REGISTRY:
+            raise ValidationError(
+                where, f"{fname!r} must be weighted:<f> with f in "
+                f"{sorted(lyapunov.CONVEX_REGISTRY)}")
+        if fname == "potential" and config.topology["kind"] not in _CONSTANT_KINDS:
+            raise ValidationError(where, "the potential audit needs constant coupling")
+        if fname == "delayed_spread" and config.delay is None:
+            raise ValidationError(where, "delayed_spread needs a delay section")
+    weights = keys("weights")
+    if weights is not None:
+        where = keys.path("weights")
+        if not isinstance(weights, list) or len(weights) != config.n:
+            raise ValidationError(where, f"expected {config.n} values")
+        weights = [_nonnegative(w, f"{where}[{i}]") for i, w in enumerate(weights)]
+    slack = keys("slack", _positive)
+
+    def run(schedule, trajectory, x0):
+        failures, worst = [], []
+        for fname in names:
+            if fname == "delayed_spread":
+                series = delayed_functional_series(trajectory, config.delay.tau)
+                report = lyapunov.monotonicity_from_series(fname, series, slack=slack)
+            else:
+                matrix = (evaluate_schedule(schedule, config.t0)
+                          if fname == "potential" else None)
+                report = lyapunov.audit_monotonicity(
+                    trajectory, fname, weights=weights, matrix=matrix, slack=slack)
+            worst.append(f"{fname}: worst={_fmt(report.worst_violation)}")
+            if not report.passed:
+                failures.append(fname)
+        detail = "; ".join(worst)
+        if failures:
+            return False, f"violated by {','.join(failures)}; {detail}"
+        return True, detail
+    return run
 
 
-def _run_audit(spec, config, schedule, trajectory) -> AnalysisResult:
-    failures = []
-    worst = []
-    for fname in spec["functionals"]:
-        report = _run_audit_one(fname, spec, config, schedule, trajectory)
-        worst.append(f"{fname}: worst={_fmt(report.worst_violation)}")
-        if not report.passed:
-            failures.append(fname)
-    detail = "; ".join(worst)
-    if failures:
-        return AnalysisResult(
-            "audit", "fail", f"violated by {','.join(failures)}; {detail}")
-    return AnalysisResult("audit", "pass", detail)
+def _lemma(keys, config):
+    keys.allow(required=("group", "window"), optional=("t_start", "slack"))
+    group = keys("group")
+    if not isinstance(group, list) or not group:
+        raise ValidationError(keys.path("group"), "expected a non-empty list")
+    group = [_node(v, config.n, keys.path("group")) for v in group]
+    window = keys("window", _positive)
+    t_start = keys("t_start", _number, config.t0)
+    slack = keys("slack", _positive)
+    t1 = config.t0 + config.horizon
+    if t_start < config.t0 - 1e-12 or t_start + window > t1 + 1e-12:
+        raise ValidationError(
+            keys.path("window"), f"[{t_start}, {t_start + window}] lies outside "
+            f"the horizon [{config.t0}, {t1}]")
+
+    def run(schedule, trajectory, x0):
+        report = certify.verify_lemma_on_trajectory(
+            schedule, trajectory, group, t_start, window, slack=slack)
+        trapped = ",".join(str(v) for v in report.trapped) or "none"
+        return report.passed, (
+            f"beta={_fmt(report.beta)} trapped={{{trapped}}} "
+            f"group_within={report.group_within} "
+            f"range_contained={report.range_contained}")
+    return run
 
 
-def _run_lemma(spec, config, schedule, trajectory) -> AnalysisResult:
-    t_start = float(spec.get("t_start", config.t0))
-    report = certify.verify_lemma_on_trajectory(
-        schedule, trajectory, [int(v) for v in spec["group"]],
-        t_start, float(spec["window"]), slack=spec.get("slack"))
-    trapped = ",".join(str(v) for v in report.trapped) or "none"
-    detail = (f"beta={_fmt(report.beta)} trapped={{{trapped}}} "
-              f"group_within={report.group_within} "
-              f"range_contained={report.range_contained}")
-    return AnalysisResult("lemma", "pass" if report.passed else "fail", detail)
+def _certificate(keys, config):
+    keys.allow(required=("delta", "window", "root"),
+               optional=("verify_hypothesis", "slack_factor"))
+    delta = keys("delta", _positive)
+    window = keys("window", _positive)
+    root = _node(keys("root"), config.n, keys.path("root"))
+    verify = keys("verify_hypothesis", _boolean, True)
+    slack_factor = keys("slack_factor", _positive, certify.DEFAULT_SLACK_FACTOR)
+    span_end = config.t0 + (config.n - 1) * window
+    if span_end > config.t0 + config.horizon + 1e-12:
+        raise ValidationError(
+            keys.path("window"), f"{config.n - 1} windows end at {span_end}, "
+            f"past the horizon end {config.t0 + config.horizon}")
+
+    def run(schedule, trajectory, x0):
+        report = certify.contraction_certificate(
+            schedule, x0, config.t0, window, delta, root, step=config.step,
+            verify_hypothesis=verify, slack_factor=slack_factor)
+        return report.passed, (
+            f"rho={_fmt(report.rho)} rate={_fmt(report.certified_rate)} "
+            f"observed={_fmt(report.observed_contraction)} over "
+            f"{len(report.stages)} stages")
+    return run
 
 
-def _run_certificate(spec, config, schedule, trajectory, x0) -> AnalysisResult:
-    report = certify.contraction_certificate(
-        schedule, x0, config.t0, float(spec["window"]), float(spec["delta"]),
-        int(spec["root"]), step=config.step,
-        verify_hypothesis=bool(spec.get("verify_hypothesis", True)),
-        slack_factor=float(spec.get("slack_factor", certify.DEFAULT_SLACK_FACTOR)))
-    detail = (f"rho={_fmt(report.rho)} rate={_fmt(report.certified_rate)} "
-              f"observed={_fmt(report.observed_contraction)} over "
-              f"{len(report.stages)} stages")
-    return AnalysisResult(
-        "certificate", "pass" if report.passed else "fail", detail)
+def _spectral(keys, config):
+    keys.allow(optional=("delta", "gap_tol"))
+    delta = keys("delta", _nonnegative, 0.0)
+    gap_tol = keys("gap_tol", _positive)
+    options = {} if gap_tol is None else {"gap_tol": gap_tol}
+
+    def run(schedule, trajectory, x0):
+        if len(schedule.segments) == 1 and schedule.segments[0].is_constant:
+            matrix = schedule.segments[0].generator.entries
+            source = "constant coupling"
+        else:
+            span = schedule.t_end - schedule.t_start
+            matrix = integrate_schedule(schedule, schedule.t_start, span).entries / span
+            source = "time-averaged coupling"
+        report = spectral_graph_equivalence(matrix, delta, **options)
+        eigs = report.verdict.eigenvalues
+        lead = ", ".join(
+            f"{v.real:.6g}{v.imag:+.6g}j" if v.imag else f"{v.real:.6g}"
+            for v in eigs[: min(4, len(eigs))])
+        return report.agree, (
+            f"{source}: stable={report.verdict.consensus_stable} "
+            f"roots={{{','.join(str(r) for r in report.roots) or 'none'}}} "
+            f"agree={report.agree} spectrum head [{lead}]")
+    return run
 
 
-def _run_spectral(spec, config, schedule, trajectory) -> AnalysisResult:
-    if len(schedule.segments) == 1 and schedule.segments[0].is_constant:
-        matrix = schedule.segments[0].generator.entries
-        source = "constant coupling"
-    else:
-        span = schedule.t_end - schedule.t_start
-        matrix = integrate_schedule(schedule, schedule.t_start, span).entries / span
-        source = "time-averaged coupling"
-    kwargs = {}
-    if "gap_tol" in spec:
-        kwargs["gap_tol"] = float(spec["gap_tol"])
-    report = spectral_graph_equivalence(matrix, float(spec.get("delta", 0.0)),
-                                        **kwargs)
-    eigs = report.verdict.eigenvalues
-    lead = ", ".join(
-        f"{v.real:.6g}{v.imag:+.6g}j" if v.imag else f"{v.real:.6g}"
-        for v in eigs[: min(4, len(eigs))])
-    detail = (f"{source}: stable={report.verdict.consensus_stable} "
-              f"roots={{{','.join(str(r) for r in report.roots) or 'none'}}} "
-              f"agree={report.agree} spectrum head [{lead}]")
-    return AnalysisResult("spectral", "pass" if report.agree else "fail", detail)
+_ANALYSES = {
+    "connectivity": _connectivity,
+    "audit": _audit,
+    "lemma": _lemma,
+    "certificate": _certificate,
+    "spectral": _spectral,
+}
 
 
-def _run_analysis(spec, config, schedule, trajectory, x0) -> AnalysisResult:
-    kind = spec["kind"]
+def _analyses(config: ScenarioConfig) -> list:
+    """(kind, run) for each analysis, once its keys are checked."""
+    out = []
+    for i, spec in enumerate(config.analyses):
+        run = _Keys(spec, f"analyses[{i}]").kind(_ANALYSES)(config)
+        out.append((spec["kind"], run))
+    return out
+
+
+def _run_analysis(kind, run, schedule, trajectory, x0) -> AnalysisResult:
     try:
-        if kind == "connectivity":
-            return _run_connectivity(spec, config, schedule, trajectory)
-        if kind == "audit":
-            return _run_audit(spec, config, schedule, trajectory)
-        if kind == "lemma":
-            return _run_lemma(spec, config, schedule, trajectory)
-        if kind == "certificate":
-            return _run_certificate(spec, config, schedule, trajectory, x0)
-        if kind == "spectral":
-            return _run_spectral(spec, config, schedule, trajectory)
+        passed, detail = run(schedule, trajectory, x0)
     except (HypothesisUnverified, BalanceViolated) as exc:
         return AnalysisResult(kind, "hypothesis", str(exc))
     except NoTrappedComponent as exc:
@@ -717,20 +745,15 @@ def _run_analysis(spec, config, schedule, trajectory, x0) -> AnalysisResult:
     except _NUMERICAL_ERRORS as exc:
         return AnalysisResult(kind, "numerical",
                               f"{type(exc).__name__}: {exc}")
-    raise InvalidSpec(f"unhandled analysis kind {kind!r}")
+    return AnalysisResult(kind, "pass" if passed else "fail", detail)
 
 
-_STATUS_EXIT = {
-    "pass": EXIT_PASS,
-    "fail": EXIT_VERDICT,
-    "hypothesis": EXIT_HYPOTHESIS,
-    "numerical": EXIT_NUMERICAL,
-}
-_STATUS_TAG = {
-    "pass": "[PASS]",
-    "fail": "[FAIL]",
-    "hypothesis": "[HYPOTHESIS]",
-    "numerical": "[ERROR]",
+# Report tag and exit code of each analysis status.
+_STATUS = {
+    "pass": ("[PASS]", EXIT_PASS),
+    "fail": ("[FAIL]", EXIT_VERDICT),
+    "hypothesis": ("[HYPOTHESIS]", EXIT_HYPOTHESIS),
+    "numerical": ("[ERROR]", EXIT_NUMERICAL),
 }
 
 
@@ -749,10 +772,11 @@ def run_scenario(config: ScenarioConfig, output_dir: str) -> int:
 
     Returns the exit code; the report ends with the matching verdict line.
     """
-    os.makedirs(output_dir, exist_ok=True)
     schedule = generate_topology(
         config.topology, config.n, config.t0, config.horizon, config.seed)
+    analyses = _analyses(config)
     x0 = resolve_initial_state(config)
+    os.makedirs(output_dir, exist_ok=True)
     log.info("scenario %s: %d nodes over [%s, %s]", config.name, config.n,
              _fmt(config.t0), _fmt(config.t0 + config.horizon))
     if config.delay is not None:
@@ -768,10 +792,10 @@ def run_scenario(config: ScenarioConfig, output_dir: str) -> int:
     _write_trajectory_csv(os.path.join(output_dir, "trajectory.csv"), trajectory)
 
     results = [
-        _run_analysis(spec, config, schedule, trajectory, x0)
-        for spec in config.analyses
+        _run_analysis(kind, run, schedule, trajectory, x0)
+        for kind, run in analyses
     ]
-    exit_code = max((_STATUS_EXIT[r.status] for r in results), default=EXIT_PASS)
+    exit_code = max((_STATUS[r.status][1] for r in results), default=EXIT_PASS)
 
     final = spread_series(trajectory)[-1]
     lines = [
@@ -786,7 +810,7 @@ def run_scenario(config: ScenarioConfig, output_dir: str) -> int:
         "",
     ]
     lines.extend(
-        f"{_STATUS_TAG[r.status]} {r.kind}: {r.detail}" for r in results)
+        f"{_STATUS[r.status][0]} {r.kind}: {r.detail}" for r in results)
     lines.append("")
     lines.append(f"verdict: {'PASS' if exit_code == EXIT_PASS else 'FAIL'} "
                  f"(exit {exit_code})")
@@ -802,18 +826,13 @@ def run_scenario(config: ScenarioConfig, output_dir: str) -> int:
 # Command line front end
 # --------------------------------------------------------------------------
 
-def _default_output_dir(config_path: str) -> str:
-    stem = os.path.splitext(os.path.basename(config_path))[0]
-    return stem + "_out"
-
-
 def _cmd_run(args) -> int:
     try:
         config = load_config(args.config)
     except (ConsensusLabError, OSError) as exc:
         print(f"config error: {exc}")
         return EXIT_CONFIG
-    out = args.output_dir or _default_output_dir(args.config)
+    out = args.output_dir or _stem(args.config) + "_out"
     try:
         return run_scenario(config, out)
     except (ParseError, ValidationError, InvalidSpec, OutOfHorizon,
@@ -836,8 +855,7 @@ def _cmd_batch(args) -> int:
     for path in args.configs:
         sub = argparse.Namespace(
             config=path,
-            output_dir=os.path.join(
-                args.output_dir, os.path.splitext(os.path.basename(path))[0])
+            output_dir=os.path.join(args.output_dir, _stem(path))
             if args.output_dir else None,
         )
         code = _cmd_run(sub)
@@ -853,7 +871,6 @@ def _cmd_check(args) -> int:
             config = load_config(path)
             generate_topology(config.topology, config.n, config.t0,
                               config.horizon, config.seed)
-            resolve_initial_state(config)
             print(f"{path}: ok ({config.n} nodes, "
                   f"{len(config.analyses)} analyses)")
         except (ConsensusLabError, OSError) as exc:

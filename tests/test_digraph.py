@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from consensus_lab import (
+    Digraph,
     NegativeThreshold,
     NodeOutOfRange,
     build_schedule,
@@ -85,6 +86,17 @@ class TestReachability:
         off[0, 1] = off[1, 0] = 1.0
         g = delta_digraph(from_offdiagonal(off).entries, 0.0)
         assert root_nodes(g) == set()
+
+    def test_roots_when_path_counts_pass_255(self):
+        # 256 two-hop paths lead from node 1 to node 258, a count that
+        # wraps to 0 in 8-bit arithmetic.
+        n = 258
+        arcs = {(1, k) for k in range(2, n)} | {(k, n) for k in range(2, n)}
+        g = Digraph(n, frozenset(arcs))
+        everyone = set(range(1, n + 1))
+        assert reachable_set(g, 1) == everyone
+        assert root_nodes(g) == {
+            v for v in everyone if reachable_set(g, v) == everyone} == {1}
 
 
 class TestWindowConnectivity:

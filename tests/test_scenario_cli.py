@@ -9,9 +9,14 @@ full cycle of length 2.
 
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+import yaml
+
+import consensus_lab
 
 from consensus_lab import (
     InvalidSpec,
@@ -102,6 +107,48 @@ def write(tmp_path, name, text):
     return str(path)
 
 
+def scenario(**changes):
+    """YAML text of a two-node line scenario with top-level keys replaced."""
+    raw = {"nodes": 2, "horizon": 1.0, "topology": {"kind": "line"},
+           "initial_state": [1.0, -1.0]}
+    raw.update(changes)
+    return yaml.safe_dump(raw)
+
+
+INF, NAN = math.inf, math.nan
+SWITCHING = {"kind": "random_switching", "period": 0.5,
+             "link_probability": 0.5, "weight_range": [0.5, 1.5], "seed": 1}
+
+# (top-level keys, field path named by the error)
+NON_FINITE = [
+    ({"horizon": INF}, "horizon"),
+    ({"horizon": 10 ** 400}, "horizon"),
+    ({"t0": NAN}, "t0"),
+    ({"step": INF}, "step"),
+    ({"delay": {"tau": INF}}, "delay.tau"),
+    ({"initial_state": [1.0, NAN]}, "initial_state[1]"),
+    ({"initial_state": {"distribution": "uniform", "low": -INF, "high": 1.0,
+                        "seed": 1}}, "initial_state.low"),
+    ({"topology": {"kind": "ring", "weight": NAN}}, "topology(ring).weight"),
+    ({"topology": {**SWITCHING, "weight_range": [0.5, INF]}},
+     "topology(random_switching).weight_range[1]"),
+    ({"topology": {**SWITCHING, "period": INF}},
+     "topology(random_switching).period"),
+    ({"topology": {"kind": "constant", "matrix": [[-1.0, 1.0], [NAN, 0.0]]}},
+     "topology(constant)"),
+    ({"topology": {"kind": "constant", "weights": [[0.0, INF], [1.0, 0.0]]}},
+     "topology(constant)"),
+    ({"topology": {"kind": "constant", "weights": [[0, 10 ** 400], [1, 0]]}},
+     "topology(constant)"),
+    ({"analyses": [{"kind": "connectivity", "delta": NAN, "window": 0.5}]},
+     "analyses[0](connectivity).delta"),
+    ({"analyses": [{"kind": "audit", "functionals": ["spread"],
+                    "weights": [1.0, NAN]}]}, "analyses[0](audit).weights[1]"),
+    ({"analyses": [{"kind": "lemma", "group": [1], "window": 0.5,
+                    "slack": INF}]}, "analyses[0](lemma).slack"),
+]
+
+
 class TestParsing:
     def test_minimal_roundtrip(self):
         cfg = parse_config(RING_DEMO)
@@ -120,6 +167,10 @@ class TestParsing:
         text = RING_DEMO + "extra_knob: 3\n"
         with pytest.raises(ValidationError, match="extra_knob"):
             parse_config(text)
+
+    def test_unknown_keys_of_mixed_types(self):
+        with pytest.raises(ValidationError, match=r"unknown keys \[1, 'extra'\]"):
+            parse_config(RING_DEMO + "1: 2\nextra: 3\n")
 
     def test_yaml_syntax_error_carries_line(self):
         with pytest.raises(ParseError) as err:
@@ -256,6 +307,62 @@ initial_state: [1.0, -1.0]
                                       "").replace(
                 "  weights: [[0.0, 1.0], [1.0, 0.0]]\n", ""))
 
+    @pytest.mark.parametrize("changes,field", NON_FINITE,
+                             ids=[field for _, field in NON_FINITE])
+    def test_non_finite_numbers_rejected(self, changes, field):
+        with pytest.raises(ValidationError) as err:
+            parse_config(scenario(**changes))
+        assert str(err.value).startswith(field + ":")
+        assert "finite" in str(err.value)
+
+    @pytest.mark.parametrize("entry,message", [
+        ({"delta": 0.1}, "analyses[0].kind: None is not one of"),
+        (3, "analyses[0]: expected a mapping"),
+        ("connectivity", "analyses[0]: expected a mapping"),
+    ], ids=["no-kind", "number", "string"])
+    def test_malformed_analysis_entries(self, entry, message):
+        with pytest.raises(ValidationError) as err:
+            parse_config(scenario(analyses=[entry]))
+        assert str(err.value).startswith(message)
+
+    def test_audit_weights_checked(self):
+        audit = {"kind": "audit", "functionals": ["weighted:square"]}
+        for weights, field in (([1.0], "weights"), (["a", "b"], "weights[0]"),
+                               ([1.0, -1.0], "weights[1]")):
+            with pytest.raises(ValidationError) as err:
+                parse_config(scenario(analyses=[{**audit, "weights": weights}]))
+            assert str(err.value).startswith(f"analyses[0](audit).{field}:")
+        cfg = parse_config(scenario(analyses=[{**audit, "weights": [0.0, 2]}]))
+        assert cfg.analyses[0]["weights"] == [0.0, 2]
+
+    def test_weights_matrix_needs_zero_diagonal(self):
+        text = scenario(topology={"kind": "constant",
+                                  "weights": [[1.0, 1.0], [1.0, 0.0]]})
+        with pytest.raises(ValidationError, match=r"weights: .*diagonal"):
+            parse_config(text)
+
+    @pytest.mark.parametrize("analysis", [
+        {"kind": "certificate", "delta": 0.1, "window": 0.6, "root": 1},
+        {"kind": "lemma", "group": [1], "window": 1.5},
+        {"kind": "lemma", "group": [1], "window": 0.5, "t_start": 0.75},
+        {"kind": "lemma", "group": [1], "window": 0.5, "t_start": -0.25},
+        {"kind": "connectivity", "delta": 0.1, "window": 1.5},
+    ], ids=["certificate", "lemma-long", "lemma-late", "lemma-early",
+            "connectivity"])
+    def test_windows_must_fit_the_horizon(self, analysis):
+        # Three nodes chain two certificate windows: 2 * 0.6 > 1.
+        text = scenario(nodes=3, initial_state=[1.0, 0.0, -1.0],
+                        analyses=[analysis])
+        with pytest.raises(ValidationError, match=r"\.window: .*horizon"):
+            parse_config(text)
+
+    def test_windows_that_just_fit_are_accepted(self):
+        cfg = parse_config(scenario(nodes=3, initial_state=[1.0, 0.0, -1.0], analyses=[
+            {"kind": "certificate", "delta": 0.1, "window": 0.5, "root": 1},
+            {"kind": "lemma", "group": [1], "window": 0.5, "t_start": 0.5},
+            {"kind": "connectivity", "delta": 0.1, "window": 1.0}]))
+        assert len(cfg.analyses) == 3
+
 
 class TestTopologyGeneration:
     def test_ring_entries(self):
@@ -362,6 +469,45 @@ class TestTopologyGeneration:
         assert at_crest[0, 1] == pytest.approx(3.0, abs=1e-12)
         assert at_crest[0, 0] == pytest.approx(-3.0, abs=1e-12)
 
+    def test_random_switching_without_seed_rejected(self):
+        spec = {k: v for k, v in SWITCHING.items() if k != "seed"}
+        with pytest.raises(ValidationError, match=r"\.seed: "):
+            generate_topology(spec, 3, 0.0, 2.0, None)
+
+    @pytest.mark.parametrize("spec", [
+        [1, 2],
+        {"kind": "torus"},
+        {"kind": "ring", "radius": 2},
+        {"kind": "ring", "weight": -1.0},
+        {"kind": "star", "hub": 4},
+        {"kind": "constant"},
+        {"kind": "constant", "weights": [[0.0, 1.0], [1.0, 0.0]]},
+        {"kind": "constant", "weights": [[0.0, 1.0, 0.0], [1.0, 0.5, 0.0],
+                                         [0.0, 1.0, 0.0]]},
+        {"kind": "piecewise", "pieces": []},
+        {"kind": "piecewise", "pieces": [
+            {"until": 2.0, "weights": [[0, 1, 0], [1, 0, 0], [0, 1, 0]]},
+            {"until": 1.0, "weights": [[0, 1, 0], [1, 0, 0], [0, 1, 0]]}]},
+        {"kind": "alternating_leader_follower", "period": 0.0},
+        {**SWITCHING, "link_probability": 1.5},
+        {**SWITCHING, "weight_range": [1.5, 0.5]},
+        {**SWITCHING, "seed": 1.5},
+        {"kind": "sinusoidal", "depth": 1.5, "period": 1.0,
+         "weights": [[0, 1, 0], [1, 0, 0], [0, 1, 0]]},
+    ])
+    def test_generate_topology_rejects_what_parse_config_rejects(self, spec):
+        with pytest.raises(ValidationError) as parsed:
+            parse_config(scenario(nodes=3, topology=spec, seed=4,
+                                  initial_state=[1.0, 0.0, -1.0]))
+        with pytest.raises(ValidationError) as generated:
+            generate_topology(spec, 3, 0.0, 2.0, seed=4)
+        assert str(generated.value) == str(parsed.value)
+
+    def test_generate_topology_checks_the_horizon(self):
+        for horizon in (0.0, INF, NAN):
+            with pytest.raises(ValidationError, match="horizon"):
+                generate_topology(SWITCHING, 3, 0.0, horizon)
+
     def test_resolve_initial_state(self):
         cfg = parse_config(RING_DEMO)
         np.testing.assert_array_equal(resolve_initial_state(cfg),
@@ -449,6 +595,45 @@ class TestCommandLine:
         write(tmp_path, "demo.yaml", RING_DEMO)
         assert main(["run", "demo.yaml"]) == 0
         assert (tmp_path / "demo_out" / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("changes", [
+        {"horizon": INF},
+        {"topology": {"kind": "constant", "weights": [[0.0, NAN], [1.0, 0.0]]},
+         "analyses": [{"kind": "connectivity", "delta": 0.1, "window": 0.5}]},
+        {"topology": {"kind": "constant", "weights": [[1.0, 1.0], [1.0, 0.0]]}},
+        {"analyses": [{"kind": "audit", "functionals": ["weighted:square"],
+                       "weights": ["a", "b"]}]},
+        {"analyses": [{"kind": "audit", "functionals": ["weighted:square"],
+                       "weights": [1.0, -1.0]}]},
+        {"analyses": [{"kind": "certificate", "delta": 0.1, "window": 0.6,
+                       "root": 1}], "nodes": 3, "initial_state": [1, 0, -1]},
+        {"analyses": [{"kind": "lemma", "group": [1], "window": 1.5}]},
+        {"topology": {"kind": "constant", "weights": [[0, 10 ** 400], [1, 0]]}},
+        {"analyses": [{"delta": 0.1}]},
+        {"analyses": [3]},
+    ], ids=["inf-horizon", "nan-weight", "weights-diagonal", "audit-weights-text",
+            "audit-weights-negative", "certificate-span", "lemma-window",
+            "huge-weight", "analysis-without-kind", "analysis-not-a-mapping"])
+    def test_malformed_files_exit_4_and_write_nothing(self, tmp_path, capsys,
+                                                      changes):
+        cfg = write(tmp_path, "bad.yaml", scenario(**changes))
+        out = tmp_path / "o"
+        assert main(["check", cfg]) == 4
+        assert main(["run", cfg, "--output-dir", str(out)]) == 4
+        assert "config error" in capsys.readouterr().out
+        assert not out.exists()
+
+    def test_python_dash_m(self, tmp_path):
+        cfg = write(tmp_path, "demo.yaml", RING_DEMO)
+        src = os.path.dirname(os.path.dirname(consensus_lab.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "consensus_lab", "run", cfg,
+             "--output-dir", str(tmp_path / "m")],
+            capture_output=True, text=True, env=env, check=False)
+        assert proc.returncode == 0, proc.stderr
+        assert "verdict: PASS (exit 0)" in proc.stdout
+        assert (tmp_path / "m" / "report.txt").exists()
 
     def test_version(self, capsys):
         assert main(["version"]) == 0
