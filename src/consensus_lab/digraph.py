@@ -35,12 +35,11 @@ def delta_digraph(matrix, delta: float = 0.0) -> Digraph:
         raise NegativeThreshold(f"threshold must be >= 0, got {delta!r}")
     entries = coupling_entries(matrix)
     n = entries.shape[0]
-    arcs = set()
-    for k in range(n):
-        for l in range(n):
-            if k != l and entries[k, l] > delta:
-                arcs.add((l + 1, k + 1))
-    return Digraph(n=n, arcs=frozenset(arcs))
+    above = entries > delta
+    np.fill_diagonal(above, False)
+    heads, tails = np.nonzero(above)
+    return Digraph(n=n, arcs=frozenset(zip((tails + 1).tolist(),
+                                           (heads + 1).tolist())))
 
 
 def _check_node(g: Digraph, k: int):

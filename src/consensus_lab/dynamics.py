@@ -10,10 +10,14 @@ simulate_dde handles the delayed variant
     dx/dt = diag(A(t)) x(t) + (A(t) - diag(A(t))) x(t - tau)
 
 by the method of steps: the horizon is cut into windows of length tau, and
-inside each window the delayed values are read from the already-computed
-trajectory via cubic Hermite interpolation on the stored grid, whose order
-matches the integrator.  Instantaneous (diagonal) terms always use the
-current state.
+inside each window the delayed values are read by cubic Hermite
+interpolation on one node grid, the history samples followed by every
+computed node; the returned trajectory is that grid from t0 on.
+
+One RK4 stage loop, _march, steps every time-varying piece and every
+delayed piece; its right-hand side f(y, xd) is A y, or the split form above
+with xd = x(t - tau).  A constant piece of an undelayed run takes the one
+other path: there an RK4 step is a fixed matrix, applied once per step.
 
 Trajectories keep two derivative arrays.  The solution has corners at
 coupling discontinuities, so a node carries the derivative valid to its
@@ -177,14 +181,13 @@ class _NodeStore:
             new[: self.size] = old[: self.size]
             setattr(self, name, new)
 
-    def append(self, t, x, dx_right, dx_left=None):
+    def append(self, t, x, dx):
         if self.size == len(self._t):
             self._grow()
         i = self.size
         self._t[i] = t
         self._x[i] = x
-        self._dr[i] = dx_right
-        self._dl[i] = dx_right if dx_left is None else dx_left
+        self._dr[i] = self._dl[i] = dx
         self.size = i + 1
 
     def patch_right(self, dx_right):
@@ -192,13 +195,43 @@ class _NodeStore:
         # belongs to the new piece.
         self._dr[self.size - 1] = dx_right
 
-    @property
-    def last_time(self) -> float:
-        return float(self._t[self.size - 1])
-
     def view(self):
         s = self.size
         return self._t[:s], self._x[:s], self._dr[:s], self._dl[:s]
+
+
+def _march(store: _NodeStore, x: np.ndarray, a: float, grid: np.ndarray,
+           h: float, rhs_at, xd_nodes, xd_half) -> np.ndarray:
+    """Classical RK4 from the last stored node (a, x) through grid, one
+    schedule piece; f = rhs_at(t) gives dx/dt = f(x, xd), where xd is
+    xd_nodes[i] at grid node i (a is node 0) and xd_half[i] half a step on.
+    A node's stored derivative is k1 of the step that leaves it."""
+    dx = rhs_at(a)(x, xd_nodes[0])
+    store.patch_right(dx)
+    t = a
+    for i, tt in enumerate(grid):
+        f_mid = rhs_at(t + 0.5 * h)
+        k2 = f_mid(x + 0.5 * h * dx, xd_half[i])
+        k3 = f_mid(x + 0.5 * h * k2, xd_half[i])
+        f_end = rhs_at(tt)
+        k4 = f_end(x + h * k3, xd_nodes[i + 1])
+        x = x + (h / 6.0) * (dx + 2.0 * k2 + 2.0 * k3 + k4)
+        dx = f_end(x, xd_nodes[i + 1])
+        store.append(tt, x, dx)
+        t = tt
+    return x
+
+
+def _piece_rhs(seg, form):
+    """rhs_at(t) for _march: form(entries) per stage, once if constant."""
+    if seg.is_constant:
+        f = form(seg.generator.entries)
+        return lambda t: f
+    return lambda t: form(seg.generator.entries_at(t))
+
+
+def _linear(A: np.ndarray):
+    return lambda y, xd: A @ y
 
 
 def simulate_ode(
@@ -223,7 +256,7 @@ def simulate_ode(
     _advise_on_step(h_target, schedule.bound)
 
     store = _NodeStore(n)
-    store.append(t0, x.copy(), evaluate_schedule(schedule, t0).entries @ x)
+    store.append(t0, x, evaluate_schedule(schedule, t0).entries @ x)
     for a, b, seg in _pieces(schedule, t0, t1):
         m, h, grid = _substeps(a, b, h_target)
         if seg.is_constant:
@@ -234,28 +267,15 @@ def simulate_ode(
                 x = phi @ x
                 store.append(tt, x, A @ x)
         else:
-            gen = seg.generator
-            store.patch_right(gen.entries_at(a) @ x)
-            tprev = a
-            for tt in grid:
-                k1 = gen.entries_at(tprev) @ x
-                a_mid = gen.entries_at(tprev + 0.5 * h)
-                k2 = a_mid @ (x + 0.5 * h * k1)
-                k3 = a_mid @ (x + 0.5 * h * k2)
-                a_end = gen.entries_at(tt)
-                k4 = a_end @ (x + h * k3)
-                x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                store.append(tt, x, a_end @ x)
-                tprev = tt
-    times, states, derivs, derivs_left = store.view()
+            unused = [None] * (m + 1)
+            x = _march(store, x, a, grid, h, _piece_rhs(seg, _linear), unused, unused)
     meta = {
         "method": "rk4",
         "requested_step": step,
         "effective_step_target": h_target,
         "schedule_bound": schedule.bound,
     }
-    return Trajectory(times=times, states=states, derivs=derivs,
-                      derivs_left=derivs_left, meta=meta)
+    return Trajectory(*store.view(), meta=meta)
 
 
 # --------------------------------------------------------------------------
@@ -355,13 +375,6 @@ def _coerce_history(history, tau: float, t0: float) -> DelayHistory:
     return DelayHistory.constant(history, tau, t_end=t0)
 
 
-def _split_diag(entries: np.ndarray):
-    d = np.diag(entries).copy()
-    off = entries.copy()
-    np.fill_diagonal(off, 0.0)
-    return d, off
-
-
 def simulate_dde(
     schedule: CouplingSchedule,
     tau: float,
@@ -391,78 +404,41 @@ def simulate_dde(
     _advise_on_step(h_target, schedule.bound)
     clamp_slack = 1e-12 * tau
 
-    def rhs_parts(entries: np.ndarray):
+    def rhs(entries: np.ndarray):
         if delay_diagonal:
-            return np.zeros(n), entries
-        return _split_diag(entries)
+            d, off = np.zeros(n), entries
+        else:
+            d, off = np.diag(entries), entries.copy()
+            np.fill_diagonal(off, 0.0)
+        return lambda y, xd: d * y + off @ xd
 
-    # Past grid: history samples first, then every computed node.
-    past = _NodeStore(n)
-    for i in range(len(hist.times)):
-        past.append(hist.times[i], hist.states[i], hist.derivs[i])
+    def interp(queries, snap):
+        return _hermite_many(queries, *snap, clamp_slack=clamp_slack)
 
-    def interp_past(queries, snap=None):
-        t_arr, x_arr, dr_arr, dl_arr = snap if snap is not None else past.view()
-        return _hermite_many(np.asarray(queries, dtype=float), t_arr, x_arr,
-                             dr_arr, dl_arr, clamp_slack=clamp_slack)
-
-    x = interp_past([t0])[0]
-    xd0 = interp_past([t0 - tau])[0]
-    d, off = rhs_parts(evaluate_schedule(schedule, t0).entries)
-    dx0 = d * x + off @ xd0
-
+    # One node grid: history samples first, then every computed node; the
+    # trajectory is its part from the t0 node on.
     store = _NodeStore(n)
-    store.append(t0, x.copy(), dx0)
-    if abs(past.last_time - t0) <= clamp_slack:
-        past.patch_right(dx0)
-    else:
-        past.append(t0, x.copy(), dx0)
+    for sample in zip(hist.times, hist.states, hist.derivs):
+        store.append(*sample)
+    x = interp([t0], store.view())[0]
+    if abs(hist.times[-1] - t0) > clamp_slack:
+        xd0 = interp([t0 - tau], store.view())[0]
+        store.append(t0, x, rhs(evaluate_schedule(schedule, t0).entries)(x, xd0))
+    first = store.size - 1
 
     w0 = t0
     span_tiny = 1e-12 * max(1.0, abs(t1 - t0))
     while w0 < t1 - span_tiny:
         w1 = min(w0 + tau, t1)
         # All delayed lookups for this window live in [w0 - tau, w1 - tau],
-        # which is already computed: snapshot the past grid once per window.
-        snap = past.view()
+        # which is already computed: snapshot the node grid once per window.
+        snap = store.view()
         for a, b, seg in _pieces(schedule, w0, w1):
             m, h, grid = _substeps(a, b, h_target)
-            node_q = np.empty(m + 1)
-            node_q[0] = a - tau
-            node_q[1:] = grid - tau
-            half_q = (grid - 0.5 * h) - tau
-            xd_nodes = interp_past(node_q, snap)
-            xd_half = interp_past(half_q, snap)
-            if seg.is_constant:
-                d, off = rhs_parts(seg.generator.entries)
-                patch = d * x + off @ xd_nodes[0]
-                store.patch_right(patch)
-                past.patch_right(patch)
-            else:
-                d0p, off0p = rhs_parts(seg.generator.entries_at(a))
-                patch = d0p * x + off0p @ xd_nodes[0]
-                store.patch_right(patch)
-                past.patch_right(patch)
-            tprev = a
-            for i, tt in enumerate(grid):
-                if seg.is_constant:
-                    d1 = d2 = d4 = d
-                    off1 = off2 = off4 = off
-                else:
-                    d1, off1 = rhs_parts(seg.generator.entries_at(tprev))
-                    d2, off2 = rhs_parts(seg.generator.entries_at(tprev + 0.5 * h))
-                    d4, off4 = rhs_parts(seg.generator.entries_at(tt))
-                k1 = d1 * x + off1 @ xd_nodes[i]
-                k2 = d2 * (x + 0.5 * h * k1) + off2 @ xd_half[i]
-                k3 = d2 * (x + 0.5 * h * k2) + off2 @ xd_half[i]
-                k4 = d4 * (x + h * k3) + off4 @ xd_nodes[i + 1]
-                x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                dx = d4 * x + off4 @ xd_nodes[i + 1]
-                store.append(tt, x, dx)
-                past.append(tt, x, dx)
-                tprev = tt
+            xd_nodes = interp(np.concatenate(([a], grid)) - tau, snap)
+            xd_half = interp((grid - 0.5 * h) - tau, snap)
+            x = _march(store, x, a, grid, h, _piece_rhs(seg, rhs), xd_nodes, xd_half)
         w0 = w1
-    times, states, derivs, derivs_left = store.view()
     meta = {
         "method": "rk4-method-of-steps",
         "tau": tau,
@@ -471,8 +447,7 @@ def simulate_dde(
         "effective_step_target": h_target,
         "schedule_bound": schedule.bound,
     }
-    return Trajectory(times=times, states=states, derivs=derivs,
-                      derivs_left=derivs_left, meta=meta)
+    return Trajectory(*(arr[first:] for arr in store.view()), meta=meta)
 
 
 # --------------------------------------------------------------------------

@@ -73,10 +73,11 @@ def validate_coupling_matrix(entries, tol_row: float = DEFAULT_ROW_TOL) -> Coupl
     """
     arr = _as_square_array(entries)
     n = arr.shape[0]
-    for k in range(n):
-        for l in range(n):
-            if k != l and arr[k, l] < 0.0:
-                raise NegativeOffDiagonal(k + 1, l + 1, float(arr[k, l]))
+    # argwhere goes row by row: the first offender is the top-left one.
+    negative = np.argwhere((arr < 0.0) & ~np.eye(n, dtype=bool))
+    if len(negative):
+        k, l = negative[0].tolist()
+        raise NegativeOffDiagonal(k + 1, l + 1, float(arr[k, l]))
     tol = _row_tolerance(arr, tol_row)
     sums = arr.sum(axis=1)
     worst = int(np.argmax(np.abs(sums)))
@@ -92,14 +93,13 @@ def from_offdiagonal(weights, tol_row: float = DEFAULT_ROW_TOL) -> CouplingMatri
     off-diagonal row sum, so row sums vanish by construction.
     """
     arr = _as_square_array(weights)
-    n = arr.shape[0]
     if np.any(np.diag(arr) != 0.0):
         raise ValueError("diagonal of the weight matrix must be zero")
-    for k in range(n):
-        for l in range(n):
-            if k != l and arr[k, l] < 0.0:
-                raise NegativeWeight(
-                    f"weight ({k + 1},{l + 1}) = {arr[k, l]!r} is negative")
+    negative = np.argwhere(arr < 0.0)  # the diagonal is zero
+    if len(negative):
+        k, l = negative[0].tolist()
+        raise NegativeWeight(
+            f"weight ({k + 1},{l + 1}) = {arr[k, l]!r} is negative")
     out = arr.copy()
     np.fill_diagonal(out, 0.0)
     np.fill_diagonal(out, -out.sum(axis=1))

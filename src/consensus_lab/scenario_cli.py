@@ -36,7 +36,6 @@ from .dynamics import (
     delayed_functional_series,
     simulate_dde,
     simulate_ode,
-    spread_series,
 )
 from .errors import (
     AmbiguousSpectrum,
@@ -216,6 +215,13 @@ def _integer(value, where: str) -> int:
     return value
 
 
+def _seed(value, where: str) -> int:
+    seed = _integer(value, where)
+    if seed < 0:
+        raise ValidationError(where, f"must be >= 0, got {seed}")
+    return seed
+
+
 def _boolean(value, where: str) -> bool:
     if not isinstance(value, bool):
         raise ValidationError(where, f"expected a boolean, got {value!r}")
@@ -305,7 +311,7 @@ def parse_config(text: str, name: str = "<memory>") -> ScenarioConfig:
         raise ValidationError("nodes", f"need at least one node, got {n}")
     horizon = keys("horizon", _positive)
     t0 = keys("t0", _number, 0.0)
-    seed = keys("seed", _integer)
+    seed = keys("seed", _seed)
     step = keys("step", _positive)
     delay = keys("delay", _delay)
     # The entries are checked here and built by run_scenario: loading a
@@ -364,7 +370,7 @@ def _initial_state(value, n: int, seed):
     high = keys("high", _number)
     if not low <= high:
         raise ValidationError("initial_state", f"need low <= high, got {value}")
-    draw_seed = keys("seed", _integer, seed)
+    draw_seed = keys("seed", _seed, seed)
     if draw_seed is None:
         raise ValidationError(
             keys.path("seed"),
@@ -497,7 +503,7 @@ def _random_switching(keys, n, seed):
     lo, hi = (_number(v, f"{where}[{i}]") for i, v in enumerate(wr))
     if not 0.0 <= lo <= hi:
         raise ValidationError(where, f"need 0 <= low <= high, got {wr}")
-    draw_seed = keys("seed", _integer, seed)
+    draw_seed = keys("seed", _seed, seed)
     if draw_seed is None:
         raise ValidationError(
             keys.path("seed"),
@@ -557,7 +563,7 @@ def generate_topology(
 ) -> CouplingSchedule:
     """Check a topology spec as ``parse_config`` does, then build its
     coupling schedule over [t0, t0 + horizon]."""
-    build = _topology(spec, n, seed)
+    build = _topology(spec, n, seed if seed is None else _seed(seed, "seed"))
     t0 = _number(t0, "t0")
     return build_schedule(build(t0, t0 + _positive(horizon, "horizon")))
 
@@ -609,8 +615,15 @@ def _audit(keys, config):
                 f"{sorted(lyapunov.CONVEX_REGISTRY)}")
         if fname == "potential" and config.topology["kind"] not in _CONSTANT_KINDS:
             raise ValidationError(where, "the potential audit needs constant coupling")
-        if fname == "delayed_spread" and config.delay is None:
-            raise ValidationError(where, "delayed_spread needs a delay section")
+        if fname == "delayed_spread":
+            if config.delay is None:
+                raise ValidationError(where, "delayed_spread needs a delay section")
+            # delayed_functional_series needs a node tau after t0, to within
+            # its tolerance.
+            tau = config.delay.tau
+            if config.t0 + tau - 1e-12 * max(1.0, tau) > config.t0 + config.horizon:
+                raise ValidationError(where, f"delayed_spread needs the delay {tau} "
+                                      f"to fit the horizon {config.horizon}")
     weights = keys("weights")
     if weights is not None:
         where = keys.path("weights")
@@ -757,9 +770,8 @@ _STATUS = {
 }
 
 
-def _write_trajectory_csv(path: str, trajectory: Trajectory):
+def _write_trajectory_csv(path: str, trajectory: Trajectory, spreads):
     n = trajectory.n
-    spreads = trajectory.states.max(axis=1) - trajectory.states.min(axis=1)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("time," + ",".join(f"x_{k}" for k in range(1, n + 1))
                  + ",V_spread\n")
@@ -789,7 +801,9 @@ def run_scenario(config: ScenarioConfig, output_dir: str) -> int:
             schedule, x0, config.t0, config.t0 + config.horizon,
             step=config.step)
     log.info("stored %d trajectory nodes", len(trajectory.times))
-    _write_trajectory_csv(os.path.join(output_dir, "trajectory.csv"), trajectory)
+    spreads = trajectory.states.max(axis=1) - trajectory.states.min(axis=1)
+    _write_trajectory_csv(os.path.join(output_dir, "trajectory.csv"), trajectory,
+                          spreads)
 
     results = [
         _run_analysis(kind, run, schedule, trajectory, x0)
@@ -797,7 +811,6 @@ def run_scenario(config: ScenarioConfig, output_dir: str) -> int:
     ]
     exit_code = max((_STATUS[r.status][1] for r in results), default=EXIT_PASS)
 
-    final = spread_series(trajectory)[-1]
     lines = [
         f"scenario: {config.name}",
         f"nodes: {config.n}",
@@ -806,7 +819,7 @@ def run_scenario(config: ScenarioConfig, output_dir: str) -> int:
         f"delay: {_fmt(config.delay.tau) if config.delay else 'none'}"
         + (" (full)" if config.delay and config.delay.full else ""),
         f"initial spread: {_fmt(float(x0.max() - x0.min()))}",
-        f"final spread: {_fmt(final[1])} at t={_fmt(final[0])}",
+        f"final spread: {_fmt(spreads[-1])} at t={_fmt(trajectory.t_end)}",
         "",
     ]
     lines.extend(

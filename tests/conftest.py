@@ -36,6 +36,20 @@ def brute_roots(n, arcs):
             if len(brute_reachable(n, arcs, k)) == n}
 
 
+def brute_arcs(entries, delta):
+    """Arcs (l, k), 1-based, of every off-diagonal entry (k, l) > delta."""
+    n = len(entries)
+    return frozenset((l + 1, k + 1) for k in range(n) for l in range(n)
+                     if k != l and entries[k][l] > delta)
+
+
+def brute_first_negative(entries):
+    """1-based (k, l) of the first negative off-diagonal entry, row by row."""
+    n = len(entries)
+    return next(((k + 1, l + 1) for k in range(n) for l in range(n)
+                 if k != l and entries[k][l] < 0.0), None)
+
+
 def chain_matrix():
     """x1 follows x2, x2 drifts freely: the standard 2-node worked example."""
     return np.array([[-1.0, 1.0], [0.0, 0.0]])

@@ -16,7 +16,8 @@ from consensus_lab import (
     window_connectivity_report,
 )
 
-from conftest import brute_reachable, brute_roots, chain_matrix, random_metzler
+from conftest import (brute_arcs, brute_reachable, brute_roots, chain_matrix,
+                      random_metzler)
 
 
 def ring_entries(n, w=1.0):
@@ -42,6 +43,13 @@ class TestDeltaDigraph:
     def test_diagonal_never_contributes(self):
         g = delta_digraph(np.array([[0.0, 0.0], [1.0, -1.0]]), 0.0)
         assert all(tail != head for tail, head in g.arcs)
+
+    def test_arcs_match_entrywise_scan(self, rng):
+        for _ in range(50):
+            n = int(rng.integers(1, 9))
+            entries = rng.choice([-1.0, 0.0, 0.5, 1.0, 2.0], (n, n))
+            for delta in (0.0, 0.5, 1.0):
+                assert delta_digraph(entries, delta).arcs == brute_arcs(entries, delta)
 
     def test_successors(self):
         g = delta_digraph(ring_entries(3), 0.0)

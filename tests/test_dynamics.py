@@ -167,6 +167,22 @@ class TestOde:
         assert simulate_ode(sch, [1.0, 0.0], 0.0, 1.0, step=0.1).meta[
             "requested_step"] == 0.1
 
+    def test_stage_loop_matches_transfer_loop(self, rng):
+        # depth 0 steps the stage loop through a coupling that never
+        # changes; the constant schedule steps the transfer matrix.
+        weights = random_metzler(rng, 4).copy()
+        np.fill_diagonal(weights, 0.0)
+        spec = {"weights": weights.tolist()}
+        flat = generate_topology({"kind": "sinusoidal", "depth": 0.0,
+                                  "period": 1.0, **spec}, 4, 0.0, 3.0)
+        const = generate_topology({"kind": "constant", **spec}, 4, 0.0, 3.0)
+        x0 = [1.0, -0.5, 0.25, 2.0]
+        a = simulate_ode(flat, x0, 0.0, 3.0, step=0.01)
+        b = simulate_ode(const, x0, 0.0, 3.0, step=0.01)
+        np.testing.assert_array_equal(a.times, b.times)
+        np.testing.assert_allclose(a.states, b.states, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(a.derivs, b.derivs, rtol=0.0, atol=1e-12)
+
     def test_trajectory_rejects_unsorted_times(self):
         times = np.array([0.0, 1.0, 0.5])
         states = np.zeros((3, 2))
@@ -209,6 +225,21 @@ class TestDde:
         traj = simulate_dde(sch, 0.4, hist, 0.0, 2.0)
         assert traj.times[0] == 0.0
         assert np.allclose(traj.states[0], [1.0, -1.0])
+
+    def test_left_derivative_at_t0_comes_from_the_history(self):
+        sch = constant_schedule(symmetric_pair(), 0.0, 2.0)
+        traj = simulate_dde(sch, 0.5, [1.0, -1.0], 0.0, 2.0)
+        np.testing.assert_array_equal(traj.derivs_left[0], [0.0, 0.0])
+        np.testing.assert_array_equal(traj.derivs[0], [-2.0, 2.0])
+        times = np.linspace(-0.5, 0.0, 6)
+        hist = DelayHistory(
+            tau=0.5, times=times,
+            states=np.column_stack([np.cos(times), np.sin(times)]),
+            derivs=np.column_stack([-np.sin(times), np.cos(times)]))
+        traj = simulate_dde(sch, 0.5, hist, 0.0, 2.0)
+        assert traj.times[0] == 0.0
+        np.testing.assert_array_equal(traj.derivs_left[0], hist.derivs[-1])
+        assert not np.array_equal(traj.derivs[0], hist.derivs[-1])
 
     def test_history_gap_rejected(self):
         sch = constant_schedule(symmetric_pair(), 0.0, 2.0)

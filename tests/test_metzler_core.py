@@ -24,7 +24,7 @@ from consensus_lab import (
 )
 from consensus_lab.scenario_cli import SinusoidalCoupling
 
-from conftest import chain_matrix, random_metzler
+from conftest import brute_first_negative, chain_matrix, random_metzler
 
 
 class TestValidation:
@@ -38,6 +38,21 @@ class TestValidation:
         with pytest.raises(NegativeOffDiagonal) as err:
             validate_coupling_matrix(bad)
         assert err.value.k == 1 and err.value.l == 2
+
+    def test_first_negative_entry_is_reported(self, rng):
+        for _ in range(50):
+            n = int(rng.integers(2, 7))
+            entries = rng.choice([-1.0, 0.0, 1.0, 2.0], (n, n), p=[0.1, 0.5, 0.2, 0.2])
+            np.fill_diagonal(entries, 0.0)
+            first = brute_first_negative(entries)
+            if first is None:
+                continue
+            with pytest.raises(NegativeWeight, match=r"\(%d,%d\)" % first):
+                from_offdiagonal(entries)
+            np.fill_diagonal(entries, -1.0)
+            with pytest.raises(NegativeOffDiagonal) as err:
+                validate_coupling_matrix(entries)
+            assert (err.value.k, err.value.l) == first
 
     def test_rejects_row_sum_violation(self):
         bad = np.array([[-1.0, 0.5], [0.0, 0.0]])

@@ -100,6 +100,17 @@ analyses:
     functionals: [delayed_spread]
 """
 
+AMBIGUOUS_SPECTRUM = """\
+nodes: 6
+horizon: 1.0
+topology:
+  kind: ring
+initial_state: [1.0, 0.0, -1.0, 0.5, -0.5, 0.25]
+analyses:
+  - kind: spectral
+    gap_tol: 0.6
+"""
+
 
 def write(tmp_path, name, text):
     path = tmp_path / name
@@ -362,6 +373,9 @@ initial_state: [1.0, -1.0]
             {"kind": "lemma", "group": [1], "window": 0.5, "t_start": 0.5},
             {"kind": "connectivity", "delta": 0.1, "window": 1.0}]))
         assert len(cfg.analyses) == 3
+        delayed = parse_config(scenario(delay={"tau": 1.0}, analyses=[
+            {"kind": "audit", "functionals": ["delayed_spread"]}]))
+        assert delayed.delay.tau == 1.0
 
 
 class TestTopologyGeneration:
@@ -474,6 +488,11 @@ class TestTopologyGeneration:
         with pytest.raises(ValidationError, match=r"\.seed: "):
             generate_topology(spec, 3, 0.0, 2.0, None)
 
+    def test_negative_seed_argument_rejected(self):
+        spec = {k: v for k, v in SWITCHING.items() if k != "seed"}
+        with pytest.raises(ValidationError, match="must be >= 0"):
+            generate_topology(spec, 3, 0.0, 2.0, seed=-1)
+
     @pytest.mark.parametrize("spec", [
         [1, 2],
         {"kind": "torus"},
@@ -492,6 +511,7 @@ class TestTopologyGeneration:
         {**SWITCHING, "link_probability": 1.5},
         {**SWITCHING, "weight_range": [1.5, 0.5]},
         {**SWITCHING, "seed": 1.5},
+        {**SWITCHING, "seed": -1},
         {"kind": "sinusoidal", "depth": 1.5, "period": 1.0,
          "weights": [[0, 1, 0], [1, 0, 0], [0, 1, 0]]},
     ])
@@ -567,9 +587,17 @@ class TestCommandLine:
         assert main(["run", str(tmp_path / "missing.yaml")]) == 4
 
     def test_numerical_failure_exits_5(self, tmp_path, capsys):
-        cfg = write(tmp_path, "shortdelay.yaml", SHORT_DELAY_WINDOW)
+        cfg = write(tmp_path, "ambiguous.yaml", AMBIGUOUS_SPECTRUM)
         assert main(["run", cfg, "--output-dir", str(tmp_path / "o")]) == 5
-        assert "WindowNotCovered" in capsys.readouterr().out
+        assert "[ERROR] spectral: AmbiguousSpectrum" in capsys.readouterr().out
+
+    def test_delay_longer_than_horizon_exits_4(self, tmp_path, capsys):
+        cfg = write(tmp_path, "shortdelay.yaml", SHORT_DELAY_WINDOW)
+        out = tmp_path / "o"
+        assert main(["check", cfg]) == 4
+        assert main(["run", cfg, "--output-dir", str(out)]) == 4
+        assert "delayed_spread needs the delay 5.0" in capsys.readouterr().out
+        assert not out.exists()
 
     def test_check_validates_without_running(self, tmp_path, capsys):
         good = write(tmp_path, "good.yaml", RING_DEMO)
@@ -611,9 +639,14 @@ class TestCommandLine:
         {"topology": {"kind": "constant", "weights": [[0, 10 ** 400], [1, 0]]}},
         {"analyses": [{"delta": 0.1}]},
         {"analyses": [3]},
+        {"seed": -1, "topology": {k: v for k, v in SWITCHING.items() if k != "seed"}},
+        {"topology": {**SWITCHING, "seed": -1}},
+        {"initial_state": {"distribution": "uniform", "low": -1.0, "high": 1.0,
+                           "seed": -1}},
     ], ids=["inf-horizon", "nan-weight", "weights-diagonal", "audit-weights-text",
             "audit-weights-negative", "certificate-span", "lemma-window",
-            "huge-weight", "analysis-without-kind", "analysis-not-a-mapping"])
+            "huge-weight", "analysis-without-kind", "analysis-not-a-mapping",
+            "negative-seed", "negative-topology-seed", "negative-draw-seed"])
     def test_malformed_files_exit_4_and_write_nothing(self, tmp_path, capsys,
                                                       changes):
         cfg = write(tmp_path, "bad.yaml", scenario(**changes))
