@@ -50,6 +50,7 @@ from .metzler_core import (
     evaluate_schedule,
     from_offdiagonal,
     integrate_schedule,
+    integrate_windows,
     validate_coupling_matrix,
 )
 from .digraph import (
@@ -57,6 +58,7 @@ from .digraph import (
     WindowConnectivityReport,
     delta_digraph,
     reachable_set,
+    root_masks,
     root_nodes,
     window_connectivity_report,
 )

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .digraph import delta_digraph, root_nodes
+from .digraph import scan_windows
 from .dynamics import Trajectory, interpolate_state, simulate_ode
 from .errors import (
     DegenerateSeries,
@@ -279,9 +279,10 @@ def contraction_certificate(
     """Chain n - 1 window brackets from a root node into a spread
     contraction, and witness every stage on a simulated trajectory.
 
-    Each stage integrates the coupling over its window, checks (when
-    verify_hypothesis is set) that ``root`` is a root of that window's
-    delta-digraph, computes the trap factor for the current complement,
+    The stage windows are integrated, and their roots found, a block at a
+    time (digraph.scan_windows).  Each stage checks (when verify_hypothesis
+    is set) that ``root`` is a root of its window's delta-digraph,
+    computes the trap factor for the current complement,
     promotes the most deeply trapped node, and verifies that all group
     members ended inside the analytic bracket.
 
@@ -313,16 +314,15 @@ def contraction_certificate(
     stages = []
     beta_product = 1.0
     all_within = True
-    for s in range(1, n):
-        w_start = t0 + (s - 1) * T
-        window = integrate_schedule(schedule, w_start, T)
-        if verify_hypothesis:
-            roots = root_nodes(delta_digraph(window, delta))
-            if root not in roots:
-                raise HypothesisUnverified(
-                    f"stage {s}: node {root} is not a root of the "
-                    f"delta-digraph of the window [{w_start}, {w_start + T}] "
-                    f"integral at threshold {delta}")
+    starts = [t0 + (s - 1) * T for s in range(1, n)]
+    windows = scan_windows(schedule, starts, T,
+                           delta if verify_hypothesis else None)
+    for s, w_start, (window, rooted) in zip(range(1, n), starts, windows):
+        if verify_hypothesis and not rooted[root - 1]:
+            raise HypothesisUnverified(
+                f"stage {s}: node {root} is not a root of the "
+                f"delta-digraph of the window [{w_start}, {w_start + T}] "
+                f"integral at threshold {delta}")
         pc = coupling_numbers(window, group)
         beta = beta_factor(pc)
         if beta <= 0.0:

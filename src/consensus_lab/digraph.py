@@ -5,6 +5,12 @@ The digraph of a coupling matrix at threshold delta has an arc from l to k
 delta: information flows from l into k's dynamics.  A root node is one from
 which every node can be reached along arcs; persistent root nodes of window
 integrals are what the contraction certificate feeds on.
+
+root_masks finds the roots of a whole stack of matrices with one batched
+boolean closure.  scan_windows feeds it window integrals from
+metzler_core.integrate_windows in blocks of at most 2**15 matrix entries,
+which bounds the memory of a scan; the connectivity scan and the
+certificate both read their windows from it.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NegativeThreshold, NodeOutOfRange
-from .metzler_core import CouplingSchedule, coupling_entries, integrate_schedule
+from .metzler_core import CouplingSchedule, coupling_entries, integrate_windows
 
 
 @dataclass(frozen=True, eq=True)
@@ -66,20 +72,60 @@ def reachable_set(g: Digraph, k: int) -> set:
     return seen
 
 
+def root_masks(stack, delta: float = 0.0) -> np.ndarray:
+    """Root nodes of the delta-digraph of every matrix in a (w, n, n) stack.
+
+    Row i of the (w, n) boolean result marks the roots of matrix i.  All w
+    closures are taken together: reach[l, k] starts as "l == k or arc l -> k"
+    and repeated squaring covers paths of length up to 2^i after i rounds.
+    Each boolean product is a float32 matrix product thresholded at zero;
+    its entries count paths, at most n, so the threshold is exact.
+    """
+    if delta < 0.0:
+        raise NegativeThreshold(f"threshold must be >= 0, got {delta!r}")
+    stack = np.asarray(stack)
+    n = stack.shape[-1]
+    reach = (np.swapaxes(stack > delta, -1, -2)
+             | np.eye(n, dtype=bool)).astype(np.float32)
+    for _ in range((n - 1).bit_length()):
+        reach = (reach @ reach > 0.0).astype(np.float32)
+    return reach.all(axis=-1)
+
+
 def root_nodes(g: Digraph) -> set:
     """Nodes from which every node is reachable.  May be empty.
 
-    Computed through the boolean transitive closure, which coincides with
-    running reachable_set from every node.
+    The one-graph case of root_masks: arc l -> k becomes entry (k, l) = 1 of
+    a matrix whose 0-digraph is g.  The closure coincides with running
+    reachable_set from every node.
     """
-    n = g.n
-    reach = np.eye(n, dtype=bool)
-    for tail, head in g.arcs:
-        reach[tail - 1, head - 1] = True
-    # Repeated boolean squaring: paths of length up to 2^i after i rounds.
-    for _ in range((n - 1).bit_length()):
-        reach = reach @ reach
-    return {k + 1 for k in range(n) if reach[k].all()}
+    entries = np.zeros((1, g.n, g.n))
+    if g.arcs:
+        tails, heads = np.array(list(g.arcs)).T
+        entries[0, heads - 1, tails - 1] = 1.0
+    return {k + 1 for k in np.flatnonzero(root_masks(entries)[0]).tolist()}
+
+
+# Window integrals are built and closed at most this many matrix entries at
+# a time, so a long scan holds one block of windows in memory, not all.
+_BLOCK_ENTRIES = 2 ** 15
+
+
+def scan_windows(schedule: CouplingSchedule, starts, T: float,
+                 delta: float | None):
+    """Yield (window integral entries, root mask) for each start, in order.
+
+    Integrals come from integrate_windows and masks from root_masks, one
+    block of at most _BLOCK_ENTRIES matrix entries at a time.  With delta
+    None no roots are computed and every mask is None.
+    """
+    per_block = max(1, _BLOCK_ENTRIES // schedule.n ** 2)
+    for i in range(0, len(starts), per_block):
+        stack = integrate_windows(schedule, starts[i:i + per_block], T)
+        if delta is None:
+            yield from ((window, None) for window in stack)
+        else:
+            yield from zip(stack, root_masks(stack, delta))
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,13 +178,11 @@ def window_connectivity_report(
         starts.append(last)
 
     roots_per_window = []
-    common = None
-    for t in starts:
-        window = integrate_schedule(schedule, t, T)
-        roots = frozenset(root_nodes(delta_digraph(window, delta)))
-        roots_per_window.append(roots)
-        common = roots if common is None else (common & roots)
-    common = frozenset() if common is None else frozenset(common)
+    common = np.ones(schedule.n, dtype=bool)
+    for _, mask in scan_windows(schedule, starts, T, delta):
+        roots_per_window.append(frozenset((np.flatnonzero(mask) + 1).tolist()))
+        common &= mask
+    common = frozenset((np.flatnonzero(common) + 1).tolist())
     return WindowConnectivityReport(
         n=schedule.n,
         delta=delta,

@@ -6,7 +6,9 @@ attracted towards the others, and the diagonal entry balances the row.  A
 schedule assembles such matrices into a bounded piecewise map t -> A(t),
 right-continuous at its breakpoints.  Window integrals of a schedule are the
 raw material for the connectivity and contraction analyses elsewhere in the
-package.
+package.  integrate_windows builds them as one (w, n, n) stack, walking all
+windows through the schedule pieces together and validating the stack in
+one pass; integrate_schedule is its one-window case.
 """
 
 from __future__ import annotations
@@ -99,7 +101,7 @@ def from_offdiagonal(weights, tol_row: float = DEFAULT_ROW_TOL) -> CouplingMatri
     if len(negative):
         k, l = negative[0].tolist()
         raise NegativeWeight(
-            f"weight ({k + 1},{l + 1}) = {arr[k, l]!r} is negative")
+            f"weight ({k + 1},{l + 1}) = {float(arr[k, l])!r} is negative")
     out = arr.copy()
     np.fill_diagonal(out, 0.0)
     np.fill_diagonal(out, -out.sum(axis=1))
@@ -310,52 +312,93 @@ def _adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int = 30) ->
     return recurse(a, b, fa, fm, fb, whole, tol, 0)
 
 
+def integrate_windows(
+    schedule: CouplingSchedule,
+    starts,
+    T: float,
+    quad_tol: float = 1e-10,
+) -> np.ndarray:
+    """Integrate A(s) entrywise over [t, t+T] for every t in starts.
+
+    Returns the (w, n, n) stack of window integrals.  The windows are walked
+    together, one schedule piece at a time: step j adds the j-th piece that
+    overlaps each window, so every window sums its pieces in schedule order
+    and each integral is the same to the last bit as when integrated alone.
+    Piecewise-constant segments contribute exactly, entries * (hi - lo);
+    continuous generators are integrated with adaptive Simpson quadrature
+    at tolerance quad_tol, one (window, piece) pair at a time.
+    """
+    if not (T > 0.0):
+        raise ValueError(f"window length must be positive, got T = {T!r}")
+    starts = np.asarray(starts, dtype=float)
+    ends = starts + T
+    t0, t1 = schedule.horizon
+    edge = 1e-9 * max(1.0, abs(t0), abs(t1), T)
+    outside = np.flatnonzero((starts < t0 - edge) | (ends > t1 + edge))
+    if len(outside):
+        i = outside[0]
+        raise OutOfHorizon(
+            f"window [{float(starts[i])}, {float(ends[i])}] outside schedule "
+            f"horizon [{t0}, {t1}]")
+    a = np.maximum(starts, t0)
+    b = np.minimum(ends, t1)
+    n = schedule.n
+    total = np.zeros((len(starts), n, n))
+    if len(starts):
+        # Window i overlaps the pieces first[i] .. stop[i] - 1.
+        piece_starts = np.array(schedule.start_times)
+        first = np.maximum(np.searchsorted(piece_starts, a, side="right") - 1, 0)
+        stop = np.searchsorted(piece_starts, b, side="left")
+        # Gather from the pieces this call touches only.
+        base = int(first.min())
+        segs = schedule.segments[base:max(int(stop.max()), base + 1)]
+        seg_start = piece_starts[base:base + len(segs)]
+        seg_end = np.array([seg.t_end for seg in segs])
+        constant = np.array([seg.is_constant for seg in segs])
+        mats = np.stack([seg.generator.entries if seg.is_constant
+                         else np.zeros((n, n)) for seg in segs])
+        for j in range(int((stop - first).max())):
+            live = first + j < stop
+            k = np.minimum(first + j - base, len(segs) - 1)
+            lo = np.maximum(a, seg_start[k])
+            hi = np.minimum(b, seg_end[k])
+            live &= hi - lo > 0.0
+            rows = np.flatnonzero(live & constant[k])
+            total[rows] += mats[k[rows]] * (hi - lo)[rows, None, None]
+            for i in np.flatnonzero(live & ~constant[k]):
+                total[i] += _adaptive_simpson(
+                    segs[k[i]].generator.entries_at, float(lo[i]),
+                    float(hi[i]), quad_tol)
+    # The integral of a valid coupling map is itself a valid coupling matrix,
+    # up to quadrature and rounding residue proportional to the window.
+    check_tol = max(schedule.tol_row * max(1.0, T), 10.0 * quad_tol)
+    # Quadrature may leave a tiny negative residue on entries that vanish;
+    # clip it rather than reject the integral.  Clip and row tolerances are
+    # those of _row_tolerance, one per window.
+    off = ~np.eye(n, dtype=bool)
+    clip = check_tol * np.maximum(1.0, np.abs(total).max(axis=(1, 2)))
+    total[off & (total < 0.0) & (total >= -clip[:, None, None])] = 0.0
+    row_tol = check_tol * np.maximum(1.0, np.abs(total).max(axis=(1, 2)))
+    bad = (((total < 0.0) & off).any(axis=(1, 2))
+           | (np.abs(total.sum(axis=2)).max(axis=1) > row_tol))
+    # validate_coupling_matrix raises on the first bad window with its own
+    # message.
+    for i in np.flatnonzero(bad):
+        validate_coupling_matrix(total[i], tol_row=check_tol)
+    return total
+
+
 def integrate_schedule(
     schedule: CouplingSchedule,
     t: float,
     T: float,
     quad_tol: float = 1e-10,
 ) -> IntegratedCoupling:
-    """Integrate A(s) entrywise over [t, t+T].
-
-    Piecewise-constant segments contribute exactly; continuous generators
-    are integrated with adaptive Simpson quadrature at tolerance quad_tol.
-    """
-    if not (T > 0.0):
-        raise ValueError(f"window length must be positive, got T = {T!r}")
-    t0, t1 = schedule.horizon
-    edge = 1e-9 * max(1.0, abs(t0), abs(t1), T)
-    if t < t0 - edge or t + T > t1 + edge:
-        raise OutOfHorizon(
-            f"window [{t}, {t + T}] outside schedule horizon [{t0}, {t1}]")
-    a = max(t, t0)
-    b = min(t + T, t1)
-    n = schedule.n
-    total = np.zeros((n, n))
-    first = max(bisect.bisect_right(schedule.start_times, a) - 1, 0)
-    for seg in schedule.segments[first:]:
-        if seg.t_start >= b:
-            break
-        lo = max(a, seg.t_start)
-        hi = min(b, seg.t_end)
-        if hi - lo <= 0.0:
-            continue
-        if seg.is_constant:
-            total += seg.generator.entries * (hi - lo)
-        else:
-            total += _adaptive_simpson(seg.generator.entries_at, lo, hi, quad_tol)
-    # The integral of a valid coupling map is itself a valid coupling matrix,
-    # up to quadrature and rounding residue proportional to the window.
-    check_tol = max(schedule.tol_row * max(1.0, T), 10.0 * quad_tol)
-    # Quadrature may leave a tiny negative residue on entries that vanish;
-    # clip it rather than reject the integral.
-    clip = _row_tolerance(total, check_tol)
-    off = ~np.eye(n, dtype=bool)
-    small = off & (total < 0.0) & (total >= -clip)
-    if np.any(small):
-        total[small] = 0.0
-    validate_coupling_matrix(total, tol_row=check_tol)
-    return IntegratedCoupling(n=n, entries=total, window=(float(t), float(t + T)))
+    """Integrate A(s) entrywise over [t, t+T]: the one-window case of
+    integrate_windows."""
+    entries = integrate_windows(schedule, [t], T, quad_tol)[0]
+    return IntegratedCoupling(n=schedule.n, entries=entries,
+                              window=(float(t), float(t + T)))
 
 
 def coupling_entries(matrix) -> np.ndarray:

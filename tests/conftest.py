@@ -8,7 +8,8 @@ the code under test.
 import numpy as np
 import pytest
 
-from consensus_lab import from_offdiagonal
+from consensus_lab import OutOfHorizon, from_offdiagonal, validate_coupling_matrix
+from consensus_lab.metzler_core import _adaptive_simpson
 
 
 def random_metzler(rng, n, density=0.6, wmax=2.0):
@@ -48,6 +49,40 @@ def brute_first_negative(entries):
     n = len(entries)
     return next(((k + 1, l + 1) for k in range(n) for l in range(n)
                  if k != l and entries[k][l] < 0.0), None)
+
+
+def brute_window_integral(schedule, t, T, quad_tol=1e-10):
+    """Integral of a schedule over [t, t + T], one segment at a time.
+
+    Not an independent route: it adds the pieces in schedule order with the
+    same products and the same quadrature as the batched kernel, so that the
+    two must agree to the last bit.  Clipping and validation are those of a
+    single window.
+    """
+    t0, t1 = schedule.horizon
+    edge = 1e-9 * max(1.0, abs(t0), abs(t1), T)
+    if t < t0 - edge or t + T > t1 + edge:
+        raise OutOfHorizon(
+            f"window [{t}, {t + T}] outside schedule horizon [{t0}, {t1}]")
+    a, b = max(t, t0), min(t + T, t1)
+    n = schedule.n
+    total = np.zeros((n, n))
+    for seg in schedule.segments:
+        lo, hi = max(a, seg.t_start), min(b, seg.t_end)
+        if hi - lo <= 0.0:
+            continue
+        if seg.is_constant:
+            total += seg.generator.entries * (hi - lo)
+        else:
+            total += _adaptive_simpson(seg.generator.entries_at, lo, hi, quad_tol)
+    check_tol = max(schedule.tol_row * max(1.0, T), 10.0 * quad_tol)
+    clip = check_tol * max(1.0, float(np.max(np.abs(total))))
+    for k in range(n):
+        for l in range(n):
+            if k != l and -clip <= total[k, l] < 0.0:
+                total[k, l] = 0.0
+    validate_coupling_matrix(total, tol_row=check_tol)
+    return total
 
 
 def chain_matrix():

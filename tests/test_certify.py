@@ -199,6 +199,34 @@ class TestContractionCertificate:
                                     delta=0.1, root=1, verify_hypothesis=False)
         assert err.value.stage == 2
 
+    def test_rootedness_lost_at_stage_two(self):
+        # Node 1 leads nodes 2 and 3 on [0, 2) and is cut off on [2, 4).
+        lead = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
+        cut = [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
+        sch = build_schedule([(0.0, 2.0, from_offdiagonal(lead)),
+                              (2.0, 4.0, from_offdiagonal(cut))])
+        x0 = [0.0, 1.0, -1.0]
+        with pytest.raises(HypothesisUnverified) as err:
+            contraction_certificate(sch, x0, 0.0, 2.0, delta=0.1, root=1)
+        assert str(err.value).startswith("stage 2: node 1 ")
+        assert "window [2.0, 4.0]" in str(err.value)
+        # Unchecked, stage 1 promotes a node and stage 2 runs too.
+        report = contraction_certificate(sch, x0, 0.0, 2.0, delta=0.1,
+                                         root=1, verify_hypothesis=False)
+        assert [s.window for s in report.stages] == [(0.0, 2.0), (2.0, 4.0)]
+
+    def test_vacuous_stage_one_trap_comes_before_stage_two_rootedness(self):
+        # As above, but node 1 also follows node 2 so strongly that
+        # exp(-a_GH) underflows: stage 1 fails first.
+        lead = [[0.0, 400.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
+        cut = [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
+        sch = build_schedule([(0.0, 2.0, from_offdiagonal(lead)),
+                              (2.0, 4.0, from_offdiagonal(cut))])
+        with pytest.raises(NoTrappedComponent) as err:
+            contraction_certificate(sch, [0.0, 1.0, -1.0], 0.0, 2.0,
+                                    delta=0.1, root=1, step=0.001)
+        assert err.value.stage == 1
+
     def test_span_must_fit_schedule(self):
         sch = constant_schedule(ring3(), 0.0, 3.0)
         with pytest.raises(OutOfHorizon):

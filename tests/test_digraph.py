@@ -12,12 +12,13 @@ from consensus_lab import (
     delta_digraph,
     from_offdiagonal,
     reachable_set,
+    root_masks,
     root_nodes,
     window_connectivity_report,
 )
 
-from conftest import (brute_arcs, brute_reachable, brute_roots, chain_matrix,
-                      random_metzler)
+from conftest import (brute_arcs, brute_reachable, brute_roots,
+                      brute_window_integral, chain_matrix, random_metzler)
 
 
 def ring_entries(n, w=1.0):
@@ -107,7 +108,63 @@ class TestReachability:
             v for v in everyone if reachable_set(g, v) == everyone} == {1}
 
 
+class TestRootMasks:
+    def test_match_brute_roots(self, rng):
+        delta = 0.5
+        stacks = []
+        for n in (1, 2, 3, 5, 8):
+            for density in (0.15, 0.4, 0.9):
+                stack = np.stack([random_metzler(rng, n, density=density)
+                                  for _ in range(12)])
+                stack[stack > 1.8] = delta   # entries equal to delta: no arc
+                stacks.append(stack)
+        # The chain of test_roots_when_path_counts_pass_255: 256 two-hop
+        # paths from node 1 to node 258.
+        chain = np.zeros((1, 258, 258))
+        chain[0, 1:257, 0] = 1.0
+        chain[0, 257, 1:257] = 1.0
+        stacks.append(chain)
+        for stack in stacks:
+            n = stack.shape[-1]
+            masks = root_masks(stack, delta)
+            assert masks.shape == stack.shape[:2]
+            for entries, mask in zip(stack, masks):
+                roots = set((np.flatnonzero(mask) + 1).tolist())
+                assert roots == brute_roots(n, brute_arcs(entries, delta))
+        assert root_masks(chain, delta)[0].tolist() == [True] + [False] * 257
+
+    def test_rejects_negative_threshold(self):
+        with pytest.raises(NegativeThreshold):
+            root_masks(np.zeros((1, 2, 2)), -0.1)
+
+
 class TestWindowConnectivity:
+    def test_scan_matches_window_by_window(self, rng):
+        # Each piece is a directed path through a random node order, or a
+        # few random arcs.  n = 40 puts 20 windows in a block, so the 41
+        # windows take three.
+        for n in (3, 40):
+            pieces = []
+            for i in range(10):
+                off = np.zeros((n, n))
+                if rng.random() < 0.7:
+                    order = rng.permutation(n)
+                    off[order[1:], order[:-1]] = rng.uniform(0.5, 1.5, n - 1)
+                else:
+                    off[rng.integers(0, n, n), rng.integers(0, n, n)] = 1.0
+                    np.fill_diagonal(off, 0.0)
+                pieces.append((0.5 * i, 0.5 * (i + 1),
+                               from_offdiagonal(off).entries))
+            sch = build_schedule(pieces)
+            report = window_connectivity_report(sch, delta=0.2, T=1.0)
+            assert len(report.window_starts) == 41
+            expected = [
+                brute_roots(n, brute_arcs(brute_window_integral(sch, t, 1.0),
+                                          0.2))
+                for t in report.window_starts]
+            assert list(report.roots_per_window) == expected
+            assert report.common_roots == set.intersection(*expected)
+
     def test_alternating_pair_has_common_roots(self):
         a = np.array([[0.0, 0.0], [1.0, -1.0]])
         b = np.array([[-1.0, 1.0], [0.0, 0.0]])

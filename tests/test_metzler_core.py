@@ -15,16 +15,20 @@ from consensus_lab import (
     OutOfHorizon,
     RowSumViolation,
     ScheduleError,
+    TimeVaryingCoupling,
     build_schedule,
     constant_schedule,
     evaluate_schedule,
     from_offdiagonal,
     integrate_schedule,
+    integrate_windows,
     validate_coupling_matrix,
+    window_connectivity_report,
 )
 from consensus_lab.scenario_cli import SinusoidalCoupling
 
-from conftest import brute_first_negative, chain_matrix, random_metzler
+from conftest import (brute_first_negative, brute_window_integral,
+                      chain_matrix, random_metzler)
 
 
 class TestValidation:
@@ -188,3 +192,88 @@ class TestWindowIntegrals:
         sch = constant_schedule(chain_matrix(), 0.0, 2.0)
         with pytest.raises(OutOfHorizon):
             integrate_schedule(sch, 1.0, 2.0)
+
+
+def _random_schedule(rng, n, kind, t_end):
+    """Pieces at random breakpoints: constant, sinusoidal, or both in turn."""
+    cuts = np.sort(rng.uniform(0.0, t_end, 7))
+    edges = [0.0, *cuts.tolist(), t_end]
+    pieces = []
+    for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        entries = random_metzler(rng, n, density=0.7)
+        if kind == "sinusoidal" or (kind == "mixed" and i % 2):
+            base = entries.copy()
+            np.fill_diagonal(base, 0.0)
+            entries = SinusoidalCoupling(base, depth=float(rng.uniform(-1, 1)),
+                                         period=float(rng.uniform(1.0, 4.0)))
+        pieces.append((lo, hi, entries))
+    return build_schedule(pieces)
+
+
+class _Ripple(TimeVaryingCoupling):
+    """Pair coupling (1 - 3 sin(2 pi t / period)) [[-1, 1], [1, -1]].
+
+    Non-negative at every multiple of the period, where a piece of eleven
+    periods is sampled when built, but negative on each first half-period.
+    """
+
+    def __init__(self, period):
+        self.period = period
+
+    def entries_at(self, t):
+        w = 1.0 - 3.0 * math.sin(2.0 * math.pi * t / self.period)
+        return np.array([[-w, w], [w, -w]])
+
+
+class TestWindowStack:
+    """integrate_windows against the one-window segment loop, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["constant", "sinusoidal", "mixed"])
+    def test_matches_segment_loop_exactly(self, rng, kind):
+        t_end = 4.0
+        for n in (1, 3):
+            sch = _random_schedule(rng, n, kind, t_end)
+            breaks = list(sch.start_times[1:])
+            for T in (0.37, 1.0, 2.0):
+                # Random starts, windows that start and end on a breakpoint,
+                # and the scan's grid with its extra last start.
+                starts = rng.uniform(0.0, t_end - T, 10).tolist()
+                starts += [b for b in breaks if b <= t_end - T]
+                starts += [b - T for b in breaks if b >= T]
+                starts += window_connectivity_report(
+                    sch, 0.1, T).window_starts
+                stack = integrate_windows(sch, starts, T)
+                assert stack.shape == (len(starts), n, n)
+                for t, window in zip(starts, stack):
+                    assert np.array_equal(
+                        window, brute_window_integral(sch, t, T))
+
+    def test_single_window_is_integrate_schedule(self, rng):
+        sch = _random_schedule(rng, 3, "mixed", 4.0)
+        w = integrate_schedule(sch, 0.5, 2.0)
+        assert np.array_equal(w.entries, integrate_windows(sch, [0.5], 2.0)[0])
+        assert w.window == (0.5, 2.5)
+
+    def test_no_windows(self):
+        sch = constant_schedule(chain_matrix(), 0.0, 1.0)
+        assert integrate_windows(sch, [], 0.5).shape == (0, 2, 2)
+
+    def test_first_bad_window_raises_the_loop_error(self):
+        period = 1.0
+        sch = build_schedule([(0.0, 11.0 * period, _Ripple(period))])
+        # [0.5, 1] integrates to a positive weight, [0, 0.5] and [2, 2.5]
+        # to negative ones; the first of those in the given order is named.
+        starts = [0.5, 2.0, 0.0]
+        with pytest.raises(NegativeOffDiagonal) as batched:
+            integrate_windows(sch, starts, 0.5 * period)
+        with pytest.raises(NegativeOffDiagonal) as loop:
+            brute_window_integral(sch, 2.0, 0.5 * period)
+        assert str(batched.value) == str(loop.value)
+
+    def test_window_outside_horizon_names_the_first(self):
+        sch = constant_schedule(chain_matrix(), 0.0, 2.0)
+        with pytest.raises(OutOfHorizon) as batched:
+            integrate_windows(sch, [0.0, 1.5, 3.0], 1.0)
+        with pytest.raises(OutOfHorizon) as loop:
+            brute_window_integral(sch, 1.5, 1.0)
+        assert str(batched.value) == str(loop.value)

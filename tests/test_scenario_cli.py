@@ -606,6 +606,11 @@ class TestCommandLine:
         assert "ok (3 nodes, 4 analyses)" in capsys.readouterr().out
         assert main(["check", good, bad]) == 4
         assert not (tmp_path / "good_out").exists()
+        capsys.readouterr()
+        negative = write(tmp_path, "negative.yaml", scenario(topology={
+            "kind": "constant", "weights": [[0.0, -1.0], [1.0, 0.0]]}))
+        assert main(["check", negative]) == 4
+        assert "weight (1,2) = -1.0 is negative" in capsys.readouterr().out
 
     def test_batch_returns_worst_exit(self, tmp_path, capsys):
         good = write(tmp_path, "good.yaml", RING_DEMO)
