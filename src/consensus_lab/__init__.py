@@ -23,6 +23,7 @@ from .errors import (
     NegativeWeight,
     NoConvergence,
     NodeOutOfRange,
+    NonFiniteEntry,
     NormTooLarge,
     NotSymmetric,
     NoTrappedComponent,

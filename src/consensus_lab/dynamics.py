@@ -18,6 +18,8 @@ One RK4 stage loop, _march, steps every time-varying piece and every
 delayed piece; its right-hand side f(y, xd) is A y, or the split form above
 with xd = x(t - tau).  A constant piece of an undelayed run takes the one
 other path: there an RK4 step is a fixed matrix, applied once per step.
+Both loops reserve a whole piece in the node store and write its nodes in
+place, with the same matrix-vector products per step as one node at a time.
 
 Trajectories keep two derivative arrays.  The solution has corners at
 coupling discontinuities, so a node carries the derivative valid to its
@@ -161,9 +163,10 @@ def _substeps(a: float, b: float, h_target: float):
 class _NodeStore:
     """Grow-only buffer of integration nodes with one-sided derivatives.
 
-    Backed by preallocated numpy arrays with doubling, so per-step appends
-    are cheap and a read-only snapshot of everything stored so far is a
-    constant-time slice."""
+    Backed by preallocated numpy arrays that at least double when they
+    grow, so a read-only snapshot of everything stored so far is a
+    constant-time slice.  A stepping loop reserves a whole piece with
+    extend and writes its nodes in place; append adds one node."""
 
     def __init__(self, n: int, capacity: int = 256):
         self.size = 0
@@ -172,23 +175,25 @@ class _NodeStore:
         self._dr = np.empty((capacity, n))
         self._dl = np.empty((capacity, n))
 
-    def _grow(self):
-        cap = 2 * len(self._t)
-        for name in ("_t", "_x", "_dr", "_dl"):
-            old = getattr(self, name)
-            shape = (cap,) + old.shape[1:]
-            new = np.empty(shape)
-            new[: self.size] = old[: self.size]
-            setattr(self, name, new)
+    def extend(self, m: int):
+        """Reserve the next m nodes; return writable (t, x, dr, dl) slices."""
+        end = self.size + m
+        if end > len(self._t):
+            cap = max(2 * len(self._t), end)
+            for name in ("_t", "_x", "_dr", "_dl"):
+                old = getattr(self, name)
+                new = np.empty((cap,) + old.shape[1:])
+                new[: self.size] = old[: self.size]
+                setattr(self, name, new)
+        nodes = slice(self.size, end)
+        self.size = end
+        return self._t[nodes], self._x[nodes], self._dr[nodes], self._dl[nodes]
 
     def append(self, t, x, dx):
-        if self.size == len(self._t):
-            self._grow()
-        i = self.size
-        self._t[i] = t
-        self._x[i] = x
-        self._dr[i] = self._dl[i] = dx
-        self.size = i + 1
+        ts, xs, dr, dl = self.extend(1)
+        ts[0] = t
+        xs[0] = x
+        dr[0] = dl[0] = dx
 
     def patch_right(self, dx_right):
         # A new piece begins at the last stored node: its right derivative
@@ -208,6 +213,8 @@ def _march(store: _NodeStore, x: np.ndarray, a: float, grid: np.ndarray,
     A node's stored derivative is k1 of the step that leaves it."""
     dx = rhs_at(a)(x, xd_nodes[0])
     store.patch_right(dx)
+    ts, xs, dr, dl = store.extend(len(grid))
+    ts[:] = grid
     t = a
     for i, tt in enumerate(grid):
         f_mid = rhs_at(t + 0.5 * h)
@@ -215,10 +222,10 @@ def _march(store: _NodeStore, x: np.ndarray, a: float, grid: np.ndarray,
         k3 = f_mid(x + 0.5 * h * k2, xd_half[i])
         f_end = rhs_at(tt)
         k4 = f_end(x + h * k3, xd_nodes[i + 1])
-        x = x + (h / 6.0) * (dx + 2.0 * k2 + 2.0 * k3 + k4)
-        dx = f_end(x, xd_nodes[i + 1])
-        store.append(tt, x, dx)
+        xs[i] = x = x + (h / 6.0) * (dx + 2.0 * k2 + 2.0 * k3 + k4)
+        dr[i] = dx = f_end(x, xd_nodes[i + 1])
         t = tt
+    dl[:] = dr
     return x
 
 
@@ -263,9 +270,12 @@ def simulate_ode(
             A = seg.generator.entries
             store.patch_right(A @ x)
             phi = _rk4_transfer(A, h)
-            for tt in grid:
-                x = phi @ x
-                store.append(tt, x, A @ x)
+            ts, xs, dr, dl = store.extend(m)
+            ts[:] = grid
+            for i in range(m):
+                xs[i] = x = phi @ x
+                dr[i] = A @ x
+            dl[:] = dr
         else:
             unused = [None] * (m + 1)
             x = _march(store, x, a, grid, h, _piece_rhs(seg, _linear), unused, unused)

@@ -21,6 +21,14 @@ class NegativeOffDiagonal(ConsensusLabError):
         super().__init__(f"entry ({k},{l}) = {value!r} is negative")
 
 
+class NonFiniteEntry(ConsensusLabError):
+    """A coupling entry is NaN or infinite."""
+
+    def __init__(self, k: int, l: int, value: float):
+        self.k, self.l, self.value = k, l, value
+        super().__init__(f"entry ({k},{l}) = {value!r} is not finite")
+
+
 class RowSumViolation(ConsensusLabError):
     """A row sum exceeds the zero-row-sum tolerance."""
 

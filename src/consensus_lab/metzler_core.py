@@ -24,6 +24,7 @@ import numpy as np
 from .errors import (
     NegativeOffDiagonal,
     NegativeWeight,
+    NonFiniteEntry,
     OutOfHorizon,
     QuadratureFailure,
     RowSumViolation,
@@ -68,14 +69,21 @@ class CouplingMatrix:
 def validate_coupling_matrix(entries, tol_row: float = DEFAULT_ROW_TOL) -> CouplingMatrix:
     """Check the sign pattern and row sums; return the wrapped matrix.
 
-    Raises NegativeOffDiagonal (with 1-based indices) on a negative coupling
-    rate and RowSumViolation when a row sum exceeds the scaled tolerance.
-    The diagonal is implied: once off-diagonal entries are non-negative and
-    rows sum to zero, a_kk equals minus the off-diagonal row sum.
+    Raises NonFiniteEntry on a NaN or infinite entry, NegativeOffDiagonal on
+    a negative coupling rate (both with 1-based indices) and RowSumViolation
+    when a row sum exceeds the scaled tolerance.  Non-finite entries come
+    first: no comparison sees a NaN, and an infinity would make the row
+    tolerance infinite.  The diagonal is implied: once off-diagonal entries
+    are non-negative and rows sum to zero, a_kk equals minus the
+    off-diagonal row sum.
     """
     arr = _as_square_array(entries)
     n = arr.shape[0]
     # argwhere goes row by row: the first offender is the top-left one.
+    nonfinite = np.argwhere(~np.isfinite(arr))
+    if len(nonfinite):
+        k, l = nonfinite[0].tolist()
+        raise NonFiniteEntry(k + 1, l + 1, float(arr[k, l]))
     negative = np.argwhere((arr < 0.0) & ~np.eye(n, dtype=bool))
     if len(negative):
         k, l = negative[0].tolist()
@@ -374,12 +382,14 @@ def integrate_windows(
     check_tol = max(schedule.tol_row * max(1.0, T), 10.0 * quad_tol)
     # Quadrature may leave a tiny negative residue on entries that vanish;
     # clip it rather than reject the integral.  Clip and row tolerances are
-    # those of _row_tolerance, one per window.
+    # those of _row_tolerance, one per window.  A window with a non-finite
+    # entry, which only overflow can produce, is always bad.
     off = ~np.eye(n, dtype=bool)
     clip = check_tol * np.maximum(1.0, np.abs(total).max(axis=(1, 2)))
     total[off & (total < 0.0) & (total >= -clip[:, None, None])] = 0.0
     row_tol = check_tol * np.maximum(1.0, np.abs(total).max(axis=(1, 2)))
-    bad = (((total < 0.0) & off).any(axis=(1, 2))
+    bad = (~np.isfinite(total).all(axis=(1, 2))
+           | ((total < 0.0) & off).any(axis=(1, 2))
            | (np.abs(total.sum(axis=2)).max(axis=1) > row_tol))
     # validate_coupling_matrix raises on the first bad window with its own
     # message.

@@ -8,7 +8,10 @@ the code under test.
 import numpy as np
 import pytest
 
-from consensus_lab import OutOfHorizon, from_offdiagonal, validate_coupling_matrix
+from consensus_lab import (OutOfHorizon, evaluate_schedule, from_offdiagonal,
+                           validate_coupling_matrix)
+from consensus_lab.dynamics import (_linear, _piece_rhs, _pieces, _rk4_transfer,
+                                    _step_target, _substeps)
 from consensus_lab.metzler_core import _adaptive_simpson
 
 
@@ -83,6 +86,84 @@ def brute_window_integral(schedule, t, T, quad_tol=1e-10):
                 total[k, l] = 0.0
     validate_coupling_matrix(total, tol_row=check_tol)
     return total
+
+
+class BruteStore:
+    """Integration nodes in Python lists, one append per node."""
+
+    def __init__(self):
+        self.t, self.x, self.dr, self.dl = [], [], [], []
+
+    def append(self, t, x, dx):
+        self.t.append(t)
+        self.x.append(x)
+        self.dr.append(dx)
+        self.dl.append(dx)
+
+    def patch_right(self, dx_right):
+        self.dr[-1] = dx_right
+
+    def arrays(self):
+        return tuple(np.array(v) for v in (self.t, self.x, self.dr, self.dl))
+
+
+def brute_transfer_loop(store, x, A, h, grid):
+    """One constant undelayed piece: x <- phi x per step, stored one node
+    at a time, with the same two matrix-vector products per step as the
+    block-writing loop of simulate_ode."""
+    store.patch_right(A @ x)
+    phi = _rk4_transfer(A, h)
+    for tt in grid:
+        x = phi @ x
+        store.append(tt, x, A @ x)
+    return x
+
+
+def brute_march(store, x, a, grid, h, rhs_at, xd_nodes, xd_half):
+    """The RK4 stage loop over one piece, stored one node at a time."""
+    dx = rhs_at(a)(x, xd_nodes[0])
+    store.patch_right(dx)
+    t = a
+    for i, tt in enumerate(grid):
+        f_mid = rhs_at(t + 0.5 * h)
+        k2 = f_mid(x + 0.5 * h * dx, xd_half[i])
+        k3 = f_mid(x + 0.5 * h * k2, xd_half[i])
+        f_end = rhs_at(tt)
+        k4 = f_end(x + h * k3, xd_nodes[i + 1])
+        x = x + (h / 6.0) * (dx + 2.0 * k2 + 2.0 * k3 + k4)
+        dx = f_end(x, xd_nodes[i + 1])
+        store.append(tt, x, dx)
+        t = tt
+    return x
+
+
+def brute_simulate_ode(schedule, x0, t0, t1, step=None):
+    """(times, states, derivs, derivs_left) of simulate_ode, stepped by the
+    per-node loops above."""
+    x = np.array(x0, dtype=float)
+    h_target = _step_target(step, schedule, t1 - t0, schedule.n)
+    store = BruteStore()
+    store.append(t0, x, evaluate_schedule(schedule, t0).entries @ x)
+    for a, b, seg in _pieces(schedule, t0, t1):
+        m, h, grid = _substeps(a, b, h_target)
+        if seg.is_constant:
+            x = brute_transfer_loop(store, x, seg.generator.entries, h, grid)
+        else:
+            unused = [None] * (m + 1)
+            x = brute_march(store, x, a, grid, h, _piece_rhs(seg, _linear),
+                            unused, unused)
+    return store.arrays()
+
+
+def brute_trajectory_csv(path, trajectory, spreads):
+    """trajectory.csv written one value and one row at a time."""
+    n = trajectory.n
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("time," + ",".join(f"x_{k}" for k in range(1, n + 1))
+                 + ",V_spread\n")
+        for t, row, v in zip(trajectory.times, trajectory.states, spreads):
+            fh.write(",".join("%.17g" % float(value) for value in (t, *row, v))
+                     + "\n")
 
 
 def chain_matrix():

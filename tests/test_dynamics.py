@@ -31,9 +31,12 @@ from consensus_lab import (
     simulate_ode,
     spread_series,
 )
-from consensus_lab.dynamics import _RK4_DISC_RADIUS
+from consensus_lab.dynamics import (_RK4_DISC_RADIUS, _NodeStore, _march,
+                                    _piece_rhs)
+from consensus_lab.scenario_cli import SinusoidalCoupling
 
-from conftest import chain_matrix, random_metzler, symmetric_pair
+from conftest import (BruteStore, brute_march, brute_simulate_ode, chain_matrix,
+                      random_metzler, symmetric_pair)
 
 
 def rk4_amplification(z):
@@ -189,6 +192,81 @@ class TestOde:
         with pytest.raises(ValueError):
             Trajectory(times=times, states=states, derivs=states.copy(),
                        derivs_left=states.copy(), meta={})
+
+
+def _sinusoidal(rng, n):
+    base = random_metzler(rng, n).copy()
+    np.fill_diagonal(base, 0.0)
+    return SinusoidalCoupling(base, depth=float(rng.uniform(-1.0, 1.0)),
+                              period=float(rng.uniform(0.5, 2.0)))
+
+
+class TestBlockStepping:
+    """Both stepping loops write whole pieces into the node store; the
+    per-node loops of conftest append the same nodes one at a time."""
+
+    @pytest.mark.parametrize("kind", ["constant", "switching", "mixed"])
+    def test_ode_matches_per_node_loops(self, rng, kind):
+        n = 5
+        if kind == "constant":
+            # Default step: several hundred nodes in one piece, so the
+            # store grows inside a single extend.
+            sch = constant_schedule(random_metzler(rng, n), 0.0, 3.0)
+            step = None
+        else:
+            # Pieces of one step (0.01 at step 0.05) and of many steps; the
+            # store fills up across pieces.  Mixed pieces alternate between
+            # the transfer loop and the stage loop, so each starts with
+            # patch_right on the other's last node.
+            edges = [0.0, 0.01, 4.0, 4.01, 4.02, 9.0, 9.3, 15.0]
+            pieces = []
+            for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+                entries = random_metzler(rng, n)
+                if kind == "mixed" and i % 2:
+                    entries = _sinusoidal(rng, n)
+                pieces.append((lo, hi, entries))
+            sch = build_schedule(pieces)
+            step = 0.05
+        x0 = rng.normal(size=n)
+        traj = simulate_ode(sch, x0, 0.0, sch.horizon[1], step=step)
+        assert len(traj.times) > 256  # the store's first capacity
+        brute = brute_simulate_ode(sch, x0, 0.0, sch.horizon[1], step=step)
+        for got, want in zip((traj.times, traj.states, traj.derivs,
+                              traj.derivs_left), brute):
+            assert np.array_equal(got, want)
+
+    def test_stage_loop_with_delayed_inputs(self, rng):
+        n, h = 4, 0.01
+        store, brute = _NodeStore(n), BruteStore()
+        for t in np.linspace(-1.0, 0.0, 250):
+            sample = (t, rng.normal(size=n), rng.normal(size=n))
+            store.append(*sample)
+            brute.append(*sample)
+
+        def form(entries):
+            d, off = np.diag(entries), entries.copy()
+            np.fill_diagonal(off, 0.0)
+            return lambda y, xd: d * y + off @ xd
+
+        x = x_brute = store.view()[1][-1].copy()
+        a = 0.0
+        # A sinusoidal piece that crosses the first capacity, then a
+        # constant one.
+        for seg in build_schedule([(0.0, 0.5, _sinusoidal(rng, n)),
+                                   (0.5, 1.5, random_metzler(rng, n))]).segments:
+            m = int(round((seg.t_end - seg.t_start) / h))
+            grid = a + h * np.arange(1, m + 1)
+            xd_nodes = rng.normal(size=(m + 1, n))
+            xd_half = rng.normal(size=(m, n))
+            x = _march(store, x, a, grid, h, _piece_rhs(seg, form),
+                       xd_nodes, xd_half)
+            x_brute = brute_march(brute, x_brute, a, grid, h,
+                                  _piece_rhs(seg, form), xd_nodes, xd_half)
+            a = grid[-1]
+        assert np.array_equal(x, x_brute)
+        assert store.size == 250 + 150
+        for got, want in zip(store.view(), brute.arrays()):
+            assert np.array_equal(got, want)
 
 
 class TestDde:

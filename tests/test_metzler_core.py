@@ -12,6 +12,7 @@ import pytest
 from consensus_lab import (
     NegativeOffDiagonal,
     NegativeWeight,
+    NonFiniteEntry,
     OutOfHorizon,
     RowSumViolation,
     ScheduleError,
@@ -42,6 +43,35 @@ class TestValidation:
         with pytest.raises(NegativeOffDiagonal) as err:
             validate_coupling_matrix(bad)
         assert err.value.k == 1 and err.value.l == 2
+
+    @pytest.mark.parametrize("entries, value", [
+        ([[math.nan, 1.0], [1.0, -1.0]], math.nan),
+        ([[-math.inf, math.inf], [0.0, 0.0]], -math.inf),
+    ])
+    def test_rejects_non_finite_entries(self, entries, value):
+        # Both pass the sign and row-sum checks on their own: the first row
+        # sums to NaN, which compares false, and an infinity makes the
+        # scaled row tolerance infinite.
+        for build in (validate_coupling_matrix,
+                      lambda m: constant_schedule(m, 0.0, 1.0)):
+            with pytest.raises(NonFiniteEntry) as err:
+                build(entries)
+            assert (err.value.k, err.value.l) == (1, 1)
+            assert str(err.value) == f"entry (1,1) = {value!r} is not finite"
+
+    def test_first_non_finite_entry_is_reported(self, rng):
+        for _ in range(50):
+            n = int(rng.integers(1, 7))
+            entries = rng.choice([-1.0, 0.0, 1.0, math.nan, math.inf, -math.inf],
+                                 (n, n), p=[0.2, 0.3, 0.3, 0.1, 0.05, 0.05])
+            first = next(((k + 1, l + 1) for k in range(n) for l in range(n)
+                          if not math.isfinite(entries[k][l])), None)
+            if first is None:
+                continue
+            # Before any negative off-diagonal entry, wherever that is.
+            with pytest.raises(NonFiniteEntry) as err:
+                validate_coupling_matrix(entries)
+            assert (err.value.k, err.value.l) == first
 
     def test_first_negative_entry_is_reported(self, rng):
         for _ in range(50):
@@ -268,6 +298,21 @@ class TestWindowStack:
             integrate_windows(sch, starts, 0.5 * period)
         with pytest.raises(NegativeOffDiagonal) as loop:
             brute_window_integral(sch, 2.0, 0.5 * period)
+        assert str(batched.value) == str(loop.value)
+
+    def test_overflowing_window_is_flagged(self):
+        # Weights of 1e308 over [0, 2): a window holding more than one time
+        # unit of them integrates to infinities, which the stack check must
+        # reject as the window loop does, not clip or let through.
+        pair = np.array([[-1.0, 1.0], [1.0, -1.0]])
+        sch = build_schedule([(0.0, 2.0, 1e308 * pair), (2.0, 4.0, pair)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            stack = integrate_windows(sch, [2.05, 1.0], 1.9)
+            assert np.isfinite(stack).all()
+            with pytest.raises(NonFiniteEntry) as batched:
+                integrate_windows(sch, [2.05, 0.0, 1.0], 1.9)
+            with pytest.raises(NonFiniteEntry) as loop:
+                brute_window_integral(sch, 0.0, 1.9)
         assert str(batched.value) == str(loop.value)
 
     def test_window_outside_horizon_names_the_first(self):

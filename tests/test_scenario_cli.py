@@ -21,6 +21,7 @@ import consensus_lab
 from consensus_lab import (
     InvalidSpec,
     ParseError,
+    Trajectory,
     ValidationError,
     evaluate_schedule,
     generate_topology,
@@ -29,7 +30,9 @@ from consensus_lab import (
     resolve_initial_state,
     run_scenario,
 )
-from consensus_lab.scenario_cli import main
+from consensus_lab.scenario_cli import _write_trajectory_csv, main
+
+from conftest import brute_trajectory_csv
 
 
 RING_DEMO = """\
@@ -715,3 +718,35 @@ analyses:
         assert run_scenario(cfg, str(tmp_path / "s")) == 0
         report = (tmp_path / "s" / "report.txt").read_text()
         assert "time-averaged coupling" in report
+
+
+class TestTrajectoryCsv:
+    """The block writer against the per-value writer, byte for byte."""
+
+    # Signed zero, the smallest subnormal, both sides of the switch to an
+    # exponent, the last integers %.17g writes in full and the first it does
+    # not, and the non-finite values.
+    STRESS = [-0.0, 5e-324, 1e-5, 1e-4, 1e16, 1e17, math.nan, math.inf,
+              -math.inf, 0.1, 1.0 / 3.0, -2.5e-300]
+
+    @pytest.mark.parametrize("n", [1, 3, 40])
+    def test_blocks_match_per_value_writer(self, tmp_path, rng, n):
+        block = max(1, 2**10 // (n + 2))
+        for rows in (1, block - 1, block, block + 1, 3 * block + 2):
+            values = (rng.normal(size=(rows, n + 2))
+                      * 10.0 ** rng.integers(-10, 20, (rows, n + 2)))
+            flat = values.ravel()
+            stressed = rng.random(flat.size) < 0.3
+            flat[stressed] = np.resize(self.STRESS, int(stressed.sum()))
+            k = min(flat.size, len(self.STRESS))
+            flat[:k] = self.STRESS[:k]
+            times = np.arange(rows) * 1e-5
+            times[0] = -0.0
+            states = values[:, 1:-1]
+            traj = Trajectory(times=times, states=states, derivs=states,
+                              derivs_left=states)
+            blocked, brute = tmp_path / "blocked.csv", tmp_path / "brute.csv"
+            _write_trajectory_csv(str(blocked), traj, values[:, -1])
+            brute_trajectory_csv(str(brute), traj, values[:, -1])
+            assert blocked.read_bytes() == brute.read_bytes()
+            assert len(blocked.read_text().splitlines()) == rows + 1
