@@ -30,7 +30,6 @@ from .errors import (
     OrderingViolated,
     OutOfHorizon,
     ParseError,
-    QuadratureFailure,
     RowSumViolation,
     ScheduleError,
     StepTooLargeWarning,
@@ -44,7 +43,7 @@ from .metzler_core import (
     CouplingSchedule,
     IntegratedCoupling,
     Segment,
-    TimeVaryingCoupling,
+    SinusoidalCoupling,
     build_schedule,
     constant_schedule,
     coupling_entries,
@@ -113,7 +112,6 @@ from .spectral import (
 )
 from .scenario_cli import (
     ScenarioConfig,
-    SinusoidalCoupling,
     generate_topology,
     load_config,
     parse_config,

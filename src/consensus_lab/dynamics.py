@@ -381,6 +381,13 @@ def _coerce_history(history, tau: float, t0: float) -> DelayHistory:
             raise HistoryGap(
                 f"history grid [{history.times[0]}, {history.times[-1]}] does not "
                 f"cover [{t0 - tau}, {t0}]")
+        # History samples and computed nodes share one increasing grid, so
+        # no sample may come after t0 (simulate_dde takes a last sample
+        # within 1e-12 tau of t0 as the t0 node).
+        if history.times[-1] > t0 + 1e-12 * tau:
+            raise HistoryGap(
+                f"history grid [{history.times[0]}, {history.times[-1]}] runs "
+                f"past t0 = {t0}")
         return history
     return DelayHistory.constant(history, tau, t_end=t0)
 

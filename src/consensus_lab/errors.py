@@ -49,10 +49,6 @@ class OutOfHorizon(ConsensusLabError):
     """A time or window falls outside the schedule horizon."""
 
 
-class QuadratureFailure(ConsensusLabError):
-    """Adaptive quadrature did not reach the requested tolerance."""
-
-
 # --- digraphs ---------------------------------------------------------------
 
 class NegativeThreshold(ConsensusLabError):
@@ -70,7 +66,8 @@ class StepTooLargeWarning(UserWarning):
 
 
 class HistoryGap(ConsensusLabError):
-    """The delay history does not cover the required interval."""
+    """The delay history does not cover the required interval, or runs past
+    its end."""
 
 
 class WindowNotCovered(ConsensusLabError):

@@ -4,17 +4,20 @@ The basic object is an n-by-n real matrix with non-negative off-diagonal
 entries whose rows sum to zero: row k holds the rates at which component k is
 attracted towards the others, and the diagonal entry balances the row.  A
 schedule assembles such matrices into a bounded piecewise map t -> A(t),
-right-continuous at its breakpoints.  Window integrals of a schedule are the
-raw material for the connectivity and contraction analyses elsewhere in the
-package.  integrate_windows builds them as one (w, n, n) stack, walking all
-windows through the schedule pieces together and validating the stack in
-one pass; integrate_schedule is its one-window case.
+right-continuous at its breakpoints.  Each piece is a fixed coupling B times
+a scalar profile: c = 1 on a constant piece, c(t) = 1 + d sin(2 pi t / P)
+on a SinusoidalCoupling, so A(t) = c(t) B.  Window integrals of a schedule
+are the raw material for the connectivity and contraction analyses
+elsewhere in the package; a piece adds B times the integral of its profile,
+which is closed form.  integrate_windows builds them as one (w, n, n)
+stack, walking all windows through the schedule pieces together and
+validating the stack in one pass; integrate_schedule is its one-window case.
 """
 
 from __future__ import annotations
 
-import abc
 import bisect
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Union
@@ -22,20 +25,16 @@ from typing import Iterable, Union
 import numpy as np
 
 from .errors import (
+    InvalidSpec,
     NegativeOffDiagonal,
     NegativeWeight,
     NonFiniteEntry,
     OutOfHorizon,
-    QuadratureFailure,
     RowSumViolation,
     ScheduleError,
 )
 
 DEFAULT_ROW_TOL = 1e-12
-
-# Samples drawn inside each segment when validating a schedule, in addition
-# to the segment endpoints.
-_INTERIOR_SAMPLES = 10
 
 
 def _as_square_array(entries) -> np.ndarray:
@@ -116,19 +115,43 @@ def from_offdiagonal(weights, tol_row: float = DEFAULT_ROW_TOL) -> CouplingMatri
     return validate_coupling_matrix(out, tol_row=tol_row)
 
 
-class TimeVaryingCoupling(abc.ABC):
-    """Continuous-in-time coupling family over one schedule segment.
+class SinusoidalCoupling:
+    """Fixed coupling B scaled by the profile c(t) = 1 + depth sin(2 pi t / period).
 
-    Implementations are named parametric families (registered in the
-    scenario layer) rather than arbitrary callables, which keeps schedules
-    serializable and runs reproducible.
+    B is built from non-negative off-diagonal base weights by
+    from_offdiagonal.  |depth| may not exceed 1, so c(t) >= 0 and every A(t)
+    is a valid coupling matrix; (1 + |depth|) max|B| bounds its entries and
+    is attained on any piece that spans a period.
     """
 
-    name: str = "unnamed"
+    def __init__(self, base_offdiagonal, depth: float, period: float):
+        base = np.array(base_offdiagonal, dtype=float)
+        if base.ndim != 2 or base.shape[0] != base.shape[1]:
+            raise InvalidSpec(f"base weights must be square, got {base.shape}")
+        if np.any(np.diag(base) != 0.0):
+            raise InvalidSpec("base weights must have a zero diagonal")
+        if np.any(base < 0.0):
+            raise InvalidSpec("base weights must be non-negative")
+        if not (abs(depth) <= 1.0):
+            raise InvalidSpec(f"depth must lie in [-1, 1], got {depth!r}")
+        if not (period > 0.0):
+            raise InvalidSpec(f"period must be positive, got {period!r}")
+        self.coupling = from_offdiagonal(base)
+        self.depth = float(depth)
+        self.period = float(period)
+        self.bound = (1.0 + abs(self.depth)) * float(
+            np.max(np.abs(self.coupling.entries)))
+        if not math.isfinite(self.bound):
+            raise InvalidSpec(f"entries reach {self.bound} at the profile peak")
 
-    @abc.abstractmethod
     def entries_at(self, t: float) -> np.ndarray:
-        """Return the coupling entries at time t (full matrix with diagonal)."""
+        # The diagonal is minus the row sum of the scaled off-diagonal, not
+        # scale * B_kk: each row then sums to zero up to that one sum.
+        scale = 1.0 + self.depth * math.sin(2.0 * math.pi * t / self.period)
+        out = self.coupling.entries * scale
+        np.fill_diagonal(out, 0.0)
+        np.fill_diagonal(out, -out.sum(axis=1))
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,11 +160,17 @@ class Segment:
 
     t_start: float
     t_end: float
-    generator: Union[CouplingMatrix, TimeVaryingCoupling]
+    generator: Union[CouplingMatrix, SinusoidalCoupling]
 
     @property
     def is_constant(self) -> bool:
         return isinstance(self.generator, CouplingMatrix)
+
+    @property
+    def coupling(self) -> CouplingMatrix:
+        """The fixed coupling B of the piece: A(t) = c(t) B, with c = 1 on
+        a constant piece."""
+        return self.generator if self.is_constant else self.generator.coupling
 
     def entries_at(self, t: float) -> np.ndarray:
         if self.is_constant:
@@ -153,8 +182,10 @@ class Segment:
 class CouplingSchedule:
     """Piecewise coupling map t -> A(t), right-continuous at breakpoints.
 
-    ``bound`` is the declared uniform bound on |a_kl(t)|; it is verified on
-    a sampling grid at construction (exactly, for constant segments).
+    Each segment holds a constant coupling matrix or a SinusoidalCoupling,
+    so A(t) = c(t) B on every piece.  ``bound`` is the declared uniform
+    bound on |a_kl(t)|, checked at construction against max|B| on constant
+    pieces and (1 + |depth|) max|B| on sinusoidal ones.
     """
 
     segments: tuple
@@ -163,10 +194,7 @@ class CouplingSchedule:
 
     @property
     def n(self) -> int:
-        seg = self.segments[0]
-        if seg.is_constant:
-            return seg.generator.n
-        return seg.entries_at(seg.t_start).shape[0]
+        return self.segments[0].coupling.n
 
     @property
     def t_start(self) -> float:
@@ -191,15 +219,11 @@ def _coerce_segment(item, tol_row: float) -> Segment:
         t0, t1 = item.t_start, item.t_end
     else:
         t0, t1, gen = item
-    if not (isinstance(gen, (CouplingMatrix, TimeVaryingCoupling))):
+    if not (isinstance(gen, (CouplingMatrix, SinusoidalCoupling))):
         gen = validate_coupling_matrix(gen, tol_row=tol_row)
     if not (t1 > t0):
         raise ScheduleError(f"segment [{t0}, {t1}] has non-positive length")
     return Segment(float(t0), float(t1), gen)
-
-
-def _segment_grid(seg: Segment) -> np.ndarray:
-    return np.linspace(seg.t_start, seg.t_end, _INTERIOR_SAMPLES + 2)
 
 
 def build_schedule(
@@ -209,10 +233,11 @@ def build_schedule(
 ) -> CouplingSchedule:
     """Assemble and validate a schedule from (t_start, t_end, matrix) pieces.
 
-    Segments must be contiguous and non-overlapping.  Every piece is
-    validated at its endpoints and at 10 interior samples; the observed
-    entry bound must not exceed a declared ``bound`` (when omitted, the
-    observed bound is declared).
+    Segments must be contiguous and non-overlapping.  Every piece is valid
+    by construction: a coupling matrix is validated when it is wrapped, and
+    a sinusoidal piece is c(t) B with c >= 0.  The pieces' entry bounds
+    (max|B|, times 1 + |depth| on sinusoidal pieces) must not exceed a
+    declared ``bound``; when omitted, their maximum is declared.
     """
     segs = [_coerce_segment(item, tol_row) for item in segments]
     if not segs:
@@ -220,25 +245,17 @@ def build_schedule(
     segs.sort(key=lambda s: s.t_start)
     span = segs[-1].t_end - segs[0].t_start
     join_tol = 1e-9 * max(1.0, span)
-    n = None
     observed = 0.0
     for i, seg in enumerate(segs):
         if i > 0 and abs(seg.t_start - segs[i - 1].t_end) > join_tol:
             raise ScheduleError(
                 f"segment starting at {seg.t_start} does not join the previous "
                 f"segment ending at {segs[i - 1].t_end}")
-        if seg.is_constant:
-            mats = [seg.generator.entries]
-        else:
-            mats = [seg.entries_at(t) for t in _segment_grid(seg)]
-            for m in mats:
-                validate_coupling_matrix(m, tol_row=tol_row)
-        for m in mats:
-            if n is None:
-                n = m.shape[0]
-            elif m.shape[0] != n:
-                raise ScheduleError("segments disagree on the matrix size")
-            observed = max(observed, float(np.max(np.abs(m))))
+        if seg.coupling.n != segs[0].coupling.n:
+            raise ScheduleError("segments disagree on the matrix size")
+        gen = seg.generator
+        observed = max(observed, float(np.max(np.abs(gen.entries)))
+                       if seg.is_constant else gen.bound)
     if bound is None:
         bound = observed
     elif observed > bound * (1.0 + 1e-12) + 1e-12:
@@ -290,41 +307,10 @@ class IntegratedCoupling:
         return self.window[1] - self.window[0]
 
 
-def _simpson_slice(f, a: float, b: float, fa, fm, fb):
-    return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-
-def _adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int = 30) -> np.ndarray:
-    """Entrywise adaptive composite Simpson rule for matrix-valued f."""
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = _simpson_slice(f, a, b, fa, fm, fb)
-
-    def recurse(a, b, fa, fm, fb, whole, tol, depth):
-        if depth > max_depth:
-            raise QuadratureFailure(
-                f"adaptive Simpson exceeded depth {max_depth} on [{a}, {b}]")
-        m = 0.5 * (a + b)
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        left = _simpson_slice(f, a, m, fa, flm, fm)
-        right = _simpson_slice(f, m, b, fm, frm, fb)
-        err = np.max(np.abs(left + right - whole))
-        if err <= 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        half = 0.5 * tol
-        return (recurse(a, m, fa, flm, fm, left, half, depth + 1)
-                + recurse(m, b, fm, frm, fb, right, half, depth + 1))
-
-    return recurse(a, b, fa, fm, fb, whole, tol, 0)
-
-
 def integrate_windows(
     schedule: CouplingSchedule,
     starts,
     T: float,
-    quad_tol: float = 1e-10,
 ) -> np.ndarray:
     """Integrate A(s) entrywise over [t, t+T] for every t in starts.
 
@@ -332,9 +318,10 @@ def integrate_windows(
     together, one schedule piece at a time: step j adds the j-th piece that
     overlaps each window, so every window sums its pieces in schedule order
     and each integral is the same to the last bit as when integrated alone.
-    Piecewise-constant segments contribute exactly, entries * (hi - lo);
-    continuous generators are integrated with adaptive Simpson quadrature
-    at tolerance quad_tol, one (window, piece) pair at a time.
+    A piece A(s) = c(s) B over [lo, hi] adds B times the integral w of its
+    profile, in closed form: w = hi - lo on a constant piece, and
+    w = L + d (P / pi) sin(pi (lo + hi) / P) sin(pi L / P), with L = hi - lo,
+    on a sinusoidal piece of depth d and period P.
     """
     if not (T > 0.0):
         raise ValueError(f"window length must be positive, got T = {T!r}")
@@ -362,31 +349,33 @@ def integrate_windows(
         segs = schedule.segments[base:max(int(stop.max()), base + 1)]
         seg_start = piece_starts[base:base + len(segs)]
         seg_end = np.array([seg.t_end for seg in segs])
-        constant = np.array([seg.is_constant for seg in segs])
-        mats = np.stack([seg.generator.entries if seg.is_constant
-                         else np.zeros((n, n)) for seg in segs])
+        mats = np.stack([seg.coupling.entries for seg in segs])
+        # A constant piece has depth 0, which leaves w = hi - lo exactly.
+        depth = np.array([0.0 if seg.is_constant else seg.generator.depth
+                          for seg in segs])
+        period = np.array([1.0 if seg.is_constant else seg.generator.period
+                           for seg in segs])
         for j in range(int((stop - first).max())):
             live = first + j < stop
             k = np.minimum(first + j - base, len(segs) - 1)
             lo = np.maximum(a, seg_start[k])
             hi = np.minimum(b, seg_end[k])
-            live &= hi - lo > 0.0
-            rows = np.flatnonzero(live & constant[k])
-            total[rows] += mats[k[rows]] * (hi - lo)[rows, None, None]
-            for i in np.flatnonzero(live & ~constant[k]):
-                total[i] += _adaptive_simpson(
-                    segs[k[i]].generator.entries_at, float(lo[i]),
-                    float(hi[i]), quad_tol)
+            L, P = hi - lo, period[k]
+            live &= L > 0.0
+            # c >= 0, so its integral is too; the product form can round to
+            # about -1e-16 L on a window centred where c vanishes.
+            w = np.maximum(L + depth[k] * (P / np.pi)
+                           * np.sin(np.pi * (lo + hi) / P)
+                           * np.sin(np.pi * L / P), 0.0)
+            rows = np.flatnonzero(live)
+            total[rows] += mats[k[rows]] * w[rows, None, None]
     # The integral of a valid coupling map is itself a valid coupling matrix,
-    # up to quadrature and rounding residue proportional to the window.
-    check_tol = max(schedule.tol_row * max(1.0, T), 10.0 * quad_tol)
-    # Quadrature may leave a tiny negative residue on entries that vanish;
-    # clip it rather than reject the integral.  Clip and row tolerances are
-    # those of _row_tolerance, one per window.  A window with a non-finite
-    # entry, which only overflow can produce, is always bad.
+    # up to rounding proportional to the window; the floor of 1e-9 absorbs
+    # the rounding of a sum over many pieces when a caller sets tol_row below
+    # it.  Row tolerances are those of _row_tolerance, one per window; a window
+    # with a non-finite entry, which only overflow can produce, is always bad.
+    check_tol = max(schedule.tol_row * max(1.0, T), 1e-9)
     off = ~np.eye(n, dtype=bool)
-    clip = check_tol * np.maximum(1.0, np.abs(total).max(axis=(1, 2)))
-    total[off & (total < 0.0) & (total >= -clip[:, None, None])] = 0.0
     row_tol = check_tol * np.maximum(1.0, np.abs(total).max(axis=(1, 2)))
     bad = (~np.isfinite(total).all(axis=(1, 2))
            | ((total < 0.0) & off).any(axis=(1, 2))
@@ -402,11 +391,10 @@ def integrate_schedule(
     schedule: CouplingSchedule,
     t: float,
     T: float,
-    quad_tol: float = 1e-10,
 ) -> IntegratedCoupling:
     """Integrate A(s) entrywise over [t, t+T]: the one-window case of
     integrate_windows."""
-    entries = integrate_windows(schedule, [t], T, quad_tol)[0]
+    entries = integrate_windows(schedule, [t], T)[0]
     return IntegratedCoupling(n=schedule.n, entries=entries,
                               window=(float(t), float(t + T)))
 

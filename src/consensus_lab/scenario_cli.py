@@ -7,7 +7,8 @@ the output directory and exits with a code that scripts can branch on:
 
   0  every analysis passed
   2  at least one analysis failed its verdict
-  3  a connectivity or balance hypothesis could not be verified
+  3  a connectivity or balance hypothesis could not be verified, or the
+     theory behind an analysis does not cover the run (a delayed run)
   4  the scenario file is malformed
   5  a numerical routine gave up
 
@@ -51,13 +52,12 @@ from .errors import (
     NoTrappedComponent,
     OutOfHorizon,
     ParseError,
-    QuadratureFailure,
     ValidationError,
     WindowNotCovered,
 )
 from .metzler_core import (
     CouplingSchedule,
-    TimeVaryingCoupling,
+    SinusoidalCoupling,
     build_schedule,
     evaluate_schedule,
     from_offdiagonal,
@@ -75,7 +75,6 @@ EXIT_CONFIG = 4
 EXIT_NUMERICAL = 5
 
 _NUMERICAL_ERRORS = (
-    QuadratureFailure,
     NoConvergence,
     AmbiguousSpectrum,
     NormTooLarge,
@@ -93,39 +92,6 @@ _AUDIT_BASES = tuple(
 
 def _fmt(x: float) -> str:
     return "%.17g" % float(x)
-
-
-class SinusoidalCoupling(TimeVaryingCoupling):
-    """Off-diagonal weights base_kl (1 + depth sin(2 pi t / period)).
-
-    The diagonal re-balances every row to zero at each instant.  |depth|
-    may not exceed 1, which keeps the off-diagonal non-negative for all t.
-    """
-
-    name = "sinusoidal"
-
-    def __init__(self, base_offdiagonal, depth: float, period: float):
-        base = np.array(base_offdiagonal, dtype=float)
-        if base.ndim != 2 or base.shape[0] != base.shape[1]:
-            raise InvalidSpec(f"base weights must be square, got {base.shape}")
-        if np.any(np.diag(base) != 0.0):
-            raise InvalidSpec("base weights must have a zero diagonal")
-        if np.any(base < 0.0):
-            raise InvalidSpec("base weights must be non-negative")
-        if not (abs(depth) <= 1.0):
-            raise InvalidSpec(f"depth must lie in [-1, 1], got {depth!r}")
-        if not (period > 0.0):
-            raise InvalidSpec(f"period must be positive, got {period!r}")
-        self._base = base
-        self._depth = float(depth)
-        self._period = float(period)
-
-    def entries_at(self, t: float) -> np.ndarray:
-        scale = 1.0 + self._depth * math.sin(2.0 * math.pi * t / self._period)
-        out = self._base * scale
-        np.fill_diagonal(out, 0.0)
-        np.fill_diagonal(out, -out.sum(axis=1))
-        return out
 
 
 # --------------------------------------------------------------------------
@@ -679,6 +645,17 @@ def _lemma(keys, config):
     return run
 
 
+def _delay_not_covered(delay, analysis: str) -> str:
+    """Why an analysis built on the undelayed theory does not judge a
+    delayed run."""
+    if delay.full:
+        return (f"{analysis} does not cover this run: the theory covers only "
+                f"delay in the off-diagonal terms, and this run delays the "
+                f"self terms too (tau={_fmt(delay.tau)}, full)")
+    return (f"{analysis} covers only undelayed runs and would certify the "
+            f"undelayed twin of this run (tau={_fmt(delay.tau)})")
+
+
 def _certificate(keys, config):
     keys.allow(required=("delta", "window", "root"),
                optional=("verify_hypothesis", "slack_factor"))
@@ -694,6 +671,9 @@ def _certificate(keys, config):
             f"past the horizon end {config.t0 + config.horizon}")
 
     def run(schedule, trajectory, x0):
+        if config.delay is not None:
+            raise HypothesisUnverified(
+                _delay_not_covered(config.delay, "the contraction certificate"))
         report = certify.contraction_certificate(
             schedule, x0, config.t0, window, delta, root, step=config.step,
             verify_hypothesis=verify, slack_factor=slack_factor)
@@ -711,6 +691,9 @@ def _spectral(keys, config):
     options = {} if gap_tol is None else {"gap_tol": gap_tol}
 
     def run(schedule, trajectory, x0):
+        if config.delay is not None and config.delay.full:
+            raise HypothesisUnverified(
+                _delay_not_covered(config.delay, "the spectral cross-check"))
         if len(schedule.segments) == 1 and schedule.segments[0].is_constant:
             matrix = schedule.segments[0].generator.entries
             source = "constant coupling"

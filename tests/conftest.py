@@ -1,8 +1,8 @@
 """Shared generators and brute-force oracles for the test suite.
 
 Oracles here deliberately take the dumbest correct route (per-node BFS,
-dense closed forms, trapezoid refinement) so they cannot share a bug with
-the code under test.
+dense closed forms, adaptive quadrature, trapezoid refinement) so they
+cannot share a bug with the code under test.
 """
 
 import numpy as np
@@ -12,7 +12,6 @@ from consensus_lab import (OutOfHorizon, evaluate_schedule, from_offdiagonal,
                            validate_coupling_matrix)
 from consensus_lab.dynamics import (_linear, _piece_rhs, _pieces, _rk4_transfer,
                                     _step_target, _substeps)
-from consensus_lab.metzler_core import _adaptive_simpson
 
 
 def random_metzler(rng, n, density=0.6, wmax=2.0):
@@ -54,13 +53,51 @@ def brute_first_negative(entries):
                  if k != l and entries[k][l] < 0.0), None)
 
 
-def brute_window_integral(schedule, t, T, quad_tol=1e-10):
+def _simpson_slice(a, b, fa, fm, fb):
+    return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+
+
+def adaptive_simpson(f, a, b, tol=1e-10, max_depth=30):
+    """Entrywise adaptive composite Simpson rule for matrix-valued f."""
+    fa, fb = f(a), f(b)
+    fm = f(0.5 * (a + b))
+
+    def recurse(a, b, fa, fm, fb, whole, tol, depth):
+        if depth > max_depth:
+            raise RuntimeError(
+                f"adaptive Simpson exceeded depth {max_depth} on [{a}, {b}]")
+        m = 0.5 * (a + b)
+        flm, frm = f(0.5 * (a + m)), f(0.5 * (m + b))
+        left = _simpson_slice(a, m, fa, flm, fm)
+        right = _simpson_slice(m, b, fm, frm, fb)
+        err = np.max(np.abs(left + right - whole))
+        if err <= 15.0 * tol:
+            return left + right + (left + right - whole) / 15.0
+        return (recurse(a, m, fa, flm, fm, left, 0.5 * tol, depth + 1)
+                + recurse(m, b, fm, frm, fb, right, 0.5 * tol, depth + 1))
+
+    return recurse(a, b, fa, fm, fb, _simpson_slice(a, b, fa, fm, fb), tol, 0)
+
+
+def quadrature_window_integral(schedule, t, T, tol=1e-10):
+    """Integral of a schedule over [t, t + T] by adaptive Simpson on
+    entries_at, one segment at a time: an oracle independent of the closed
+    form."""
+    total = np.zeros((schedule.n, schedule.n))
+    for seg in schedule.segments:
+        lo, hi = max(t, seg.t_start), min(t + T, seg.t_end)
+        if hi > lo:
+            total += adaptive_simpson(seg.entries_at, lo, hi, tol)
+    return total
+
+
+def brute_window_integral(schedule, t, T):
     """Integral of a schedule over [t, t + T], one segment at a time.
 
     Not an independent route: it adds the pieces in schedule order with the
-    same products and the same quadrature as the batched kernel, so that the
-    two must agree to the last bit.  Clipping and validation are those of a
-    single window.
+    same closed-form profile integrals and the same products as the batched
+    kernel, so that the two must agree to the last bit.  Validation is that
+    of a single window.
     """
     t0, t1 = schedule.horizon
     edge = 1e-9 * max(1.0, abs(t0), abs(t1), T)
@@ -74,17 +111,14 @@ def brute_window_integral(schedule, t, T, quad_tol=1e-10):
         lo, hi = max(a, seg.t_start), min(b, seg.t_end)
         if hi - lo <= 0.0:
             continue
-        if seg.is_constant:
-            total += seg.generator.entries * (hi - lo)
-        else:
-            total += _adaptive_simpson(seg.generator.entries_at, lo, hi, quad_tol)
-    check_tol = max(schedule.tol_row * max(1.0, T), 10.0 * quad_tol)
-    clip = check_tol * max(1.0, float(np.max(np.abs(total))))
-    for k in range(n):
-        for l in range(n):
-            if k != l and -clip <= total[k, l] < 0.0:
-                total[k, l] = 0.0
-    validate_coupling_matrix(total, tol_row=check_tol)
+        w = hi - lo
+        if not seg.is_constant:
+            d, P = seg.generator.depth, seg.generator.period
+            w = max(w + d * (P / np.pi) * np.sin(np.pi * (lo + hi) / P)
+                    * np.sin(np.pi * w / P), 0.0)
+        total += seg.coupling.entries * w
+    validate_coupling_matrix(total, tol_row=max(schedule.tol_row * max(1.0, T),
+                                                1e-9))
     return total
 
 

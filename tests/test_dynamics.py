@@ -325,6 +325,18 @@ class TestDde:
         with pytest.raises(HistoryGap):
             simulate_dde(sch, 0.7, hist, 0.0, 2.0)
 
+    def test_history_past_t0_rejected(self):
+        # Samples after t0 would sit in the node grid ahead of the t0 node
+        # and leak into the delayed reads.
+        sch = constant_schedule(symmetric_pair(), 0.0, 3.0)
+        times = np.linspace(-1.0, 0.5, 16)
+        hist = DelayHistory(
+            tau=1.0, times=times,
+            states=np.column_stack([np.cos(times), np.sin(times)]),
+            derivs=np.column_stack([-np.sin(times), np.cos(times)]))
+        with pytest.raises(HistoryGap, match="past t0"):
+            simulate_dde(sch, 1.0, hist, 0.0, 3.0)
+
     def test_half_step_self_agreement(self):
         sch = constant_schedule(symmetric_pair(), 0.0, 6.0)
         a = simulate_dde(sch, 0.5, [1.0, -1.0], 0.0, 6.0, step=0.05)

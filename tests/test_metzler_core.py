@@ -1,7 +1,8 @@
 """Validation, schedules, and window integrals.
 
-Expected integral values are hand-derived closed forms or trapezoid
-refinements computed independently of the adaptive Simpson code.
+Expected integral values are hand-derived closed forms, adaptive Simpson
+quadrature or trapezoid refinements of entries_at, computed independently
+of the closed-form profile integrals.
 """
 
 import math
@@ -16,7 +17,6 @@ from consensus_lab import (
     OutOfHorizon,
     RowSumViolation,
     ScheduleError,
-    TimeVaryingCoupling,
     build_schedule,
     constant_schedule,
     evaluate_schedule,
@@ -26,10 +26,12 @@ from consensus_lab import (
     validate_coupling_matrix,
     window_connectivity_report,
 )
+import consensus_lab
+from consensus_lab import metzler_core
 from consensus_lab.scenario_cli import SinusoidalCoupling
 
 from conftest import (brute_first_negative, brute_window_integral,
-                      chain_matrix, random_metzler)
+                      chain_matrix, quadrature_window_integral, random_metzler)
 
 
 class TestValidation:
@@ -203,7 +205,8 @@ class TestWindowIntegrals:
         w = integrate_schedule(sch, a, b - a)
         grid = np.linspace(a, b, 20001)
         vals = np.stack([family.entries_at(t) for t in grid])
-        oracle = np.trapezoid(vals, grid, axis=0)
+        widths = np.diff(grid)[:, None, None]
+        oracle = np.sum(widths * (vals[:-1] + vals[1:]) / 2.0, axis=0)
         assert np.max(np.abs(w.entries - oracle)) < 1e-8
 
     def test_integrated_rows_sum_to_zero(self, rng):
@@ -223,6 +226,38 @@ class TestWindowIntegrals:
         with pytest.raises(OutOfHorizon):
             integrate_schedule(sch, 1.0, 2.0)
 
+    @pytest.mark.parametrize("kind", ["sinusoidal", "mixed"])
+    def test_closed_form_matches_quadrature(self, rng, kind):
+        for n in (1, 3):
+            sch = _random_schedule(rng, n, kind, 4.0)
+            for T in (0.37, 1.0, 2.0, 4.0):
+                starts = rng.uniform(0.0, 4.0 - T, 5)
+                for t, window in zip(starts, integrate_windows(sch, starts, T)):
+                    np.testing.assert_allclose(
+                        window, quadrature_window_integral(sch, t, T),
+                        rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("depth", [-1.0, 1.0])
+    def test_tiny_windows_at_full_depth(self, rng, depth):
+        # At |depth| = 1 the profile vanishes once per period; windows
+        # centred there integrate to about L^3, far below the rounding of
+        # L, and must come out non-negative.
+        period = 1.3
+        family = _sinusoid(rng, 3, depth, period)
+        sch = build_schedule([(0.0, 60.0 * period, family)])
+        zero = (0.75 if depth > 0 else 0.25) * period
+        off = ~np.eye(3, dtype=bool)
+        for L in 10.0 ** -np.arange(1.0, 16.0):
+            centres = zero + period * rng.integers(0, 59, 40)
+            starts = np.concatenate([centres - 0.5 * L,
+                                     rng.uniform(0.0, 59.0 * period, 10)])
+            stack = integrate_windows(sch, starts, L)
+            assert (stack[:, off] >= 0.0).all()
+            for t, window in zip(starts, stack):
+                np.testing.assert_allclose(
+                    window, quadrature_window_integral(sch, t, L),
+                    rtol=0.0, atol=1e-10)
+
 
 def _random_schedule(rng, n, kind, t_end):
     """Pieces at random breakpoints: constant, sinusoidal, or both in turn."""
@@ -240,19 +275,42 @@ def _random_schedule(rng, n, kind, t_end):
     return build_schedule(pieces)
 
 
-class _Ripple(TimeVaryingCoupling):
-    """Pair coupling (1 - 3 sin(2 pi t / period)) [[-1, 1], [1, -1]].
+def _sinusoid(rng, n, depth, period):
+    base = random_metzler(rng, n, density=0.7).copy()
+    np.fill_diagonal(base, 0.0)
+    return SinusoidalCoupling(base, depth=depth, period=period)
 
-    Non-negative at every multiple of the period, where a piece of eleven
-    periods is sampled when built, but negative on each first half-period.
-    """
 
-    def __init__(self, period):
-        self.period = period
+class TestSinusoidalCoupling:
+    def test_importable_from_package_and_scenario_layer(self):
+        assert consensus_lab.SinusoidalCoupling is SinusoidalCoupling
+        assert metzler_core.SinusoidalCoupling is SinusoidalCoupling
 
-    def entries_at(self, t):
-        w = 1.0 - 3.0 * math.sin(2.0 * math.pi * t / self.period)
-        return np.array([[-w, w], [w, -w]])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_base_is_rejected(self, value):
+        with pytest.raises(NonFiniteEntry):
+            SinusoidalCoupling([[0.0, value], [1.0, 0.0]], depth=0.5, period=1.0)
+
+    def test_bound_covers_entries_and_is_attained_over_a_period(self, rng):
+        for _ in range(20):
+            n = int(rng.integers(1, 6))
+            depth = float(rng.uniform(-1.0, 1.0))
+            period = float(rng.uniform(0.5, 3.0))
+            family = _sinusoid(rng, n, depth, period)
+            t0 = float(rng.uniform(-5.0, 5.0))
+            # A dense grid over one period, plus the times where
+            # sin(2 pi t / P) is exactly 1 and -1.
+            first = math.ceil(t0 / period - 0.25) + 0.25
+            extremes = [(first + j) * period for j in (0.0, 0.5)]
+            grid = np.concatenate([np.linspace(t0, t0 + period, 2001), extremes])
+            observed = max(float(np.max(np.abs(family.entries_at(t))))
+                           for t in grid)
+            # Within the relative 1e-12 that build_schedule grants a
+            # declared bound: the diagonal of A(t) is a rounded row sum.
+            assert observed <= family.bound * (1.0 + 1e-12)
+            assert observed >= family.bound * (1.0 - 1e-12)
+            sch = build_schedule([(t0, t0 + period, family)])
+            assert sch.bound == family.bound
 
 
 class TestWindowStack:
@@ -289,15 +347,26 @@ class TestWindowStack:
         assert integrate_windows(sch, [], 0.5).shape == (0, 2, 2)
 
     def test_first_bad_window_raises_the_loop_error(self):
-        period = 1.0
-        sch = build_schedule([(0.0, 11.0 * period, _Ripple(period))])
-        # [0.5, 1] integrates to a positive weight, [0, 0.5] and [2, 2.5]
-        # to negative ones; the first of those in the given order is named.
-        starts = [0.5, 2.0, 0.0]
-        with pytest.raises(NegativeOffDiagonal) as batched:
-            integrate_windows(sch, starts, 0.5 * period)
-        with pytest.raises(NegativeOffDiagonal) as loop:
-            brute_window_integral(sch, 2.0, 0.5 * period)
+        # Weights of 1e308 in row 2 on [0, 2) and in row 3 on [4, 6): a
+        # window holding more than one time unit of either overflows, and
+        # names a row-2 or a row-3 entry.  [2, 4] is harmless.  The first bad
+        # window in the given order is named.
+        off = np.zeros((3, 3))
+        off[0, 1] = 1.0
+        rows = []
+        for k in (1, 2):
+            heavy = off.copy()
+            heavy[k, 0] = 1e308
+            rows.append(from_offdiagonal(heavy))
+        sch = build_schedule([(0.0, 2.0, rows[0]), (2.0, 4.0, from_offdiagonal(off)),
+                              (4.0, 6.0, rows[1])])
+        starts = [2.0, 4.05, 0.0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteEntry) as batched:
+                integrate_windows(sch, starts, 1.9)
+            with pytest.raises(NonFiniteEntry) as loop:
+                brute_window_integral(sch, 4.05, 1.9)
+        assert (batched.value.k, batched.value.l) == (3, 1)
         assert str(batched.value) == str(loop.value)
 
     def test_overflowing_window_is_flagged(self):

@@ -583,6 +583,37 @@ class TestCommandLine:
         assert main(["run", cfg, "--output-dir", str(tmp_path / "o")]) == 3
         assert "[HYPOTHESIS] certificate" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("full", [True, False])
+    def test_delayed_run_is_not_judged_by_undelayed_theory(self, tmp_path,
+                                                           capsys, full):
+        # With full delay the pair's spread grows from 2 to about 274 while
+        # the connectivity hypothesis still holds.  The certificate covers
+        # neither delayed run; the spectral check of A says nothing about
+        # delayed self terms but stands for coupling-only delay.
+        cfg = write(tmp_path, "delayed.yaml", scenario(
+            horizon=40.0, step=0.005,
+            topology={"kind": "constant", "weights": [[0.0, 1.0], [1.0, 0.0]]},
+            delay={"tau": 1.0, "full": full},
+            analyses=[{"kind": "connectivity", "delta": 0.1, "window": 1.0},
+                      {"kind": "certificate", "delta": 0.1, "window": 1.0,
+                       "root": 1},
+                      {"kind": "spectral"}]))
+        assert main(["check", cfg]) == 0
+        out = tmp_path / "o"
+        assert main(["run", cfg, "--output-dir", str(out)]) == 3
+        report = (out / "report.txt").read_text()
+        final = float(report.split("final spread: ")[1].split()[0])
+        assert (final > 100.0) if full else (final < 1e-3)
+        assert "[PASS] connectivity" in report
+        assert ("[HYPOTHESIS] certificate: the contraction certificate "
+                + ("does not cover this run" if full else "covers only undelayed")
+                ) in report
+        assert ("[HYPOTHESIS] spectral: the spectral cross-check does not "
+                "cover this run: the theory covers only delay in the "
+                "off-diagonal terms") in report if full else \
+            "[PASS] spectral" in report
+        assert "verdict: FAIL (exit 3)" in capsys.readouterr().out
+
     def test_config_error_exits_4(self, tmp_path, capsys):
         cfg = write(tmp_path, "bad.yaml", RING_DEMO + "extra_knob: 3\n")
         assert main(["run", cfg]) == 4
