@@ -15,11 +15,22 @@ interpolation on one node grid, the history samples followed by every
 computed node; the returned trajectory is that grid from t0 on.
 
 One RK4 stage loop, _march, steps every time-varying piece and every
-delayed piece; its right-hand side f(y, xd) is A y, or the split form above
-with xd = x(t - tau).  A constant piece of an undelayed run takes the one
-other path: there an RK4 step is a fixed matrix, applied once per step.
-Both loops reserve a whole piece in the node store and write its nodes in
-place, with the same matrix-vector products per step as one node at a time.
+delayed piece; its right-hand side is f(t, y) = A(t) y, or the split form
+above with xd = x(t - tau).  Everything in a step that does not depend on
+the state is computed ahead, a block of steps at a time: A(t) at the mid
+and end stage times, and on a delayed piece the diagonals d(t) and the
+drives u = off(t) xd, so that a stage costs A y or d * y + u.  The drives
+of a block come from one np.matmul on a stack of column vectors, which
+makes one gemv call per row: the call that off @ xd makes, so every drive
+is the same to the last bit.  XD @ off.T would not be: it goes to gemm,
+which sums in another order.  gemv also follows the strides of its
+matrix, so each stacked matrix must be row-major: a C-order copy, never
+np.array of a broadcast view, which keeps the broadcast's stride order and
+reads every matrix transposed.  A constant piece of an undelayed run takes
+the one other path: there an RK4 step is a fixed matrix, applied once per
+step, and the node derivatives A x follow in one batched matmul.  Both
+loops reserve a whole piece in the node store and write its nodes in
+place.
 
 Trajectories keep two derivative arrays.  The solution has corners at
 coupling discontinuities, so a node carries the derivative valid to its
@@ -31,8 +42,10 @@ Hermite reads at integrator order across switches.
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -123,8 +136,20 @@ def _advise_on_step(h: float, bound: float):
 
 
 def _pieces(schedule: CouplingSchedule, t0: float, t1: float):
-    """Yield (a, b, segment) covering [t0, t1], cut at schedule breakpoints."""
-    for seg in schedule.segments:
+    """Yield (a, b, segment) covering [t0, t1], cut at schedule breakpoints.
+
+    The scan starts at the segment that holds t0, found by bisection, or at
+    an earlier one whose end still passes t0 (joins may overlap by the
+    schedule's join tolerance), and stops at the first segment that starts
+    at or after t1."""
+    segments = schedule.segments
+    k = max(bisect.bisect_right(schedule.start_times, t0) - 1, 0)
+    while k > 0 and segments[k - 1].t_end > t0:
+        k -= 1
+    for i in range(k, len(segments)):
+        seg = segments[i]
+        if seg.t_start >= t1:
+            break
         a = max(t0, seg.t_start)
         b = min(t1, seg.t_end)
         if b - a > 1e-15 * max(1.0, abs(b)):
@@ -205,40 +230,81 @@ class _NodeStore:
         return self._t[:s], self._x[:s], self._dr[:s], self._dl[:s]
 
 
-def _march(store: _NodeStore, x: np.ndarray, a: float, grid: np.ndarray,
-           h: float, rhs_at, xd_nodes, xd_half) -> np.ndarray:
-    """Classical RK4 from the last stored node (a, x) through grid, one
-    schedule piece; f = rhs_at(t) gives dx/dt = f(x, xd), where xd is
-    xd_nodes[i] at grid node i (a is node 0) and xd_half[i] half a step on.
-    A node's stored derivative is k1 of the step that leaves it."""
-    dx = rhs_at(a)(x, xd_nodes[0])
+# Stage stacks are built for at most this many matrix entries at a time
+# (and never less than one step), so a long piece holds a block of its
+# stage matrices, not all of them, at once.
+_BLOCK_ENTRIES = 2 ** 12
+
+
+def _matvecs(M: np.ndarray, V: np.ndarray, out=None) -> np.ndarray:
+    """Row i is M[i] @ V[i] (M a stack, or one matrix for every row), to
+    the last bit: matmul on a stack of column vectors makes one gemv call
+    per row, the call that M[i] @ V[i] makes.  Each matrix must be
+    row-major, as a C-order stack or a broadcast of a C-order matrix is."""
+    if out is not None:
+        out = out[:, :, None]
+    return np.matmul(M, V[:, :, None], out=out)[:, :, 0]
+
+
+def _drives(A: np.ndarray, xd: np.ndarray, delay_diagonal: bool):
+    """Split the stage matrices A[j] for the delayed inputs xd[j]: the
+    stage is d[j] * y + u[j] with u[j] = off[j] @ xd[j], where d = diag(A)
+    and off = A - diag(A), or d = 0 and off = A with delay_diagonal."""
+    if delay_diagonal:
+        return np.zeros(xd.shape), _matvecs(A, xd)
+    # ndarray.copy is C order: np.array or np.copy of a broadcast view would
+    # keep the broadcast's stride order, and gemv would read off transposed.
+    off = A.copy()
+    diag = np.arange(off.shape[1])
+    off[:, diag, diag] = 0.0
+    return A.diagonal(axis1=1, axis2=2), _matvecs(off, xd)
+
+
+def _march(store: _NodeStore, x: np.ndarray, seg, a: float, grid: np.ndarray,
+           h: float, delayed=None) -> np.ndarray:
+    """Classical RK4 from the last stored node (a, x) through grid, over
+    the schedule piece seg; node 0 is a and node i + 1 is grid[i].
+
+    Undelayed (delayed None), f(t, y) = A(t) y.  Otherwise delayed is
+    (xd_nodes, xd_half, delay_diagonal): xd_nodes[i] is x(t - tau) at node
+    i and xd_half[i] half a step on, and f(t, y) = d(t) * y + off(t) xd as
+    split by _drives.  A(t) at the stage times and the drives off(t) xd
+    are state-free, so they are computed ahead, a block of steps at a time,
+    with the expressions and the BLAS calls of the per-stage form: the
+    batched drives make the gemv call of off @ xd per row, whereas
+    XD @ off.T would call gemm, which sums in another order.  Only the
+    stage arithmetic on the state is left to the step loop.  A node's
+    stored derivative is k1 of the step that leaves it."""
+    xd_nodes, xd_half, delay_diagonal = delayed or (None, None, False)
+    node_t = np.concatenate(([a], grid))
+    mid_t = node_t[:-1] + 0.5 * h
+
+    def stage(times, xd, rows):
+        # f(times[rows][j], y) as a function of (j, y).
+        A = seg.entries_over(times[rows])
+        if xd is None:
+            return lambda j, y: A[j] @ y
+        d, u = _drives(A, xd[rows], delay_diagonal)
+        return lambda j, y: d[j] * y + u[j]
+
+    dx = stage(node_t, xd_nodes, slice(0, 1))(0, x)
     store.patch_right(dx)
-    ts, xs, dr, dl = store.extend(len(grid))
+    m = len(grid)
+    ts, xs, dr, dl = store.extend(m)
     ts[:] = grid
-    t = a
-    for i, tt in enumerate(grid):
-        f_mid = rhs_at(t + 0.5 * h)
-        k2 = f_mid(x + 0.5 * h * dx, xd_half[i])
-        k3 = f_mid(x + 0.5 * h * k2, xd_half[i])
-        f_end = rhs_at(tt)
-        k4 = f_end(x + h * k3, xd_nodes[i + 1])
-        xs[i] = x = x + (h / 6.0) * (dx + 2.0 * k2 + 2.0 * k3 + k4)
-        dr[i] = dx = f_end(x, xd_nodes[i + 1])
-        t = tt
+    size = max(1, _BLOCK_ENTRIES // x.size ** 2)
+    for lo in range(0, m, size):
+        hi = min(lo + size, m)
+        mid = stage(mid_t, xd_half, slice(lo, hi))
+        end = stage(node_t, xd_nodes, slice(lo + 1, hi + 1))
+        for j in range(hi - lo):
+            k2 = mid(j, x + 0.5 * h * dx)
+            k3 = mid(j, x + 0.5 * h * k2)
+            k4 = end(j, x + h * k3)
+            xs[lo + j] = x = x + (h / 6.0) * (dx + 2.0 * k2 + 2.0 * k3 + k4)
+            dr[lo + j] = dx = end(j, x)
     dl[:] = dr
     return x
-
-
-def _piece_rhs(seg, form):
-    """rhs_at(t) for _march: form(entries) per stage, once if constant."""
-    if seg.is_constant:
-        f = form(seg.generator.entries)
-        return lambda t: f
-    return lambda t: form(seg.generator.entries_at(t))
-
-
-def _linear(A: np.ndarray):
-    return lambda y, xd: A @ y
 
 
 def simulate_ode(
@@ -274,11 +340,10 @@ def simulate_ode(
             ts[:] = grid
             for i in range(m):
                 xs[i] = x = phi @ x
-                dr[i] = A @ x
+            _matvecs(A, xs, out=dr)
             dl[:] = dr
         else:
-            unused = [None] * (m + 1)
-            x = _march(store, x, a, grid, h, _piece_rhs(seg, _linear), unused, unused)
+            x = _march(store, x, seg, a, grid, h)
     meta = {
         "method": "rk4",
         "requested_step": step,
@@ -421,14 +486,6 @@ def simulate_dde(
     _advise_on_step(h_target, schedule.bound)
     clamp_slack = 1e-12 * tau
 
-    def rhs(entries: np.ndarray):
-        if delay_diagonal:
-            d, off = np.zeros(n), entries
-        else:
-            d, off = np.diag(entries), entries.copy()
-            np.fill_diagonal(off, 0.0)
-        return lambda y, xd: d * y + off @ xd
-
     def interp(queries, snap):
         return _hermite_many(queries, *snap, clamp_slack=clamp_slack)
 
@@ -439,22 +496,31 @@ def simulate_dde(
         store.append(*sample)
     x = interp([t0], store.view())[0]
     if abs(hist.times[-1] - t0) > clamp_slack:
-        xd0 = interp([t0 - tau], store.view())[0]
-        store.append(t0, x, rhs(evaluate_schedule(schedule, t0).entries)(x, xd0))
+        d, u = _drives(evaluate_schedule(schedule, t0).entries[None],
+                       interp([t0 - tau], store.view()), delay_diagonal)
+        store.append(t0, x, d[0] * x + u[0])
     first = store.size - 1
 
     w0 = t0
     span_tiny = 1e-12 * max(1.0, abs(t1 - t0))
     while w0 < t1 - span_tiny:
         w1 = min(w0 + tau, t1)
-        # All delayed lookups for this window live in [w0 - tau, w1 - tau],
-        # which is already computed: snapshot the node grid once per window.
-        snap = store.view()
+        # The delayed reads of this window lie in [w0 - tau, w1 - tau], which
+        # is computed already: one Hermite call reads them for all of its
+        # pieces, and since each query row is computed on its own, the batch
+        # changes no value.
+        pieces, queries = [], []
         for a, b, seg in _pieces(schedule, w0, w1):
-            m, h, grid = _substeps(a, b, h_target)
-            xd_nodes = interp(np.concatenate(([a], grid)) - tau, snap)
-            xd_half = interp((grid - 0.5 * h) - tau, snap)
-            x = _march(store, x, a, grid, h, _piece_rhs(seg, rhs), xd_nodes, xd_half)
+            _, h, grid = _substeps(a, b, h_target)
+            pieces.append((seg, a, grid, h))
+            queries += [np.concatenate(([a], grid)) - tau, (grid - 0.5 * h) - tau]
+        # A last window too short for _pieces to resolve at t has no piece.
+        if pieces:
+            xd = interp(np.concatenate(queries), store.view())
+            xd = np.split(xd, np.cumsum([len(q) for q in queries])[:-1])
+        for k, (seg, a, grid, h) in enumerate(pieces):
+            x = _march(store, x, seg, a, grid, h,
+                       (xd[2 * k], xd[2 * k + 1], delay_diagonal))
         w0 = w1
     meta = {
         "method": "rk4-method-of-steps",
@@ -482,7 +548,11 @@ def delayed_functional_series(trajectory: Trajectory, tau: float) -> list:
 
     Reported for every stored node t with the full window inside the
     trajectory.  The window edge t - tau generally falls between grid nodes
-    and is interpolated at integrator order.
+    and is interpolated at integrator order.  The stored nodes of a window
+    are reduced in O(1) amortised time by monotone deques over the row
+    maxima and minima (Lemire, Nordic J. Computing 2006), which is exact
+    because max and min do not round; a window with a NaN row reads NaN,
+    as ndarray.max over it does.
     """
     if not (tau > 0.0):
         raise ValueError(f"tau must be positive, got {tau!r}")
@@ -497,11 +567,40 @@ def delayed_functional_series(trajectory: Trajectory, tau: float) -> list:
     edge_states = _hermite_many(
         edge_q, times, states, trajectory.derivs, trajectory.derivs_left,
         clamp_slack=tiny)
+    # Node i's window holds the stored nodes lo_idx[i - first] .. i.
+    lo_idx = np.searchsorted(times, edge_q, side="left").tolist()
+    node_t = times.tolist()
+    row_max = states.max(axis=1).tolist()
+    row_min = states.min(axis=1).tolist()
+    edge_max = edge_states.max(axis=1).tolist()
+    edge_min = edge_states.min(axis=1).tolist()
+    # Node indices whose row maxima decrease (minima increase) from the
+    # front; a NaN row stays out and is remembered by its index instead.
+    tops, bottoms = deque(), deque()
+    last_nan = -1
     out = []
-    lo_idx = np.searchsorted(times, edge_q, side="left")
-    for j, i in enumerate(range(first, len(times))):
-        window = states[lo_idx[j]: i + 1]
-        w_max = max(float(window.max()), float(edge_states[j].max()))
-        w_min = min(float(window.min()), float(edge_states[j].min()))
-        out.append((float(times[i]), w_max - w_min))
+    for i in range(lo_idx[0], len(node_t)):
+        top, bottom = row_max[i], row_min[i]
+        if top != top:
+            last_nan = i
+        else:
+            while tops and row_max[tops[-1]] <= top:
+                tops.pop()
+            tops.append(i)
+            while bottoms and row_min[bottoms[-1]] >= bottom:
+                bottoms.pop()
+            bottoms.append(i)
+        if i < first:
+            continue
+        j = i - first
+        lo = lo_idx[j]
+        if last_nan >= lo:
+            w_max = w_min = math.nan
+        else:
+            while tops[0] < lo:
+                tops.popleft()
+            while bottoms[0] < lo:
+                bottoms.popleft()
+            w_max, w_min = row_max[tops[0]], row_min[bottoms[0]]
+        out.append((node_t[i], max(w_max, edge_max[j]) - min(w_min, edge_min[j])))
     return out

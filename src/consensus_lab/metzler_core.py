@@ -153,6 +153,21 @@ class SinusoidalCoupling:
         np.fill_diagonal(out, -out.sum(axis=1))
         return out
 
+    def entries_over(self, times) -> np.ndarray:
+        """entries_at(t) for every t in times, as a (k, n, n) stack with the
+        same values entry for entry: the same scale per time (math.sin, not
+        np.sin), the same products, and each diagonal minus its row sum
+        along the last axis, which numpy reduces row by row as in the 2-d
+        case."""
+        scale = np.array([
+            1.0 + self.depth * math.sin(2.0 * math.pi * t / self.period)
+            for t in np.asarray(times, dtype=float).tolist()])
+        out = self.coupling.entries * scale[:, None, None]
+        diag = np.arange(out.shape[1])
+        out[:, diag, diag] = 0.0
+        out[:, diag, diag] = -out.sum(axis=2)
+        return out
+
 
 @dataclass(frozen=True, eq=False)
 class Segment:
@@ -176,6 +191,14 @@ class Segment:
         if self.is_constant:
             return self.generator.entries
         return self.generator.entries_at(t)
+
+    def entries_over(self, times) -> np.ndarray:
+        """A(t) for every t in times as a (k, n, n) stack, with the values
+        of entries_at; a read-only broadcast of B on a constant piece."""
+        if self.is_constant:
+            entries = self.generator.entries
+            return np.broadcast_to(entries, (len(times),) + entries.shape)
+        return self.generator.entries_over(times)
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,8 +10,8 @@ import pytest
 
 from consensus_lab import (OutOfHorizon, evaluate_schedule, from_offdiagonal,
                            validate_coupling_matrix)
-from consensus_lab.dynamics import (_linear, _piece_rhs, _pieces, _rk4_transfer,
-                                    _step_target, _substeps)
+from consensus_lab.dynamics import (_coerce_history, _hermite_many,
+                                    _rk4_transfer, _step_target, _substeps)
 
 
 def random_metzler(rng, n, density=0.6, wmax=2.0):
@@ -153,6 +153,41 @@ def brute_transfer_loop(store, x, A, h, grid):
     return x
 
 
+def brute_pieces(schedule, t0, t1):
+    """(a, b, segment) covering [t0, t1]: a scan over every segment."""
+    for seg in schedule.segments:
+        a = max(t0, seg.t_start)
+        b = min(t1, seg.t_end)
+        if b - a > 1e-15 * max(1.0, abs(b)):
+            yield a, b, seg
+
+
+def piece_rhs(seg, form):
+    """rhs_at(t) for brute_march: form(A(t)) per stage, through entries_at,
+    built once on a constant piece."""
+    if seg.is_constant:
+        f = form(seg.generator.entries)
+        return lambda t: f
+    return lambda t: form(seg.generator.entries_at(t))
+
+
+def linear(A):
+    """f(y, xd) = A y: the undelayed right-hand side."""
+    return lambda y, xd: A @ y
+
+
+def split_delay(delay_diagonal):
+    """form for the delayed right-hand side f(y, xd) = d y + off xd."""
+    def form(entries):
+        if delay_diagonal:
+            d, off = np.zeros(len(entries)), entries
+        else:
+            d, off = np.diag(entries), entries.copy()
+            np.fill_diagonal(off, 0.0)
+        return lambda y, xd: d * y + off @ xd
+    return form
+
+
 def brute_march(store, x, a, grid, h, rhs_at, xd_nodes, xd_half):
     """The RK4 stage loop over one piece, stored one node at a time."""
     dx = rhs_at(a)(x, xd_nodes[0])
@@ -178,15 +213,69 @@ def brute_simulate_ode(schedule, x0, t0, t1, step=None):
     h_target = _step_target(step, schedule, t1 - t0, schedule.n)
     store = BruteStore()
     store.append(t0, x, evaluate_schedule(schedule, t0).entries @ x)
-    for a, b, seg in _pieces(schedule, t0, t1):
+    for a, b, seg in brute_pieces(schedule, t0, t1):
         m, h, grid = _substeps(a, b, h_target)
         if seg.is_constant:
             x = brute_transfer_loop(store, x, seg.generator.entries, h, grid)
         else:
             unused = [None] * (m + 1)
-            x = brute_march(store, x, a, grid, h, _piece_rhs(seg, _linear),
+            x = brute_march(store, x, a, grid, h, piece_rhs(seg, linear),
                             unused, unused)
     return store.arrays()
+
+
+def brute_simulate_dde(schedule, tau, history, t0, t1, step=None,
+                       delay_diagonal=False):
+    """(times, states, derivs, derivs_left) of simulate_dde by the method
+    of steps, stepped one stage at a time through entries_at, with two
+    Hermite reads per piece on a fresh copy of the node lists."""
+    hist = _coerce_history(history, tau, t0)
+    n = schedule.n
+    h_target = min(_step_target(step, schedule, t1 - t0, n, tau), tau)
+    slack = 1e-12 * tau
+    form = split_delay(delay_diagonal)
+    store = BruteStore()
+    for sample in zip(hist.times, hist.states, hist.derivs):
+        store.append(*sample)
+    x = _hermite_many([t0], *store.arrays(), clamp_slack=slack)[0]
+    if abs(hist.times[-1] - t0) > slack:
+        xd0 = _hermite_many([t0 - tau], *store.arrays(), clamp_slack=slack)[0]
+        store.append(t0, x, form(evaluate_schedule(schedule, t0).entries)(x, xd0))
+    first = len(store.t) - 1
+    w0 = t0
+    while w0 < t1 - 1e-12 * max(1.0, abs(t1 - t0)):
+        w1 = min(w0 + tau, t1)
+        snap = store.arrays()
+        for a, b, seg in brute_pieces(schedule, w0, w1):
+            m, h, grid = _substeps(a, b, h_target)
+            xd_nodes = _hermite_many(np.concatenate(([a], grid)) - tau, *snap,
+                                     clamp_slack=slack)
+            xd_half = _hermite_many((grid - 0.5 * h) - tau, *snap,
+                                    clamp_slack=slack)
+            x = brute_march(store, x, a, grid, h, piece_rhs(seg, form),
+                            xd_nodes, xd_half)
+        w0 = w1
+    return tuple(arr[first:] for arr in store.arrays())
+
+
+def brute_delayed_functional_series(trajectory, tau):
+    """delayed_functional_series by one slice of the stored states per
+    node, reduced by ndarray.max and ndarray.min."""
+    times, states = trajectory.times, trajectory.states
+    tiny = 1e-12 * max(1.0, tau)
+    first = int(np.searchsorted(times, times[0] + tau - tiny, side="left"))
+    edge_q = times[first:] - tau
+    edge_states = _hermite_many(
+        edge_q, times, states, trajectory.derivs, trajectory.derivs_left,
+        clamp_slack=tiny)
+    lo_idx = np.searchsorted(times, edge_q, side="left")
+    out = []
+    for j, i in enumerate(range(first, len(times))):
+        window = states[lo_idx[j]: i + 1]
+        w_max = max(float(window.max()), float(edge_states[j].max()))
+        w_min = min(float(window.min()), float(edge_states[j].min()))
+        out.append((float(times[i]), w_max - w_min))
+    return out
 
 
 def brute_trajectory_csv(path, trajectory, spreads):

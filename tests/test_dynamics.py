@@ -31,12 +31,14 @@ from consensus_lab import (
     simulate_ode,
     spread_series,
 )
-from consensus_lab.dynamics import (_RK4_DISC_RADIUS, _NodeStore, _march,
-                                    _piece_rhs)
+from consensus_lab.dynamics import (_BLOCK_ENTRIES, _RK4_DISC_RADIUS, _NodeStore,
+                                    _drives, _march, _pieces)
 from consensus_lab.scenario_cli import SinusoidalCoupling
 
-from conftest import (BruteStore, brute_march, brute_simulate_ode, chain_matrix,
-                      random_metzler, symmetric_pair)
+from conftest import (BruteStore, brute_delayed_functional_series, brute_march,
+                      brute_pieces, brute_simulate_dde, brute_simulate_ode,
+                      chain_matrix, piece_rhs, random_metzler, split_delay,
+                      symmetric_pair)
 
 
 def rk4_amplification(z):
@@ -243,11 +245,6 @@ class TestBlockStepping:
             store.append(*sample)
             brute.append(*sample)
 
-        def form(entries):
-            d, off = np.diag(entries), entries.copy()
-            np.fill_diagonal(off, 0.0)
-            return lambda y, xd: d * y + off @ xd
-
         x = x_brute = store.view()[1][-1].copy()
         a = 0.0
         # A sinusoidal piece that crosses the first capacity, then a
@@ -258,15 +255,134 @@ class TestBlockStepping:
             grid = a + h * np.arange(1, m + 1)
             xd_nodes = rng.normal(size=(m + 1, n))
             xd_half = rng.normal(size=(m, n))
-            x = _march(store, x, a, grid, h, _piece_rhs(seg, form),
-                       xd_nodes, xd_half)
+            x = _march(store, x, seg, a, grid, h, (xd_nodes, xd_half, False))
             x_brute = brute_march(brute, x_brute, a, grid, h,
-                                  _piece_rhs(seg, form), xd_nodes, xd_half)
+                                  piece_rhs(seg, split_delay(False)),
+                                  xd_nodes, xd_half)
             a = grid[-1]
         assert np.array_equal(x, x_brute)
         assert store.size == 250 + 150
         for got, want in zip(store.view(), brute.arrays()):
             assert np.array_equal(got, want)
+
+
+def _dde_schedule(rng, kind, n):
+    """Pieces of one step (0.01 at step 0.02), of more steps than one block
+    (200 > _BLOCK_ENTRIES // n**2 at n = 5) and in between."""
+    if kind == "constant":
+        return constant_schedule(random_metzler(rng, n), 0.0, 8.0)
+    if kind == "sinusoidal":
+        return build_schedule([(0.0, 8.0, _sinusoidal(rng, n))])
+    edges = [0.0, 0.01, 4.0, 4.01, 4.02, 5.5, 5.8, 8.0]
+    pieces = []
+    for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        entries = random_metzler(rng, n)
+        if kind == "mixed" and i % 2:
+            entries = _sinusoidal(rng, n)
+        pieces.append((lo, hi, entries))
+    return build_schedule(pieces)
+
+
+def _assert_same_arrays(traj, brute):
+    for got, want in zip((traj.times, traj.states, traj.derivs,
+                          traj.derivs_left), brute):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+class TestDdeStages:
+    """simulate_dde computes the state-free parts of every RK4 step ahead,
+    a block of steps at a time, and reads the history once per window; the
+    oracle of conftest steps one stage at a time through entries_at, with
+    two Hermite reads per piece.  All four arrays must agree to the bit."""
+
+    @pytest.mark.parametrize("delay_diagonal", [False, True])
+    @pytest.mark.parametrize("tau", [0.07, 4.5])
+    @pytest.mark.parametrize("kind", ["constant", "switching", "sinusoidal",
+                                      "mixed"])
+    def test_matches_per_stage_oracle(self, rng, kind, tau, delay_diagonal):
+        # tau = 0.07 lies below one piece; a window of tau = 4.5 spans
+        # several pieces and a piece or window of more than one block.
+        n = 5
+        sch = _dde_schedule(rng, kind, n)
+        x0 = rng.uniform(-1.0, 1.0, n)
+        traj = simulate_dde(sch, tau, x0, 0.0, 8.0, step=0.02,
+                            delay_diagonal=delay_diagonal)
+        assert _BLOCK_ENTRIES // n**2 < 200  # steps of the longest pieces
+        _assert_same_arrays(traj, brute_simulate_dde(
+            sch, tau, x0, 0.0, 8.0, step=0.02, delay_diagonal=delay_diagonal))
+
+    @pytest.mark.parametrize("delay_diagonal", [False, True])
+    def test_matches_oracle_from_a_varying_history(self, rng, delay_diagonal):
+        n, tau = 5, 0.8
+        sch = _dde_schedule(rng, "mixed", n)
+        times = np.linspace(-tau, 0.0, 9)
+        phase = rng.uniform(0.0, 2.0 * np.pi, n)
+        hist = DelayHistory(
+            tau=tau, times=times,
+            states=np.cos(times[:, None] + phase),
+            derivs=-np.sin(times[:, None] + phase))
+        traj = simulate_dde(sch, tau, hist, 0.0, 8.0, step=0.02,
+                            delay_diagonal=delay_diagonal)
+        assert traj.times[0] == 0.0
+        _assert_same_arrays(traj, brute_simulate_dde(
+            sch, tau, hist, 0.0, 8.0, step=0.02, delay_diagonal=delay_diagonal))
+
+    def test_window_too_short_for_a_piece(self):
+        # Far from 0 the tau-windows add up to a last window of 2.3e-10,
+        # below what _pieces resolves at t = 1e6: it is stepped by no piece.
+        sch = constant_schedule(symmetric_pair(), 1e6, 1e6 + 1.0)
+        traj = simulate_dde(sch, 0.1, [1.0, -1.0], 1e6, 1e6 + 1.0)
+        assert 0.0 < 1e6 + 1.0 - traj.times[-1] < 1e-9
+        _assert_same_arrays(traj, brute_simulate_dde(
+            sch, 0.1, [1.0, -1.0], 1e6, 1e6 + 1.0))
+
+    def test_default_step_on_a_dense_switching_run(self):
+        spec = {"kind": "random_switching", "period": 0.5,
+                "link_probability": 0.9, "weight_range": [0.5, 1.5],
+                "seed": 3}
+        sch = generate_topology(spec, 12, 0.0, 3.0)
+        x0 = np.random.default_rng(3).uniform(-1.0, 1.0, 12)
+        traj = simulate_dde(sch, 0.3, x0, 0.0, 3.0)
+        _assert_same_arrays(traj, brute_simulate_dde(sch, 0.3, x0, 0.0, 3.0))
+
+    @pytest.mark.parametrize("delay_diagonal", [False, True])
+    def test_drives_read_each_matrix_row_major(self, rng, delay_diagonal):
+        # np.array(np.broadcast_to(B, (k, n, n))) keeps the broadcast's
+        # stride order, so gemv would read every matrix of the stack
+        # transposed and sum each row in another order; at n = 9 that moves
+        # most of these drives.  Both stacks _drives meets must give the
+        # per-node products bit for bit.
+        n, k = 9, 64
+        B = random_metzler(rng, n)
+        xd = rng.normal(size=(k, n))
+        scaled = B * rng.uniform(0.0, 2.0, (k, 1, 1))
+        for A in (np.broadcast_to(B, (k, n, n)), scaled):
+            d, u = _drives(A, xd, delay_diagonal)
+            for j in range(k):
+                if delay_diagonal:
+                    d_want, off = np.zeros(n), A[j]
+                else:
+                    d_want, off = np.diag(A[j]), A[j].copy()
+                    np.fill_diagonal(off, 0.0)
+                assert np.array_equal(d[j], d_want)
+                assert np.array_equal(u[j], off @ xd[j])
+
+    def test_pieces_match_a_full_scan(self, rng):
+        # Joins within the join tolerance may overlap or leave a sliver.
+        cuts = np.cumsum(rng.uniform(0.05, 1.0, 40))
+        ends = cuts + rng.choice([0.0, 4e-10, -4e-10], size=40)
+        sch = build_schedule(
+            [(lo, hi, random_metzler(rng, 3))
+             for lo, hi in zip(np.concatenate(([0.0], cuts[:-1])), ends)])
+        span = sch.horizon[1]
+        probes = np.concatenate([cuts, ends, rng.uniform(0.0, span, 60)])
+        probes = probes[probes < span]
+        for t0 in probes.tolist():
+            for t1 in (min(t0 + w, span) for w in (1e-3, 0.3, 2.5, span)):
+                if t1 > t0:
+                    assert (list(_pieces(sch, t0, t1))
+                            == list(brute_pieces(sch, t0, t1)))
 
 
 class TestDde:
@@ -368,3 +484,53 @@ class TestDelayedFunctional:
         traj = simulate_dde(sch, 0.2, [1.0, -1.0], 0.0, 0.5)
         with pytest.raises(WindowNotCovered):
             delayed_functional_series(traj, 5.0)
+
+    @staticmethod
+    def _trajectory(rng, times, states):
+        return Trajectory(times=np.asarray(times, dtype=float), states=states,
+                          derivs=rng.normal(size=states.shape),
+                          derivs_left=rng.normal(size=states.shape))
+
+    @staticmethod
+    def _assert_same_series(got, want):
+        assert [t for t, _ in got] == [t for t, _ in want]
+        assert np.array_equal([v for _, v in got], [v for _, v in want],
+                              equal_nan=True)
+
+    @pytest.mark.parametrize("tau", [1e-3, 0.05, 0.3, 1.0, "span"])
+    def test_matches_slice_oracle_with_ties(self, rng, tau):
+        # Few distinct values: most window maxima and minima are ties.
+        times = np.cumsum(rng.uniform(0.01, 0.04, 300))
+        states = rng.integers(-2, 3, (300, 4)).astype(float)
+        traj = self._trajectory(rng, times, states)
+        span = times[-1] - times[0]
+        tau = span if tau == "span" else tau
+        got = delayed_functional_series(traj, tau)
+        if tau == span:
+            assert len(got) == 1
+        self._assert_same_series(
+            got, brute_delayed_functional_series(traj, tau))
+
+    def test_matches_slice_oracle_on_node_edges(self, rng):
+        # Binary fractions: every window edge t - tau is a node.
+        times = 0.125 * np.arange(200)
+        traj = self._trajectory(rng, times, rng.normal(size=(200, 3)))
+        got = delayed_functional_series(traj, 0.5)
+        assert np.isin([t - 0.5 for t, _ in got], times).all()
+        self._assert_same_series(
+            got, brute_delayed_functional_series(traj, 0.5))
+
+    def test_matches_slice_oracle_on_infinite_and_nan_rows(self, rng):
+        states = rng.normal(size=(400, 3))
+        states[[30, 31, 200]] = np.inf
+        states[[90, 250], 1] = -np.inf
+        states[[150, 151, 320], 2] = np.nan
+        states[399] = np.nan
+        traj = self._trajectory(rng, np.cumsum(rng.uniform(0.01, 0.03, 400)),
+                                states)
+        got = delayed_functional_series(traj, 0.4)
+        values = np.array([v for _, v in got])
+        assert np.isnan(values).any() and np.isfinite(values).any()
+        self._assert_same_series(
+            got, brute_delayed_functional_series(traj, 0.4))
+

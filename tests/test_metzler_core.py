@@ -312,6 +312,23 @@ class TestSinusoidalCoupling:
             sch = build_schedule([(t0, t0 + period, family)])
             assert sch.bound == family.bound
 
+    def test_stacked_entries_match_entries_at(self, rng):
+        # Sizes past numpy's 8-way unrolled row sums; grid times as the
+        # stage loop passes them (numpy floats) and plain floats.
+        for n in (1, 2, 7, 8, 9, 17, 40):
+            family = _sinusoid(rng, n, float(rng.uniform(-1.0, 1.0)),
+                               float(rng.uniform(0.5, 3.0)))
+            times = np.sort(rng.uniform(-50.0, 50.0, 40))
+            stack = family.entries_over(times)
+            assert stack.shape == (40, n, n) and stack.flags.c_contiguous
+            for t, entries in zip(times, stack):
+                assert np.array_equal(entries, family.entries_at(t))
+                assert np.array_equal(entries, family.entries_at(float(t)))
+        const = build_schedule([(0.0, 1.0, random_metzler(rng, 4))]).segments[0]
+        view = const.entries_over(times[:5])
+        assert view.shape == (5, 4, 4)
+        assert all(np.array_equal(e, const.entries_at(0.5)) for e in view)
+
 
 class TestWindowStack:
     """integrate_windows against the one-window segment loop, bit for bit."""
