@@ -422,8 +422,9 @@ class DelayHistory:
             raise ValueError(f"tau must be positive, got {self.tau!r}")
         if np.any(np.diff(self.times) <= 0.0):
             raise ValueError("history times must be strictly increasing")
+        # t_end - tau rounds at the spacing of floats near t_end.
         covered = self.times[-1] - self.times[0]
-        if covered < self.tau * (1.0 - 1e-9):
+        if covered < self.tau * (1.0 - 1e-9) - 4.0 * np.spacing(abs(self.times[-1])):
             raise HistoryGap(
                 f"history covers {covered}, needs the full delay {self.tau}")
 
@@ -439,9 +440,16 @@ class DelayHistory:
         )
 
 
+def _history_slack(tau: float, t0: float) -> float:
+    """How far a history may miss t0 - tau or t0 and still be read there:
+    1e-9 max(1, tau), plus four ulps of t0, since t0 - tau rounds at the
+    spacing of floats near t0."""
+    return 1e-9 * max(1.0, tau) + 4.0 * float(np.spacing(abs(t0)))
+
+
 def _coerce_history(history, tau: float, t0: float) -> DelayHistory:
     if isinstance(history, DelayHistory):
-        slack = 1e-9 * max(1.0, tau)
+        slack = _history_slack(tau, t0)
         if history.times[0] > t0 - tau + slack or history.times[-1] < t0 - slack:
             raise HistoryGap(
                 f"history grid [{history.times[0]}, {history.times[-1]}] does not "
@@ -484,7 +492,9 @@ def simulate_dde(
             f"history has {hist.states.shape[1]} components, schedule has {n}")
     h_target = min(_step_target(step, schedule, t1 - t0, n, tau), tau)
     _advise_on_step(h_target, schedule.bound)
-    clamp_slack = 1e-12 * tau
+    # Delayed reads clamp within the slack that _coerce_history grants, so
+    # every history it accepts reads at t0 - tau and at t0.
+    clamp_slack = _history_slack(tau, t0)
 
     def interp(queries, snap):
         return _hermite_many(queries, *snap, clamp_slack=clamp_slack)
@@ -495,7 +505,7 @@ def simulate_dde(
     for sample in zip(hist.times, hist.states, hist.derivs):
         store.append(*sample)
     x = interp([t0], store.view())[0]
-    if abs(hist.times[-1] - t0) > clamp_slack:
+    if abs(hist.times[-1] - t0) > 1e-12 * tau:
         d, u = _drives(evaluate_schedule(schedule, t0).entries[None],
                        interp([t0 - tau], store.view()), delay_diagonal)
         store.append(t0, x, d[0] * x + u[0])

@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 import yaml
 
-from . import certify, lyapunov
+from . import certify, csvfmt, lyapunov
 from .digraph import window_connectivity_report
 from .dynamics import (
     Trajectory,
@@ -755,20 +755,16 @@ _STATUS = {
 
 def _write_trajectory_csv(path: str, trajectory: Trajectory, spreads):
     """One line per node, every value as _fmt writes it ("%.17g" of a
-    Python float), formatted a block of rows per % call."""
+    Python float), formatted by csvfmt a block of rows at a time."""
     n = trajectory.n
-    row = ",".join(["%.17g"] * (n + 2)) + "\n"
-    # At most 2**10 values per block: the block's Python floats, tuple and
-    # string stay below 100 kB (2**12 values raised peak RSS by 0.25 MB).
-    block = max(1, 2**10 // (n + 2))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("time," + ",".join(f"x_{k}" for k in range(1, n + 1))
-                 + ",V_spread\n")
+    block = max(1, csvfmt.BLOCK // (n + 2))
+    with open(path, "wb") as fh:
+        fh.write(("time," + ",".join(f"x_{k}" for k in range(1, n + 1))
+                  + ",V_spread\n").encode("ascii"))
         for i in range(0, len(trajectory.times), block):
             rows = slice(i, i + block)
-            values = np.column_stack(
-                (trajectory.times[rows], trajectory.states[rows], spreads[rows]))
-            fh.write((row * len(values)) % tuple(values.ravel().tolist()))
+            fh.write(csvfmt.format_rows(np.column_stack(
+                (trajectory.times[rows], trajectory.states[rows], spreads[rows]))))
 
 
 def run_scenario(config: ScenarioConfig, output_dir: str) -> int:

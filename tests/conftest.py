@@ -11,7 +11,8 @@ import pytest
 from consensus_lab import (OutOfHorizon, evaluate_schedule, from_offdiagonal,
                            validate_coupling_matrix)
 from consensus_lab.dynamics import (_coerce_history, _hermite_many,
-                                    _rk4_transfer, _step_target, _substeps)
+                                    _history_slack, _rk4_transfer,
+                                    _step_target, _substeps)
 
 
 def random_metzler(rng, n, density=0.6, wmax=2.0):
@@ -232,13 +233,13 @@ def brute_simulate_dde(schedule, tau, history, t0, t1, step=None,
     hist = _coerce_history(history, tau, t0)
     n = schedule.n
     h_target = min(_step_target(step, schedule, t1 - t0, n, tau), tau)
-    slack = 1e-12 * tau
+    slack = _history_slack(tau, t0)
     form = split_delay(delay_diagonal)
     store = BruteStore()
     for sample in zip(hist.times, hist.states, hist.derivs):
         store.append(*sample)
     x = _hermite_many([t0], *store.arrays(), clamp_slack=slack)[0]
-    if abs(hist.times[-1] - t0) > slack:
+    if abs(hist.times[-1] - t0) > 1e-12 * tau:
         xd0 = _hermite_many([t0 - tau], *store.arrays(), clamp_slack=slack)[0]
         store.append(t0, x, form(evaluate_schedule(schedule, t0).entries)(x, xd0))
     first = len(store.t) - 1

@@ -328,6 +328,38 @@ class TestDdeStages:
         _assert_same_arrays(traj, brute_simulate_dde(
             sch, tau, hist, 0.0, 8.0, step=0.02, delay_diagonal=delay_diagonal))
 
+    @pytest.mark.parametrize("delay_diagonal", [False, True])
+    def test_history_ending_just_before_t0_gets_a_t0_node(self, rng,
+                                                          delay_diagonal):
+        # _coerce_history accepts a last sample up to 1e-9 max(1, tau)
+        # before t0; x(t0) is read within the same slack, and the run
+        # starts from a node at t0 itself.
+        n, tau = 5, 0.8
+        sch = _dde_schedule(rng, "mixed", n)
+        times = np.linspace(-tau, -2e-10, 9)
+        phase = rng.uniform(0.0, 2.0 * np.pi, n)
+        hist = DelayHistory(
+            tau=tau, times=times,
+            states=np.cos(times[:, None] + phase),
+            derivs=-np.sin(times[:, None] + phase))
+        traj = simulate_dde(sch, tau, hist, 0.0, 8.0, step=0.02,
+                            delay_diagonal=delay_diagonal)
+        assert traj.times[0] == 0.0
+        np.testing.assert_array_equal(traj.states[0], hist.states[-1])
+        _assert_same_arrays(traj, brute_simulate_dde(
+            sch, tau, hist, 0.0, 8.0, step=0.02, delay_diagonal=delay_diagonal))
+
+    @pytest.mark.parametrize("t0, tau", [(3e7, 0.2), (1e8, 0.1)])
+    def test_constant_history_far_from_zero(self, t0, tau):
+        # t0 - tau rounds at the spacing of floats near t0 (3.7e-9 at 3e7),
+        # more than 1e-9 tau: the history still covers the full delay.
+        sch = constant_schedule(chain_matrix(), t0, t0 + 1.0)
+        hist = DelayHistory.constant([1.0, -1.0], tau, t_end=t0)
+        traj = simulate_dde(sch, tau, hist, t0, t0 + 1.0)
+        assert traj.times[0] == t0
+        _assert_same_arrays(traj, brute_simulate_dde(
+            sch, tau, [1.0, -1.0], t0, t0 + 1.0))
+
     def test_window_too_short_for_a_piece(self):
         # Far from 0 the tau-windows add up to a last window of 2.3e-10,
         # below what _pieces resolves at t = 1e6: it is stepped by no piece.

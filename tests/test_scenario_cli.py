@@ -30,6 +30,7 @@ from consensus_lab import (
     resolve_initial_state,
     run_scenario,
 )
+from consensus_lab import csvfmt
 from consensus_lab.scenario_cli import _write_trajectory_csv, main
 
 from conftest import brute_trajectory_csv
@@ -762,7 +763,7 @@ class TestTrajectoryCsv:
 
     @pytest.mark.parametrize("n", [1, 3, 40])
     def test_blocks_match_per_value_writer(self, tmp_path, rng, n):
-        block = max(1, 2**10 // (n + 2))
+        block = max(1, csvfmt.BLOCK // (n + 2))
         for rows in (1, block - 1, block, block + 1, 3 * block + 2):
             values = (rng.normal(size=(rows, n + 2))
                       * 10.0 ** rng.integers(-10, 20, (rows, n + 2)))
@@ -781,3 +782,152 @@ class TestTrajectoryCsv:
             brute_trajectory_csv(str(brute), traj, values[:, -1])
             assert blocked.read_bytes() == brute.read_bytes()
             assert len(blocked.read_text().splitlines()) == rows + 1
+
+    @staticmethod
+    def _same_as_brute(tmp_path, times, states, spreads):
+        traj = Trajectory(times=times, states=states, derivs=states,
+                          derivs_left=states)
+        blocked, brute = tmp_path / "blocked.csv", tmp_path / "brute.csv"
+        _write_trajectory_csv(str(blocked), traj, spreads)
+        brute_trajectory_csv(str(brute), traj, spreads)
+        assert blocked.read_bytes() == brute.read_bytes()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [1, 3, 40])
+    def test_converged_block(self, tmp_path, rng, n):
+        # A run that has converged: every row within a few ulps of one
+        # value, so every spread is below 1e-15 and some are exactly 0.
+        rows = 3 * max(1, csvfmt.BLOCK // (n + 2)) + 1
+        times = 20.0 + np.arange(rows) * 0.005
+        states = np.full((rows, n), 0.3) + (
+            rng.integers(-2, 3, (rows, n)) * np.spacing(0.3))
+        states[::3] = 0.3
+        spreads = states.max(axis=1) - states.min(axis=1)
+        assert spreads.max() < 1e-15 and (spreads == 0.0).any()
+        self._same_as_brute(tmp_path, times, states, spreads)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [1, 3, 40])
+    def test_every_row_holds_a_fallback_value(self, tmp_path, rng, n):
+        # NaN, the infinities and exact ties are formatted one at a time;
+        # one per row, in every column after the time over the rows.
+        rows = 2 * max(1, csvfmt.BLOCK // (n + 2)) + 3
+        values = rng.normal(size=(rows, n + 2))
+        odd = [math.nan, math.inf, -math.inf, (2**53 - 1) / 4, 2.0**-25]
+        values[np.arange(rows), 1 + np.arange(rows) % (n + 1)] = np.resize(
+            odd, rows)
+        self._same_as_brute(tmp_path, np.arange(rows) * 0.1, values[:, 1:-1],
+                            values[:, -1])
+
+
+def _percent(values, cols):
+    """The oracle: "%.17g" of each Python float, a line per cols values."""
+    rows = np.asarray(values, dtype=float).reshape(-1, cols).tolist()
+    return "".join(",".join("%.17g" % v for v in row) + "\n"
+                   for row in rows).encode()
+
+
+def _kernel(values, cols, chunk=2**14):
+    """csvfmt.format_rows over whole rows of at most chunk values."""
+    flat = np.asarray(values, dtype=float)
+    step = chunk // cols * cols
+    return b"".join(
+        csvfmt.format_rows(flat[i:i + step].reshape(-1, cols)).tobytes()
+        for i in range(0, len(flat), step))
+
+
+@pytest.mark.filterwarnings("error")
+class TestCsvKernel:
+    """csvfmt.format_rows against "%.17g" % x, byte for byte; a leaked
+    numpy over/invalid/divide warning fails the test."""
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(17).integers(
+            0, 2**64, 2**20, dtype=np.uint64, endpoint=False)
+        values = bits.view(np.float64)
+        assert _kernel(values, 32) == _percent(values, 32)
+
+    def test_next_to_powers_of_ten(self):
+        tens = np.array([float(f"1e{k}") for k in range(-320, 309)])
+        values = np.concatenate([tens, np.nextafter(tens, np.inf),
+                                 np.nextafter(tens, -np.inf)])
+        values = np.concatenate([values, -values])
+        assert _kernel(values, 1) == _percent(values, 1)
+
+    def test_round_up_across_a_decade(self):
+        # Rounded to 17 digits these reach the next power of ten; their
+        # exponent comes from the unrounded value, then the carry.
+        assert _kernel([9.9999999999999995e-07], 1) == b"9.9999999999999995e-07\n"
+        near = np.array([float(f"9.99999999999999995e{k}")
+                         for k in range(-320, 308)])
+        values = np.concatenate([near, np.nextafter(near, 0.0),
+                                 np.nextafter(near, np.inf)])
+        assert _kernel(values, 1) == _percent(values, 1)
+
+    @pytest.mark.parametrize("switch", [1e-5, 1e17])
+    def test_both_sides_of_the_exponent_switch(self, switch):
+        values = [switch]
+        for direction in (0.0, np.inf):
+            x = switch
+            for _ in range(64):
+                x = np.nextafter(x, direction)
+                values.append(x)
+        values += [float(f"{digits}e{e}") for e in (-6, -5, 16, 17)
+                   for digits in ("9.99999999999999", "9.9999999999999999")]
+        values = np.array(values)
+        assert _kernel(values, 1) == _percent(values, 1)
+
+    def test_exact_ties(self):
+        # a / 4 with a odd has an 18-digit expansion ending in 5 from
+        # a >= 2**52 on: "%.17g" rounds it half to even.
+        assert _kernel([(2**53 - 1) / 4], 1) == b"2251799813685247.8\n"
+        odd = np.random.default_rng(5).integers(2**51, 2**52, 4096) * 2 + 1
+        values = np.concatenate([odd / 4, odd / 8, odd * 2.0**-30,
+                                 2.0 ** -np.arange(1, 81)])
+        assert _kernel(values, 8) == _percent(values, 8)
+
+    def test_zeros_subnormals_and_non_finite(self):
+        subnormals = np.random.default_rng(3).integers(
+            1, 2**52, 4096, dtype=np.uint64).view(np.float64)
+        values = np.concatenate([
+            [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+             2.2250738585072014e-308, 1.7976931348623157e308,
+             math.nan, -math.nan, math.inf, -math.inf],
+            subnormals, -subnormals])
+        assert _kernel(values[:4], 4) == b"0,-0,4.9406564584124654e-324,-4.9406564584124654e-324\n"
+        assert _kernel(values, 1) == _percent(values, 1)
+
+    def test_scaled_value_within_the_tie_margin(self):
+        # The tie fallback rests on |hi + lo - x 10**(16 - E)| < 2**-46,
+        # which the 2**-40 margin covers; checked here in exact rationals.
+        from fractions import Fraction
+        bits = np.random.default_rng(11).integers(
+            1, 0x7FF0000000000000, 3000, dtype=np.uint64)
+        x = bits.view(np.float64)
+        e = np.array([int(("%.16e" % v).split("e")[1]) for v in x])
+        f, k = np.frexp(x)
+        hi, lo = csvfmt._scaled(f, k, e - csvfmt._EMIN)
+        assert 0.5 - csvfmt._TIE > 2.0**-46
+        for xi, ei, h, l in zip(x.tolist(), e.tolist(), hi.tolist(), lo.tolist()):
+            exact = Fraction(xi) * Fraction(10) ** (16 - ei)
+            assert abs(Fraction(h) + Fraction(l) - exact) < Fraction(1, 2**46)
+
+    def test_decade_edges_need_no_fallback(self):
+        # Next to a power of ten the log10 estimate can be one off; the
+        # kernel itself must move E, not leave the value to the fallback.
+        tens = np.array([float(f"1e{k}") for k in range(-320, 309)])
+        near = np.array([float(f"9.99999999999999995e{k}")
+                         for k in range(-320, 308)])
+        values = np.concatenate([tens, near] + [
+            np.nextafter(a, to) for a in (tens, near)
+            for to in (0.0, np.inf)])
+        # Exact ties (999999999999999.875 is one) fall back by design.
+        from decimal import Decimal
+        tie = [Decimal(x).normalize().as_tuple().digits[17:] == (5,)
+               for x in values.tolist()]
+        values = values[~np.array(tie)]
+        d, e, fallback = csvfmt._decimal(values)
+        assert not fallback.any()
+        want = [("%.16e" % x).split("e") for x in values.tolist()]
+        assert d.tolist() == [int(m.replace(".", "")) for m, _ in want]
+        assert (e + csvfmt._EMIN).tolist() == [int(x) for _, x in want]
