@@ -32,6 +32,22 @@ step, and the node derivatives A x follow in one batched matmul.  Both
 loops reserve a whole piece in the node store and write its nodes in
 place.
 
+Once its drives are known, a delayed block splits by component: the
+stage d * y + u couples no two components, because everything that mixes
+them went into u ahead of the step (this is the method of steps itself),
+so component c is the scalar recursion y' = d_c(t) y + u_c(t).  For n up
+to _SCALAR_DELAYED_N, _scalar_rk4 runs each component's recursion over
+the block in Python floats, which costs about a quarter of the vector loop
+at n = 3, where some 20 numpy calls a step on arrays of a few values
+spend their time in call overhead.  A Python float is an IEEE double,
+and each float operation rounds once, as a numpy ufunc does each
+element, so with the same operations in the same order every value is
+the vector loop's to the bit, signed zeros, infinities and NaN included.
+Above the crossover (measured near n = 20; the table is at
+_SCALAR_DELAYED_N) the vector loop is faster and stays.  An undelayed
+time-varying piece keeps the vector loop at every n: its A y sums each
+row in gemv's order, which a scalar loop would not reproduce.
+
 Trajectories keep two derivative arrays.  The solution has corners at
 coupling discontinuities, so a node carries the derivative valid to its
 right (derivs) and to its left (derivs_left); they differ only at
@@ -246,6 +262,45 @@ def _matvecs(M: np.ndarray, V: np.ndarray, out=None) -> np.ndarray:
     return np.matmul(M, V[:, :, None], out=out)[:, :, 0]
 
 
+# Delayed pieces with at most this many components step each component as
+# a scalar recursion in Python floats (_scalar_rk4); larger ones step the
+# whole state vector.  Microseconds per step of a 10 s sinusoidal piece at
+# step 0.01 and tau = 1, median of 9 alternating runs, on a shared 2-vCPU
+# x86-64 machine with numpy 2.4 and one BLAS thread:
+#
+#     n         2    3    5    8   12   16   20   24   32   64
+#     vector   27   26   22   24   33   25   33   36   44   88
+#     scalar    7    6    7   10   18   20   29   41   65  318
+_SCALAR_DELAYED_N = 20
+
+
+def _scalar_rk4(x, dx, h, d_mid, u_mid, d_end, u_end, xs, dr):
+    """RK4 steps of the delayed stage f = d * y + u with the drives of a
+    block given, one component at a time: component c of step j only reads
+    column c of the drives, so each column is its own scalar recursion.  The
+    operations and their order are those of the vector loop in _march, and
+    a Python float operation rounds as the numpy ufunc does elementwise, so
+    xs and dr get the vector loop's values to the bit: 0.5 * h * dx there
+    groups as half * k1 here, and its k-sum adds from the left.  Returns
+    copies of the last state and derivative: a view would keep the store's
+    buffer alive after the store outgrows it."""
+    half, sixth = 0.5 * h, h / 6.0
+    for c, (y, k1) in enumerate(zip(x.tolist(), dx.tolist())):
+        ys, ks = [], []
+        for dm, um, de, ue in zip(d_mid[:, c].tolist(), u_mid[:, c].tolist(),
+                                  d_end[:, c].tolist(), u_end[:, c].tolist()):
+            k2 = dm * (y + half * k1) + um
+            k3 = dm * (y + half * k2) + um
+            k4 = de * (y + h * k3) + ue
+            y = y + sixth * (((k1 + 2.0 * k2) + 2.0 * k3) + k4)
+            k1 = de * y + ue
+            ys.append(y)
+            ks.append(k1)
+        xs[:, c] = ys
+        dr[:, c] = ks
+    return xs[-1].copy(), dr[-1].copy()
+
+
 def _drives(A: np.ndarray, xd: np.ndarray, delay_diagonal: bool):
     """Split the stage matrices A[j] for the delayed inputs xd[j]: the
     stage is d[j] * y + u[j] with u[j] = off[j] @ xd[j], where d = diag(A)
@@ -273,18 +328,23 @@ def _march(store: _NodeStore, x: np.ndarray, seg, a: float, grid: np.ndarray,
     with the expressions and the BLAS calls of the per-stage form: the
     batched drives make the gemv call of off @ xd per row, whereas
     XD @ off.T would call gemm, which sums in another order.  Only the
-    stage arithmetic on the state is left to the step loop.  A node's
-    stored derivative is k1 of the step that leaves it."""
+    stage arithmetic on the state is left to the step loop, which on a
+    delayed piece of at most _SCALAR_DELAYED_N components runs as one
+    scalar recursion per component (_scalar_rk4).  A node's stored
+    derivative is k1 of the step that leaves it."""
     xd_nodes, xd_half, delay_diagonal = delayed or (None, None, False)
     node_t = np.concatenate(([a], grid))
     mid_t = node_t[:-1] + 0.5 * h
 
+    def drives(times, xd, rows):
+        return _drives(seg.entries_over(times[rows]), xd[rows], delay_diagonal)
+
     def stage(times, xd, rows):
         # f(times[rows][j], y) as a function of (j, y).
-        A = seg.entries_over(times[rows])
         if xd is None:
+            A = seg.entries_over(times[rows])
             return lambda j, y: A[j] @ y
-        d, u = _drives(A, xd[rows], delay_diagonal)
+        d, u = drives(times, xd, rows)
         return lambda j, y: d[j] * y + u[j]
 
     dx = stage(node_t, xd_nodes, slice(0, 1))(0, x)
@@ -293,8 +353,15 @@ def _march(store: _NodeStore, x: np.ndarray, seg, a: float, grid: np.ndarray,
     ts, xs, dr, dl = store.extend(m)
     ts[:] = grid
     size = max(1, _BLOCK_ENTRIES // x.size ** 2)
+    scalar = delayed is not None and x.size <= _SCALAR_DELAYED_N
     for lo in range(0, m, size):
         hi = min(lo + size, m)
+        if scalar:
+            x, dx = _scalar_rk4(x, dx, h,
+                                *drives(mid_t, xd_half, slice(lo, hi)),
+                                *drives(node_t, xd_nodes, slice(lo + 1, hi + 1)),
+                                xs[lo:hi], dr[lo:hi])
+            continue
         mid = stage(mid_t, xd_half, slice(lo, hi))
         end = stage(node_t, xd_nodes, slice(lo + 1, hi + 1))
         for j in range(hi - lo):
@@ -368,8 +435,10 @@ def _hermite_many(
     """Piecewise cubic Hermite evaluation at an array of query times.
 
     Each interval uses the right derivative of its left node and the left
-    derivative of its right node.  Queries below the grid by at most
-    clamp_slack are clamped to the first node."""
+    derivative of its right node.  Queries past either end of the grid by
+    at most clamp_slack are clamped to that end's node; simulate_dde reads
+    x(t0) this way from a history whose last sample falls short of t0 by up
+    to the slack _coerce_history grants."""
     q = np.asarray(queries, dtype=float)
     lo, hi = times[0], times[-1]
     if np.any(q < lo - clamp_slack) or np.any(q > hi + clamp_slack):

@@ -9,6 +9,8 @@ fully delayed variant d' = -2 d(t - tau) the windows are polynomials:
 d(t) = 2 - 4t on [0, tau], then d(tau) - 4 v + 4 v^2 at v = t - tau.
 """
 
+import contextlib
+import itertools
 import math
 import warnings
 
@@ -31,8 +33,9 @@ from consensus_lab import (
     simulate_ode,
     spread_series,
 )
-from consensus_lab.dynamics import (_BLOCK_ENTRIES, _RK4_DISC_RADIUS, _NodeStore,
-                                    _drives, _march, _pieces)
+from consensus_lab.dynamics import (_BLOCK_ENTRIES, _RK4_DISC_RADIUS,
+                                    _SCALAR_DELAYED_N, _NodeStore, _drives,
+                                    _march, _pieces)
 from consensus_lab.scenario_cli import SinusoidalCoupling
 
 from conftest import (BruteStore, brute_delayed_functional_series, brute_march,
@@ -43,6 +46,13 @@ from conftest import (BruteStore, brute_delayed_functional_series, brute_march,
 
 def rk4_amplification(z):
     return 1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0
+
+
+def _assert_same_bytes(got, want):
+    """Equal to the bit: array_equal would let -0.0 pass for 0.0 and, with
+    equal_nan, one NaN for another."""
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
 
 
 class TestOde:
@@ -196,8 +206,8 @@ class TestOde:
                        derivs_left=states.copy(), meta={})
 
 
-def _sinusoidal(rng, n):
-    base = random_metzler(rng, n).copy()
+def _sinusoidal(rng, n, scale=1.0, **arcs):
+    base = scale * random_metzler(rng, n, **arcs)
     np.fill_diagonal(base, 0.0)
     return SinusoidalCoupling(base, depth=float(rng.uniform(-1.0, 1.0)),
                               period=float(rng.uniform(0.5, 2.0)))
@@ -235,7 +245,7 @@ class TestBlockStepping:
         brute = brute_simulate_ode(sch, x0, 0.0, sch.horizon[1], step=step)
         for got, want in zip((traj.times, traj.states, traj.derivs,
                               traj.derivs_left), brute):
-            assert np.array_equal(got, want)
+            _assert_same_bytes(got, want)
 
     def test_stage_loop_with_delayed_inputs(self, rng):
         n, h = 4, 0.01
@@ -260,15 +270,26 @@ class TestBlockStepping:
                                   piece_rhs(seg, split_delay(False)),
                                   xd_nodes, xd_half)
             a = grid[-1]
-        assert np.array_equal(x, x_brute)
+        _assert_same_bytes(x, x_brute)
         assert store.size == 250 + 150
         for got, want in zip(store.view(), brute.arrays()):
-            assert np.array_equal(got, want)
+            _assert_same_bytes(got, want)
 
 
 def _dde_schedule(rng, kind, n):
     """Pieces of one step (0.01 at step 0.02), of more steps than one block
-    (200 > _BLOCK_ENTRIES // n**2 at n = 5) and in between."""
+    (200 > _BLOCK_ENTRIES // n**2 at n = 5) and in between; or, for
+    "overflowing", alternating constant and sinusoidal pieces with weights
+    near 2000."""
+    if kind == "overflowing":
+        edges = [0.0, 0.3, 1.0, 1.7, 3.0, 4.2, 6.0]
+        pieces = []
+        for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+            entries = 2000.0 * random_metzler(rng, n, density=1.0)
+            if i % 2:
+                entries = _sinusoidal(rng, n, scale=2000.0, density=1.0)
+            pieces.append((lo, hi, entries))
+        return build_schedule(pieces)
     if kind == "constant":
         return constant_schedule(random_metzler(rng, n), 0.0, 8.0)
     if kind == "sinusoidal":
@@ -286,8 +307,7 @@ def _dde_schedule(rng, kind, n):
 def _assert_same_arrays(traj, brute):
     for got, want in zip((traj.times, traj.states, traj.derivs,
                           traj.derivs_left), brute):
-        assert got.shape == want.shape
-        assert np.array_equal(got, want)
+        _assert_same_bytes(got, want)
 
 
 class TestDdeStages:
@@ -296,21 +316,40 @@ class TestDdeStages:
     oracle of conftest steps one stage at a time through entries_at, with
     two Hermite reads per piece.  All four arrays must agree to the bit."""
 
-    @pytest.mark.parametrize("delay_diagonal", [False, True])
-    @pytest.mark.parametrize("tau", [0.07, 4.5])
-    @pytest.mark.parametrize("kind", ["constant", "switching", "sinusoidal",
-                                      "mixed"])
-    def test_matches_per_stage_oracle(self, rng, kind, tau, delay_diagonal):
-        # tau = 0.07 lies below one piece; a window of tau = 4.5 spans
-        # several pieces and a piece or window of more than one block.
-        n = 5
+    @pytest.mark.parametrize("n", [2, 5, _SCALAR_DELAYED_N + 1])
+    @pytest.mark.parametrize("kind, tau, delay_diagonal", [
+        *itertools.product(["constant", "switching", "sinusoidal", "mixed"],
+                           [0.07, 4.5], [False, True]),
+        ("overflowing", 0.5, False),
+    ])
+    def test_matches_per_stage_oracle(self, rng, kind, tau, delay_diagonal, n):
+        # n = 2 and 5 step each component as a scalar recursion, and
+        # _SCALAR_DELAYED_N + 1 the whole vector.  tau = 0.07 lies below one
+        # piece; a window of tau = 4.5 spans several pieces and a piece or
+        # window of more than one block, which at n = 2 (blocks of 1024
+        # steps) takes a finer step.  The overflowing schedule has h M in
+        # the hundreds: its states and derivatives reach inf and then NaN,
+        # and must still match byte for byte.
         sch = _dde_schedule(rng, kind, n)
         x0 = rng.uniform(-1.0, 1.0, n)
-        traj = simulate_dde(sch, tau, x0, 0.0, 8.0, step=0.02,
-                            delay_diagonal=delay_diagonal)
-        assert _BLOCK_ENTRIES // n**2 < 200  # steps of the longest pieces
-        _assert_same_arrays(traj, brute_simulate_dde(
-            sch, tau, x0, 0.0, 8.0, step=0.02, delay_diagonal=delay_diagonal))
+        t1 = sch.horizon[1]
+        if kind == "overflowing":
+            step = 0.1
+            expected = pytest.warns(StepTooLargeWarning)
+        else:
+            step = 0.02 if n > 2 else 0.0025
+            assert _BLOCK_ENTRIES // n**2 < 4.0 / step  # steps of the longest pieces
+            expected = contextlib.nullcontext()
+        with expected:
+            traj = simulate_dde(sch, tau, x0, 0.0, t1, step=step,
+                                delay_diagonal=delay_diagonal)
+        if kind == "overflowing":
+            assert np.isinf(np.concatenate((traj.states, traj.derivs))).any()
+            assert np.isnan(traj.states).any()
+        with np.errstate(over="ignore", invalid="ignore"):
+            brute = brute_simulate_dde(sch, tau, x0, 0.0, t1, step=step,
+                                       delay_diagonal=delay_diagonal)
+        _assert_same_arrays(traj, brute)
 
     @pytest.mark.parametrize("delay_diagonal", [False, True])
     def test_matches_oracle_from_a_varying_history(self, rng, delay_diagonal):
