@@ -32,21 +32,10 @@ step, and the node derivatives A x follow in one batched matmul.  Both
 loops reserve a whole piece in the node store and write its nodes in
 place.
 
-Once its drives are known, a delayed block splits by component: the
-stage d * y + u couples no two components, because everything that mixes
-them went into u ahead of the step (this is the method of steps itself),
-so component c is the scalar recursion y' = d_c(t) y + u_c(t).  For n up
-to _SCALAR_DELAYED_N, _scalar_rk4 runs each component's recursion over
-the block in Python floats, which costs about a quarter of the vector loop
-at n = 3, where some 20 numpy calls a step on arrays of a few values
-spend their time in call overhead.  A Python float is an IEEE double,
-and each float operation rounds once, as a numpy ufunc does each
-element, so with the same operations in the same order every value is
-the vector loop's to the bit, signed zeros, infinities and NaN included.
-Above the crossover (measured near n = 20; the table is at
-_SCALAR_DELAYED_N) the vector loop is faster and stays.  An undelayed
-time-varying piece keeps the vector loop at every n: its A y sums each
-row in gemv's order, which a scalar loop would not reproduce.
+Once its drives are known, a delayed block splits by component, and
+_scalar_rk4 steps each component in Python floats with the bits of the
+vector stage d * y + u; an undelayed time-varying piece keeps the vector
+loop, whose A y sums in gemv's order.
 
 Trajectories keep two derivative arrays.  The solution has corners at
 coupling discontinuities, so a node carries the derivative valid to its
@@ -262,33 +251,39 @@ def _matvecs(M: np.ndarray, V: np.ndarray, out=None) -> np.ndarray:
     return np.matmul(M, V[:, :, None], out=out)[:, :, 0]
 
 
-# Delayed pieces with at most this many components step each component as
-# a scalar recursion in Python floats (_scalar_rk4); larger ones step the
-# whole state vector.  Microseconds per step of a 10 s sinusoidal piece at
-# step 0.01 and tau = 1, median of 9 alternating runs, on a shared 2-vCPU
-# x86-64 machine with numpy 2.4 and one BLAS thread:
+# Microseconds per step of a 20 s delayed sinusoidal piece at step 0.01
+# and tau = 1, median of 15 runs in 3 alternating processes per kernel, on
+# a shared 2-vCPU x86-64 machine with numpy 2.4 and one BLAS thread: the
+# stage d * y + u stepped on numpy vectors (the undelayed loop of _march
+# with that stage), and _scalar_rk4:
 #
 #     n         2    3    5    8   12   16   20   24   32   64
-#     vector   27   26   22   24   33   25   33   36   44   88
-#     scalar    7    6    7   10   18   20   29   41   65  318
-_SCALAR_DELAYED_N = 20
-
-
+#     vector   23   25   24   23   26   29   31   31   44   80
+#     scalar    5    6    8   10   16   21   25   37   50  187
 def _scalar_rk4(x, dx, h, d_mid, u_mid, d_end, u_end, xs, dr):
     """RK4 steps of the delayed stage f = d * y + u with the drives of a
-    block given, one component at a time: component c of step j only reads
-    column c of the drives, so each column is its own scalar recursion.  The
-    operations and their order are those of the vector loop in _march, and
-    a Python float operation rounds as the numpy ufunc does elementwise, so
-    xs and dr get the vector loop's values to the bit: 0.5 * h * dx there
-    groups as half * k1 here, and its k-sum adds from the left.  Returns
-    copies of the last state and derivative: a view would keep the store's
-    buffer alive after the store outgrows it."""
+    block given, one component at a time.  Everything that mixes the
+    components went into u ahead of the step (the method of steps), so
+    component c of step j only reads column c of the drives, and each
+    column is the scalar recursion y' = d_c(t) y + u_c(t).  The operations
+    and their order are those of the vector loop in _march with the stage
+    d * y + u (0.5 * h * dx there groups as half * k1 here, and the k-sum
+    adds from the left).  A Python float is an IEEE double and each
+    operation rounds once, as a numpy ufunc does each element, so xs and dr
+    get the vector form's values to the bit, signed zeros, infinities and
+    NaN included.  On a few components this skips some 20 numpy calls a
+    step on arrays of a few values; the cost grows with n and passes the
+    vector form's near n = 20 (table above), which no delayed run of the
+    benchmark reaches.  Returns copies of the last state and
+    derivative: a view would keep the store's buffer alive after the store
+    outgrows it."""
     half, sixth = 0.5 * h, h / 6.0
-    for c, (y, k1) in enumerate(zip(x.tolist(), dx.tolist())):
+    xcols, dcols = [], []
+    for y, k1, dms, ums, des, ues in zip(
+            x.tolist(), dx.tolist(), d_mid.T.tolist(), u_mid.T.tolist(),
+            d_end.T.tolist(), u_end.T.tolist()):
         ys, ks = [], []
-        for dm, um, de, ue in zip(d_mid[:, c].tolist(), u_mid[:, c].tolist(),
-                                  d_end[:, c].tolist(), u_end[:, c].tolist()):
+        for dm, um, de, ue in zip(dms, ums, des, ues):
             k2 = dm * (y + half * k1) + um
             k3 = dm * (y + half * k2) + um
             k4 = de * (y + h * k3) + ue
@@ -296,8 +291,10 @@ def _scalar_rk4(x, dx, h, d_mid, u_mid, d_end, u_end, xs, dr):
             k1 = de * y + ue
             ys.append(y)
             ks.append(k1)
-        xs[:, c] = ys
-        dr[:, c] = ks
+        xcols.append(ys)
+        dcols.append(ks)
+    xs.T[:] = xcols
+    dr.T[:] = dcols
     return xs[-1].copy(), dr[-1].copy()
 
 
@@ -329,9 +326,9 @@ def _march(store: _NodeStore, x: np.ndarray, seg, a: float, grid: np.ndarray,
     batched drives make the gemv call of off @ xd per row, whereas
     XD @ off.T would call gemm, which sums in another order.  Only the
     stage arithmetic on the state is left to the step loop, which on a
-    delayed piece of at most _SCALAR_DELAYED_N components runs as one
-    scalar recursion per component (_scalar_rk4).  A node's stored
-    derivative is k1 of the step that leaves it."""
+    delayed piece runs as one scalar recursion per component
+    (_scalar_rk4).  A node's stored derivative is k1 of the step that
+    leaves it."""
     xd_nodes, xd_half, delay_diagonal = delayed or (None, None, False)
     node_t = np.concatenate(([a], grid))
     mid_t = node_t[:-1] + 0.5 * h
@@ -339,37 +336,32 @@ def _march(store: _NodeStore, x: np.ndarray, seg, a: float, grid: np.ndarray,
     def drives(times, xd, rows):
         return _drives(seg.entries_over(times[rows]), xd[rows], delay_diagonal)
 
-    def stage(times, xd, rows):
-        # f(times[rows][j], y) as a function of (j, y).
-        if xd is None:
-            A = seg.entries_over(times[rows])
-            return lambda j, y: A[j] @ y
-        d, u = drives(times, xd, rows)
-        return lambda j, y: d[j] * y + u[j]
-
-    dx = stage(node_t, xd_nodes, slice(0, 1))(0, x)
+    if delayed is None:
+        dx = seg.entries_over(node_t[:1])[0] @ x
+    else:
+        d, u = drives(node_t, xd_nodes, slice(0, 1))
+        dx = d[0] * x + u[0]
     store.patch_right(dx)
     m = len(grid)
     ts, xs, dr, dl = store.extend(m)
     ts[:] = grid
     size = max(1, _BLOCK_ENTRIES // x.size ** 2)
-    scalar = delayed is not None and x.size <= _SCALAR_DELAYED_N
     for lo in range(0, m, size):
         hi = min(lo + size, m)
-        if scalar:
+        if delayed is not None:
             x, dx = _scalar_rk4(x, dx, h,
                                 *drives(mid_t, xd_half, slice(lo, hi)),
                                 *drives(node_t, xd_nodes, slice(lo + 1, hi + 1)),
                                 xs[lo:hi], dr[lo:hi])
             continue
-        mid = stage(mid_t, xd_half, slice(lo, hi))
-        end = stage(node_t, xd_nodes, slice(lo + 1, hi + 1))
+        mid = seg.entries_over(mid_t[lo:hi])
+        end = seg.entries_over(node_t[lo + 1:hi + 1])
         for j in range(hi - lo):
-            k2 = mid(j, x + 0.5 * h * dx)
-            k3 = mid(j, x + 0.5 * h * k2)
-            k4 = end(j, x + h * k3)
+            k2 = mid[j] @ (x + 0.5 * h * dx)
+            k3 = mid[j] @ (x + 0.5 * h * k2)
+            k4 = end[j] @ (x + h * k3)
             xs[lo + j] = x = x + (h / 6.0) * (dx + 2.0 * k2 + 2.0 * k3 + k4)
-            dr[lo + j] = dx = end(j, x)
+            dr[lo + j] = dx = end[j] @ x
     dl[:] = dr
     return x
 

@@ -34,8 +34,7 @@ from consensus_lab import (
     spread_series,
 )
 from consensus_lab.dynamics import (_BLOCK_ENTRIES, _RK4_DISC_RADIUS,
-                                    _SCALAR_DELAYED_N, _NodeStore, _drives,
-                                    _march, _pieces)
+                                    _NodeStore, _drives, _march, _pieces)
 from consensus_lab.scenario_cli import SinusoidalCoupling
 
 from conftest import (BruteStore, brute_delayed_functional_series, brute_march,
@@ -316,18 +315,17 @@ class TestDdeStages:
     oracle of conftest steps one stage at a time through entries_at, with
     two Hermite reads per piece.  All four arrays must agree to the bit."""
 
-    @pytest.mark.parametrize("n", [2, 5, _SCALAR_DELAYED_N + 1])
+    @pytest.mark.parametrize("n", [2, 5, 21])
     @pytest.mark.parametrize("kind, tau, delay_diagonal", [
         *itertools.product(["constant", "switching", "sinusoidal", "mixed"],
                            [0.07, 4.5], [False, True]),
         ("overflowing", 0.5, False),
     ])
     def test_matches_per_stage_oracle(self, rng, kind, tau, delay_diagonal, n):
-        # n = 2 and 5 step each component as a scalar recursion, and
-        # _SCALAR_DELAYED_N + 1 the whole vector.  tau = 0.07 lies below one
-        # piece; a window of tau = 4.5 spans several pieces and a piece or
-        # window of more than one block, which at n = 2 (blocks of 1024
-        # steps) takes a finer step.  The overflowing schedule has h M in
+        # tau = 0.07 lies below one piece; a window of tau = 4.5 spans
+        # several pieces and a piece or window of more than one block,
+        # which at n = 2 (blocks of 1024 steps) takes a finer step; at
+        # n = 21 a block is 9 steps.  The overflowing schedule has h M in
         # the hundreds: its states and derivatives reach inf and then NaN,
         # and must still match byte for byte.
         sch = _dde_schedule(rng, kind, n)
