@@ -42,7 +42,6 @@ from .metzler_core import (
     CouplingMatrix,
     CouplingSchedule,
     IntegratedCoupling,
-    Segment,
     SinusoidalCoupling,
     build_schedule,
     constant_schedule,
@@ -54,12 +53,8 @@ from .metzler_core import (
     validate_coupling_matrix,
 )
 from .digraph import (
-    Digraph,
     WindowConnectivityReport,
-    delta_digraph,
-    reachable_set,
     root_masks,
-    root_nodes,
     window_connectivity_report,
 )
 from .dynamics import (

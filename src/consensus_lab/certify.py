@@ -18,6 +18,9 @@ report states explicitly.
 
 All interval arithmetic here is analytic; the trajectory enters only as a
 witness that each predicted bracket actually contains the simulated values.
+The caller hands that trajectory in: verify_lemma_on_trajectory checks one
+window of it and contraction_certificate chains n - 1 windows along it,
+both through the same stage function, _window_stage.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .digraph import scan_windows
-from .dynamics import Trajectory, interpolate_state, simulate_ode
+from .dynamics import Trajectory, interpolate_state
 from .errors import (
     DegenerateSeries,
     HypothesisUnverified,
@@ -132,16 +135,32 @@ def lemma_intervals(
     return g_out, h_out
 
 
-def _interval_union(a, b):
-    return (min(a[0], b[0]), max(a[1], b[1]))
-
-
 def _inside(value: float, interval, slack: float) -> bool:
     return interval[0] - slack <= value <= interval[1] + slack
 
 
 def _trap_margin(value: float, interval) -> float:
     return min(value - interval[0], interval[1] - value)
+
+
+def _window_stage(pc: PartitionCoupling, mu, bracket, x_end, slack: float):
+    """The one-window lemma for the partition pc, witnessed at the window
+    end.
+
+    mu bounds the whole state and bracket the group at the window start.
+    Returns (beta, group bracket, trap bracket, group_within, trapped):
+    group_within says whether every group member of x_end lies inside the
+    group bracket, and trapped lists (node, margin) for each complement
+    node of x_end inside the trap bracket, deepest first.
+    """
+    g_out, h_out = lemma_intervals(pc, mu, bracket)
+    group_within = all(
+        _inside(float(x_end[k - 1]), g_out, slack) for k in pc.group)
+    trapped = sorted(
+        ((node, _trap_margin(float(x_end[node - 1]), h_out))
+         for node in pc.rest if _inside(float(x_end[node - 1]), h_out, slack)),
+        key=lambda item: (-item[1], item[0]))
+    return beta_factor(pc), g_out, h_out, group_within, trapped
 
 
 @dataclass(frozen=True)
@@ -183,28 +202,19 @@ def verify_lemma_on_trajectory(
         raise OutOfHorizon(
             f"window [{t_start}, {t_end}] outside trajectory "
             f"[{trajectory.t_start}, {trajectory.t_end}]")
-    window = integrate_schedule(schedule, t_start, T)
-    pc = coupling_numbers(window, group)
+    pc = coupling_numbers(integrate_schedule(schedule, t_start, T), group)
     x_start = interpolate_state(trajectory, t_start)
-    x_end = interpolate_state(trajectory, t_end)
     mu = (float(x_start.min()), float(x_start.max()))
-    gi = np.array(pc.group) - 1
-    hi = np.array(pc.rest) - 1
-    g0 = (float(x_start[gi].min()), float(x_start[gi].max()))
+    members = x_start[np.array(pc.group) - 1]
+    g0 = (float(members.min()), float(members.max()))
     if slack is None:
         slack = DEFAULT_SLACK_FACTOR * (1.0 + mu[1] - mu[0])
-    g_out, h_out = lemma_intervals(pc, mu, g0)
-    beta = beta_factor(pc)
-    group_ok = all(_inside(float(x_end[i]), g_out, slack) for i in gi)
+    beta, g_out, h_out, group_ok, trapped = _window_stage(
+        pc, mu, g0, interpolate_state(trajectory, t_end), slack)
     mask = (trajectory.times >= t_start - 1e-12) & (trajectory.times <= t_end + 1e-12)
     inner = trajectory.states[mask]
     range_ok = bool(inner.size == 0 or (
         inner.min() >= mu[0] - slack and inner.max() <= mu[1] + slack))
-    trapped = sorted(
-        (int(node) for node in pc.rest
-         if _inside(float(x_end[node - 1]), h_out, slack)),
-        key=lambda node: (-_trap_margin(float(x_end[node - 1]), h_out), node),
-    )
     return LemmaReport(
         window=(float(t_start), float(t_end)),
         coupling=pc,
@@ -215,7 +225,7 @@ def verify_lemma_on_trajectory(
         h_interval=h_out,
         group_within=group_ok,
         range_contained=range_ok,
-        trapped=tuple(trapped),
+        trapped=tuple(node for node, _ in trapped),
         slack=float(slack),
         passed=bool(group_ok and range_ok and trapped),
     )
@@ -267,17 +277,17 @@ class CertificateReport:
 
 def contraction_certificate(
     schedule: CouplingSchedule,
-    x0,
+    trajectory: Trajectory,
     t0: float,
     T: float,
     delta: float,
     root: int,
-    step=None,
     verify_hypothesis: bool = True,
     slack_factor: float = DEFAULT_SLACK_FACTOR,
 ) -> CertificateReport:
     """Chain n - 1 window brackets from a root node into a spread
-    contraction, and witness every stage on a simulated trajectory.
+    contraction, and witness every stage on the given trajectory of the
+    schedule, which must cover [t0, t0 + (n - 1) T].
 
     The stage windows are integrated, and their roots found, a block at a
     time (digraph.scan_windows).  Each stage checks (when verify_hypothesis
@@ -297,17 +307,17 @@ def contraction_certificate(
     if T <= 0.0:
         raise ValueError(f"window length must be positive, got {T}")
     span_end = t0 + (n - 1) * T
-    lo, hi = schedule.horizon
-    if t0 < lo - 1e-12 or span_end > hi + 1e-12:
-        raise OutOfHorizon(
-            f"certificate span [{t0}, {span_end}] outside schedule "
-            f"horizon [{lo}, {hi}]")
+    for name, (lo, hi) in (("schedule horizon", schedule.horizon),
+                           ("trajectory", (trajectory.t_start, trajectory.t_end))):
+        if t0 < lo - 1e-12 or span_end > hi + 1e-12:
+            raise OutOfHorizon(
+                f"certificate span [{t0}, {span_end}] outside {name} "
+                f"[{lo}, {hi}]")
 
-    x0 = np.asarray(x0, dtype=float)
+    x0 = interpolate_state(trajectory, t0)
     mu = (float(x0.min()), float(x0.max()))
     v0 = mu[1] - mu[0]
     slack = slack_factor * (1.0 + v0)
-    trajectory = simulate_ode(schedule, x0, t0, span_end, step) if n > 1 else None
 
     group = [root]
     bracket = (float(x0[root - 1]), float(x0[root - 1]))
@@ -324,31 +334,22 @@ def contraction_certificate(
                 f"delta-digraph of the window [{w_start}, {w_start + T}] "
                 f"integral at threshold {delta}")
         pc = coupling_numbers(window, group)
-        beta = beta_factor(pc)
+        beta, g_out, h_out, group_ok, trapped = _window_stage(
+            pc, mu, bracket, interpolate_state(trajectory, w_start + T), slack)
         if beta <= 0.0:
             raise NoTrappedComponent(
                 s,
                 f"trap factor vanished (integrated coupling into the "
                 f"complement was {pc.a_hg}); nothing is pulled toward the "
                 f"group over [{w_start}, {w_start + T}]")
-        g_out, h_out = lemma_intervals(pc, mu, bracket)
-        x_end = interpolate_state(trajectory, w_start + T)
-        candidates = [
-            (node, _trap_margin(float(x_end[node - 1]), h_out))
-            for node in pc.rest
-            if _inside(float(x_end[node - 1]), h_out, slack)
-        ]
-        if not candidates:
+        if not trapped:
             raise NoTrappedComponent(
                 s,
                 f"no complement node ended inside the trap bracket "
                 f"[{h_out[0]}, {h_out[1]}] (slack {slack}) at time "
                 f"{w_start + T}")
-        candidates.sort(key=lambda item: (-item[1], item[0]))
-        promoted, margin = candidates[0]
-        new_bracket = _interval_union(g_out, h_out)
-        group_ok = all(
-            _inside(float(x_end[i - 1]), g_out, slack) for i in group)
+        promoted, margin = trapped[0]
+        new_bracket = (min(g_out[0], h_out[0]), max(g_out[1], h_out[1]))
         all_within = all_within and group_ok
         stages.append(StageReport(
             index=s,
@@ -372,11 +373,8 @@ def contraction_certificate(
     # log1p keeps the rate positive when prod(beta) underflows 1 - rho,
     # which happens for very weakly coupled stages (rho rounds to 1.0).
     rate = -math.log1p(-beta_product) / ((n - 1) * T) if n > 1 else math.inf
-    if trajectory is not None:
-        x_final = interpolate_state(trajectory, span_end)
-        observed_end = float(x_final.max() - x_final.min())
-    else:
-        observed_end = 0.0
+    x_final = interpolate_state(trajectory, span_end)
+    observed_end = float(x_final.max() - x_final.min())
     observed = observed_end / v0 if v0 > 0.0 else 0.0
     contracted = observed_end <= rho * v0 + slack
     return CertificateReport(

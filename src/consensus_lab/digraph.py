@@ -7,10 +7,10 @@ which every node can be reached along arcs; persistent root nodes of window
 integrals are what the contraction certificate feeds on.
 
 root_masks finds the roots of a whole stack of matrices with one batched
-boolean closure.  scan_windows feeds it window integrals from
-metzler_core.integrate_windows in blocks of at most 2**15 matrix entries,
-which bounds the memory of a scan; the connectivity scan and the
-certificate both read their windows from it.
+boolean closure; one matrix is a stack of one.  scan_windows feeds it
+window integrals from metzler_core.integrate_windows in blocks of at most
+2**15 matrix entries, which bounds the memory of a scan; the connectivity
+scan and the certificate both read their windows from it.
 """
 
 from __future__ import annotations
@@ -19,57 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NegativeThreshold, NodeOutOfRange
-from .metzler_core import CouplingSchedule, coupling_entries, integrate_windows
-
-
-@dataclass(frozen=True, eq=True)
-class Digraph:
-    """Directed graph on nodes 1..n; arcs are (tail, head) pairs."""
-
-    n: int
-    arcs: frozenset
-
-    def successors(self, l: int) -> set:
-        return {k for (tail, k) in self.arcs if tail == l}
-
-
-def delta_digraph(matrix, delta: float = 0.0) -> Digraph:
-    """Arc from l to k iff entry (k, l) > delta, strictly.  No tolerance:
-    the threshold semantics deliberately keep the comparison exact."""
-    if delta < 0.0:
-        raise NegativeThreshold(f"threshold must be >= 0, got {delta!r}")
-    entries = coupling_entries(matrix)
-    n = entries.shape[0]
-    above = entries > delta
-    np.fill_diagonal(above, False)
-    heads, tails = np.nonzero(above)
-    return Digraph(n=n, arcs=frozenset(zip((tails + 1).tolist(),
-                                           (heads + 1).tolist())))
-
-
-def _check_node(g: Digraph, k: int):
-    if not (1 <= k <= g.n):
-        raise NodeOutOfRange(f"node {k} outside 1..{g.n}")
-
-
-def reachable_set(g: Digraph, k: int) -> set:
-    """Nodes reachable from k along arcs, k itself included (BFS)."""
-    _check_node(g, k)
-    adjacency = {node: [] for node in range(1, g.n + 1)}
-    for tail, head in g.arcs:
-        adjacency[tail].append(head)
-    seen = {k}
-    frontier = [k]
-    while frontier:
-        nxt = []
-        for node in frontier:
-            for head in adjacency[node]:
-                if head not in seen:
-                    seen.add(head)
-                    nxt.append(head)
-        frontier = nxt
-    return seen
+from .errors import NegativeThreshold
+from .metzler_core import CouplingSchedule, integrate_windows
 
 
 def root_masks(stack, delta: float = 0.0) -> np.ndarray:
@@ -90,20 +41,6 @@ def root_masks(stack, delta: float = 0.0) -> np.ndarray:
     for _ in range((n - 1).bit_length()):
         reach = (reach @ reach > 0.0).astype(np.float32)
     return reach.all(axis=-1)
-
-
-def root_nodes(g: Digraph) -> set:
-    """Nodes from which every node is reachable.  May be empty.
-
-    The one-graph case of root_masks: arc l -> k becomes entry (k, l) = 1 of
-    a matrix whose 0-digraph is g.  The closure coincides with running
-    reachable_set from every node.
-    """
-    entries = np.zeros((1, g.n, g.n))
-    if g.arcs:
-        tails, heads = np.array(list(g.arcs)).T
-        entries[0, heads - 1, tails - 1] = 1.0
-    return {k + 1 for k in np.flatnonzero(root_masks(entries)[0]).tolist()}
 
 
 # Window integrals are built and closed at most this many matrix entries at

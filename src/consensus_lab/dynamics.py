@@ -141,24 +141,24 @@ def _advise_on_step(h: float, bound: float):
 
 
 def _pieces(schedule: CouplingSchedule, t0: float, t1: float):
-    """Yield (a, b, segment) covering [t0, t1], cut at schedule breakpoints.
+    """Yield (a, b, i) covering [t0, t1] with schedule piece i, cut at the
+    schedule breakpoints.
 
-    The scan starts at the segment that holds t0, found by bisection, or at
+    The scan starts at the piece that holds t0, found by bisection, or at
     an earlier one whose end still passes t0 (joins may overlap by the
-    schedule's join tolerance), and stops at the first segment that starts
+    schedule's join tolerance), and stops at the first piece that starts
     at or after t1."""
-    segments = schedule.segments
-    k = max(bisect.bisect_right(schedule.start_times, t0) - 1, 0)
-    while k > 0 and segments[k - 1].t_end > t0:
+    starts, ends = schedule.starts.tolist(), schedule.ends.tolist()
+    k = max(bisect.bisect_right(starts, t0) - 1, 0)
+    while k > 0 and ends[k - 1] > t0:
         k -= 1
-    for i in range(k, len(segments)):
-        seg = segments[i]
-        if seg.t_start >= t1:
+    for i in range(k, len(starts)):
+        if starts[i] >= t1:
             break
-        a = max(t0, seg.t_start)
-        b = min(t1, seg.t_end)
+        a = max(t0, starts[i])
+        b = min(t1, ends[i])
         if b - a > 1e-15 * max(1.0, abs(b)):
-            yield a, b, seg
+            yield a, b, i
 
 
 def _check_horizon(schedule: CouplingSchedule, t0: float, t1: float):
@@ -312,10 +312,11 @@ def _drives(A: np.ndarray, xd: np.ndarray, delay_diagonal: bool):
     return A.diagonal(axis1=1, axis2=2), _matvecs(off, xd)
 
 
-def _march(store: _NodeStore, x: np.ndarray, seg, a: float, grid: np.ndarray,
-           h: float, delayed=None) -> np.ndarray:
+def _march(store: _NodeStore, x: np.ndarray, schedule: CouplingSchedule,
+           piece: int, a: float, grid: np.ndarray, h: float,
+           delayed=None) -> np.ndarray:
     """Classical RK4 from the last stored node (a, x) through grid, over
-    the schedule piece seg; node 0 is a and node i + 1 is grid[i].
+    the given schedule piece; node 0 is a and node i + 1 is grid[i].
 
     Undelayed (delayed None), f(t, y) = A(t) y.  Otherwise delayed is
     (xd_nodes, xd_half, delay_diagonal): xd_nodes[i] is x(t - tau) at node
@@ -334,10 +335,11 @@ def _march(store: _NodeStore, x: np.ndarray, seg, a: float, grid: np.ndarray,
     mid_t = node_t[:-1] + 0.5 * h
 
     def drives(times, xd, rows):
-        return _drives(seg.entries_over(times[rows]), xd[rows], delay_diagonal)
+        return _drives(schedule.entries_over(piece, times[rows]), xd[rows],
+                       delay_diagonal)
 
     if delayed is None:
-        dx = seg.entries_over(node_t[:1])[0] @ x
+        dx = schedule.entries_over(piece, node_t[:1])[0] @ x
     else:
         d, u = drives(node_t, xd_nodes, slice(0, 1))
         dx = d[0] * x + u[0]
@@ -354,8 +356,8 @@ def _march(store: _NodeStore, x: np.ndarray, seg, a: float, grid: np.ndarray,
                                 *drives(node_t, xd_nodes, slice(lo + 1, hi + 1)),
                                 xs[lo:hi], dr[lo:hi])
             continue
-        mid = seg.entries_over(mid_t[lo:hi])
-        end = seg.entries_over(node_t[lo + 1:hi + 1])
+        mid = schedule.entries_over(piece, mid_t[lo:hi])
+        end = schedule.entries_over(piece, node_t[lo + 1:hi + 1])
         for j in range(hi - lo):
             k2 = mid[j] @ (x + 0.5 * h * dx)
             k3 = mid[j] @ (x + 0.5 * h * k2)
@@ -389,20 +391,20 @@ def simulate_ode(
 
     store = _NodeStore(n)
     store.append(t0, x, evaluate_schedule(schedule, t0).entries @ x)
-    for a, b, seg in _pieces(schedule, t0, t1):
+    for a, b, i in _pieces(schedule, t0, t1):
         m, h, grid = _substeps(a, b, h_target)
-        if seg.is_constant:
-            A = seg.generator.entries
+        if schedule.constant[i]:
+            A = schedule.couplings[i]
             store.patch_right(A @ x)
             phi = _rk4_transfer(A, h)
             ts, xs, dr, dl = store.extend(m)
             ts[:] = grid
-            for i in range(m):
-                xs[i] = x = phi @ x
+            for j in range(m):
+                xs[j] = x = phi @ x
             _matvecs(A, xs, out=dr)
             dl[:] = dr
         else:
-            x = _march(store, x, seg, a, grid, h)
+            x = _march(store, x, schedule, i, a, grid, h)
     meta = {
         "method": "rk4",
         "requested_step": step,
@@ -581,16 +583,16 @@ def simulate_dde(
         # pieces, and since each query row is computed on its own, the batch
         # changes no value.
         pieces, queries = [], []
-        for a, b, seg in _pieces(schedule, w0, w1):
+        for a, b, i in _pieces(schedule, w0, w1):
             _, h, grid = _substeps(a, b, h_target)
-            pieces.append((seg, a, grid, h))
+            pieces.append((i, a, grid, h))
             queries += [np.concatenate(([a], grid)) - tau, (grid - 0.5 * h) - tau]
         # A last window too short for _pieces to resolve at t has no piece.
         if pieces:
             xd = interp(np.concatenate(queries), store.view())
             xd = np.split(xd, np.cumsum([len(q) for q in queries])[:-1])
-        for k, (seg, a, grid, h) in enumerate(pieces):
-            x = _march(store, x, seg, a, grid, h,
+        for k, (i, a, grid, h) in enumerate(pieces):
+            x = _march(store, x, schedule, i, a, grid, h,
                        (xd[2 * k], xd[2 * k + 1], delay_diagonal))
         w0 = w1
     meta = {

@@ -454,11 +454,11 @@ def weighted_invariance_check(
     if np.any(weights < 0.0):
         raise NegativeWeight("weight vector must be non-negative")
     residual = 0.0
-    for seg in schedule.segments:
-        r = float(np.max(np.abs(weights @ seg.coupling.entries)))
+    for t_start, coupling in zip(schedule.starts.tolist(), schedule.couplings):
+        r = float(np.max(np.abs(weights @ coupling)))
         residual = max(residual, r)
         if r > 1e-9:
-            raise BalanceViolated(seg.t_start, r)
+            raise BalanceViolated(t_start, r)
     reports = []
     for fname in sorted(CONVEX_REGISTRY):
         reports.append(

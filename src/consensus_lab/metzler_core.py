@@ -2,16 +2,20 @@
 
 The basic object is an n-by-n real matrix with non-negative off-diagonal
 entries whose rows sum to zero: row k holds the rates at which component k is
-attracted towards the others, and the diagonal entry balances the row.  A
-schedule assembles such matrices into a bounded piecewise map t -> A(t),
-right-continuous at its breakpoints.  Each piece is a fixed coupling B times
-a scalar profile: c = 1 on a constant piece, c(t) = 1 + d sin(2 pi t / P)
-on a SinusoidalCoupling, so A(t) = c(t) B.  Window integrals of a schedule
-are the raw material for the connectivity and contraction analyses
-elsewhere in the package; a piece adds B times the integral of its profile,
-which is closed form.  integrate_windows builds them as one (w, n, n)
-stack, walking all windows through the schedule pieces together and
-validating the stack in one pass; integrate_schedule is its one-window case.
+attracted towards the others, and the diagonal entry balances the row.
+validate_coupling_matrix and from_offdiagonal check one such matrix or a
+(k, n, n) stack of them in one pass.  A schedule assembles such matrices
+into a bounded piecewise map t -> A(t), right-continuous at its breakpoints.
+Each piece is a fixed coupling B times a scalar profile: c = 1 on a
+constant piece, c(t) = 1 + d sin(2 pi t / P) on a SinusoidalCoupling, so
+A(t) = c(t) B, and a schedule holds its pieces as arrays: the breakpoints,
+one read-only stack of the couplings B and the profile parameters.  Window
+integrals of a schedule are the raw material for the connectivity and
+contraction analyses elsewhere in the package; a piece adds B times the
+integral of its profile, which is closed form.  integrate_windows builds
+them as one (w, n, n) stack, walking all windows through the schedule
+pieces together and validating the stack in one pass; integrate_schedule is
+its one-window case.
 """
 
 from __future__ import annotations
@@ -19,8 +23,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Union
+from typing import Iterable
 
 import numpy as np
 
@@ -37,25 +40,21 @@ from .errors import (
 DEFAULT_ROW_TOL = 1e-12
 
 
-def _as_square_array(entries) -> np.ndarray:
+def _as_matrices(entries, ndims=(2, 3)) -> np.ndarray:
+    """entries as a float array: one square matrix, or a (k, n, n) stack
+    when 3 is among ndims."""
     arr = np.array(entries, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+    if arr.ndim not in ndims or arr.shape[-1] != arr.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    if arr.shape[0] < 1:
+    if arr.shape[-1] < 1:
         raise ValueError("matrix must have at least one row")
     return arr
 
 
-def _row_tolerance(arr: np.ndarray, tol_row: float) -> float:
-    # Absolute tolerance, scaled up when entries are large so that the check
-    # stays meaningful after long-window integration.
-    scale = float(np.max(np.abs(arr))) if arr.size else 0.0
-    return tol_row * max(1.0, scale)
-
-
 @dataclass(frozen=True, eq=False)
 class CouplingMatrix:
-    """Validated coupling matrix (off-diagonal >= 0, zero row sums)."""
+    """Validated coupling matrix (off-diagonal >= 0, zero row sums), or a
+    (k, n, n) stack of them."""
 
     n: int
     entries: np.ndarray
@@ -65,54 +64,91 @@ class CouplingMatrix:
         self.entries.setflags(write=False)
 
 
-def validate_coupling_matrix(entries, tol_row: float = DEFAULT_ROW_TOL) -> CouplingMatrix:
-    """Check the sign pattern and row sums; return the wrapped matrix.
+def _raise_fault(arr: np.ndarray, tol_row: float):
+    """Raise the first fault of one matrix, if it has one.
 
-    Raises NonFiniteEntry on a NaN or infinite entry, NegativeOffDiagonal on
-    a negative coupling rate (both with 1-based indices) and RowSumViolation
-    when a row sum exceeds the scaled tolerance.  Non-finite entries come
-    first: no comparison sees a NaN, and an infinity would make the row
-    tolerance infinite.  The diagonal is implied: once off-diagonal entries
-    are non-negative and rows sum to zero, a_kk equals minus the
-    off-diagonal row sum.
+    NonFiniteEntry on a NaN or infinite entry, NegativeOffDiagonal on a
+    negative coupling rate (both with 1-based indices), RowSumViolation when
+    a row sum exceeds tol_row times max(1, max|entry|), scaled up for large
+    entries so that the check stays meaningful after long-window
+    integration.  Non-finite entries come first: no comparison sees a NaN,
+    and an infinity would make the row tolerance infinite.
     """
-    arr = _as_square_array(entries)
-    n = arr.shape[0]
     # argwhere goes row by row: the first offender is the top-left one.
     nonfinite = np.argwhere(~np.isfinite(arr))
     if len(nonfinite):
         k, l = nonfinite[0].tolist()
         raise NonFiniteEntry(k + 1, l + 1, float(arr[k, l]))
-    negative = np.argwhere((arr < 0.0) & ~np.eye(n, dtype=bool))
+    negative = np.argwhere((arr < 0.0) & ~np.eye(arr.shape[0], dtype=bool))
     if len(negative):
         k, l = negative[0].tolist()
         raise NegativeOffDiagonal(k + 1, l + 1, float(arr[k, l]))
-    tol = _row_tolerance(arr, tol_row)
+    tol = tol_row * max(1.0, float(np.max(np.abs(arr))))
     sums = arr.sum(axis=1)
     worst = int(np.argmax(np.abs(sums)))
     if abs(sums[worst]) > tol:
         raise RowSumViolation(worst + 1, float(sums[worst]))
-    return CouplingMatrix(n=n, entries=arr, tol_row=tol_row)
+
+
+def _faulty(stack: np.ndarray, tol_row: float) -> np.ndarray:
+    """Flag each matrix of a (k, n, n) stack that _raise_fault rejects: its
+    three checks, taken for the whole stack at once."""
+    off = ~np.eye(stack.shape[-1], dtype=bool)
+    with np.errstate(all="ignore"):
+        row_tol = tol_row * np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
+        return (~np.isfinite(stack).all(axis=(1, 2))
+                | ((stack < 0.0) & off).any(axis=(1, 2))
+                | (np.abs(stack.sum(axis=2)).max(axis=1) > row_tol))
+
+
+def validate_coupling_matrix(entries, tol_row: float = DEFAULT_ROW_TOL) -> CouplingMatrix:
+    """Check the sign pattern and row sums of one matrix or of a (k, n, n)
+    stack; return the wrapped entries.
+
+    Raises NonFiniteEntry, NegativeOffDiagonal or RowSumViolation (see
+    _raise_fault).  A stack is screened in one pass, and its first flagged
+    matrix is checked again on its own, so the stack raises what checking
+    its matrices one at a time would: the first offender row-major over
+    (matrix, k, l), with the same message.  The diagonal is implied: once
+    off-diagonal entries are non-negative and rows sum to zero, a_kk equals
+    minus the off-diagonal row sum.
+    """
+    arr = _as_matrices(entries)
+    stack = arr.reshape((-1,) + arr.shape[-2:])
+    for i in np.flatnonzero(_faulty(stack, tol_row)):
+        _raise_fault(stack[i], tol_row)
+    return CouplingMatrix(n=arr.shape[-1], entries=arr, tol_row=tol_row)
 
 
 def from_offdiagonal(weights, tol_row: float = DEFAULT_ROW_TOL) -> CouplingMatrix:
-    """Build a coupling matrix from non-negative off-diagonal weights.
+    """Build a coupling matrix, or a (k, n, n) stack of them, from
+    non-negative off-diagonal weights.
 
     The input diagonal must be zero; the output diagonal is set to minus the
-    off-diagonal row sum, so row sums vanish by construction.
+    off-diagonal row sum, so row sums vanish by construction.  As in
+    validate_coupling_matrix, a stack raises what building its matrices one
+    at a time would.
     """
-    arr = _as_square_array(weights)
-    if np.any(np.diag(arr) != 0.0):
-        raise ValueError("diagonal of the weight matrix must be zero")
-    negative = np.argwhere(arr < 0.0)  # the diagonal is zero
-    if len(negative):
-        k, l = negative[0].tolist()
-        raise NegativeWeight(
-            f"weight ({k + 1},{l + 1}) = {float(arr[k, l])!r} is negative")
-    out = arr.copy()
-    np.fill_diagonal(out, 0.0)
-    np.fill_diagonal(out, -out.sum(axis=1))
-    return validate_coupling_matrix(out, tol_row=tol_row)
+    arr = _as_matrices(weights)
+    stack = arr.reshape((-1,) + arr.shape[-2:])
+    diag = np.arange(stack.shape[-1])
+    out = stack.copy()
+    out[:, diag, diag] = 0.0
+    with np.errstate(all="ignore"):
+        out[:, diag, diag] = -out.sum(axis=2)
+    weight_fault = ((stack[:, diag, diag] != 0.0).any(axis=1)
+                    | (stack < 0.0).any(axis=(1, 2)))
+    for i in np.flatnonzero(weight_fault | _faulty(out, tol_row)):
+        if np.any(np.diag(stack[i]) != 0.0):
+            raise ValueError("diagonal of the weight matrix must be zero")
+        negative = np.argwhere(stack[i] < 0.0)  # the diagonal is zero
+        if len(negative):
+            k, l = negative[0].tolist()
+            raise NegativeWeight(
+                f"weight ({k + 1},{l + 1}) = {float(stack[i, k, l])!r} is negative")
+        _raise_fault(out[i], tol_row)
+    return CouplingMatrix(n=arr.shape[-1], entries=out.reshape(arr.shape),
+                          tol_row=tol_row)
 
 
 class SinusoidalCoupling:
@@ -144,109 +180,69 @@ class SinusoidalCoupling:
         if not math.isfinite(self.bound):
             raise InvalidSpec(f"entries reach {self.bound} at the profile peak")
 
-    def entries_at(self, t: float) -> np.ndarray:
-        # The diagonal is minus the row sum of the scaled off-diagonal, not
-        # scale * B_kk: each row then sums to zero up to that one sum.
-        scale = 1.0 + self.depth * math.sin(2.0 * math.pi * t / self.period)
-        out = self.coupling.entries * scale
-        np.fill_diagonal(out, 0.0)
-        np.fill_diagonal(out, -out.sum(axis=1))
-        return out
-
-    def entries_over(self, times) -> np.ndarray:
-        """entries_at(t) for every t in times, as a (k, n, n) stack with the
-        same values entry for entry: the same scale per time (math.sin, not
-        np.sin), the same products, and each diagonal minus its row sum
-        along the last axis, which numpy reduces row by row as in the 2-d
-        case."""
-        scale = np.array([
-            1.0 + self.depth * math.sin(2.0 * math.pi * t / self.period)
-            for t in np.asarray(times, dtype=float).tolist()])
-        out = self.coupling.entries * scale[:, None, None]
-        diag = np.arange(out.shape[1])
-        out[:, diag, diag] = 0.0
-        out[:, diag, diag] = -out.sum(axis=2)
-        return out
-
-
-@dataclass(frozen=True, eq=False)
-class Segment:
-    """One schedule piece, active on [t_start, t_end)."""
-
-    t_start: float
-    t_end: float
-    generator: Union[CouplingMatrix, SinusoidalCoupling]
-
-    @property
-    def is_constant(self) -> bool:
-        return isinstance(self.generator, CouplingMatrix)
-
-    @property
-    def coupling(self) -> CouplingMatrix:
-        """The fixed coupling B of the piece: A(t) = c(t) B, with c = 1 on
-        a constant piece."""
-        return self.generator if self.is_constant else self.generator.coupling
-
-    def entries_at(self, t: float) -> np.ndarray:
-        if self.is_constant:
-            return self.generator.entries
-        return self.generator.entries_at(t)
-
-    def entries_over(self, times) -> np.ndarray:
-        """A(t) for every t in times as a (k, n, n) stack, with the values
-        of entries_at; a read-only broadcast of B on a constant piece."""
-        if self.is_constant:
-            entries = self.generator.entries
-            return np.broadcast_to(entries, (len(times),) + entries.shape)
-        return self.generator.entries_over(times)
-
 
 @dataclass(frozen=True, eq=False)
 class CouplingSchedule:
     """Piecewise coupling map t -> A(t), right-continuous at breakpoints.
 
-    Each segment holds a constant coupling matrix or a SinusoidalCoupling,
-    so A(t) = c(t) B on every piece.  ``bound`` is the declared uniform
-    bound on |a_kl(t)|, checked at construction against max|B| on constant
-    pieces and (1 + |depth|) max|B| on sinusoidal ones.
+    Piece i is active on [starts[i], ends[i]) with A(t) = c_i(t) B_i, where
+    B_i = couplings[i] and c_i(t) = 1 + depths[i] sin(2 pi t / periods[i]).
+    ``constant`` marks the pieces given as constant matrices; they carry
+    depth 0 and period 1, so c = 1 there.  Every array is read-only.
+    ``bound`` is the declared uniform bound on |a_kl(t)|, checked at
+    construction against max|B| on constant pieces and (1 + |depth|) max|B|
+    on sinusoidal ones.
     """
 
-    segments: tuple
+    starts: np.ndarray
+    ends: np.ndarray
+    couplings: np.ndarray
+    depths: np.ndarray
+    periods: np.ndarray
+    constant: np.ndarray
     bound: float
     tol_row: float = DEFAULT_ROW_TOL
 
+    def __post_init__(self):
+        for arr in (self.starts, self.ends, self.couplings, self.depths,
+                    self.periods, self.constant):
+            arr.setflags(write=False)
+
     @property
     def n(self) -> int:
-        return self.segments[0].coupling.n
+        return self.couplings.shape[-1]
 
     @property
     def t_start(self) -> float:
-        return self.segments[0].t_start
+        return float(self.starts[0])
 
     @property
     def t_end(self) -> float:
-        return self.segments[-1].t_end
+        return float(self.ends[-1])
 
     @property
     def horizon(self) -> tuple:
         return (self.t_start, self.t_end)
 
-    @cached_property
-    def start_times(self) -> tuple:
-        return tuple(seg.t_start for seg in self.segments)
-
-
-def _coerce_segment(item, tol_row: float) -> Segment:
-    if isinstance(item, Segment):
-        gen = item.generator
-        t0, t1 = item.t_start, item.t_end
-    else:
-        t0, t1, gen = item
-    if not (isinstance(gen, (CouplingMatrix, SinusoidalCoupling))):
-        gen = validate_coupling_matrix(gen, tol_row=tol_row)
-    if not (t1 > t0):
-        raise ScheduleError(f"segment [{t0}, {t1}] has non-positive length")
-    return Segment(float(t0), float(t1), gen)
+    def entries_over(self, i: int, times) -> np.ndarray:
+        """A(t) of piece i for every t in times, as a (len(times), n, n)
+        stack: a read-only broadcast of B on a constant piece.  On a
+        sinusoidal piece each scale comes from math.sin on Python floats,
+        and each diagonal is minus the row sum of the scaled off-diagonal
+        entries, not scale * B_kk, so each row sums to zero up to that one
+        sum."""
+        B = self.couplings[i]
+        if self.constant[i]:
+            return np.broadcast_to(B, (len(times),) + B.shape)
+        depth, period = float(self.depths[i]), float(self.periods[i])
+        scale = np.array([
+            1.0 + depth * math.sin(2.0 * math.pi * t / period)
+            for t in np.asarray(times, dtype=float).tolist()])
+        out = B * scale[:, None, None]
+        diag = np.arange(out.shape[1])
+        out[:, diag, diag] = 0.0
+        out[:, diag, diag] = -out.sum(axis=2)
+        return out
 
 
 def build_schedule(
@@ -254,37 +250,52 @@ def build_schedule(
     bound: float | None = None,
     tol_row: float = DEFAULT_ROW_TOL,
 ) -> CouplingSchedule:
-    """Assemble and validate a schedule from (t_start, t_end, matrix) pieces.
+    """Assemble and validate a schedule from (t_start, t_end, coupling)
+    pieces, the coupling a matrix, a CouplingMatrix or a SinusoidalCoupling.
 
-    Segments must be contiguous and non-overlapping.  Every piece is valid
-    by construction: a coupling matrix is validated when it is wrapped, and
-    a sinusoidal piece is c(t) B with c >= 0.  The pieces' entry bounds
+    Segments must have positive length, agree on the matrix size, and be
+    contiguous and non-overlapping once sorted by start.  The plain matrices
+    are validated as one stack; a CouplingMatrix is valid already, and a
+    sinusoidal piece is c(t) B with c >= 0.  The pieces' entry bounds
     (max|B|, times 1 + |depth| on sinusoidal pieces) must not exceed a
     declared ``bound``; when omitted, their maximum is declared.
     """
-    segs = [_coerce_segment(item, tol_row) for item in segments]
-    if not segs:
+    pieces = []
+    for t0, t1, gen in segments:
+        sinusoid = isinstance(gen, SinusoidalCoupling)
+        plain = not (sinusoid or isinstance(gen, CouplingMatrix))
+        B = (gen.coupling.entries if sinusoid else
+             _as_matrices(gen, (2,)) if plain else gen.entries)
+        if not (t1 > t0):
+            raise ScheduleError(f"segment [{t0}, {t1}] has non-positive length")
+        pieces.append((float(t0), float(t1), B, gen.depth if sinusoid else 0.0,
+                       gen.period if sinusoid else 1.0, not sinusoid, plain))
+    if not pieces:
         raise ScheduleError("schedule needs at least one segment")
-    segs.sort(key=lambda s: s.t_start)
-    span = segs[-1].t_end - segs[0].t_start
-    join_tol = 1e-9 * max(1.0, span)
-    observed = 0.0
-    for i, seg in enumerate(segs):
-        if i > 0 and abs(seg.t_start - segs[i - 1].t_end) > join_tol:
-            raise ScheduleError(
-                f"segment starting at {seg.t_start} does not join the previous "
-                f"segment ending at {segs[i - 1].t_end}")
-        if seg.coupling.n != segs[0].coupling.n:
-            raise ScheduleError("segments disagree on the matrix size")
-        gen = seg.generator
-        observed = max(observed, float(np.max(np.abs(gen.entries)))
-                       if seg.is_constant else gen.bound)
+    if len({piece[2].shape for piece in pieces}) > 1:
+        raise ScheduleError("segments disagree on the matrix size")
+    plain = [piece[2] for piece in pieces if piece[6]]
+    if plain:
+        validate_coupling_matrix(np.stack(plain), tol_row)
+    pieces.sort(key=lambda piece: piece[0])
+    starts, ends, couplings, depths, periods, constant, _ = map(
+        np.array, zip(*pieces))
+    join_tol = 1e-9 * max(1.0, ends[-1] - starts[0])
+    gaps = np.flatnonzero(np.abs(starts[1:] - ends[:-1]) > join_tol)
+    if len(gaps):
+        i = gaps[0] + 1
+        raise ScheduleError(
+            f"segment starting at {starts[i].item()} does not join the previous "
+            f"segment ending at {ends[i - 1].item()}")
+    peaks = (1.0 + np.abs(depths)) * np.abs(couplings).max(axis=(1, 2))
+    observed = float(peaks.max())
     if bound is None:
         bound = observed
     elif observed > bound * (1.0 + 1e-12) + 1e-12:
         raise ScheduleError(
             f"observed entry bound {observed} exceeds the declared bound {bound}")
-    return CouplingSchedule(segments=tuple(segs), bound=float(bound), tol_row=tol_row)
+    return CouplingSchedule(starts, ends, couplings, depths, periods, constant,
+                            float(bound), tol_row)
 
 
 def constant_schedule(
@@ -294,7 +305,7 @@ def constant_schedule(
     return build_schedule([(t_start, t_end, matrix)], tol_row=tol_row)
 
 
-def _locate_segment(schedule: CouplingSchedule, t: float) -> Segment:
+def _locate_piece(schedule: CouplingSchedule, t: float) -> int:
     t0, t1 = schedule.horizon
     edge = 1e-12 * max(1.0, abs(t0), abs(t1))
     if t < t0 - edge or t > t1 + edge:
@@ -302,16 +313,17 @@ def _locate_segment(schedule: CouplingSchedule, t: float) -> Segment:
     t = min(max(t, t0), t1)
     # Right-continuity: t equal to a breakpoint selects the later segment;
     # the final endpoint falls to the last segment, which closes the horizon.
-    idx = max(bisect.bisect_right(schedule.start_times, t) - 1, 0)
-    return schedule.segments[idx]
+    return max(bisect.bisect_right(schedule.starts.tolist(), t) - 1, 0)
 
 
 def evaluate_schedule(schedule: CouplingSchedule, t: float) -> CouplingMatrix:
     """Evaluate A(t); right-continuous at breakpoints."""
-    seg = _locate_segment(schedule, t)
-    if seg.is_constant:
-        return seg.generator
-    return validate_coupling_matrix(seg.entries_at(t), tol_row=schedule.tol_row)
+    i = _locate_piece(schedule, t)
+    if schedule.constant[i]:
+        return CouplingMatrix(n=schedule.n, entries=schedule.couplings[i],
+                              tol_row=schedule.tol_row)
+    return validate_coupling_matrix(schedule.entries_over(i, [t])[0],
+                                    tol_row=schedule.tol_row)
 
 
 @dataclass(frozen=True, eq=False)
@@ -360,53 +372,34 @@ def integrate_windows(
             f"horizon [{t0}, {t1}]")
     a = np.maximum(starts, t0)
     b = np.minimum(ends, t1)
-    n = schedule.n
-    total = np.zeros((len(starts), n, n))
+    total = np.zeros((len(starts), schedule.n, schedule.n))
     if len(starts):
         # Window i overlaps the pieces first[i] .. stop[i] - 1.
-        piece_starts = np.array(schedule.start_times)
-        first = np.maximum(np.searchsorted(piece_starts, a, side="right") - 1, 0)
-        stop = np.searchsorted(piece_starts, b, side="left")
-        # Gather from the pieces this call touches only.
-        base = int(first.min())
-        segs = schedule.segments[base:max(int(stop.max()), base + 1)]
-        seg_start = piece_starts[base:base + len(segs)]
-        seg_end = np.array([seg.t_end for seg in segs])
-        mats = np.stack([seg.coupling.entries for seg in segs])
-        # A constant piece has depth 0, which leaves w = hi - lo exactly.
-        depth = np.array([0.0 if seg.is_constant else seg.generator.depth
-                          for seg in segs])
-        period = np.array([1.0 if seg.is_constant else seg.generator.period
-                           for seg in segs])
+        first = np.maximum(
+            np.searchsorted(schedule.starts, a, side="right") - 1, 0)
+        stop = np.searchsorted(schedule.starts, b, side="left")
         for j in range(int((stop - first).max())):
             live = first + j < stop
-            k = np.minimum(first + j - base, len(segs) - 1)
-            lo = np.maximum(a, seg_start[k])
-            hi = np.minimum(b, seg_end[k])
-            L, P = hi - lo, period[k]
+            k = np.minimum(first + j, len(schedule.starts) - 1)
+            lo = np.maximum(a, schedule.starts[k])
+            hi = np.minimum(b, schedule.ends[k])
+            L, P = hi - lo, schedule.periods[k]
             live &= L > 0.0
-            # c >= 0, so its integral is too; the product form can round to
-            # about -1e-16 L on a window centred where c vanishes.
-            w = np.maximum(L + depth[k] * (P / np.pi)
+            # A constant piece has depth 0, which leaves w = hi - lo
+            # exactly.  c >= 0, so its integral is too; the product form can
+            # round to about -1e-16 L on a window centred where c vanishes.
+            w = np.maximum(L + schedule.depths[k] * (P / np.pi)
                            * np.sin(np.pi * (lo + hi) / P)
                            * np.sin(np.pi * L / P), 0.0)
             rows = np.flatnonzero(live)
-            total[rows] += mats[k[rows]] * w[rows, None, None]
+            total[rows] += schedule.couplings[k[rows]] * w[rows, None, None]
     # The integral of a valid coupling map is itself a valid coupling matrix,
     # up to rounding proportional to the window; the floor of 1e-9 absorbs
     # the rounding of a sum over many pieces when a caller sets tol_row below
-    # it.  Row tolerances are those of _row_tolerance, one per window; a window
-    # with a non-finite entry, which only overflow can produce, is always bad.
-    check_tol = max(schedule.tol_row * max(1.0, T), 1e-9)
-    off = ~np.eye(n, dtype=bool)
-    row_tol = check_tol * np.maximum(1.0, np.abs(total).max(axis=(1, 2)))
-    bad = (~np.isfinite(total).all(axis=(1, 2))
-           | ((total < 0.0) & off).any(axis=(1, 2))
-           | (np.abs(total.sum(axis=2)).max(axis=1) > row_tol))
-    # validate_coupling_matrix raises on the first bad window with its own
-    # message.
-    for i in np.flatnonzero(bad):
-        validate_coupling_matrix(total[i], tol_row=check_tol)
+    # it.  A window with a non-finite entry, which only overflow can produce,
+    # is always bad.
+    validate_coupling_matrix(
+        total, tol_row=max(schedule.tol_row * max(1.0, T), 1e-9))
     return total
 
 
@@ -426,4 +419,4 @@ def coupling_entries(matrix) -> np.ndarray:
     """Entries of a CouplingMatrix, IntegratedCoupling, or plain array."""
     if isinstance(matrix, (CouplingMatrix, IntegratedCoupling)):
         return matrix.entries
-    return _as_square_array(matrix)
+    return _as_matrices(matrix, (2,))

@@ -354,19 +354,21 @@ def resolve_initial_state(config: ScenarioConfig) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 def _arc_coupling(keys: _Keys, n: int, bidirectional: bool = False):
-    """coupling(arcs): node k listens to node l at ``weight`` for each
-    0-based arc (k, l), and l to k as well when ``bidirectional``."""
+    """couplings(*arc_lists): the (len(arc_lists), n, n) stack of couplings
+    in which node k listens to node l at ``weight`` for each 0-based arc
+    (k, l) of a list, and l to k as well when ``bidirectional``."""
     w = keys("weight", _positive, 1.0)
     both = keys("bidirectional", _boolean, bidirectional)
 
-    def coupling(arcs):
-        off = np.zeros((n, n))
-        for k, l in arcs:
-            off[k, l] = w
-            if both:
-                off[l, k] = w
-        return from_offdiagonal(off)
-    return coupling
+    def couplings(*arc_lists):
+        off = np.zeros((len(arc_lists), n, n))
+        for i, arcs in enumerate(arc_lists):
+            for k, l in arcs:
+                off[i, k, l] = w
+                if both:
+                    off[i, l, k] = w
+        return from_offdiagonal(off).entries
+    return couplings
 
 
 def _periods(t0: float, t1: float, length: float):
@@ -387,28 +389,28 @@ def _constant(keys, n, seed):
 
 def _ring(keys, n, seed):
     keys.allow(optional=("weight", "bidirectional"))
-    coupling = _arc_coupling(keys, n)
+    couplings = _arc_coupling(keys, n)
     if n < 2:
         raise ValidationError(keys.where, "ring needs at least 2 nodes")
     return lambda t0, t1: [
-        (t0, t1, coupling([(k, (k + 1) % n) for k in range(n)]))]
+        (t0, t1, couplings([(k, (k + 1) % n) for k in range(n)])[0])]
 
 
 def _star(keys, n, seed):
     keys.allow(optional=("weight", "bidirectional", "hub"))
-    coupling = _arc_coupling(keys, n)
+    couplings = _arc_coupling(keys, n)
     hub = _node(keys("hub", default=1), n, keys.path("hub")) - 1
     if n < 2:
         raise ValidationError(keys.where, "star needs at least 2 nodes")
     return lambda t0, t1: [
-        (t0, t1, coupling([(k, hub) for k in range(n) if k != hub]))]
+        (t0, t1, couplings([(k, hub) for k in range(n) if k != hub])[0])]
 
 
 def _line(keys, n, seed):
     keys.allow(optional=("weight", "bidirectional"))
-    coupling = _arc_coupling(keys, n, bidirectional=True)
+    couplings = _arc_coupling(keys, n, bidirectional=True)
     return lambda t0, t1: [
-        (t0, t1, coupling([(k, k - 1) for k in range(1, n)]))]
+        (t0, t1, couplings([(k, k - 1) for k in range(1, n)])[0])]
 
 
 def _piecewise(keys, n, seed):
@@ -443,13 +445,13 @@ def _piecewise(keys, n, seed):
 def _alternating_leader_follower(keys, n, seed):
     keys.allow(required=("period",), optional=("weight",))
     half = keys("period", _positive) / 2.0
-    coupling = _arc_coupling(keys, n)
+    couplings = _arc_coupling(keys, n)
     if n < 2:
         raise ValidationError(keys.where, "needs at least 2 nodes")
 
     def build(t0, t1):
-        leaders = [coupling([(k, leader) for k in range(n) if k != leader])
-                   for leader in (0, 1)]
+        leaders = couplings(*([(k, leader) for k in range(n) if k != leader]
+                              for leader in (0, 1)))
         return [(start, end, leaders[i % 2])
                 for i, (start, end) in enumerate(_periods(t0, t1, half))]
     return build
@@ -478,14 +480,15 @@ def _random_switching(keys, n, seed):
 
     def build(t0, t1):
         rng = np.random.default_rng(draw_seed)
-        segments = []
-        for start, end in _periods(t0, t1, period):
-            mask = rng.random((n, n)) < prob
-            weights = rng.uniform(lo, hi, (n, n))
-            off = np.where(mask, weights, 0.0)
-            np.fill_diagonal(off, 0.0)
-            segments.append((start, end, from_offdiagonal(off)))
-        return segments
+        spans = list(_periods(t0, t1, period))
+        # Per period, in time order: the link mask, then the weights, the
+        # draws that perfbench/scenarios.py repeats to check the runs.
+        off = np.array([np.where(rng.random((n, n)) < prob,
+                                 rng.uniform(lo, hi, (n, n)), 0.0)
+                        for _ in spans])
+        off[:, range(n), range(n)] = 0.0
+        return [(*span, coupling) for span, coupling
+                in zip(spans, from_offdiagonal(off).entries)]
     return build
 
 
@@ -536,7 +539,7 @@ def generate_topology(
 
 # --------------------------------------------------------------------------
 # Analyses: each entry checks its keys against the config and returns
-# run(schedule, trajectory, x0) -> (passed, detail)
+# run(schedule, trajectory) -> (passed, detail)
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -555,7 +558,7 @@ def _connectivity(keys, config):
         raise ValidationError(
             keys.path("window"), f"{window} exceeds the horizon {config.horizon}")
 
-    def run(schedule, trajectory, x0):
+    def run(schedule, trajectory):
         report = window_connectivity_report(
             schedule, delta, window, sample_step=sample_step)
         roots = ",".join(str(r) for r in sorted(report.common_roots)) or "none"
@@ -598,7 +601,7 @@ def _audit(keys, config):
         weights = [_nonnegative(w, f"{where}[{i}]") for i, w in enumerate(weights)]
     slack = keys("slack", _positive)
 
-    def run(schedule, trajectory, x0):
+    def run(schedule, trajectory):
         failures, worst = [], []
         for fname in names:
             if fname == "delayed_spread":
@@ -634,7 +637,7 @@ def _lemma(keys, config):
             keys.path("window"), f"[{t_start}, {t_start + window}] lies outside "
             f"the horizon [{config.t0}, {t1}]")
 
-    def run(schedule, trajectory, x0):
+    def run(schedule, trajectory):
         report = certify.verify_lemma_on_trajectory(
             schedule, trajectory, group, t_start, window, slack=slack)
         trapped = ",".join(str(v) for v in report.trapped) or "none"
@@ -670,12 +673,12 @@ def _certificate(keys, config):
             keys.path("window"), f"{config.n - 1} windows end at {span_end}, "
             f"past the horizon end {config.t0 + config.horizon}")
 
-    def run(schedule, trajectory, x0):
+    def run(schedule, trajectory):
         if config.delay is not None:
             raise HypothesisUnverified(
                 _delay_not_covered(config.delay, "the contraction certificate"))
         report = certify.contraction_certificate(
-            schedule, x0, config.t0, window, delta, root, step=config.step,
+            schedule, trajectory, config.t0, window, delta, root,
             verify_hypothesis=verify, slack_factor=slack_factor)
         return report.passed, (
             f"rho={_fmt(report.rho)} rate={_fmt(report.certified_rate)} "
@@ -690,12 +693,12 @@ def _spectral(keys, config):
     gap_tol = keys("gap_tol", _positive)
     options = {} if gap_tol is None else {"gap_tol": gap_tol}
 
-    def run(schedule, trajectory, x0):
+    def run(schedule, trajectory):
         if config.delay is not None and config.delay.full:
             raise HypothesisUnverified(
                 _delay_not_covered(config.delay, "the spectral cross-check"))
-        if len(schedule.segments) == 1 and schedule.segments[0].is_constant:
-            matrix = schedule.segments[0].generator.entries
+        if len(schedule.constant) == 1 and schedule.constant[0]:
+            matrix = schedule.couplings[0]
             source = "constant coupling"
         else:
             span = schedule.t_end - schedule.t_start
@@ -731,9 +734,9 @@ def _analyses(config: ScenarioConfig) -> list:
     return out
 
 
-def _run_analysis(kind, run, schedule, trajectory, x0) -> AnalysisResult:
+def _run_analysis(kind, run, schedule, trajectory) -> AnalysisResult:
     try:
-        passed, detail = run(schedule, trajectory, x0)
+        passed, detail = run(schedule, trajectory)
     except (HypothesisUnverified, BalanceViolated) as exc:
         return AnalysisResult(kind, "hypothesis", str(exc))
     except NoTrappedComponent as exc:
@@ -794,7 +797,7 @@ def run_scenario(config: ScenarioConfig, output_dir: str) -> int:
                           spreads)
 
     results = [
-        _run_analysis(kind, run, schedule, trajectory, x0)
+        _run_analysis(kind, run, schedule, trajectory)
         for kind, run in analyses
     ]
     exit_code = max((_STATUS[r.status][1] for r in results), default=EXIT_PASS)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .digraph import delta_digraph, root_nodes
+from .digraph import root_masks
 from .errors import AmbiguousSpectrum, NoConvergence
 from .metzler_core import coupling_entries
 
@@ -105,15 +105,14 @@ def spectral_graph_equivalence(
     """
     entries = coupling_entries(A)
     verdict = consensus_spectrum_verdict(eigenvalues(entries), gap_tol=gap_tol)
-    graph = delta_digraph(entries, delta)
-    roots = root_nodes(graph)
+    roots = np.flatnonzero(root_masks(entries[None], delta)[0]) + 1
     graph_stable = len(roots) > 0
     return SpectralGraphReport(
         n=entries.shape[0],
         delta=float(delta),
         gap_tol=float(gap_tol),
         verdict=verdict,
-        roots=tuple(sorted(roots)),
+        roots=tuple(roots.tolist()),
         graph_stable=graph_stable,
         agree=bool(graph_stable == verdict.consensus_stable),
     )

@@ -5,10 +5,13 @@ dense closed forms, adaptive quadrature, trapezoid refinement) so they
 cannot share a bug with the code under test.
 """
 
+import math
+
 import numpy as np
 import pytest
 
-from consensus_lab import (OutOfHorizon, evaluate_schedule, from_offdiagonal,
+from consensus_lab import (OutOfHorizon, contraction_certificate,
+                           evaluate_schedule, from_offdiagonal, simulate_ode,
                            validate_coupling_matrix)
 from consensus_lab.dynamics import (_coerce_history, _hermite_many,
                                     _history_slack, _rk4_transfer,
@@ -54,6 +57,26 @@ def brute_first_negative(entries):
                  if k != l and entries[k][l] < 0.0), None)
 
 
+def scaled_coupling(B, depth, period, t):
+    """c(t) B for c(t) = 1 + depth sin(2 pi t / period), one matrix at a
+    time, with the diagonal minus the 2-d row sum of the scaled
+    off-diagonal entries: the per-time form that
+    CouplingSchedule.entries_over stacks."""
+    scale = 1.0 + float(depth) * math.sin(2.0 * math.pi * float(t) / float(period))
+    out = B * scale
+    np.fill_diagonal(out, 0.0)
+    np.fill_diagonal(out, -out.sum(axis=1))
+    return out
+
+
+def piece_entries_at(schedule, i, t):
+    """A(t) on piece i of a schedule, one matrix at a time."""
+    if schedule.constant[i]:
+        return schedule.couplings[i]
+    return scaled_coupling(schedule.couplings[i], schedule.depths[i],
+                           schedule.periods[i], t)
+
+
 def _simpson_slice(a, b, fa, fm, fb):
     return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
 
@@ -82,13 +105,14 @@ def adaptive_simpson(f, a, b, tol=1e-10, max_depth=30):
 
 def quadrature_window_integral(schedule, t, T, tol=1e-10):
     """Integral of a schedule over [t, t + T] by adaptive Simpson on
-    entries_at, one segment at a time: an oracle independent of the closed
-    form."""
+    piece_entries_at, one piece at a time: an oracle independent of the
+    closed form."""
     total = np.zeros((schedule.n, schedule.n))
-    for seg in schedule.segments:
-        lo, hi = max(t, seg.t_start), min(t + T, seg.t_end)
+    for i, (start, end) in enumerate(zip(schedule.starts, schedule.ends)):
+        lo, hi = max(t, start), min(t + T, end)
         if hi > lo:
-            total += adaptive_simpson(seg.entries_at, lo, hi, tol)
+            total += adaptive_simpson(
+                lambda s: piece_entries_at(schedule, i, s), lo, hi, tol)
     return total
 
 
@@ -108,16 +132,16 @@ def brute_window_integral(schedule, t, T):
     a, b = max(t, t0), min(t + T, t1)
     n = schedule.n
     total = np.zeros((n, n))
-    for seg in schedule.segments:
-        lo, hi = max(a, seg.t_start), min(b, seg.t_end)
+    for i, (start, end) in enumerate(zip(schedule.starts, schedule.ends)):
+        lo, hi = max(a, start), min(b, end)
         if hi - lo <= 0.0:
             continue
         w = hi - lo
-        if not seg.is_constant:
-            d, P = seg.generator.depth, seg.generator.period
+        if not schedule.constant[i]:
+            d, P = schedule.depths[i], schedule.periods[i]
             w = max(w + d * (P / np.pi) * np.sin(np.pi * (lo + hi) / P)
                     * np.sin(np.pi * w / P), 0.0)
-        total += seg.coupling.entries * w
+        total += schedule.couplings[i] * w
     validate_coupling_matrix(total, tol_row=max(schedule.tol_row * max(1.0, T),
                                                 1e-9))
     return total
@@ -155,21 +179,22 @@ def brute_transfer_loop(store, x, A, h, grid):
 
 
 def brute_pieces(schedule, t0, t1):
-    """(a, b, segment) covering [t0, t1]: a scan over every segment."""
-    for seg in schedule.segments:
-        a = max(t0, seg.t_start)
-        b = min(t1, seg.t_end)
+    """(a, b, piece index) covering [t0, t1]: a scan over every piece."""
+    for i, (start, end) in enumerate(zip(schedule.starts.tolist(),
+                                         schedule.ends.tolist())):
+        a = max(t0, start)
+        b = min(t1, end)
         if b - a > 1e-15 * max(1.0, abs(b)):
-            yield a, b, seg
+            yield a, b, i
 
 
-def piece_rhs(seg, form):
-    """rhs_at(t) for brute_march: form(A(t)) per stage, through entries_at,
-    built once on a constant piece."""
-    if seg.is_constant:
-        f = form(seg.generator.entries)
+def piece_rhs(schedule, i, form):
+    """rhs_at(t) for brute_march: form(A(t)) per stage, through
+    piece_entries_at, built once on a constant piece."""
+    if schedule.constant[i]:
+        f = form(schedule.couplings[i])
         return lambda t: f
-    return lambda t: form(seg.generator.entries_at(t))
+    return lambda t: form(piece_entries_at(schedule, i, t))
 
 
 def linear(A):
@@ -214,21 +239,21 @@ def brute_simulate_ode(schedule, x0, t0, t1, step=None):
     h_target = _step_target(step, schedule, t1 - t0, schedule.n)
     store = BruteStore()
     store.append(t0, x, evaluate_schedule(schedule, t0).entries @ x)
-    for a, b, seg in brute_pieces(schedule, t0, t1):
+    for a, b, i in brute_pieces(schedule, t0, t1):
         m, h, grid = _substeps(a, b, h_target)
-        if seg.is_constant:
-            x = brute_transfer_loop(store, x, seg.generator.entries, h, grid)
+        if schedule.constant[i]:
+            x = brute_transfer_loop(store, x, schedule.couplings[i], h, grid)
         else:
             unused = [None] * (m + 1)
-            x = brute_march(store, x, a, grid, h, piece_rhs(seg, linear),
-                            unused, unused)
+            x = brute_march(store, x, a, grid, h,
+                            piece_rhs(schedule, i, linear), unused, unused)
     return store.arrays()
 
 
 def brute_simulate_dde(schedule, tau, history, t0, t1, step=None,
                        delay_diagonal=False):
     """(times, states, derivs, derivs_left) of simulate_dde by the method
-    of steps, stepped one stage at a time through entries_at, with two
+    of steps, stepped one stage at a time through piece_entries_at, with two
     Hermite reads per piece on a fresh copy of the node lists."""
     hist = _coerce_history(history, tau, t0)
     n = schedule.n
@@ -247,13 +272,13 @@ def brute_simulate_dde(schedule, tau, history, t0, t1, step=None,
     while w0 < t1 - 1e-12 * max(1.0, abs(t1 - t0)):
         w1 = min(w0 + tau, t1)
         snap = store.arrays()
-        for a, b, seg in brute_pieces(schedule, w0, w1):
+        for a, b, i in brute_pieces(schedule, w0, w1):
             m, h, grid = _substeps(a, b, h_target)
             xd_nodes = _hermite_many(np.concatenate(([a], grid)) - tau, *snap,
                                      clamp_slack=slack)
             xd_half = _hermite_many((grid - 0.5 * h) - tau, *snap,
                                     clamp_slack=slack)
-            x = brute_march(store, x, a, grid, h, piece_rhs(seg, form),
+            x = brute_march(store, x, a, grid, h, piece_rhs(schedule, i, form),
                             xd_nodes, xd_half)
         w0 = w1
     return tuple(arr[first:] for arr in store.arrays())
@@ -288,6 +313,15 @@ def brute_trajectory_csv(path, trajectory, spreads):
         for t, row, v in zip(trajectory.times, trajectory.states, spreads):
             fh.write(",".join("%.17g" % float(value) for value in (t, *row, v))
                      + "\n")
+
+
+def witnessed_certificate(schedule, x0, t0, T, delta, root, step=None,
+                          **options):
+    """contraction_certificate witnessed on simulate_ode from x0 over
+    exactly its span [t0, t0 + (n - 1) T], at the given step."""
+    trajectory = simulate_ode(schedule, x0, t0, t0 + (schedule.n - 1) * T, step)
+    return contraction_certificate(schedule, trajectory, t0, T, delta, root,
+                                   **options)
 
 
 def chain_matrix():

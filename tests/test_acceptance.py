@@ -19,7 +19,6 @@ from consensus_lab import (
     build_schedule,
     column_sums_zero,
     constant_schedule,
-    contraction_certificate,
     delayed_functional_series,
     estimate_decay_rate,
     from_offdiagonal,
@@ -34,6 +33,8 @@ from consensus_lab import (
     verify_lemma_on_trajectory,
     window_connectivity_report,
 )
+
+from conftest import witnessed_certificate
 
 
 def _line(capsys, ok, name, detail):
@@ -143,8 +144,8 @@ def switching_sweep():
         traj = simulate_ode(schedule, x0, 0.0, horizon, step=0.04)
         series = spread_series(traj)
         mono = monotonicity_from_series("spread", series, slack=1e-9)
-        cert = contraction_certificate(schedule, x0, 0.0, T, delta,
-                                       min(screen.common_roots))
+        cert = witnessed_certificate(schedule, x0, 0.0, T, delta,
+                                     min(screen.common_roots))
         cases.append(SweepCase(
             seed=seed,
             n=n,
@@ -183,8 +184,8 @@ def test_c3_certificate_validity(capsys, switching_sweep):
 
     lf_spec = {"kind": "alternating_leader_follower", "period": 2.0}
     lf_schedule = generate_topology(lf_spec, 2, 0.0, 2.0, None)
-    lf_cert = contraction_certificate(lf_schedule, [1.0, -1.0], 0.0, 2.0,
-                                      delta=0.5, root=1)
+    lf_cert = witnessed_certificate(lf_schedule, [1.0, -1.0], 0.0, 2.0,
+                                    delta=0.5, root=1)
     lf_ok = lf_cert.passed and lf_cert.rho < 1.0
     expected_rho = 1.0 - math.exp(-1.0) / 2.0
 

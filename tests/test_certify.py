@@ -38,7 +38,8 @@ from consensus_lab import (
     verify_lemma_on_trajectory,
 )
 
-from conftest import chain_matrix, random_metzler, symmetric_pair
+from conftest import (chain_matrix, random_metzler, symmetric_pair,
+                      witnessed_certificate)
 
 
 def ring3():
@@ -156,7 +157,7 @@ class TestLemmaOnTrajectory:
 class TestContractionCertificate:
     def test_chain_frozen_rho(self):
         sch = constant_schedule(chain_matrix(), 0.0, 2.0)
-        report = contraction_certificate(sch, [1.0, 0.0], 0.0, 2.0,
+        report = witnessed_certificate(sch, [1.0, 0.0], 0.0, 2.0,
                                          delta=0.1, root=2)
         assert report.rho == pytest.approx(1.0 / 3.0, abs=1e-12)
         assert report.passed
@@ -165,7 +166,7 @@ class TestContractionCertificate:
 
     def test_alternating_pair_frozen_rho(self):
         sch = alternating_pair_schedule(2.0)
-        report = contraction_certificate(sch, [1.0, -1.0], 0.0, 2.0,
+        report = witnessed_certificate(sch, [1.0, -1.0], 0.0, 2.0,
                                          delta=0.5, root=1)
         assert report.rho == pytest.approx(1.0 - math.exp(-1.0) / 2.0, abs=1e-12)
         assert report.passed
@@ -174,7 +175,7 @@ class TestContractionCertificate:
 
     def test_ring_multi_stage(self):
         sch = constant_schedule(ring3(), 0.0, 4.0)
-        report = contraction_certificate(sch, [1.0, 0.0, -1.0], 0.0, 2.0,
+        report = witnessed_certificate(sch, [1.0, 0.0, -1.0], 0.0, 2.0,
                                          delta=0.05, root=1)
         assert report.passed
         assert len(report.stages) == 2
@@ -187,7 +188,7 @@ class TestContractionCertificate:
         off[0, 1] = off[1, 0] = 1.0
         sch = constant_schedule(from_offdiagonal(off), 0.0, 4.0)
         with pytest.raises(HypothesisUnverified):
-            contraction_certificate(sch, [1.0, 0.0, -1.0], 0.0, 2.0,
+            witnessed_certificate(sch, [1.0, 0.0, -1.0], 0.0, 2.0,
                                     delta=0.1, root=1)
 
     def test_no_trapped_component_when_hypothesis_skipped(self):
@@ -195,7 +196,7 @@ class TestContractionCertificate:
         off[0, 1] = off[1, 0] = 1.0
         sch = constant_schedule(from_offdiagonal(off), 0.0, 4.0)
         with pytest.raises(NoTrappedComponent) as err:
-            contraction_certificate(sch, [1.0, 0.0, -1.0], 0.0, 2.0,
+            witnessed_certificate(sch, [1.0, 0.0, -1.0], 0.0, 2.0,
                                     delta=0.1, root=1, verify_hypothesis=False)
         assert err.value.stage == 2
 
@@ -207,11 +208,11 @@ class TestContractionCertificate:
                               (2.0, 4.0, from_offdiagonal(cut))])
         x0 = [0.0, 1.0, -1.0]
         with pytest.raises(HypothesisUnverified) as err:
-            contraction_certificate(sch, x0, 0.0, 2.0, delta=0.1, root=1)
+            witnessed_certificate(sch, x0, 0.0, 2.0, delta=0.1, root=1)
         assert str(err.value).startswith("stage 2: node 1 ")
         assert "window [2.0, 4.0]" in str(err.value)
         # Unchecked, stage 1 promotes a node and stage 2 runs too.
-        report = contraction_certificate(sch, x0, 0.0, 2.0, delta=0.1,
+        report = witnessed_certificate(sch, x0, 0.0, 2.0, delta=0.1,
                                          root=1, verify_hypothesis=False)
         assert [s.window for s in report.stages] == [(0.0, 2.0), (2.0, 4.0)]
 
@@ -223,20 +224,44 @@ class TestContractionCertificate:
         sch = build_schedule([(0.0, 2.0, from_offdiagonal(lead)),
                               (2.0, 4.0, from_offdiagonal(cut))])
         with pytest.raises(NoTrappedComponent) as err:
-            contraction_certificate(sch, [0.0, 1.0, -1.0], 0.0, 2.0,
+            witnessed_certificate(sch, [0.0, 1.0, -1.0], 0.0, 2.0,
                                     delta=0.1, root=1, step=0.001)
         assert err.value.stage == 1
 
     def test_span_must_fit_schedule(self):
         sch = constant_schedule(ring3(), 0.0, 3.0)
-        with pytest.raises(OutOfHorizon):
-            contraction_certificate(sch, [1.0, 0.0, -1.0], 0.0, 2.0,
-                                    delta=0.05, root=1)
+        traj = simulate_ode(sch, [1.0, 0.0, -1.0], 0.0, 3.0)
+        with pytest.raises(OutOfHorizon, match="schedule horizon"):
+            contraction_certificate(sch, traj, 0.0, 2.0, delta=0.05, root=1)
+
+    def test_span_must_fit_trajectory(self):
+        sch = constant_schedule(ring3(), 0.0, 4.0)
+        traj = simulate_ode(sch, [1.0, 0.0, -1.0], 0.0, 3.5)
+        with pytest.raises(OutOfHorizon, match="trajectory"):
+            contraction_certificate(sch, traj, 0.0, 2.0, delta=0.05, root=1)
+
+    def test_witnesses_the_given_trajectory(self):
+        # The stage ends and the span end are read from the trajectory
+        # handed in: one that runs past the span and one that stops at it
+        # step the same grid up to the span end here, so every value
+        # agrees.
+        sch = constant_schedule(ring3(), 0.0, 6.0)
+        x0 = [1.0, 0.0, -1.0]
+        long_run = contraction_certificate(
+            sch, simulate_ode(sch, x0, 0.0, 6.0, step=0.01), 0.0, 2.0,
+            delta=0.05, root=1)
+        assert long_run == witnessed_certificate(sch, x0, 0.0, 2.0, 0.05, 1,
+                                                 step=0.01)
+        # A trajectory that starts before t0 is read at t0.
+        late = contraction_certificate(
+            sch, simulate_ode(sch, x0, 0.0, 6.0, step=0.01), 1.0, 2.0,
+            delta=0.05, root=1)
+        assert late.t0 == 1.0 and late.stages[-1].window == (3.0, 5.0)
 
     def test_root_in_range(self):
         sch = constant_schedule(ring3(), 0.0, 4.0)
         with pytest.raises(NodeOutOfRange):
-            contraction_certificate(sch, [1.0, 0.0, -1.0], 0.0, 2.0,
+            witnessed_certificate(sch, [1.0, 0.0, -1.0], 0.0, 2.0,
                                     delta=0.05, root=9)
 
     def test_soundness_on_random_rooted_schedules(self, rng):
@@ -246,7 +271,7 @@ class TestContractionCertificate:
             A = random_metzler(rng, n, density=0.95)
             sch = constant_schedule(A, 0.0, float(n))
             x0 = rng.uniform(-2.0, 2.0, n)
-            report = contraction_certificate(sch, x0, 0.0, 1.0,
+            report = witnessed_certificate(sch, x0, 0.0, 1.0,
                                              delta=0.01, root=1)
             # rho itself can round to 1.0 when the per-stage factors are
             # tiny, so the strict-contraction claim lives in the rate
@@ -258,7 +283,7 @@ class TestContractionCertificate:
 
     def test_consensus_start_is_trivial(self):
         sch = constant_schedule(ring3(), 0.0, 4.0)
-        report = contraction_certificate(sch, [2.0, 2.0, 2.0], 0.0, 2.0,
+        report = witnessed_certificate(sch, [2.0, 2.0, 2.0], 0.0, 2.0,
                                          delta=0.05, root=1)
         assert report.passed
         assert report.v0 == 0.0

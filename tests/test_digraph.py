@@ -1,19 +1,15 @@
-"""Threshold digraphs, reachability, roots, window connectivity."""
+"""Roots of threshold digraphs and window connectivity, against the
+per-node BFS oracles of conftest."""
 
 import numpy as np
 import pytest
 
 from consensus_lab import (
-    Digraph,
     NegativeThreshold,
-    NodeOutOfRange,
     build_schedule,
     constant_schedule,
-    delta_digraph,
     from_offdiagonal,
-    reachable_set,
     root_masks,
-    root_nodes,
     window_connectivity_report,
 )
 
@@ -28,84 +24,61 @@ def ring_entries(n, w=1.0):
     return from_offdiagonal(off).entries
 
 
-class TestDeltaDigraph:
-    def test_chain_arcs_at_zero_threshold(self):
-        g = delta_digraph(chain_matrix(), 0.0)
-        assert g.arcs == frozenset({(2, 1)})
+def roots_of(entries, delta):
+    """1-based roots of one matrix, through root_masks."""
+    return set((np.flatnonzero(root_masks(np.asarray(entries)[None], delta)[0])
+                + 1).tolist())
+
+
+class TestRoots:
+    def test_chain_rooted_at_free_end(self):
+        # One arc 2 -> 1: node 1 follows node 2.
+        assert brute_arcs(chain_matrix(), 0.0) == frozenset({(2, 1)})
+        assert roots_of(chain_matrix(), 0.0) == {2}
 
     def test_strict_threshold_drops_equal_entries(self):
-        # entry (1,2) equals 1; at delta = 1 the comparison is strict
-        assert delta_digraph(chain_matrix(), 1.0).arcs == frozenset()
-
-    def test_rejects_negative_threshold(self):
-        with pytest.raises(NegativeThreshold):
-            delta_digraph(chain_matrix(), -0.1)
+        # entry (1,2) equals 1; at delta = 1 the comparison is strict, so
+        # no arc is left and neither node reaches the other
+        assert roots_of(chain_matrix(), 1.0) == set()
 
     def test_diagonal_never_contributes(self):
-        g = delta_digraph(np.array([[0.0, 0.0], [1.0, -1.0]]), 0.0)
-        assert all(tail != head for tail, head in g.arcs)
+        # Diagonal entries above the threshold make no arc.
+        assert roots_of(np.diag([5.0, 5.0, 5.0]), 0.0) == set()
+        assert roots_of(np.array([[3.0, 0.0], [1.0, 3.0]]), 0.5) == {1}
 
-    def test_arcs_match_entrywise_scan(self, rng):
+    def test_match_entrywise_scan(self, rng):
+        # Entries equal to a threshold, negative entries and positive
+        # diagonals, against the oracle's arcs.
         for _ in range(50):
             n = int(rng.integers(1, 9))
             entries = rng.choice([-1.0, 0.0, 0.5, 1.0, 2.0], (n, n))
             for delta in (0.0, 0.5, 1.0):
-                assert delta_digraph(entries, delta).arcs == brute_arcs(entries, delta)
-
-    def test_successors(self):
-        g = delta_digraph(ring_entries(3), 0.0)
-        # node 1 couples into node 3 (entry (3,1) > 0): 1 -> 3
-        assert g.successors(1) == {3}
-
-
-class TestReachability:
-    def test_reachable_includes_start(self):
-        g = delta_digraph(np.zeros((3, 3)), 0.0)
-        assert reachable_set(g, 2) == {2}
-
-    def test_node_out_of_range(self):
-        g = delta_digraph(np.zeros((2, 2)), 0.0)
-        with pytest.raises(NodeOutOfRange):
-            reachable_set(g, 3)
-
-    def test_matches_brute_bfs(self, rng):
-        for _ in range(100):
-            n = int(rng.integers(2, 9))
-            entries = random_metzler(rng, n, density=0.3)
-            g = delta_digraph(entries, 0.0)
-            for start in range(1, n + 1):
-                assert reachable_set(g, start) == brute_reachable(
-                    n, g.arcs, start)
+                assert roots_of(entries, delta) == brute_roots(
+                    n, brute_arcs(entries, delta))
 
     def test_roots_match_brute_force(self, rng):
         for _ in range(100):
             n = int(rng.integers(2, 9))
-            g = delta_digraph(random_metzler(rng, n, density=0.25), 0.0)
-            assert root_nodes(g) == brute_roots(n, g.arcs)
+            entries = random_metzler(rng, n, density=0.25)
+            assert roots_of(entries, 0.0) == brute_roots(
+                n, brute_arcs(entries, 0.0))
+
+    def test_roots_reach_everyone_by_bfs(self, rng):
+        for _ in range(100):
+            n = int(rng.integers(2, 9))
+            entries = random_metzler(rng, n, density=0.3)
+            arcs = brute_arcs(entries, 0.0)
+            assert roots_of(entries, 0.0) == {
+                k for k in range(1, n + 1)
+                if brute_reachable(n, arcs, k) == set(range(1, n + 1))}
 
     def test_ring_rooted_everywhere(self):
-        g = delta_digraph(ring_entries(5), 0.0)
-        assert root_nodes(g) == {1, 2, 3, 4, 5}
-
-    def test_chain_rooted_at_free_end(self):
-        assert root_nodes(delta_digraph(chain_matrix(), 0.0)) == {2}
+        assert roots_of(ring_entries(5), 0.0) == {1, 2, 3, 4, 5}
 
     def test_isolated_node_kills_roots(self):
         off = np.zeros((3, 3))
         off[0, 1] = off[1, 0] = 1.0
-        g = delta_digraph(from_offdiagonal(off).entries, 0.0)
-        assert root_nodes(g) == set()
-
-    def test_roots_when_path_counts_pass_255(self):
-        # 256 two-hop paths lead from node 1 to node 258, a count that
-        # wraps to 0 in 8-bit arithmetic.
-        n = 258
-        arcs = {(1, k) for k in range(2, n)} | {(k, n) for k in range(2, n)}
-        g = Digraph(n, frozenset(arcs))
-        everyone = set(range(1, n + 1))
-        assert reachable_set(g, 1) == everyone
-        assert root_nodes(g) == {
-            v for v in everyone if reachable_set(g, v) == everyone} == {1}
+        assert roots_of(from_offdiagonal(off).entries, 0.0) == set()
 
 
 class TestRootMasks:
@@ -118,8 +91,8 @@ class TestRootMasks:
                                   for _ in range(12)])
                 stack[stack > 1.8] = delta   # entries equal to delta: no arc
                 stacks.append(stack)
-        # The chain of test_roots_when_path_counts_pass_255: 256 two-hop
-        # paths from node 1 to node 258.
+        # 256 two-hop paths lead from node 1 to node 258, a count that
+        # wraps to 0 in 8-bit arithmetic.
         chain = np.zeros((1, 258, 258))
         chain[0, 1:257, 0] = 1.0
         chain[0, 257, 1:257] = 1.0

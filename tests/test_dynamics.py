@@ -258,15 +258,16 @@ class TestBlockStepping:
         a = 0.0
         # A sinusoidal piece that crosses the first capacity, then a
         # constant one.
-        for seg in build_schedule([(0.0, 0.5, _sinusoidal(rng, n)),
-                                   (0.5, 1.5, random_metzler(rng, n))]).segments:
-            m = int(round((seg.t_end - seg.t_start) / h))
+        sch = build_schedule([(0.0, 0.5, _sinusoidal(rng, n)),
+                              (0.5, 1.5, random_metzler(rng, n))])
+        for i, length in enumerate(sch.ends - sch.starts):
+            m = int(round(length / h))
             grid = a + h * np.arange(1, m + 1)
             xd_nodes = rng.normal(size=(m + 1, n))
             xd_half = rng.normal(size=(m, n))
-            x = _march(store, x, seg, a, grid, h, (xd_nodes, xd_half, False))
+            x = _march(store, x, sch, i, a, grid, h, (xd_nodes, xd_half, False))
             x_brute = brute_march(brute, x_brute, a, grid, h,
-                                  piece_rhs(seg, split_delay(False)),
+                                  piece_rhs(sch, i, split_delay(False)),
                                   xd_nodes, xd_half)
             a = grid[-1]
         _assert_same_bytes(x, x_brute)

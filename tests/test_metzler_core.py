@@ -1,8 +1,9 @@
 """Validation, schedules, and window integrals.
 
 Expected integral values are hand-derived closed forms, adaptive Simpson
-quadrature or trapezoid refinements of entries_at, computed independently
-of the closed-form profile integrals.
+quadrature or trapezoid refinements of the per-time coupling
+(conftest.scaled_coupling), computed independently of the closed-form
+profile integrals.
 """
 
 import math
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from consensus_lab import (
+    ConsensusLabError,
     NegativeOffDiagonal,
     NegativeWeight,
     NonFiniteEntry,
@@ -31,7 +33,14 @@ from consensus_lab import metzler_core
 from consensus_lab.scenario_cli import SinusoidalCoupling
 
 from conftest import (brute_first_negative, brute_window_integral,
-                      chain_matrix, quadrature_window_integral, random_metzler)
+                      chain_matrix, quadrature_window_integral, random_metzler,
+                      scaled_coupling)
+
+
+def family_at(family, t):
+    """A(t) of a SinusoidalCoupling, one matrix at a time."""
+    return scaled_coupling(family.coupling.entries, family.depth,
+                           family.period, t)
 
 
 class TestValidation:
@@ -127,6 +136,97 @@ class TestValidation:
             assert np.allclose(m.entries.sum(axis=1), 0.0, atol=1e-10)
 
 
+def _error_of(call, *args):
+    """(type, message) of what call(*args) raises, or None."""
+    try:
+        call(*args)
+    except (ValueError, ConsensusLabError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _first_error(build, pieces):
+    """_error_of the first piece that build rejects, one at a time."""
+    return next(filter(None, (_error_of(build, piece) for piece in pieces)),
+                None)
+
+
+def _faulty_stack(rng, k, n):
+    """k zero-row-sum matrices, and their off-diagonal weights, with faults
+    injected into some: NaN, +-inf, a negative off-diagonal entry (a
+    negative weight), a non-zero weight diagonal, or a row-sum violation."""
+    weights = rng.uniform(0.1, 2.0, (k, n, n)) * (rng.random((k, n, n)) < 0.7)
+    weights[:, range(n), range(n)] = 0.0
+    mats = from_offdiagonal(weights).entries.copy()
+    for i in range(k):
+        for _ in range(int(rng.integers(0, 3))):
+            r, c = rng.integers(0, n, 2)
+            kind = rng.integers(0, 5)
+            if kind == 0:
+                value = math.nan
+            elif kind == 1:
+                value = math.inf if rng.random() < 0.5 else -math.inf
+            elif kind == 2:
+                value = -float(rng.uniform(0.1, 1.0))
+            elif kind == 3:
+                c = r   # a non-zero weight diagonal
+                value = float(rng.uniform(0.1, 1.0))
+            else:
+                mats[i, r, c] += 1e-6   # the weights' rows are rebalanced
+                continue
+            mats[i, r, c] = value
+            weights[i, r, c] = value
+    return mats, weights
+
+
+class TestStackedValidation:
+    """A stack raises what checking its matrices one at a time raises."""
+
+    def test_validate_stack_matches_one_at_a_time(self, rng):
+        raised = set()
+        for _ in range(400):
+            k, n = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+            mats, _ = _faulty_stack(rng, k, n)
+            expected = _first_error(validate_coupling_matrix, mats)
+            assert _error_of(validate_coupling_matrix, mats) == expected
+            pieces = [(float(i), i + 1.0, m) for i, m in enumerate(mats)]
+            assert _error_of(build_schedule, pieces) == expected
+            raised.add(expected and expected[0])
+        assert raised >= {None, NonFiniteEntry, NegativeOffDiagonal,
+                          RowSumViolation}
+
+    def test_from_offdiagonal_stack_matches_one_at_a_time(self, rng):
+        raised = set()
+        for _ in range(400):
+            k, n = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+            _, weights = _faulty_stack(rng, k, n)
+            expected = _first_error(from_offdiagonal, weights)
+            assert _error_of(from_offdiagonal, weights) == expected
+            raised.add(expected and expected[0])
+        assert raised >= {None, NonFiniteEntry, NegativeWeight, ValueError}
+
+    def test_valid_stack_is_validated_matrix_by_matrix(self, rng):
+        weights = rng.uniform(0.0, 2.0, (9, 17, 17))
+        weights[:, range(17), range(17)] = 0.0
+        stack = from_offdiagonal(weights)
+        assert stack.n == 17 and stack.entries.shape == (9, 17, 17)
+        for w, entries in zip(weights, stack.entries):
+            assert np.array_equal(entries, from_offdiagonal(w).entries)
+        assert np.array_equal(validate_coupling_matrix(stack.entries).entries,
+                              stack.entries)
+        assert not stack.entries.flags.writeable
+
+    def test_schedule_arrays_are_read_only(self, rng):
+        sch = _random_schedule(rng, 3, "mixed", 4.0)
+        for arr in (sch.starts, sch.ends, sch.couplings, sch.depths,
+                    sch.periods, sch.constant):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+        assert sch.couplings.shape == (8, 3, 3)
+        assert sch.constant.tolist() == [True, False] * 4
+
+
 class TestSchedules:
     def test_constant_schedule_roundtrip(self):
         sch = constant_schedule(chain_matrix(), 0.0, 4.0)
@@ -204,7 +304,7 @@ class TestWindowIntegrals:
         a, b = 0.3, 3.9
         w = integrate_schedule(sch, a, b - a)
         grid = np.linspace(a, b, 20001)
-        vals = np.stack([family.entries_at(t) for t in grid])
+        vals = np.stack([family_at(family, t) for t in grid])
         widths = np.diff(grid)[:, None, None]
         oracle = np.sum(widths * (vals[:-1] + vals[1:]) / 2.0, axis=0)
         assert np.max(np.abs(w.entries - oracle)) < 1e-8
@@ -303,7 +403,7 @@ class TestSinusoidalCoupling:
             first = math.ceil(t0 / period - 0.25) + 0.25
             extremes = [(first + j) * period for j in (0.0, 0.5)]
             grid = np.concatenate([np.linspace(t0, t0 + period, 2001), extremes])
-            observed = max(float(np.max(np.abs(family.entries_at(t))))
+            observed = max(float(np.max(np.abs(family_at(family, t))))
                            for t in grid)
             # Within the relative 1e-12 that build_schedule grants a
             # declared bound: the diagonal of A(t) is a rounded row sum.
@@ -312,22 +412,25 @@ class TestSinusoidalCoupling:
             sch = build_schedule([(t0, t0 + period, family)])
             assert sch.bound == family.bound
 
-    def test_stacked_entries_match_entries_at(self, rng):
+    def test_stacked_entries_match_per_time_form(self, rng):
         # Sizes past numpy's 8-way unrolled row sums; grid times as the
         # stage loop passes them (numpy floats) and plain floats.
         for n in (1, 2, 7, 8, 9, 17, 40):
             family = _sinusoid(rng, n, float(rng.uniform(-1.0, 1.0)),
                                float(rng.uniform(0.5, 3.0)))
+            sch = build_schedule([(-50.0, 50.0, family)])
             times = np.sort(rng.uniform(-50.0, 50.0, 40))
-            stack = family.entries_over(times)
+            stack = sch.entries_over(0, times)
             assert stack.shape == (40, n, n) and stack.flags.c_contiguous
             for t, entries in zip(times, stack):
-                assert np.array_equal(entries, family.entries_at(t))
-                assert np.array_equal(entries, family.entries_at(float(t)))
-        const = build_schedule([(0.0, 1.0, random_metzler(rng, 4))]).segments[0]
-        view = const.entries_over(times[:5])
+                assert np.array_equal(entries, family_at(family, t))
+                assert np.array_equal(entries, family_at(family, float(t)))
+                assert np.array_equal(
+                    entries, evaluate_schedule(sch, float(t)).entries)
+        const = build_schedule([(0.0, 1.0, random_metzler(rng, 4))])
+        view = const.entries_over(0, times[:5])
         assert view.shape == (5, 4, 4)
-        assert all(np.array_equal(e, const.entries_at(0.5)) for e in view)
+        assert all(np.array_equal(e, const.couplings[0]) for e in view)
 
 
 class TestWindowStack:
@@ -338,7 +441,7 @@ class TestWindowStack:
         t_end = 4.0
         for n in (1, 3):
             sch = _random_schedule(rng, n, kind, t_end)
-            breaks = list(sch.start_times[1:])
+            breaks = sch.starts[1:].tolist()
             for T in (0.37, 1.0, 2.0):
                 # Random starts, windows that start and end on a breakpoint,
                 # and the scan's grid with its extra last start.

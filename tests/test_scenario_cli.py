@@ -436,14 +436,11 @@ class TestTopologyGeneration:
                 "seed": 42}
         a = generate_topology(spec, 4, 0.0, 3.0, None)
         b = generate_topology(spec, 4, 0.0, 3.0, None)
-        assert len(a.segments) == len(b.segments) == 6
-        for sa, sb in zip(a.segments, b.segments):
-            np.testing.assert_array_equal(sa.generator.entries,
-                                          sb.generator.entries)
+        assert a.couplings.shape == b.couplings.shape == (6, 4, 4)
+        np.testing.assert_array_equal(a.couplings, b.couplings)
         other = generate_topology({**spec, "seed": 43}, 4, 0.0, 3.0, None)
-        diffs = sum(
-            not np.array_equal(sa.generator.entries, so.generator.entries)
-            for sa, so in zip(a.segments, other.segments))
+        diffs = sum(not np.array_equal(ca, co)
+                    for ca, co in zip(a.couplings, other.couplings))
         assert diffs > 0
 
     def test_random_switching_weights_in_range(self):
@@ -451,8 +448,8 @@ class TestTopologyGeneration:
                 "link_probability": 0.6, "weight_range": [0.5, 1.5],
                 "seed": 5}
         sch = generate_topology(spec, 5, 0.0, 10.0, None)
-        for seg in sch.segments:
-            off = seg.generator.entries.copy()
+        for coupling in sch.couplings:
+            off = coupling.copy()
             np.fill_diagonal(off, 0.0)
             nz = off[off != 0.0]
             assert np.all((nz >= 0.5) & (nz <= 1.5))
@@ -462,9 +459,7 @@ class TestTopologyGeneration:
                 "link_probability": 0.5, "weight_range": [0.5, 1.0]}
         a = generate_topology(spec, 3, 0.0, 2.0, seed=9)
         b = generate_topology(spec, 3, 0.0, 2.0, seed=9)
-        for sa, sb in zip(a.segments, b.segments):
-            np.testing.assert_array_equal(sa.generator.entries,
-                                          sb.generator.entries)
+        np.testing.assert_array_equal(a.couplings, b.couplings)
 
     def test_piecewise_segments_and_coverage(self):
         spec = {"kind": "piecewise", "pieces": [

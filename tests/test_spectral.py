@@ -12,18 +12,16 @@ from consensus_lab import (
     AmbiguousSpectrum,
     NoConvergence,
     consensus_spectrum_verdict,
-    delta_digraph,
     eigenvalues,
     from_offdiagonal,
     generate_topology,
     integrate_schedule,
     parse_config,
-    root_nodes,
     run_scenario,
     spectral_graph_equivalence,
 )
 
-from conftest import chain_matrix, random_metzler
+from conftest import brute_arcs, brute_roots, chain_matrix, random_metzler
 
 
 def ring(n, w=1.0):
@@ -144,7 +142,8 @@ class TestGraphEquivalence:
     def test_report_matches_direct_routes(self, rng):
         A = random_metzler(rng, 5, density=0.7)
         report = spectral_graph_equivalence(A, delta=0.0)
-        roots = root_nodes(delta_digraph(A, 0.0))
+        roots = brute_roots(5, brute_arcs(A, 0.0))
+        assert report.roots == tuple(sorted(roots))
         assert report.graph_stable == bool(roots)
         verdict = consensus_spectrum_verdict(eigenvalues(A))
         assert report.verdict.consensus_stable == verdict.consensus_stable
