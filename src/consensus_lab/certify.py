@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -92,28 +92,22 @@ def coupling_numbers(window, group) -> PartitionCoupling:
     )
 
 
-def beta_factor(pc: PartitionCoupling, h_size: Optional[int] = None) -> float:
+def beta_factor(pc: PartitionCoupling) -> float:
     """Trap factor for the complement of the group over one window.
 
-    At least one of the h_size complement nodes receives integrated
-    coupling a_hg / h_size from the group; internal complement coupling
-    a_hh and the group's own drift exp(-a_gh) discount how much of that
-    pull survives.  Always in [0, 1), and zero only when a_hg is zero.
+    At least one of the h complement nodes receives integrated coupling
+    a_hg / h from the group; internal complement coupling a_hh and the
+    group's own drift exp(-a_gh) discount how much of that pull survives.
+    Always in [0, 1), and zero only when a_hg is zero.
     """
-    h = len(pc.rest) if h_size is None else int(h_size)
-    if h <= 0:
-        raise InvalidPartition(f"complement size must be positive, got {h}")
-    share = pc.a_hg / h
+    if not pc.rest:
+        raise InvalidPartition("complement size must be positive, got 0")
+    share = pc.a_hg / len(pc.rest)
     growth = math.exp(min(pc.a_hh, _EXP_ARG_CAP))
     return math.exp(-pc.a_gh) * share / (1.0 + growth * share + growth * pc.a_hh)
 
 
-def lemma_intervals(
-    pc: PartitionCoupling,
-    mu_interval,
-    g_interval,
-    h_size: Optional[int] = None,
-):
+def lemma_intervals(pc: PartitionCoupling, mu_interval, g_interval):
     """End-of-window brackets for the group and for a trapped complement node.
 
     mu_interval bounds the whole state over the window, g_interval the group
@@ -127,7 +121,7 @@ def lemma_intervals(
             f"need mu_min <= g_min <= g_max <= mu_max, got "
             f"[{mu_min}, {mu_max}] and [{g_min}, {g_max}]")
     shrink = math.exp(-pc.a_gh)
-    beta = beta_factor(pc, h_size)
+    beta = beta_factor(pc)
     g_out = (mu_min + (g_min - mu_min) * shrink,
              mu_max - (mu_max - g_max) * shrink)
     h_out = (mu_min + (g_min - mu_min) * beta,
@@ -325,10 +319,13 @@ def contraction_certificate(
     beta_product = 1.0
     all_within = True
     starts = [t0 + (s - 1) * T for s in range(1, n)]
-    windows = scan_windows(schedule, starts, T,
-                           delta if verify_hypothesis else None)
+    windows = (
+        (window, masks is None or masks[j, root - 1])
+        for stack, masks in scan_windows(
+            schedule, starts, T, delta if verify_hypothesis else None)
+        for j, window in enumerate(stack))
     for s, w_start, (window, rooted) in zip(range(1, n), starts, windows):
-        if verify_hypothesis and not rooted[root - 1]:
+        if not rooted:
             raise HypothesisUnverified(
                 f"stage {s}: node {root} is not a root of the "
                 f"delta-digraph of the window [{w_start}, {w_start + T}] "
@@ -396,19 +393,21 @@ def contraction_certificate(
     )
 
 
-def estimate_decay_rate(samples: Sequence, skip: int = 0) -> float:
-    """Least-squares exponential rate from (time, value) samples.
+def estimate_decay_rate(times, values) -> float:
+    """Least-squares exponential rate from a series of (times, values)
+    arrays.
 
-    Fits log(value) against time over the strictly positive values (after
-    dropping ``skip`` leading samples) and returns the negated slope, so a
-    decaying series gives a positive rate.
+    Fits log(value) against time over the strictly positive values and
+    returns the negated slope, so a decaying series gives a positive rate.
     """
-    pts = [(float(t), float(v)) for (t, v) in list(samples)[skip:] if v > 0.0]
-    if len(pts) < 2:
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+    keep = values > 0.0
+    if np.count_nonzero(keep) < 2:
         raise DegenerateSeries(
             "need at least two positive samples to fit a rate")
-    times = np.array([t for (t, _) in pts])
-    logs = np.log([v for (_, v) in pts])
+    times = times[keep]
+    logs = np.log(values[keep])
     if float(times.max() - times.min()) <= 0.0:
         raise DegenerateSeries("samples must span a positive time range")
     tbar = times.mean()

@@ -50,27 +50,29 @@ _BLOCK_ENTRIES = 2 ** 15
 
 def scan_windows(schedule: CouplingSchedule, starts, T: float,
                  delta: float | None):
-    """Yield (window integral entries, root mask) for each start, in order.
+    """Yield (window integral stack, root masks) for consecutive blocks of
+    starts, in order.
 
-    Integrals come from integrate_windows and masks from root_masks, one
-    block of at most _BLOCK_ENTRIES matrix entries at a time.  With delta
-    None no roots are computed and every mask is None.
+    Each block holds at most _BLOCK_ENTRIES matrix entries; its (b, n, n)
+    integrals come from integrate_windows and its (b, n) masks from
+    root_masks.  With delta None no roots are computed and the masks are
+    None.
     """
     per_block = max(1, _BLOCK_ENTRIES // schedule.n ** 2)
     for i in range(0, len(starts), per_block):
         stack = integrate_windows(schedule, starts[i:i + per_block], T)
-        if delta is None:
-            yield from ((window, None) for window in stack)
-        else:
-            yield from zip(stack, root_masks(stack, delta))
+        yield stack, None if delta is None else root_masks(stack, delta)
 
 
 @dataclass(frozen=True, eq=False)
 class WindowConnectivityReport:
     """Sampled scan of window-integral root sets.
 
-    The scan inspects finitely many window starts; it reports evidence for
-    the continuum connectivity hypothesis, never a proof of it.
+    ``window_starts`` holds the w sampled starts and ``roots_per_window``
+    the (w, n) boolean root masks of their window integrals; column k - 1
+    is node k.  The scan inspects finitely many window starts; it reports
+    evidence for the continuum connectivity hypothesis, never a proof of
+    it.
     """
 
     n: int
@@ -78,8 +80,8 @@ class WindowConnectivityReport:
     T: float
     horizon: tuple
     sample_step: float
-    window_starts: tuple
-    roots_per_window: tuple
+    window_starts: np.ndarray
+    roots_per_window: np.ndarray
     common_roots: frozenset
     has_common_root: bool
     note: str = ("sampled window starts only; the continuum hypothesis is "
@@ -110,24 +112,21 @@ def window_connectivity_report(
         sample_step = T / 10.0
     last = t1 - T
     count = int(np.floor((last - t0) / sample_step + 1e-9)) + 1
-    starts = [t0 + i * sample_step for i in range(count)]
+    starts = t0 + sample_step * np.arange(count, dtype=float)
     if last - starts[-1] > 1e-12 * max(1.0, abs(last)):
-        starts.append(last)
+        starts = np.append(starts, last)
 
-    roots_per_window = []
-    common = np.ones(schedule.n, dtype=bool)
-    for _, mask in scan_windows(schedule, starts, T, delta):
-        roots_per_window.append(frozenset((np.flatnonzero(mask) + 1).tolist()))
-        common &= mask
-    common = frozenset((np.flatnonzero(common) + 1).tolist())
+    masks = np.concatenate(
+        [block for _, block in scan_windows(schedule, starts, T, delta)])
+    common = frozenset((np.flatnonzero(masks.all(axis=0)) + 1).tolist())
     return WindowConnectivityReport(
         n=schedule.n,
         delta=delta,
         T=T,
         horizon=(float(t0), float(t1)),
         sample_step=float(sample_step),
-        window_starts=tuple(float(t) for t in starts),
-        roots_per_window=tuple(roots_per_window),
+        window_starts=starts,
+        roots_per_window=masks,
         common_roots=common,
         has_common_root=bool(common),
     )

@@ -610,22 +610,22 @@ def simulate_dde(
 # Series extracted from trajectories
 # --------------------------------------------------------------------------
 
-def spread_series(trajectory: Trajectory) -> list:
-    """(time, max - min) at every stored node."""
-    values = trajectory.states.max(axis=1) - trajectory.states.min(axis=1)
-    return [(float(t), float(v)) for t, v in zip(trajectory.times, values)]
+def spread_series(trajectory: Trajectory):
+    """(times, max - min) at every stored node, as two 1-d arrays."""
+    states = trajectory.states
+    return trajectory.times, states.max(axis=1) - states.min(axis=1)
 
 
-def delayed_functional_series(trajectory: Trajectory, tau: float) -> list:
+def delayed_functional_series(trajectory: Trajectory, tau: float):
     """Sliding-window spread: max over [t - tau, t] minus min over it.
 
-    Reported for every stored node t with the full window inside the
-    trajectory.  The window edge t - tau generally falls between grid nodes
-    and is interpolated at integrator order.  The stored nodes of a window
-    are reduced in O(1) amortised time by monotone deques over the row
-    maxima and minima (Lemire, Nordic J. Computing 2006), which is exact
-    because max and min do not round; a window with a NaN row reads NaN,
-    as ndarray.max over it does.
+    Reported as (times, values) arrays for every stored node t with the
+    full window inside the trajectory.  The window edge t - tau generally
+    falls between grid nodes and is interpolated at integrator order.  The
+    stored nodes of a window are reduced in O(1) amortised time by monotone
+    deques over the row maxima and minima (Lemire, Nordic J. Computing
+    2006), which is exact because max and min do not round; a window with a
+    NaN row reads NaN, as ndarray.max over it does.
     """
     if not (tau > 0.0):
         raise ValueError(f"tau must be positive, got {tau!r}")
@@ -642,7 +642,6 @@ def delayed_functional_series(trajectory: Trajectory, tau: float) -> list:
         clamp_slack=tiny)
     # Node i's window holds the stored nodes lo_idx[i - first] .. i.
     lo_idx = np.searchsorted(times, edge_q, side="left").tolist()
-    node_t = times.tolist()
     row_max = states.max(axis=1).tolist()
     row_min = states.min(axis=1).tolist()
     edge_max = edge_states.max(axis=1).tolist()
@@ -652,7 +651,7 @@ def delayed_functional_series(trajectory: Trajectory, tau: float) -> list:
     tops, bottoms = deque(), deque()
     last_nan = -1
     out = []
-    for i in range(lo_idx[0], len(node_t)):
+    for i in range(lo_idx[0], len(times)):
         top, bottom = row_max[i], row_min[i]
         if top != top:
             last_nan = i
@@ -675,5 +674,5 @@ def delayed_functional_series(trajectory: Trajectory, tau: float) -> list:
             while bottoms[0] < lo:
                 bottoms.popleft()
             w_max, w_min = row_max[tops[0]], row_min[bottoms[0]]
-        out.append((node_t[i], max(w_max, edge_max[j]) - min(w_min, edge_min[j])))
-    return out
+        out.append(max(w_max, edge_max[j]) - min(w_min, edge_min[j]))
+    return times[first:], np.array(out)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -39,8 +39,8 @@ from .errors import (
     UnknownFunction,
     UnknownFunctional,
 )
-from .dynamics import Trajectory, simulate_ode
-from .metzler_core import CouplingSchedule, coupling_entries
+from .dynamics import Trajectory, simulate_ode, spread_series
+from .metzler_core import CouplingSchedule, constant_schedule, coupling_entries
 
 # Beyond this infinity norm of A*t the squaring phase can no longer be
 # trusted to the advertised accuracy; refuse rather than return noise.
@@ -222,12 +222,11 @@ class MonotonicityReport:
     ``direction`` is the expected sense; ``worst_violation`` is the largest
     forward move against it (0 when the series already respects the
     direction everywhere).  An audit passes when the violation stays within
-    the slack.  ``samples`` holds (time, value) pairs.
+    the slack.
     """
 
     functional: str
     direction: str
-    samples: tuple
     worst_violation: float
     slack: float
     passed: bool
@@ -235,11 +234,14 @@ class MonotonicityReport:
 
 def monotonicity_from_series(
     functional: str,
-    samples: Sequence,
+    values,
     slack: Optional[float] = None,
     direction: str = "non-increasing",
 ) -> MonotonicityReport:
-    values = np.array([v for (_, v) in samples], dtype=float)
+    """Check a 1-d series of functional values for its expected direction,
+    up to slack (default 1e-9 * (1 + first value)).  A NaN step is a
+    violation."""
+    values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise EmptyVector("monotonicity audit needs at least one sample")
     if slack is None:
@@ -255,7 +257,6 @@ def monotonicity_from_series(
     return MonotonicityReport(
         functional=functional,
         direction=direction,
-        samples=tuple((float(t), float(v)) for (t, v) in samples),
         worst_violation=worst,
         slack=float(slack),
         passed=bool(worst <= slack),
@@ -266,7 +267,7 @@ def _functional_values(trajectory: Trajectory, functional: str,
                        weights, matrix):
     states = trajectory.states
     if functional == "spread":
-        return states.max(axis=1) - states.min(axis=1), "non-increasing"
+        return spread_series(trajectory)[1], "non-increasing"
     if functional == "sum_of_squares":
         return np.einsum("ij,ij->i", states, states), "non-increasing"
     if functional == "centered_sum_of_squares":
@@ -314,8 +315,7 @@ def audit_monotonicity(
     monotonicity, and the report is how that shows up.
     """
     values, direction = _functional_values(trajectory, functional, weights, matrix)
-    samples = list(zip(trajectory.times.tolist(), values.tolist()))
-    return monotonicity_from_series(functional, samples, slack=slack,
+    return monotonicity_from_series(functional, values, slack=slack,
                                     direction=direction)
 
 
@@ -392,11 +392,8 @@ def check_proposition_equivalences(
         exp_ok = worst_sum <= 1e-9
 
         rng = np.random.default_rng(seed)
-        schedule = None
         worst_func = 0.0
         func_ok = True
-        from .metzler_core import constant_schedule  # local to avoid cycle at import
-
         schedule = constant_schedule(entries, 0.0, horizon)
         names = sorted(CONVEX_REGISTRY)
         for _ in range(trials):
@@ -409,11 +406,9 @@ def check_proposition_equivalences(
                 w = rng.uniform(-1.0, 1.0, n)
                 vals = _sorted_dot(w, traj.states)
             checked += 1
-            slack = 1e-9 * (1.0 + abs(float(vals[0])))
-            viol = max(0.0, float(np.diff(vals).max(initial=0.0)))
-            worst_func = max(worst_func, viol)
-            if viol > slack:
-                func_ok = False
+            report = monotonicity_from_series("convex", vals)
+            worst_func = max(worst_func, report.worst_violation)
+            func_ok = func_ok and report.passed
     return PropositionReport(
         column_balanced=balanced,
         symmetric_part_nsd=nsd,

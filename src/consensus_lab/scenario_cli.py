@@ -13,8 +13,9 @@ the output directory and exits with a code that scripts can branch on:
   5  a numerical routine gave up
 
 Reruns of the same file are byte-identical: all stochastic generators
-require a seed, floats are written with repr-faithful formatting, and no
-timestamps enter the outputs.
+require a seed, floats are written as "%.17g" (round-trip exact, though
+not repr: 0.1 prints as 0.10000000000000001), and no timestamps enter the
+outputs.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .dynamics import (
     delayed_functional_series,
     simulate_dde,
     simulate_ode,
+    spread_series,
 )
 from .errors import (
     AmbiguousSpectrum,
@@ -605,8 +607,8 @@ def _audit(keys, config):
         failures, worst = [], []
         for fname in names:
             if fname == "delayed_spread":
-                series = delayed_functional_series(trajectory, config.delay.tau)
-                report = lyapunov.monotonicity_from_series(fname, series, slack=slack)
+                _, values = delayed_functional_series(trajectory, config.delay.tau)
+                report = lyapunov.monotonicity_from_series(fname, values, slack=slack)
             else:
                 matrix = (evaluate_schedule(schedule, config.t0)
                           if fname == "potential" else None)
@@ -792,7 +794,7 @@ def run_scenario(config: ScenarioConfig, output_dir: str) -> int:
             schedule, x0, config.t0, config.t0 + config.horizon,
             step=config.step)
     log.info("stored %d trajectory nodes", len(trajectory.times))
-    spreads = trajectory.states.max(axis=1) - trajectory.states.min(axis=1)
+    _, spreads = spread_series(trajectory)
     _write_trajectory_csv(os.path.join(output_dir, "trajectory.csv"), trajectory,
                           spreads)
 

@@ -142,15 +142,15 @@ def switching_sweep():
         x0 = rng.uniform(-1.0, 1.0, n)
         v0 = float(x0.max() - x0.min())
         traj = simulate_ode(schedule, x0, 0.0, horizon, step=0.04)
-        series = spread_series(traj)
-        mono = monotonicity_from_series("spread", series, slack=1e-9)
+        _, spreads = spread_series(traj)
+        mono = monotonicity_from_series("spread", spreads, slack=1e-9)
         cert = witnessed_certificate(schedule, x0, 0.0, T, delta,
                                      min(screen.common_roots))
         cases.append(SweepCase(
             seed=seed,
             n=n,
             v0=v0,
-            final_ratio=series[-1][1] / v0,
+            final_ratio=spreads[-1] / v0,
             worst_increase=mono.worst_violation,
             mono_passed=mono.passed,
             cert_passed=cert.passed,
@@ -309,7 +309,7 @@ def test_c6_closed_form_accuracy(capsys):
 
     traj3 = simulate_ode(constant_schedule(sym, 0.0, 6.0), [1.0, -1.0],
                          0.0, 6.0)
-    rate_err = abs(estimate_decay_rate(spread_series(traj3)) - 2.0)
+    rate_err = abs(estimate_decay_rate(*spread_series(traj3)) - 2.0)
 
     ok = sym_err <= 1e-8 and follower_err <= 1e-8 and rate_err <= 1e-3
     _line(capsys, ok, "C6 closed-form accuracy",
@@ -355,9 +355,9 @@ def test_c7_delay_robustness(capsys):
         v0 = max(x0) - min(x0)
         traj = simulate_dde(schedule, tau, x0, 0.0, horizon, step=step)
         mono = monotonicity_from_series(
-            "delayed_spread", delayed_functional_series(traj, tau),
+            "delayed_spread", delayed_functional_series(traj, tau)[1],
             slack=1e-9)
-        final_ratio = spread_series(traj)[-1][1] / v0
+        final_ratio = spread_series(traj)[1][-1] / v0
         half = simulate_dde(schedule, tau, x0, 0.0, horizon, step=step / 2.0)
         half_err = float(np.max(np.abs(traj.states[-1] - half.states[-1])))
         worst_increase = max(worst_increase, mono.worst_violation)
@@ -386,12 +386,12 @@ def test_c8_delay_placement_contrast(capsys):
 
     full = simulate_dde(schedule, 1.0, x0, 0.0, 40.0, step=0.005,
                         delay_diagonal=True)
-    grown = np.array([v for _, v in spread_series(full)])
+    _, grown = spread_series(full)
     peak_ratio = float(grown.max()) / v0
     final_full = float(grown[-1]) / v0
 
     part = simulate_dde(schedule, 1.0, x0, 0.0, 40.0, step=0.005)
-    final_part = spread_series(part)[-1][1] / v0
+    final_part = spread_series(part)[1][-1] / v0
 
     ok = peak_ratio >= 50.0 and final_full >= 10.0 and final_part <= 1e-4
     _line(capsys, ok, "C8 delay-placement contrast",

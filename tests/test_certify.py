@@ -107,6 +107,14 @@ class TestBetaFactor:
                 a_hh=float(rng.uniform(0.0, 5.0)))
             assert 0.0 <= beta_factor(pc) < 1.0
 
+    def test_empty_complement_is_rejected(self):
+        # The complement size is always len(rest); a partition built by
+        # hand with no complement is an InvalidPartition, not a division
+        # by zero.
+        pc = PartitionCoupling((1, 2), (), a_gh=0.0, a_hg=1.0, a_hh=0.0)
+        with pytest.raises(InvalidPartition):
+            beta_factor(pc)
+
 
 class TestLemmaIntervals:
     def test_frozen_group_interval(self):
@@ -292,19 +300,30 @@ class TestContractionCertificate:
 class TestDecayRate:
     def test_exact_exponential(self):
         times = np.linspace(0.0, 6.0, 200)
-        samples = [(t, math.exp(-2.0 * t)) for t in times]
-        assert estimate_decay_rate(samples) == pytest.approx(2.0, abs=1e-12)
+        assert estimate_decay_rate(times, np.exp(-2.0 * times)) == pytest.approx(
+            2.0, abs=1e-12)
 
     def test_rate_from_simulated_pair(self):
         sch = constant_schedule(symmetric_pair(), 0.0, 5.0)
         traj = simulate_ode(sch, [1.0, -1.0], 0.0, 5.0)
-        rate = estimate_decay_rate(spread_series(traj))
+        rate = estimate_decay_rate(*spread_series(traj))
         assert rate == pytest.approx(2.0, abs=1e-3)
 
     def test_skip_leading_samples(self):
-        samples = [(0.0, 5.0)] + [(t, math.exp(-t)) for t in (1.0, 2.0, 3.0)]
-        assert estimate_decay_rate(samples, skip=1) == pytest.approx(1.0)
+        # Callers drop leading samples by slicing both arrays.
+        times = np.array([0.0, 1.0, 2.0, 3.0])
+        values = np.array([5.0, *np.exp(-times[1:])])
+        assert estimate_decay_rate(times[1:], values[1:]) == pytest.approx(1.0)
+        assert estimate_decay_rate(times, values) != pytest.approx(1.0)
+
+    def test_non_positive_values_are_left_out(self):
+        times = np.arange(6.0)
+        values = np.exp(-0.5 * times)
+        values[[1, 4]] = (0.0, np.nan)
+        assert estimate_decay_rate(times, values) == pytest.approx(0.5)
 
     def test_degenerate_series(self):
         with pytest.raises(DegenerateSeries):
-            estimate_decay_rate([(0.0, 0.0), (1.0, 0.0)])
+            estimate_decay_rate([0.0, 1.0], [0.0, 0.0])
+        with pytest.raises(DegenerateSeries):
+            estimate_decay_rate([1.0, 1.0], [2.0, 1.0])

@@ -9,6 +9,7 @@ from consensus_lab import (
     build_schedule,
     constant_schedule,
     from_offdiagonal,
+    integrate_windows,
     root_masks,
     window_connectivity_report,
 )
@@ -135,8 +136,40 @@ class TestWindowConnectivity:
                 brute_roots(n, brute_arcs(brute_window_integral(sch, t, 1.0),
                                           0.2))
                 for t in report.window_starts]
-            assert list(report.roots_per_window) == expected
+            assert report.roots_per_window.shape == (41, n)
+            assert [set((np.flatnonzero(m) + 1).tolist())
+                    for m in report.roots_per_window] == expected
             assert report.common_roots == set.intersection(*expected)
+
+    @pytest.mark.parametrize("t0, t1, T, step", [
+        (0.0, 5.0, 1.0, None),      # the grid ends on t1 - T
+        (0.3, 7.0, 1.3, 0.7),       # a last start appended at t1 - T
+        (-2.0, 3.1, 0.9, 0.05),
+    ])
+    def test_masks_and_starts_are_the_block_scan(self, rng, t0, t1, T, step):
+        # Five pieces of random couplings; the report's masks are
+        # root_masks of the integrate_windows stack row for row, and its
+        # starts follow the per-index rule t0 + i * step bit for bit.
+        n = 4
+        cuts = np.linspace(t0, t1, 6)
+        sch = build_schedule([
+            (float(a), float(b), random_metzler(rng, n, density=0.4))
+            for a, b in zip(cuts[:-1], cuts[1:])])
+        report = window_connectivity_report(sch, delta=0.3, T=T,
+                                            sample_step=step)
+        step = T / 10.0 if step is None else step
+        last = t1 - T
+        count = int(np.floor((last - t0) / step + 1e-9)) + 1
+        expected = [t0 + i * step for i in range(count)]
+        if last - expected[-1] > 1e-12 * max(1.0, abs(last)):
+            expected.append(last)
+        assert report.window_starts.dtype == np.float64
+        assert report.window_starts.tolist() == expected
+        masks = root_masks(integrate_windows(sch, expected, T), 0.3)
+        assert report.roots_per_window.dtype == bool
+        assert np.array_equal(report.roots_per_window, masks)
+        assert report.common_roots == frozenset(
+            (np.flatnonzero(masks.all(axis=0)) + 1).tolist())
 
     def test_alternating_pair_has_common_roots(self):
         a = np.array([[0.0, 0.0], [1.0, -1.0]])

@@ -123,7 +123,8 @@ class TestOde:
                  for i in range(4)])
             x0 = rng.uniform(-3.0, 3.0, n)
             traj = simulate_ode(sch, x0, 0.0, 4.0)
-            values = [v for _, v in spread_series(traj)]
+            times, values = spread_series(traj)
+            assert np.array_equal(times, traj.times)
             assert np.all(np.diff(values) <= 1e-10)
 
     def test_out_of_horizon(self):
@@ -164,7 +165,7 @@ class TestOde:
         with warnings.catch_warnings():
             warnings.simplefilter("error", StepTooLargeWarning)
             traj = simulate_ode(sch, x0, 0.0, 15.0, step=0.02)
-        assert spread_series(traj)[-1][1] < 1e-12
+        assert spread_series(traj)[1][-1] < 1e-12
 
     @pytest.mark.parametrize("step", [0.0, -0.1])
     def test_step_must_be_positive(self, step):
@@ -536,18 +537,17 @@ class TestDelayedFunctional:
     def test_non_increasing_for_coupling_delay(self):
         sch = constant_schedule(symmetric_pair(), 0.0, 20.0)
         traj = simulate_dde(sch, 0.5, [1.0, -1.0], 0.0, 20.0, step=0.01)
-        series = delayed_functional_series(traj, 0.5)
-        values = np.array([v for _, v in series])
-        assert series[0][0] == pytest.approx(0.5)
+        times, values = delayed_functional_series(traj, 0.5)
+        assert times[0] == pytest.approx(0.5)
         assert np.all(np.diff(values) <= 1e-10)
 
     def test_window_spread_dominates_plain_spread(self):
         sch = constant_schedule(symmetric_pair(), 0.0, 10.0)
         traj = simulate_dde(sch, 0.3, [2.0, -1.0], 0.0, 10.0)
-        series = dict(delayed_functional_series(traj, 0.3))
-        for t, v in spread_series(traj):
-            if t in series:
-                assert series[t] >= v - 1e-12
+        times, window = delayed_functional_series(traj, 0.3)
+        all_times, plain = spread_series(traj)
+        assert np.array_equal(times, all_times[-len(times):])
+        assert np.all(window >= plain[-len(times):] - 1e-12)
 
     def test_window_not_covered(self):
         sch = constant_schedule(symmetric_pair(), 0.0, 0.5)
@@ -563,9 +563,11 @@ class TestDelayedFunctional:
 
     @staticmethod
     def _assert_same_series(got, want):
-        assert [t for t, _ in got] == [t for t, _ in want]
-        assert np.array_equal([v for _, v in got], [v for _, v in want],
-                              equal_nan=True)
+        for arr in got:
+            assert isinstance(arr, np.ndarray)
+            assert arr.dtype == np.float64 and arr.ndim == 1
+        assert got[0].tolist() == [t for t, _ in want]
+        assert np.array_equal(got[1], [v for _, v in want], equal_nan=True)
 
     @pytest.mark.parametrize("tau", [1e-3, 0.05, 0.3, 1.0, "span"])
     def test_matches_slice_oracle_with_ties(self, rng, tau):
@@ -577,7 +579,7 @@ class TestDelayedFunctional:
         tau = span if tau == "span" else tau
         got = delayed_functional_series(traj, tau)
         if tau == span:
-            assert len(got) == 1
+            assert len(got[0]) == len(got[1]) == 1
         self._assert_same_series(
             got, brute_delayed_functional_series(traj, tau))
 
@@ -586,7 +588,7 @@ class TestDelayedFunctional:
         times = 0.125 * np.arange(200)
         traj = self._trajectory(rng, times, rng.normal(size=(200, 3)))
         got = delayed_functional_series(traj, 0.5)
-        assert np.isin([t - 0.5 for t, _ in got], times).all()
+        assert np.isin(got[0] - 0.5, times).all()
         self._assert_same_series(
             got, brute_delayed_functional_series(traj, 0.5))
 
@@ -599,8 +601,20 @@ class TestDelayedFunctional:
         traj = self._trajectory(rng, np.cumsum(rng.uniform(0.01, 0.03, 400)),
                                 states)
         got = delayed_functional_series(traj, 0.4)
-        values = np.array([v for _, v in got])
-        assert np.isnan(values).any() and np.isfinite(values).any()
+        assert np.isnan(got[1]).any() and np.isfinite(got[1]).any()
         self._assert_same_series(
             got, brute_delayed_functional_series(traj, 0.4))
 
+
+    def test_matches_slice_oracle_on_a_simulated_run(self, rng):
+        # A delayed switching run: window edges fall between nodes and are
+        # read through the trajectory's own one-sided derivatives.
+        sch = build_schedule(
+            [(float(i), float(i + 1), random_metzler(rng, 3, density=0.8))
+             for i in range(6)])
+        traj = simulate_dde(sch, 0.7, rng.uniform(-1.0, 1.0, 3), 0.0, 6.0,
+                            step=0.05)
+        got = delayed_functional_series(traj, 0.7)
+        assert got[0][0] == pytest.approx(0.7)
+        self._assert_same_series(
+            got, brute_delayed_functional_series(traj, 0.7))

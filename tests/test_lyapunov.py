@@ -19,6 +19,7 @@ from consensus_lab import (
     NegativeWeight,
     NormTooLarge,
     NotSymmetric,
+    Trajectory,
     UnknownFunction,
     UnknownFunctional,
     audit_monotonicity,
@@ -184,11 +185,50 @@ class TestAudits:
             audit_monotonicity(traj, "entropy")
 
     def test_series_helper_directions(self):
-        up = [(0.0, 0.0), (1.0, 1.0), (2.0, 3.0)]
+        up = np.array([0.0, 1.0, 3.0])
         assert monotonicity_from_series("v", up, direction="non-decreasing").passed
         report = monotonicity_from_series("v", up)
         assert not report.passed
         assert report.worst_violation == 2.0
+
+    @staticmethod
+    def _oracle_audit(rows, value, direction):
+        """Per-node audit in Python floats: the functional row by row, then
+        the worst forward move against direction over consecutive nodes; a
+        NaN move makes the worst NaN and fails the audit."""
+        values = [value(row) for row in rows.tolist()]
+        slack = 1e-9 * (1.0 + abs(values[0]))
+        worst = 0.0
+        for a, b in zip(values, values[1:]):
+            move = b - a if direction == "non-increasing" else a - b
+            if move != move:
+                return math.nan, slack, False
+            worst = max(worst, move)
+        return worst, slack, worst <= slack
+
+    @pytest.mark.parametrize("shape", ["random", "contracting", "nan_row"])
+    def test_audits_match_per_node_oracle(self, rng, shape):
+        if shape == "random":
+            states = rng.normal(size=(60, 4))
+        else:
+            states = rng.normal(size=4) * 0.9 ** np.arange(60.0)[:, None]
+        if shape == "nan_row":
+            states[23] = np.nan
+        traj = Trajectory(times=np.cumsum(rng.uniform(0.01, 0.1, 60)),
+                          states=states, derivs=np.zeros_like(states),
+                          derivs_left=np.zeros_like(states))
+        cases = (("spread", lambda r: max(r) - min(r), "non-increasing"),
+                 ("max_component", max, "non-increasing"),
+                 ("min_component", min, "non-decreasing"))
+        for fname, value, direction in cases:
+            report = audit_monotonicity(traj, fname)
+            worst, slack, passed = self._oracle_audit(states, value, direction)
+            assert report.direction == direction
+            assert np.array_equal(report.worst_violation, worst, equal_nan=True)
+            assert report.slack == slack
+            assert report.passed is passed
+            if shape == "nan_row":
+                assert not report.passed
 
 
 class TestEquivalences:

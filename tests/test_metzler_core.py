@@ -449,7 +449,7 @@ class TestWindowStack:
                 starts += [b for b in breaks if b <= t_end - T]
                 starts += [b - T for b in breaks if b >= T]
                 starts += window_connectivity_report(
-                    sch, 0.1, T).window_starts
+                    sch, 0.1, T).window_starts.tolist()
                 stack = integrate_windows(sch, starts, T)
                 assert stack.shape == (len(starts), n, n)
                 for t, window in zip(starts, stack):
