@@ -48,9 +48,17 @@ import numpy as np
 
 # Values per format call of the trajectory writer.  A call costs about a
 # hundred numpy calls plus its values, and its temporaries grow with the
-# block: at 2**10 values they peak near 0.17 MB (tracemalloc), against
-# 0.06 MB for one "%" call over the same values.
-BLOCK = 2**10
+# block.  Nanoseconds per value over a 13,430 x 34 block of rows (the
+# widest dense benchmark run), best of 7, and the peak of one call's
+# temporaries (tracemalloc), on a shared 2-vCPU x86-64 machine with
+# numpy 2.4:
+#
+#     BLOCK        2**10   2**12   2**14
+#     ns/value       286     197     170
+#     peak MB       0.16    0.65    2.61
+#
+# 2**14 saves little more time and raises a run's peak RSS by megabytes.
+BLOCK = 2**12
 
 # Decimal exponents of the tables.  Finite nonzero doubles have E in
 # [-324, 308]; the estimate may be one off, and a carry adds one.

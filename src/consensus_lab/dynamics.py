@@ -399,8 +399,10 @@ def simulate_ode(
             phi = _rk4_transfer(A, h)
             ts, xs, dr, dl = store.extend(m)
             ts[:] = grid
-            for j in range(m):
-                xs[j] = x = phi @ x
+            # The gemv call of phi @ x, written straight into its row.
+            for row in xs:
+                x = np.matmul(phi, x, out=row)
+            x = x.copy()  # not a view of a buffer the store may outgrow
             _matvecs(A, xs, out=dr)
             dl[:] = dr
         else:
@@ -621,11 +623,17 @@ def delayed_functional_series(trajectory: Trajectory, tau: float):
 
     Reported as (times, values) arrays for every stored node t with the
     full window inside the trajectory.  The window edge t - tau generally
-    falls between grid nodes and is interpolated at integrator order.  The
-    stored nodes of a window are reduced in O(1) amortised time by monotone
-    deques over the row maxima and minima (Lemire, Nordic J. Computing
-    2006), which is exact because max and min do not round; a window with a
-    NaN row reads NaN, as ndarray.max over it does.
+    falls between grid nodes and is read by linear interpolation between
+    the two nodes that bracket it.  That value is only O(h**2) accurate,
+    where the trajectory's own Hermite interpolant is O(h**4), but it stays
+    inside the hull of the two nodes, up to rounding.  A cubic read can
+    overshoot both by far more, and the window then holds a value that the
+    previous window did not: the functional grows on a run that contracts,
+    and its audit fails.  The stored nodes of a window are reduced in O(1)
+    amortised time by monotone deques over the row maxima and minima
+    (Lemire, Nordic J. Computing 2006), which is exact because max and min
+    do not round; a window with a NaN row reads NaN, as ndarray.max over it
+    does.
     """
     if not (tau > 0.0):
         raise ValueError(f"tau must be positive, got {tau!r}")
@@ -636,10 +644,10 @@ def delayed_functional_series(trajectory: Trajectory, tau: float):
     if first >= len(times):
         raise WindowNotCovered(
             f"trajectory spans {times[-1] - times[0]}, needs at least tau = {tau}")
-    edge_q = times[first:] - tau
-    edge_states = _hermite_many(
-        edge_q, times, states, trajectory.derivs, trajectory.derivs_left,
-        clamp_slack=tiny)
+    edge_q = np.maximum(times[first:] - tau, times[0])
+    left = np.searchsorted(times[:-1], edge_q, side="right") - 1
+    s = ((edge_q - times[left]) / (times[left + 1] - times[left]))[:, None]
+    edge_states = (1.0 - s) * states[left] + s * states[left + 1]
     # Node i's window holds the stored nodes lo_idx[i - first] .. i.
     lo_idx = np.searchsorted(times, edge_q, side="left").tolist()
     row_max = states.max(axis=1).tolist()

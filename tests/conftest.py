@@ -286,20 +286,21 @@ def brute_simulate_dde(schedule, tau, history, t0, t1, step=None,
 
 def brute_delayed_functional_series(trajectory, tau):
     """delayed_functional_series by one slice of the stored states per
-    node, reduced by ndarray.max and ndarray.min."""
+    node, reduced by ndarray.max and ndarray.min, with the window edge read
+    linearly between the last node at or before it and the next one, found
+    by a scan."""
     times, states = trajectory.times, trajectory.states
     tiny = 1e-12 * max(1.0, tau)
     first = int(np.searchsorted(times, times[0] + tau - tiny, side="left"))
-    edge_q = times[first:] - tau
-    edge_states = _hermite_many(
-        edge_q, times, states, trajectory.derivs, trajectory.derivs_left,
-        clamp_slack=tiny)
-    lo_idx = np.searchsorted(times, edge_q, side="left")
     out = []
-    for j, i in enumerate(range(first, len(times))):
-        window = states[lo_idx[j]: i + 1]
-        w_max = max(float(window.max()), float(edge_states[j].max()))
-        w_min = min(float(window.min()), float(edge_states[j].min()))
+    for i in range(first, len(times)):
+        q = max(times[i] - tau, times[0])
+        left = max(k for k in range(len(times) - 1) if times[k] <= q)
+        s = (q - times[left]) / (times[left + 1] - times[left])
+        edge = (1.0 - s) * states[left] + s * states[left + 1]
+        window = states[left + (times[left] < q): i + 1]
+        w_max = max(float(window.max()), float(edge.max()))
+        w_min = min(float(window.min()), float(edge.min()))
         out.append((float(times[i]), w_max - w_min))
     return out
 

@@ -29,6 +29,7 @@ from consensus_lab import (
     delayed_functional_series,
     generate_topology,
     interpolate_state,
+    monotonicity_from_series,
     simulate_dde,
     simulate_ode,
     spread_series,
@@ -217,7 +218,8 @@ class TestBlockStepping:
     """Both stepping loops write whole pieces into the node store; the
     per-node loops of conftest append the same nodes one at a time."""
 
-    @pytest.mark.parametrize("kind", ["constant", "switching", "mixed"])
+    @pytest.mark.parametrize("kind", ["constant", "switching", "mixed",
+                                      "constant-sinusoidal-constant"])
     def test_ode_matches_per_node_loops(self, rng, kind):
         n = 5
         if kind == "constant":
@@ -225,6 +227,15 @@ class TestBlockStepping:
             # store grows inside a single extend.
             sch = constant_schedule(random_metzler(rng, n), 0.0, 3.0)
             step = None
+        elif kind == "constant-sinusoidal-constant":
+            # The transfer loop writes each node into its row.  The state
+            # it hands on must not be a view of that row: the stage loop
+            # starts from it and grows the store (201 + 100 nodes > 256),
+            # and the last constant piece starts from the stage loop's.
+            sch = build_schedule([(0.0, 2.0, random_metzler(rng, n)),
+                                  (2.0, 3.0, _sinusoidal(rng, n)),
+                                  (3.0, 5.0, random_metzler(rng, n))])
+            step = 0.01
         else:
             # Pieces of one step (0.01 at step 0.05) and of many steps; the
             # store fills up across pieces.  Mixed pieces alternate between
@@ -607,8 +618,7 @@ class TestDelayedFunctional:
 
 
     def test_matches_slice_oracle_on_a_simulated_run(self, rng):
-        # A delayed switching run: window edges fall between nodes and are
-        # read through the trajectory's own one-sided derivatives.
+        # A delayed switching run: window edges fall between nodes.
         sch = build_schedule(
             [(float(i), float(i + 1), random_metzler(rng, 3, density=0.8))
              for i in range(6)])
@@ -618,3 +628,27 @@ class TestDelayedFunctional:
         assert got[0][0] == pytest.approx(0.7)
         self._assert_same_series(
             got, brute_delayed_functional_series(traj, 0.7))
+
+    @pytest.mark.filterwarnings("ignore::consensus_lab.StepTooLargeWarning")
+    @pytest.mark.parametrize("seed", range(4))
+    def test_no_violation_with_the_edge_off_the_grid(self, seed):
+        # Coupling-delayed switching runs at h * max|a_kk| <= 1, with tau
+        # and the period drawn so that window edges fall between nodes.
+        # With the edge read by cubic Hermite, every seed failed: by 4e-7
+        # to 4e-4 against slacks near 2.5e-9.
+        rng = np.random.default_rng(seed)
+        for _ in range(3):
+            n = int(rng.integers(3, 10))
+            period = float(rng.uniform(0.3, 1.0))
+            sch = build_schedule(
+                [(k * period, (k + 1) * period,
+                  random_metzler(rng, n, density=0.9, wmax=1.5))
+                 for k in range(int(12.0 / period))])
+            diag = np.abs(np.diagonal(sch.couplings, axis1=1, axis2=2)).max()
+            tau = float(rng.uniform(0.2, 1.5))
+            step = float(rng.uniform(0.2, 1.0) / diag)
+            traj = simulate_dde(sch, tau, rng.uniform(-1.0, 1.0, n), 0.0,
+                                sch.horizon[1], step=step)
+            _, values = delayed_functional_series(traj, tau)
+            report = monotonicity_from_series("delayed_spread", values)
+            assert report.passed, (n, period, tau, step, report.worst_violation)

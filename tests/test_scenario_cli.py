@@ -9,8 +9,10 @@ full cycle of length 2.
 
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -115,6 +117,16 @@ analyses:
     gap_tol: 0.6
 """
 
+# Every scenario file of the README, then the valid ones above.
+_README = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+    encoding="utf-8")
+EXAMPLES = {
+    **{f"readme-{i}": text for i, text in
+       enumerate(re.findall(r"```yaml\n(.*?)```", _README, re.S))},
+    "ring-demo": RING_DEMO, "isolated-node": ISOLATED_NODE,
+    "wrong-root": WRONG_ROOT, "ambiguous-spectrum": AMBIGUOUS_SPECTRUM,
+}
+
 
 def write(tmp_path, name, text):
     path = tmp_path / name
@@ -191,6 +203,31 @@ class TestParsing:
         with pytest.raises(ParseError) as err:
             parse_config("nodes: 2\ntopology: [unclosed\n")
         assert err.value.line is not None
+
+    @pytest.mark.parametrize("text", EXAMPLES.values(), ids=EXAMPLES)
+    def test_python_loader_gives_the_same_config(self, monkeypatch, text):
+        # libyaml's loader where PyYAML has it; without it the pure-Python
+        # SafeLoader, which shares its constructor and resolver.
+        fast = parse_config(text)
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        assert parse_config(text) == fast
+
+    @pytest.mark.parametrize("text", [
+        "nodes: 2\ntopology: [unclosed\n",
+        "nodes: [\n",
+        "nodes: 2\n  horizon: 1.0\n",
+        "nodes: 2\ntopology: {kind: ring\nhorizon: 1.0\n",
+        "nodes: 2\nname: 'open\n",
+        "nodes: 2\n\thorizon: 1.0\n",
+    ])
+    def test_python_loader_reports_the_same_line(self, monkeypatch, text):
+        with pytest.raises(ParseError) as fast:
+            parse_config(text)
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        with pytest.raises(ParseError) as slow:
+            parse_config(text)
+        assert fast.value.line is not None
+        assert slow.value.line == fast.value.line
 
     def test_initial_state_length_checked(self):
         bad = RING_DEMO.replace("[1.0, 0.0, -1.0]", "[1.0, 0.0]")
@@ -610,6 +647,23 @@ class TestCommandLine:
             "[PASS] spectral" in report
         assert "verdict: FAIL (exit 3)" in capsys.readouterr().out
 
+    def test_delayed_spread_passes_with_the_edge_off_the_grid(self, tmp_path):
+        # At the default step the window edge t - 0.7 falls between nodes;
+        # read by cubic Hermite it overshot both of its nodes and the audit
+        # failed with worst = 4.2e-8 against a slack of 2.4e-9.
+        cfg = write(tmp_path, "offgrid.yaml", scenario(
+            nodes=8, horizon=20.0, seed=3, delay={"tau": 0.7},
+            topology={"kind": "random_switching", "period": 0.5,
+                      "link_probability": 0.9, "weight_range": [0.5, 1.5],
+                      "seed": 5},
+            initial_state={"distribution": "uniform", "low": -1.0,
+                           "high": 1.0},
+            analyses=[{"kind": "audit", "functionals": ["delayed_spread"]}]))
+        out = tmp_path / "o"
+        assert main(["run", cfg, "--output-dir", str(out)]) == 0
+        assert ("[PASS] audit: delayed_spread: worst=0\n"
+                in (out / "report.txt").read_text())
+
     def test_config_error_exits_4(self, tmp_path, capsys):
         cfg = write(tmp_path, "bad.yaml", RING_DEMO + "extra_knob: 3\n")
         assert main(["run", cfg]) == 4
@@ -777,6 +831,30 @@ class TestTrajectoryCsv:
             brute_trajectory_csv(str(brute), traj, values[:, -1])
             assert blocked.read_bytes() == brute.read_bytes()
             assert len(blocked.read_text().splitlines()) == rows + 1
+
+    @pytest.mark.parametrize("n, block", [(1, 1365), (3, 819), (40, 97)])
+    def test_one_format_call_per_block(self, tmp_path, monkeypatch, rng, n,
+                                       block):
+        # Blocks of 2**12 values, whole rows: BLOCK // (n + 2) rows each.
+        calls = []
+        format_rows = csvfmt.format_rows
+
+        def counted(values):
+            calls.append(len(values))
+            return format_rows(values)
+
+        monkeypatch.setattr(csvfmt, "format_rows", counted)
+        assert max(1, csvfmt.BLOCK // (n + 2)) == block
+        for rows in (1, block, block + 1, 2 * block + 5):
+            calls.clear()
+            states = rng.normal(size=(rows, n))
+            traj = Trajectory(times=np.arange(rows) * 0.1, states=states,
+                              derivs=states, derivs_left=states)
+            _write_trajectory_csv(str(tmp_path / "t.csv"), traj,
+                                  states.max(axis=1) - states.min(axis=1))
+            assert len(calls) == -(-rows // block)
+            assert calls[:-1] == [block] * (len(calls) - 1)
+            assert sum(calls) == rows
 
     @staticmethod
     def _same_as_brute(tmp_path, times, states, spreads):
