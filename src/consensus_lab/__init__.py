@@ -67,24 +67,15 @@ from .dynamics import (
     spread_series,
 )
 from .lyapunov import (
+    AUDITS,
     CONVEX_REGISTRY,
     MonotonicityReport,
-    PropositionReport,
-    WeightedInvarianceReport,
     audit_monotonicity,
-    centered_sum_of_squares,
-    check_proposition_equivalences,
+    check_hypotheses,
     column_sums_zero,
-    consensus_potential,
-    gradient_flow_residual,
     matrix_exponential,
     monotonicity_from_series,
-    potential_gradient_fd,
-    spread,
-    sum_of_squares,
     symmetric_part_nsd,
-    weighted_convex_functional,
-    weighted_invariance_check,
 )
 from .certify import (
     CertificateReport,

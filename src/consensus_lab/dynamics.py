@@ -48,6 +48,7 @@ Hermite reads at integrator order across switches.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import warnings
 from collections import deque
@@ -98,6 +99,14 @@ class Trajectory:
     @property
     def t_end(self) -> float:
         return float(self.times[-1])
+
+    @functools.cached_property
+    def spread(self) -> np.ndarray:
+        """max - min at every stored node, computed on first read and
+        read-only: the run's one spread series."""
+        values = self.states.max(axis=1) - self.states.min(axis=1)
+        values.setflags(write=False)
+        return values
 
 
 # Largest r for which h*A with spectrum in the Gershgorin disc
@@ -613,9 +622,9 @@ def simulate_dde(
 # --------------------------------------------------------------------------
 
 def spread_series(trajectory: Trajectory):
-    """(times, max - min) at every stored node, as two 1-d arrays."""
-    states = trajectory.states
-    return trajectory.times, states.max(axis=1) - states.min(axis=1)
+    """(times, max - min) at every stored node, as two read-only 1-d
+    arrays; the values are the trajectory's cached spread."""
+    return trajectory.times, trajectory.spread
 
 
 def delayed_functional_series(trajectory: Trajectory, tau: float):
@@ -632,8 +641,8 @@ def delayed_functional_series(trajectory: Trajectory, tau: float):
     and its audit fails.  The stored nodes of a window are reduced in O(1)
     amortised time by monotone deques over the row maxima and minima
     (Lemire, Nordic J. Computing 2006), which is exact because max and min
-    do not round; a window with a NaN row reads NaN, as ndarray.max over it
-    does.
+    do not round; a window with a NaN row or a NaN edge reads NaN, as
+    ndarray.max over it does.
     """
     if not (tau > 0.0):
         raise ValueError(f"tau must be positive, got {tau!r}")
@@ -647,7 +656,11 @@ def delayed_functional_series(trajectory: Trajectory, tau: float):
     edge_q = np.maximum(times[first:] - tau, times[0])
     left = np.searchsorted(times[:-1], edge_q, side="right") - 1
     s = ((edge_q - times[left]) / (times[left + 1] - times[left]))[:, None]
-    edge_states = (1.0 - s) * states[left] + s * states[left + 1]
+    # An edge on a node is that node: 0 * inf in the linear read would make
+    # it NaN.
+    with np.errstate(invalid="ignore"):
+        edge_states = np.where(s == 0.0, states[left],
+                               (1.0 - s) * states[left] + s * states[left + 1])
     # Node i's window holds the stored nodes lo_idx[i - first] .. i.
     lo_idx = np.searchsorted(times, edge_q, side="left").tolist()
     row_max = states.max(axis=1).tolist()
@@ -674,13 +687,15 @@ def delayed_functional_series(trajectory: Trajectory, tau: float):
             continue
         j = i - first
         lo = lo_idx[j]
-        if last_nan >= lo:
-            w_max = w_min = math.nan
-        else:
-            while tops[0] < lo:
-                tops.popleft()
-            while bottoms[0] < lo:
-                bottoms.popleft()
-            w_max, w_min = row_max[tops[0]], row_min[bottoms[0]]
-        out.append(max(w_max, edge_max[j]) - min(w_min, edge_min[j]))
+        # Python's max and min drop a NaN second argument, so a NaN edge is
+        # caught here, with the NaN rows.
+        if last_nan >= lo or edge_max[j] != edge_max[j]:
+            out.append(math.nan)
+            continue
+        while tops[0] < lo:
+            tops.popleft()
+        while bottoms[0] < lo:
+            bottoms.popleft()
+        out.append(max(row_max[tops[0]], edge_max[j])
+                   - min(row_min[bottoms[0]], edge_min[j]))
     return times[first:], np.array(out)

@@ -1,20 +1,44 @@
 """Monotone functionals along consensus trajectories.
 
-The spread max(x) - min(x) decreases along every solution of the coupled
-dynamics, and that is the workhorse certificate.  The quadratic candidates
-(sum of squares, centered sum of squares, the potential -x'Ax/2) decrease
-only under extra structure: column balance for the sums of squares,
-symmetry for the potential.  This module evaluates all of them, audits
-their monotonicity along stored trajectories, and checks the classical
-equivalence package for balanced coupling:
+AUDITS is the one table of the functionals an audit can check.  Each
+entry holds the functional's series over a stored trajectory, the
+direction it moves in, and the hypothesis on the coupling under which it
+must move that way:
 
-  sum of squares non-increasing
-    <=> A + A' negative semidefinite
-    <=> columns of A sum to zero
-    <=> every permutation-invariant convex function is non-increasing,
+  functional                direction        hypothesis
+  spread                    non-increasing   none
+  max_component             non-increasing   none
+  min_component             non-decreasing   none
+  delayed_spread            non-increasing   none (a delayed run; tau from its meta)
+  sum_of_squares            non-increasing   1'A = 0
+  centered_sum_of_squares   non-increasing   1'A = 0
+  weighted:<f>              non-increasing   p'A = 0 (p the audit's weights, or 1)
+  potential                 non-increasing   A = A'
 
-together with the doubly-stochastic character of exp(At) and conservation
-of weighted sums p'x when p'A = 0.
+for A = A(t) at every t.
+
+The spread max(x) - min(x) is the workhorse certificate: it shrinks along
+every solution of the coupled dynamics, and the sliding-window spread does
+along the coupling-delayed ones.  The other functionals shrink only under
+extra structure.  Under column balance p'A(t) = 0 every p-weighted sum
+p_1 f(x_1) + ... + p_n f(x_n) of a convex f is non-increasing, which for
+p = 1 is the disagreement-function argument for balanced digraphs
+(Olfati-Saber & Murray, IEEE TAC 49(9), 2004); symmetric coupling is the
+gradient flow of the potential -x'Ax/2.  check_hypotheses tests the
+hypotheses a list of functionals names on a schedule's coupling stack,
+and the scenario runner calls it before it evaluates any functional.
+
+Claims for balanced coupling, each with the tests that check it:
+
+  A + A' negative semidefinite <=> the columns of A sum to zero
+      tests/test_acceptance.py::test_c5_balance_equivalences
+  exp(At) is doubly stochastic
+      tests/test_acceptance.py::test_c5_balance_equivalences
+  p'x(t) is conserved when p'A = 0
+      tests/test_acceptance.py::test_c5_balance_equivalences
+      tests/test_lyapunov.py::TestBalance::test_weighted_sum_conserved
+  weighted:<f> is non-increasing on balanced runs
+      tests/test_lyapunov.py::TestBalance::test_weighted_audits_pass_on_balanced_runs
 
 The negative-semidefiniteness test takes the eigenvalues of A + A' from
 LAPACK (numpy.linalg.eigvalsh).  numpy has no matrix exponential, so
@@ -26,7 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -39,8 +63,8 @@ from .errors import (
     UnknownFunction,
     UnknownFunctional,
 )
-from .dynamics import Trajectory, simulate_ode, spread_series
-from .metzler_core import CouplingSchedule, constant_schedule, coupling_entries
+from .dynamics import Trajectory, delayed_functional_series
+from .metzler_core import DEFAULT_ROW_TOL, coupling_entries
 
 # Beyond this infinity norm of A*t the squaring phase can no longer be
 # trusted to the advertised accuracy; refuse rather than return noise.
@@ -59,50 +83,6 @@ CONVEX_REGISTRY: dict = {
     "relu": lambda u: np.maximum(u, 0.0),
     "pwl": _pwl,
 }
-
-
-def _as_vector(x) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise EmptyVector(f"expected a non-empty vector, got shape {arr.shape}")
-    return arr
-
-
-def spread(x) -> float:
-    """max(x) - min(x); zero exactly on consensus states."""
-    arr = _as_vector(x)
-    return float(arr.max() - arr.min())
-
-
-def sum_of_squares(x) -> float:
-    arr = _as_vector(x)
-    return float(np.dot(arr, arr))
-
-
-def centered_sum_of_squares(x) -> float:
-    """Sum of squared deviations from the mean.
-
-    Equals sum_of_squares(x) - n * mean(x)^2; vanishes exactly on consensus
-    states, which makes it the sharper quadratic of the two.
-    """
-    arr = _as_vector(x)
-    return float(np.dot(arr - arr.mean(), arr - arr.mean()))
-
-
-def weighted_convex_functional(x, p, f: str) -> float:
-    """p_1 f(x_1) + ... + p_n f(x_n) for a registry function f."""
-    arr = _as_vector(x)
-    weights = _as_vector(p)
-    if weights.shape != arr.shape:
-        raise ValueError(f"weights shape {weights.shape} != state shape {arr.shape}")
-    if np.any(weights < 0.0):
-        raise NegativeWeight("functional weights must be non-negative")
-    try:
-        fn = CONVEX_REGISTRY[f]
-    except KeyError:
-        raise UnknownFunction(
-            f"{f!r} not in registry {sorted(CONVEX_REGISTRY)}") from None
-    return float(np.dot(weights, fn(arr)))
 
 
 # --------------------------------------------------------------------------
@@ -150,70 +130,123 @@ def matrix_exponential(A, t: float = 1.0) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# Potential (gradient-flow) view for symmetric coupling
+# The table of audit functionals
 # --------------------------------------------------------------------------
 
-def _require_symmetric(entries: np.ndarray):
-    if float(np.max(np.abs(entries - entries.T))) > 1e-12:
-        raise NotSymmetric("coupling must be symmetric for the potential view")
+@dataclass(frozen=True)
+class Functional:
+    """One audit functional.  values(trajectory, p, B, f) is its series at
+    the stored nodes, given the audit's weights p (None for all ones), the
+    coupling B (for the potential) and the convex function f (for
+    weighted:<f>).  hypothesis is None, "1'A = 0", "p'A = 0" or "A = A'"."""
+
+    values: Callable
+    direction: str = "non-increasing"
+    hypothesis: Optional[str] = None
 
 
-def consensus_potential(A, x) -> float:
-    """V(x) = -x'Ax/2; for symmetric A the dynamics are its gradient flow."""
-    entries = coupling_entries(A)
-    _require_symmetric(entries)
-    arr = _as_vector(x)
-    return float(-0.5 * arr @ entries @ arr)
+def _weights(p, n: int) -> np.ndarray:
+    """The audit's weights as a non-negative n-vector; all ones for None."""
+    if p is None:
+        return np.ones(n)
+    arr = np.asarray(p, dtype=float)
+    if arr.ndim != 1 or arr.size == 0:
+        raise EmptyVector(f"expected a non-empty weight vector, got shape {arr.shape}")
+    if arr.shape != (n,):
+        raise ValueError(f"weights shape {arr.shape} != ({n},)")
+    if np.any(arr < 0.0):
+        raise NegativeWeight("functional weights must be non-negative")
+    return arr
 
 
-def potential_gradient_fd(A, x, h: Optional[float] = None) -> np.ndarray:
-    """Central-difference gradient of the potential, for cross-checks."""
-    entries = coupling_entries(A)
-    _require_symmetric(entries)
-    arr = _as_vector(x)
-    if h is None:
-        h = 1e-6 * (1.0 + float(np.abs(arr).max()))
-    grad = np.empty_like(arr)
-    for i in range(len(arr)):
-        up = arr.copy()
-        dn = arr.copy()
-        up[i] += h
-        dn[i] -= h
-        vp = float(-0.5 * up @ entries @ up)
-        vn = float(-0.5 * dn @ entries @ dn)
-        grad[i] = (vp - vn) / (2.0 * h)
-    return grad
+def _sum_of_squares(states):
+    return np.einsum("ij,ij->i", states, states)
 
 
-def gradient_flow_residual(A, x) -> float:
-    """Infinity norm of A x + grad V(x), the gradient estimated by central
-    differences.
+def _potential(run, p, B, f):
+    if B is None:
+        raise UnknownFunctional("potential audit needs the coupling matrix")
+    return -0.5 * np.einsum("ij,jk,ik->i", run.states, B, run.states)
 
-    For symmetric A the dynamics are steepest descent on the potential, so
-    this residual is rounding-level; the finite-difference route keeps the
-    check independent of the algebra it certifies.
+
+def _delayed_spread(run, p, B, f):
+    if "tau" not in run.meta:
+        raise UnknownFunctional("delayed_spread needs a delayed run (tau in its meta)")
+    return delayed_functional_series(run, run.meta["tau"])[1]
+
+
+AUDITS = {
+    "spread": Functional(lambda run, p, B, f: run.spread),
+    "max_component": Functional(lambda run, p, B, f: run.states.max(axis=1)),
+    "min_component": Functional(lambda run, p, B, f: run.states.min(axis=1),
+                                direction="non-decreasing"),
+    "delayed_spread": Functional(_delayed_spread),
+    "sum_of_squares": Functional(
+        lambda run, p, B, f: _sum_of_squares(run.states), hypothesis="1'A = 0"),
+    "centered_sum_of_squares": Functional(
+        lambda run, p, B, f: _sum_of_squares(
+            run.states - run.states.mean(axis=1, keepdims=True)),
+        hypothesis="1'A = 0"),
+    "weighted": Functional(
+        lambda run, p, B, f: CONVEX_REGISTRY[f](run.states) @ _weights(p, run.n),
+        hypothesis="p'A = 0"),
+    "potential": Functional(_potential, hypothesis="A = A'"),
+}
+
+
+def audit_entry(functional: str):
+    """(table entry, convex-function name or "") of an audit name; the
+    table is keyed by base name, and weighted:<f> is the one name with a
+    suffix."""
+    base, colon, f = functional.partition(":")
+    entry = AUDITS.get(base)
+    if entry is None or bool(colon) != (base == "weighted"):
+        raise UnknownFunctional(
+            f"{functional!r} is not one of {sorted(AUDITS)} (weighted as weighted:<f>)")
+    if colon and f not in CONVEX_REGISTRY:
+        raise UnknownFunction(
+            f"{functional!r} must be weighted:<f> with f in {sorted(CONVEX_REGISTRY)}")
+    return entry, f
+
+
+def check_hypotheses(functionals, couplings, starts, weights=None):
+    """Check on a (k, n, n) coupling stack every hypothesis the named
+    functionals need; starts holds the start time of each piece.
+
+    A schedule piece is A(t) = c(t) B with c(t) >= 0, so p'A(t) = c(t) p'B
+    and A(t) is symmetric when B is: testing each fixed coupling B covers
+    its piece.  Each test allows DEFAULT_ROW_TOL times max(1, the largest
+    term it compares), as validate_coupling_matrix allows on a row sum.
+    Raises NotSymmetric, then BalanceViolated, for the first piece that
+    fails.
     """
-    entries = coupling_entries(A)
-    arr = _as_vector(x)
-    flow = entries @ arr
-    grad = potential_gradient_fd(entries, arr)
-    return float(np.max(np.abs(flow + grad)))
+    needs = {audit_entry(name)[0].hypothesis for name in functionals}
+    couplings = np.asarray(couplings, dtype=float)
+    n = couplings.shape[-1]
+    scale = np.abs(couplings).max(axis=(1, 2))
+    if "A = A'" in needs:
+        gap = np.abs(couplings - couplings.transpose(0, 2, 1)).max(axis=(1, 2))
+        bad = np.flatnonzero(gap > DEFAULT_ROW_TOL * np.maximum(1.0, scale))
+        if len(bad):
+            i = bad[0]
+            raise NotSymmetric(
+                f"the potential audit needs symmetric coupling; A - A' reaches "
+                f"{float(gap[i])!r} at t = {float(starts[i])!r}")
+    vectors = [np.ones(n)] if "1'A = 0" in needs else []
+    if "p'A = 0" in needs:
+        vectors.append(_weights(weights, n))
+    for p in vectors:
+        residual = np.abs(p @ couplings).max(axis=1)
+        tol = DEFAULT_ROW_TOL * np.maximum(1.0, p.max() * scale)
+        bad = np.flatnonzero(residual > tol)
+        if len(bad):
+            i = bad[0]
+            raise BalanceViolated(float(starts[i]), float(residual[i]))
 
 
 # --------------------------------------------------------------------------
 # Monotonicity audits along trajectories
 # --------------------------------------------------------------------------
-
-AUDIT_FUNCTIONALS = (
-    "spread",
-    "sum_of_squares",
-    "centered_sum_of_squares",
-    "max_component",
-    "min_component",
-    "potential",
-    "weighted:<f>",
-)
-
 
 @dataclass(frozen=True)
 class MonotonicityReport:
@@ -263,42 +296,6 @@ def monotonicity_from_series(
     )
 
 
-def _functional_values(trajectory: Trajectory, functional: str,
-                       weights, matrix):
-    states = trajectory.states
-    if functional == "spread":
-        return spread_series(trajectory)[1], "non-increasing"
-    if functional == "sum_of_squares":
-        return np.einsum("ij,ij->i", states, states), "non-increasing"
-    if functional == "centered_sum_of_squares":
-        centered = states - states.mean(axis=1, keepdims=True)
-        return np.einsum("ij,ij->i", centered, centered), "non-increasing"
-    if functional == "max_component":
-        return states.max(axis=1), "non-increasing"
-    if functional == "min_component":
-        return states.min(axis=1), "non-decreasing"
-    if functional == "potential":
-        if matrix is None:
-            raise UnknownFunctional("potential audit needs the coupling matrix")
-        entries = coupling_entries(matrix)
-        _require_symmetric(entries)
-        vals = -0.5 * np.einsum("ij,jk,ik->i", states, entries, states)
-        return vals, "non-increasing"
-    if functional.startswith("weighted:"):
-        fname = functional.split(":", 1)[1]
-        try:
-            fn = CONVEX_REGISTRY[fname]
-        except KeyError:
-            raise UnknownFunction(
-                f"{fname!r} not in registry {sorted(CONVEX_REGISTRY)}") from None
-        p = np.ones(states.shape[1]) if weights is None else _as_vector(weights)
-        if np.any(p < 0.0):
-            raise NegativeWeight("functional weights must be non-negative")
-        return fn(states) @ p, "non-increasing"
-    raise UnknownFunctional(
-        f"{functional!r} not one of {AUDIT_FUNCTIONALS}")
-
-
 def audit_monotonicity(
     trajectory: Trajectory,
     functional: str,
@@ -306,166 +303,21 @@ def audit_monotonicity(
     matrix=None,
     slack: Optional[float] = None,
 ) -> MonotonicityReport:
-    """Evaluate a registry functional at every stored node and check it
+    """Evaluate a table functional at every stored node and check it
     moves in its expected direction, up to slack (default
     1e-9 * (1 + initial value)).
 
-    A failed audit is a report with passed=False, not an exception: for
-    unbalanced coupling the sums of squares are expected to lose
-    monotonicity, and the report is how that shows up.
+    A given coupling matrix is first checked against the functional's
+    hypothesis (check_hypotheses); the potential needs one.  Without a
+    matrix, a failed audit is a report with passed=False, not an
+    exception: for unbalanced coupling the sums of squares are expected to
+    lose monotonicity, and the report is how that shows up.
     """
-    values, direction = _functional_values(trajectory, functional, weights, matrix)
+    entry, f = audit_entry(functional)
+    B = None
+    if matrix is not None:
+        B = coupling_entries(matrix)
+        check_hypotheses([functional], B[None], [trajectory.t_start], weights)
+    values = entry.values(trajectory, weights, B, f)
     return monotonicity_from_series(functional, values, slack=slack,
-                                    direction=direction)
-
-
-# --------------------------------------------------------------------------
-# The equivalence package for balanced coupling
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PropositionReport:
-    """Balanced-coupling equivalence check on one matrix.
-
-    equivalence_consistent records that the column-balance test and the
-    negative-semidefiniteness test agreed (in both the true and the false
-    case).  The doubly-stochastic and random-functional probes only run for
-    balanced matrices and stay None otherwise.
-    """
-
-    column_balanced: bool
-    symmetric_part_nsd: bool
-    equivalence_consistent: bool
-    exp_doubly_stochastic: Optional[bool]
-    exp_worst_sum_error: Optional[float]
-    functionals_non_increasing: Optional[bool]
-    functionals_checked: int
-    worst_functional_violation: Optional[float]
-
-
-def _sorted_dot(w: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """max over permutations pi of sum_i w_i x_pi(i), evaluated per row.
-
-    By the rearrangement inequality this equals the dot product of the two
-    descending sorts: a permutation-invariant convex (max-of-linear)
-    function.
-    """
-    ws = np.sort(w)[::-1]
-    xs = np.sort(states, axis=1)[:, ::-1]
-    return xs @ ws
-
-
-def check_proposition_equivalences(
-    A,
-    trials: int = 20,
-    seed: int = 0,
-    times=(0.1, 1.0, 10.0),
-    horizon: float = 4.0,
-) -> PropositionReport:
-    """Check the balanced-coupling equivalences on one matrix.
-
-    Always compares the column-balance and NSD verdicts.  For balanced
-    matrices, additionally verifies that exp(At) has unit row and column
-    sums at the probe times and that seeded random permutation-invariant
-    convex functionals are non-increasing along simulated trajectories.
-    """
-    entries = coupling_entries(A)
-    n = entries.shape[0]
-    balanced = column_sums_zero(entries)
-    nsd = symmetric_part_nsd(entries)
-    consistent = balanced == nsd
-
-    exp_ok = None
-    worst_sum = None
-    func_ok = None
-    worst_func = None
-    checked = 0
-    if balanced:
-        worst_sum = 0.0
-        for t in times:
-            E = matrix_exponential(entries, t)
-            worst_sum = max(
-                worst_sum,
-                float(np.max(np.abs(E.sum(axis=0) - 1.0))),
-                float(np.max(np.abs(E.sum(axis=1) - 1.0))),
-            )
-        exp_ok = worst_sum <= 1e-9
-
-        rng = np.random.default_rng(seed)
-        worst_func = 0.0
-        func_ok = True
-        schedule = constant_schedule(entries, 0.0, horizon)
-        names = sorted(CONVEX_REGISTRY)
-        for _ in range(trials):
-            x0 = rng.uniform(-1.0, 1.0, n)
-            traj = simulate_ode(schedule, x0, 0.0, horizon)
-            if rng.uniform() < 0.5:
-                fname = names[rng.integers(len(names))]
-                vals = CONVEX_REGISTRY[fname](traj.states).sum(axis=1)
-            else:
-                w = rng.uniform(-1.0, 1.0, n)
-                vals = _sorted_dot(w, traj.states)
-            checked += 1
-            report = monotonicity_from_series("convex", vals)
-            worst_func = max(worst_func, report.worst_violation)
-            func_ok = func_ok and report.passed
-    return PropositionReport(
-        column_balanced=balanced,
-        symmetric_part_nsd=nsd,
-        equivalence_consistent=consistent,
-        exp_doubly_stochastic=exp_ok,
-        exp_worst_sum_error=worst_sum,
-        functionals_non_increasing=func_ok,
-        functionals_checked=checked,
-        worst_functional_violation=worst_func,
-    )
-
-
-@dataclass(frozen=True)
-class WeightedInvarianceReport:
-    """Audit of p-weighted functionals and conservation of p'x."""
-
-    weights: tuple
-    balance_residual: float
-    functional_reports: tuple
-    conserved_drift: float
-    conserved: bool
-    passed: bool
-
-
-def weighted_invariance_check(
-    schedule: CouplingSchedule,
-    p,
-    trajectory: Trajectory,
-) -> WeightedInvarianceReport:
-    """For p with p'A(t) = 0, audit all registry functionals with weights p
-    and check that p'x(t) is conserved along the trajectory.
-
-    The balance precondition is verified once per segment on the fixed
-    coupling B, since p'A(t) = c(t) p'B (tolerance 1e-9); BalanceViolated
-    reports the start of the first offending segment.
-    """
-    weights = _as_vector(p)
-    if np.any(weights < 0.0):
-        raise NegativeWeight("weight vector must be non-negative")
-    residual = 0.0
-    for t_start, coupling in zip(schedule.starts.tolist(), schedule.couplings):
-        r = float(np.max(np.abs(weights @ coupling)))
-        residual = max(residual, r)
-        if r > 1e-9:
-            raise BalanceViolated(t_start, r)
-    reports = []
-    for fname in sorted(CONVEX_REGISTRY):
-        reports.append(
-            audit_monotonicity(trajectory, f"weighted:{fname}", weights=weights))
-    linear = trajectory.states @ weights
-    drift = float(np.max(np.abs(linear - linear[0])))
-    conserved = drift <= 1e-8
-    return WeightedInvarianceReport(
-        weights=tuple(float(w) for w in weights),
-        balance_residual=residual,
-        functional_reports=tuple(reports),
-        conserved_drift=drift,
-        conserved=conserved,
-        passed=bool(conserved and all(r.passed for r in reports)),
-    )
+                                    direction=entry.direction)

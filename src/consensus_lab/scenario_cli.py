@@ -7,8 +7,10 @@ the output directory and exits with a code that scripts can branch on:
 
   0  every analysis passed
   2  at least one analysis failed its verdict
-  3  a connectivity or balance hypothesis could not be verified, or the
-     theory behind an analysis does not cover the run (a delayed run)
+  3  a hypothesis could not be verified: connectivity, the column balance
+     p'A(t) = 0 of a sum-of-squares or weighted:<f> audit, or the symmetry
+     of a potential audit; or the theory behind an analysis does not
+     cover the run (a delayed run)
   4  the scenario file is malformed
   5  a numerical routine gave up
 
@@ -33,13 +35,7 @@ import yaml
 
 from . import certify, csvfmt, lyapunov
 from .digraph import window_connectivity_report
-from .dynamics import (
-    Trajectory,
-    delayed_functional_series,
-    simulate_dde,
-    simulate_ode,
-    spread_series,
-)
+from .dynamics import Trajectory, simulate_dde, simulate_ode, spread_series
 from .errors import (
     AmbiguousSpectrum,
     BalanceViolated,
@@ -54,6 +50,8 @@ from .errors import (
     NoTrappedComponent,
     OutOfHorizon,
     ParseError,
+    UnknownFunction,
+    UnknownFunctional,
     ValidationError,
     WindowNotCovered,
 )
@@ -61,7 +59,6 @@ from .metzler_core import (
     CouplingSchedule,
     SinusoidalCoupling,
     build_schedule,
-    evaluate_schedule,
     from_offdiagonal,
     integrate_schedule,
     validate_coupling_matrix,
@@ -84,12 +81,7 @@ _NUMERICAL_ERRORS = (
     WindowNotCovered,
     DegenerateSeries,
 )
-
-# Audit names as base words ("weighted:<f>" -> "weighted"), plus the
-# delayed sliding-window spread that only the scenario runner evaluates.
-_AUDIT_BASES = tuple(
-    name.split(":", 1)[0] for name in lyapunov.AUDIT_FUNCTIONALS
-) + ("delayed_spread",)
+_HYPOTHESIS_ERRORS = (HypothesisUnverified, BalanceViolated, NotSymmetric)
 
 
 def _fmt(x: float) -> str:
@@ -580,13 +572,10 @@ def _audit(keys, config):
     if not isinstance(names, list) or not names:
         raise ValidationError(where, "expected a non-empty list")
     for fname in names:
-        base, _, convex = str(fname).partition(":")
-        if base not in _AUDIT_BASES:
-            raise ValidationError(where, f"unknown functional {fname!r}")
-        if base == "weighted" and convex not in lyapunov.CONVEX_REGISTRY:
-            raise ValidationError(
-                where, f"{fname!r} must be weighted:<f> with f in "
-                f"{sorted(lyapunov.CONVEX_REGISTRY)}")
+        try:
+            lyapunov.audit_entry(str(fname))
+        except (UnknownFunctional, UnknownFunction) as exc:
+            raise ValidationError(where, str(exc)) from None
         if fname == "potential" and config.topology["kind"] not in _CONSTANT_KINDS:
             raise ValidationError(where, "the potential audit needs constant coupling")
         if fname == "delayed_spread":
@@ -607,16 +596,14 @@ def _audit(keys, config):
     slack = keys("slack", _positive)
 
     def run(schedule, trajectory):
+        lyapunov.check_hypotheses(names, schedule.couplings, schedule.starts,
+                                  weights)
         failures, worst = [], []
         for fname in names:
-            if fname == "delayed_spread":
-                _, values = delayed_functional_series(trajectory, config.delay.tau)
-                report = lyapunov.monotonicity_from_series(fname, values, slack=slack)
-            else:
-                matrix = (evaluate_schedule(schedule, config.t0)
-                          if fname == "potential" else None)
-                report = lyapunov.audit_monotonicity(
-                    trajectory, fname, weights=weights, matrix=matrix, slack=slack)
+            # The potential runs on constant coupling: one piece.
+            matrix = schedule.couplings[0] if fname == "potential" else None
+            report = lyapunov.audit_monotonicity(
+                trajectory, fname, weights=weights, matrix=matrix, slack=slack)
             worst.append(f"{fname}: worst={_fmt(report.worst_violation)}")
             if not report.passed:
                 failures.append(fname)
@@ -742,7 +729,7 @@ def _analyses(config: ScenarioConfig) -> list:
 def _run_analysis(kind, run, schedule, trajectory) -> AnalysisResult:
     try:
         passed, detail = run(schedule, trajectory)
-    except (HypothesisUnverified, BalanceViolated) as exc:
+    except _HYPOTHESIS_ERRORS as exc:
         return AnalysisResult(kind, "hypothesis", str(exc))
     except NoTrappedComponent as exc:
         return AnalysisResult(kind, "fail", str(exc))
@@ -844,11 +831,10 @@ def _cmd_run(args) -> int:
     out = args.output_dir or _stem(args.config) + "_out"
     try:
         return run_scenario(config, out)
-    except (ParseError, ValidationError, InvalidSpec, OutOfHorizon,
-            NotSymmetric) as exc:
+    except (ParseError, ValidationError, InvalidSpec, OutOfHorizon) as exc:
         print(f"config error: {exc}")
         return EXIT_CONFIG
-    except (HypothesisUnverified, BalanceViolated) as exc:
+    except _HYPOTHESIS_ERRORS as exc:
         print(f"hypothesis unverified: {exc}")
         return EXIT_HYPOTHESIS
     except _NUMERICAL_ERRORS as exc:

@@ -286,9 +286,10 @@ def brute_simulate_dde(schedule, tau, history, t0, t1, step=None,
 
 def brute_delayed_functional_series(trajectory, tau):
     """delayed_functional_series by one slice of the stored states per
-    node, reduced by ndarray.max and ndarray.min, with the window edge read
-    linearly between the last node at or before it and the next one, found
-    by a scan."""
+    node, stacked with the window edge and reduced by ndarray.max and
+    ndarray.min, so a NaN row or edge makes the window NaN; the edge is
+    read linearly between the last node at or before it and the next one,
+    found by a scan."""
     times, states = trajectory.times, trajectory.states
     tiny = 1e-12 * max(1.0, tau)
     first = int(np.searchsorted(times, times[0] + tau - tiny, side="left"))
@@ -297,11 +298,11 @@ def brute_delayed_functional_series(trajectory, tau):
         q = max(times[i] - tau, times[0])
         left = max(k for k in range(len(times) - 1) if times[k] <= q)
         s = (q - times[left]) / (times[left + 1] - times[left])
-        edge = (1.0 - s) * states[left] + s * states[left + 1]
+        edge = (states[left] if s == 0.0
+                else (1.0 - s) * states[left] + s * states[left + 1])
         window = states[left + (times[left] < q): i + 1]
-        w_max = max(float(window.max()), float(edge.max()))
-        w_min = min(float(window.min()), float(edge.min()))
-        out.append((float(times[i]), w_max - w_min))
+        window = np.vstack((window, edge))
+        out.append((float(times[i]), float(window.max()) - float(window.min())))
     return out
 
 

@@ -346,15 +346,19 @@ class TestDdeStages:
         t1 = sch.horizon[1]
         if kind == "overflowing":
             step = 0.1
-            expected = pytest.warns(StepTooLargeWarning)
+            # numpy warns as the states pass the float range and then meet
+            # inf - inf.
+            expected = pytest.warns((StepTooLargeWarning, RuntimeWarning))
         else:
             step = 0.02 if n > 2 else 0.0025
             assert _BLOCK_ENTRIES // n**2 < 4.0 / step  # steps of the longest pieces
             expected = contextlib.nullcontext()
-        with expected:
+        with expected as seen:
             traj = simulate_dde(sch, tau, x0, 0.0, t1, step=step,
                                 delay_diagonal=delay_diagonal)
         if kind == "overflowing":
+            assert {w.category for w in seen} == {StepTooLargeWarning,
+                                                  RuntimeWarning}
             assert np.isinf(np.concatenate((traj.states, traj.derivs))).any()
             assert np.isnan(traj.states).any()
         with np.errstate(over="ignore", invalid="ignore"):
@@ -616,6 +620,25 @@ class TestDelayedFunctional:
         self._assert_same_series(
             got, brute_delayed_functional_series(traj, 0.4))
 
+    def test_nan_edge_makes_the_window_nan(self, rng):
+        # The window at t = 2 holds the nodes at 1 and 2 and its edge
+        # x(0.5), read from the NaN row 0; Python's max(1.0, nan) is 1.0.
+        states = np.zeros((5, 4))
+        states[:, 0] = 1.0
+        states[0] = np.nan
+        traj = self._trajectory(rng, np.arange(5.0), states)
+        times, values = delayed_functional_series(traj, 1.5)
+        assert times.tolist() == [2.0, 3.0, 4.0]
+        assert np.isnan(values[0])
+        assert values[1:].tolist() == [1.0, 1.0]
+        # An edge on a node is that node, even next to an infinite one:
+        # at t = 3 and tau = 1 the edge x(2) reads row 2, not 1 * x2 + 0 * inf.
+        states = np.zeros((5, 2))
+        states[:, 0] = 1.0
+        states[3] = np.inf
+        traj = self._trajectory(rng, np.arange(5.0), states)
+        _, values = delayed_functional_series(traj, 1.0)
+        assert values.tolist() == [1.0, 1.0, math.inf, math.inf]
 
     def test_matches_slice_oracle_on_a_simulated_run(self, rng):
         # A delayed switching run: window edges fall between nodes.

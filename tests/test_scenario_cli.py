@@ -7,6 +7,7 @@ at unit weight integrates to 1.0 on both off-diagonal entries over one
 full cycle of length 2.
 """
 
+import functools
 import math
 import os
 import re
@@ -32,7 +33,7 @@ from consensus_lab import (
     resolve_initial_state,
     run_scenario,
 )
-from consensus_lab import csvfmt
+from consensus_lab import csvfmt, lyapunov
 from consensus_lab.scenario_cli import _write_trajectory_csv, main
 
 from conftest import brute_trajectory_csv
@@ -663,6 +664,81 @@ class TestCommandLine:
         assert main(["run", cfg, "--output-dir", str(out)]) == 0
         assert ("[PASS] audit: delayed_spread: worst=0\n"
                 in (out / "report.txt").read_text())
+
+    def test_unbalanced_audit_exits_3(self, tmp_path, capsys):
+        # Node 1 listens to node 2 at weight 3: column 1 of A sums to -3 and
+        # column 2 to 3, so neither audit's balance hypothesis holds.  At
+        # step 0.01 both sums grew (worst 0.030 and 0.015): [FAIL], exit 2.
+        cfg = write(tmp_path, "unbalanced.yaml", scenario(
+            nodes=3, horizon=2.0, step=0.01, initial_state=[0.0, 1.0, 0.0],
+            topology={"kind": "constant",
+                      "weights": [[0, 3, 0], [0, 0, 0], [0, 0, 0]]},
+            analyses=[{"kind": "audit",
+                       "functionals": ["weighted:abs", "sum_of_squares"]}]))
+        out = tmp_path / "o"
+        assert main(["run", cfg, "--output-dir", str(out)]) == 3
+        report = (out / "report.txt").read_text()
+        assert "[HYPOTHESIS] audit: p'A(t) residual 3.0 at t = 0.0\n" in report
+        assert "verdict: FAIL (exit 3)" in capsys.readouterr().out
+
+    def test_asymmetric_potential_exits_3(self, tmp_path, capsys):
+        # It passes check and used to stop run with a config error (exit 4)
+        # after writing trajectory.csv but no report.txt.
+        cfg = write(tmp_path, "asymmetric.yaml", scenario(
+            topology={"kind": "constant", "weights": [[0, 1], [2, 0]]},
+            analyses=[{"kind": "audit", "functionals": ["spread", "potential"]}]))
+        assert main(["check", cfg]) == 0
+        out = tmp_path / "o"
+        assert main(["run", cfg, "--output-dir", str(out)]) == 3
+        report = (out / "report.txt").read_text()
+        assert ("[HYPOTHESIS] audit: the potential audit needs symmetric "
+                "coupling; A - A' reaches 1.0 at t = 0.0\n") in report
+        assert "config error" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("weights, code", [([1, 2], 0), (None, 3)],
+                             ids=["p-balanced", "p-ones"])
+    def test_audit_weights_reach_the_balance_check(self, tmp_path, weights,
+                                                   code):
+        # p = (1, 2) is a left null vector of A; p = 1 is not.
+        audit = {"kind": "audit", "functionals": ["weighted:square"]}
+        cfg = write(tmp_path, "weighted.yaml", scenario(
+            horizon=4.0, initial_state=[3.0, 0.0],
+            topology={"kind": "constant", "matrix": [[-2, 2], [1, -1]]},
+            analyses=[audit if weights is None else {**audit, "weights": weights}]))
+        assert main(["run", cfg, "--output-dir", str(tmp_path / "o")]) == code
+
+    def test_readme_example_passes(self, tmp_path, capsys):
+        # A ring is column balanced, so its centered_sum_of_squares audit runs.
+        assert "centered_sum_of_squares" in EXAMPLES["readme-0"]
+        cfg = write(tmp_path, "readme.yaml", EXAMPLES["readme-0"])
+        assert main(["run", cfg, "--output-dir", str(tmp_path / "o")]) == 0
+        assert ("[PASS] audit: spread: worst=0; centered_sum_of_squares: "
+                "worst=0\n") in capsys.readouterr().out
+
+    def test_spread_series_computed_once(self, tmp_path, monkeypatch):
+        # One spread series per run: the V_spread column and the spread
+        # audit read the trajectory's cached series.
+        computed, audited = [], {}
+        compute = Trajectory.spread.func
+        judge = lyapunov.monotonicity_from_series
+
+        def counted(self):
+            computed.append(compute(self))
+            return computed[-1]
+
+        def spy(functional, values, **options):
+            audited[functional] = values
+            return judge(functional, values, **options)
+        spread = functools.cached_property(counted)
+        spread.__set_name__(Trajectory, "spread")
+        monkeypatch.setattr(Trajectory, "spread", spread)
+        monkeypatch.setattr(lyapunov, "monotonicity_from_series", spy)
+        out = tmp_path / "o"
+        assert run_scenario(parse_config(RING_DEMO), str(out)) == 0
+        assert len(computed) == 1
+        assert audited["spread"] is computed[0]
+        rows = (out / "trajectory.csv").read_text().splitlines()[1:]
+        assert [float(row.rsplit(",", 1)[1]) for row in rows] == computed[0].tolist()
 
     def test_config_error_exits_4(self, tmp_path, capsys):
         cfg = write(tmp_path, "bad.yaml", RING_DEMO + "extra_knob: 3\n")
