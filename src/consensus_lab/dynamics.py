@@ -102,8 +102,7 @@ class Trajectory:
 
     @functools.cached_property
     def spread(self) -> np.ndarray:
-        """max - min at every stored node, computed on first read and
-        read-only: the run's one spread series."""
+        """max - min at every stored node: the run's one, read-only series."""
         values = self.states.max(axis=1) - self.states.min(axis=1)
         values.setflags(write=False)
         return values
@@ -656,8 +655,7 @@ def delayed_functional_series(trajectory: Trajectory, tau: float):
     edge_q = np.maximum(times[first:] - tau, times[0])
     left = np.searchsorted(times[:-1], edge_q, side="right") - 1
     s = ((edge_q - times[left]) / (times[left + 1] - times[left]))[:, None]
-    # An edge on a node is that node: 0 * inf in the linear read would make
-    # it NaN.
+    # An edge on a node is that node (0 * inf in the linear read is NaN).
     with np.errstate(invalid="ignore"):
         edge_states = np.where(s == 0.0, states[left],
                                (1.0 - s) * states[left] + s * states[left + 1])

@@ -133,12 +133,18 @@ def matrix_exponential(A, t: float = 1.0) -> np.ndarray:
 # The table of audit functionals
 # --------------------------------------------------------------------------
 
+# The hypotheses an entry can name, for A = A(t) at every t.
+BALANCED = "1'A = 0"
+P_BALANCED = "p'A = 0"  # p the audit's weights, or all ones
+SYMMETRIC = "A = A'"
+
+
 @dataclass(frozen=True)
 class Functional:
     """One audit functional.  values(trajectory, p, B, f) is its series at
     the stored nodes, given the audit's weights p (None for all ones), the
     coupling B (for the potential) and the convex function f (for
-    weighted:<f>).  hypothesis is None, "1'A = 0", "p'A = 0" or "A = A'"."""
+    weighted:<f>).  hypothesis is None, BALANCED, P_BALANCED or SYMMETRIC."""
 
     values: Callable
     direction: str = "non-increasing"
@@ -152,8 +158,6 @@ def _weights(p, n: int) -> np.ndarray:
     arr = np.asarray(p, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise EmptyVector(f"expected a non-empty weight vector, got shape {arr.shape}")
-    if arr.shape != (n,):
-        raise ValueError(f"weights shape {arr.shape} != ({n},)")
     if np.any(arr < 0.0):
         raise NegativeWeight("functional weights must be non-negative")
     return arr
@@ -163,9 +167,21 @@ def _sum_of_squares(states):
     return np.einsum("ij,ij->i", states, states)
 
 
+def _require_symmetric(couplings, starts):
+    """NotSymmetric for the first piece with |A - A'| > tol * max(1, |A|)."""
+    scale = np.abs(couplings).max(axis=(1, 2))
+    gap = np.abs(couplings - couplings.transpose(0, 2, 1)).max(axis=(1, 2))
+    bad = np.flatnonzero(gap > DEFAULT_ROW_TOL * np.maximum(1.0, scale))
+    if len(bad):
+        raise NotSymmetric(
+            f"the potential audit needs symmetric coupling; A - A' reaches "
+            f"{float(gap[bad[0]])!r} at t = {float(starts[bad[0]])!r}")
+
+
 def _potential(run, p, B, f):
     if B is None:
         raise UnknownFunctional("potential audit needs the coupling matrix")
+    _require_symmetric(B[None], [run.t_start if run.times.size else math.nan])
     return -0.5 * np.einsum("ij,jk,ik->i", run.states, B, run.states)
 
 
@@ -182,15 +198,15 @@ AUDITS = {
                                 direction="non-decreasing"),
     "delayed_spread": Functional(_delayed_spread),
     "sum_of_squares": Functional(
-        lambda run, p, B, f: _sum_of_squares(run.states), hypothesis="1'A = 0"),
+        lambda run, p, B, f: _sum_of_squares(run.states), hypothesis=BALANCED),
     "centered_sum_of_squares": Functional(
         lambda run, p, B, f: _sum_of_squares(
             run.states - run.states.mean(axis=1, keepdims=True)),
-        hypothesis="1'A = 0"),
+        hypothesis=BALANCED),
     "weighted": Functional(
         lambda run, p, B, f: CONVEX_REGISTRY[f](run.states) @ _weights(p, run.n),
-        hypothesis="p'A = 0"),
-    "potential": Functional(_potential, hypothesis="A = A'"),
+        hypothesis=P_BALANCED),
+    "potential": Functional(_potential, hypothesis=SYMMETRIC),
 }
 
 
@@ -221,27 +237,21 @@ def check_hypotheses(functionals, couplings, starts, weights=None):
     fails.
     """
     needs = {audit_entry(name)[0].hypothesis for name in functionals}
+    if needs - {None, BALANCED, P_BALANCED, SYMMETRIC}:
+        raise ValueError(f"no check for some of the hypotheses {needs}")
     couplings = np.asarray(couplings, dtype=float)
-    n = couplings.shape[-1]
+    if SYMMETRIC in needs:
+        _require_symmetric(couplings, starts)
     scale = np.abs(couplings).max(axis=(1, 2))
-    if "A = A'" in needs:
-        gap = np.abs(couplings - couplings.transpose(0, 2, 1)).max(axis=(1, 2))
-        bad = np.flatnonzero(gap > DEFAULT_ROW_TOL * np.maximum(1.0, scale))
-        if len(bad):
-            i = bad[0]
-            raise NotSymmetric(
-                f"the potential audit needs symmetric coupling; A - A' reaches "
-                f"{float(gap[i])!r} at t = {float(starts[i])!r}")
-    vectors = [np.ones(n)] if "1'A = 0" in needs else []
-    if "p'A = 0" in needs:
-        vectors.append(_weights(weights, n))
+    vectors = [np.ones(couplings.shape[-1])] if BALANCED in needs else []
+    if P_BALANCED in needs:
+        vectors.append(_weights(weights, couplings.shape[-1]))
     for p in vectors:
         residual = np.abs(p @ couplings).max(axis=1)
         tol = DEFAULT_ROW_TOL * np.maximum(1.0, p.max() * scale)
         bad = np.flatnonzero(residual > tol)
         if len(bad):
-            i = bad[0]
-            raise BalanceViolated(float(starts[i]), float(residual[i]))
+            raise BalanceViolated(float(starts[bad[0]]), float(residual[bad[0]]))
 
 
 # --------------------------------------------------------------------------
@@ -307,17 +317,15 @@ def audit_monotonicity(
     moves in its expected direction, up to slack (default
     1e-9 * (1 + initial value)).
 
-    A given coupling matrix is first checked against the functional's
-    hypothesis (check_hypotheses); the potential needs one.  Without a
-    matrix, a failed audit is a report with passed=False, not an
-    exception: for unbalanced coupling the sums of squares are expected to
-    lose monotonicity, and the report is how that shows up.
+    The potential needs its coupling matrix, which must be symmetric
+    (NotSymmetric otherwise); the other functionals ignore a matrix, and
+    their hypotheses are check_hypotheses' to test.  A failed audit is a
+    report with passed=False, not an exception: for unbalanced coupling
+    the sums of squares are expected to lose monotonicity, and the report
+    is how that shows up.
     """
     entry, f = audit_entry(functional)
-    B = None
-    if matrix is not None:
-        B = coupling_entries(matrix)
-        check_hypotheses([functional], B[None], [trajectory.t_start], weights)
+    B = None if matrix is None else coupling_entries(matrix)
     values = entry.values(trajectory, weights, B, f)
     return monotonicity_from_series(functional, values, slack=slack,
                                     direction=entry.direction)

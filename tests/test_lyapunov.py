@@ -128,9 +128,9 @@ class TestAudits:
         report = audit_monotonicity(traj, "sum_of_squares")
         assert not report.passed
         assert report.worst_violation > 0.01
-        # Given the coupling, the audit checks its hypothesis first.
+        # The run breaks the hypothesis the audit relies on.
         with pytest.raises(BalanceViolated):
-            audit_monotonicity(traj, "sum_of_squares", matrix=A)
+            check_hypotheses(["sum_of_squares"], sch.couplings, sch.starts)
 
     def test_extremes_audits(self):
         A = np.array([[0.0, 0.0], [1.0, -1.0]])
@@ -255,13 +255,18 @@ class TestAudits:
             assert report.passed is passed, fname
             if shape == "nan_row":
                 assert not report.passed
-                assert math.isnan(report.worst_violation)
-            elif exact:
-                assert report.worst_violation == worst
+            if exact:
+                assert np.array_equal(report.worst_violation, worst,
+                                      equal_nan=True)
                 assert report.slack == slack
             else:
-                scale = 1e-12 * max(1.0, max(abs(v) for v in values))
-                assert report.worst_violation == pytest.approx(worst, abs=scale)
+                if shape == "nan_row":
+                    assert math.isnan(report.worst_violation)
+                else:
+                    scale = 1e-12 * max(1.0, max(abs(v) for v in values
+                                                 if v == v))
+                    assert report.worst_violation == pytest.approx(
+                        worst, abs=scale)
                 assert report.slack == pytest.approx(slack, rel=1e-12)
 
 
@@ -289,9 +294,9 @@ class TestBalance:
         names = [f"weighted:{f}" for f in CONVEX_REGISTRY]
         if weights is None:
             names += ["sum_of_squares", "centered_sum_of_squares"]
+        check_hypotheses(names, sch.couplings, sch.starts, weights)
         for name in names:
-            report = audit_monotonicity(traj, name, weights=weights,
-                                        matrix=coupling)
+            report = audit_monotonicity(traj, name, weights=weights)
             assert report.passed, (name, report.worst_violation)
 
     def test_the_audit_weights_reach_the_balance_check(self):
@@ -321,6 +326,15 @@ class TestBalance:
         with pytest.raises(NotSymmetric, match="at t = 2.0"):
             check_hypotheses(["potential"], sch.couplings, sch.starts)
         check_hypotheses(["potential"], sch.couplings[:2], sch.starts[:2])
+
+    def test_an_unknown_hypothesis_is_refused(self, monkeypatch):
+        # A table entry whose hypothesis has no check must not pass
+        # unchecked.
+        entry = lyapunov.Functional(AUDITS["spread"].values,
+                                    hypothesis="1'A == 0")
+        monkeypatch.setitem(AUDITS, "spread", entry)
+        with pytest.raises(ValueError, match="no check"):
+            check_hypotheses(["spread"], symmetric_pair()[None], [0.0])
 
     def test_tolerance_scales_with_the_entries(self):
         # Rounding of a balanced coupling at 1e6 stays inside the
