@@ -236,7 +236,7 @@ def brute_simulate_ode(schedule, x0, t0, t1, step=None):
     """(times, states, derivs, derivs_left) of simulate_ode, stepped by the
     per-node loops above."""
     x = np.array(x0, dtype=float)
-    h_target = _step_target(step, schedule, t1 - t0, schedule.n)
+    h_target = _step_target(step, schedule, t1 - t0)
     store = BruteStore()
     store.append(t0, x, evaluate_schedule(schedule, t0).entries @ x)
     for a, b, i in brute_pieces(schedule, t0, t1):
@@ -257,7 +257,7 @@ def brute_simulate_dde(schedule, tau, history, t0, t1, step=None,
     Hermite reads per piece on a fresh copy of the node lists."""
     hist = _coerce_history(history, tau, t0)
     n = schedule.n
-    h_target = min(_step_target(step, schedule, t1 - t0, n, tau), tau)
+    h_target = min(_step_target(step, schedule, t1 - t0, tau), tau)
     slack = _history_slack(tau, t0)
     form = split_delay(delay_diagonal)
     store = BruteStore()

@@ -27,6 +27,7 @@ from consensus_lab import (
     build_schedule,
     constant_schedule,
     delayed_functional_series,
+    from_offdiagonal,
     generate_topology,
     interpolate_state,
     monotonicity_from_series,
@@ -35,7 +36,8 @@ from consensus_lab import (
     spread_series,
 )
 from consensus_lab.dynamics import (_BLOCK_ENTRIES, _RK4_DISC_RADIUS,
-                                    _NodeStore, _drives, _march, _pieces)
+                                    _NodeStore, _drives, _march, _pieces,
+                                    _rk4_transfer, _step_target)
 from consensus_lab.scenario_cli import SinusoidalCoupling
 
 from conftest import (BruteStore, brute_delayed_functional_series, brute_march,
@@ -207,6 +209,56 @@ class TestOde:
                        derivs_left=states.copy(), meta={})
 
 
+class TestDefaultStep:
+    """Without a requested step the target is 1/(20 M), M the schedule
+    bound, whatever the size n."""
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 32, 80])
+    def test_default_does_not_depend_on_n(self, n):
+        # Node 1 follows node 2 at weight 2.5: M = 2.5 at every n.
+        off = np.zeros((n, n))
+        off[0, 1] = 2.5
+        sch = constant_schedule(from_offdiagonal(off).entries, 0.0, 10.0)
+        assert sch.bound == 2.5
+        assert _step_target(None, sch, 10.0) == 1.0 / (20.0 * 2.5)
+        assert simulate_ode(sch, np.ones(n), 0.0, 10.0).meta[
+            "effective_step_target"] == 1.0 / (20.0 * 2.5)
+
+    def test_two_nodes_keep_the_former_rule_bitwise(self, rng):
+        for w in np.concatenate(([1.0, 0.1, 3.0, 1e-7, 1e7],
+                                 10.0 ** rng.uniform(-6.0, 6.0, 200))):
+            sch = constant_schedule(symmetric_pair(float(w)), 0.0, 1e9)
+            assert _step_target(None, sch, 1e9).hex() == \
+                (1.0 / (10.0 * 2 * sch.bound)).hex()
+
+    def test_default_transfer_is_stochastic(self, rng):
+        # h M <= 1 keeps the degree-4 Taylor polynomial of exp(hA)
+        # non-negative with unit row sums; the default has h M = 1/20.
+        eps = np.finfo(float).eps
+        for _ in range(100):
+            n = int(rng.integers(2, 81))
+            A = 10.0 ** rng.uniform(-2.0, 3.0) * random_metzler(
+                rng, n, density=rng.uniform(0.05, 1.0))
+            sch = constant_schedule(A, 0.0, 1.0)
+            phi = _rk4_transfer(A, _step_target(None, sch, 1.0))
+            assert phi.min() >= 0.0
+            assert np.abs(phi.sum(axis=1) - 1.0).max() <= 16 * eps
+
+    def test_stored_nodes_grow_with_m_times_span_not_n(self):
+        # Each piece of length L takes ceil(L / h) steps, so a run of span
+        # S over p pieces stores between 20 M S + 1 and
+        # ceil(20 M S) + p + 1 nodes.  M ~ 80 here.
+        spec = {"kind": "random_switching", "period": 0.5,
+                "link_probability": 0.9, "weight_range": [0.5, 1.5],
+                "seed": 5}
+        n, span = 80, 2.0
+        sch = generate_topology(spec, n, 0.0, span)
+        x0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
+        nodes = len(simulate_ode(sch, x0, 0.0, span).times)
+        budget = 20.0 * sch.bound * span
+        assert budget + 1 <= nodes <= math.ceil(budget) + len(sch.starts) + 1
+
+
 def _sinusoidal(rng, n, scale=1.0, **arcs):
     base = scale * random_metzler(rng, n, **arcs)
     np.fill_diagonal(base, 0.0)
@@ -223,10 +275,11 @@ class TestBlockStepping:
     def test_ode_matches_per_node_loops(self, rng, kind):
         n = 5
         if kind == "constant":
-            # Default step: several hundred nodes in one piece, so the
-            # store grows inside a single extend.
+            # 301 nodes in one piece, so the store grows inside a single
+            # extend.  The step is explicit: the default 1/(20 M) gives
+            # only ~134 nodes here.
             sch = constant_schedule(random_metzler(rng, n), 0.0, 3.0)
-            step = None
+            step = 0.01
         elif kind == "constant-sinusoidal-constant":
             # The transfer loop writes each node into its row.  The state
             # it hands on must not be a view of that row: the stage loop

@@ -664,6 +664,12 @@ class TestCommandLine:
         assert main(["run", cfg, "--output-dir", str(out)]) == 0
         assert ("[PASS] audit: delayed_spread: worst=0\n"
                 in (out / "report.txt").read_text())
+        # The premise: at most one edge in ten lands on a node (23 of
+        # 3,420 at h = 1/(20 M)), so the linear edge read is what ran.
+        times = np.loadtxt(out / "trajectory.csv", delimiter=",",
+                           skiprows=1, usecols=0)
+        edges = times[times >= times[0] + 0.7] - 0.7
+        assert 10 * np.isin(edges, times).sum() <= len(edges)
 
     def test_unbalanced_audit_exits_3(self, tmp_path, capsys):
         # Node 1 listens to node 2 at weight 3: column 1 of A sums to -3 and
