@@ -20,28 +20,53 @@ inside each window the delayed values are read by cubic Hermite
 interpolation on one node grid, the history samples followed by every
 computed node; the returned trajectory is that grid from t0 on.
 
-One RK4 stage loop, _march, steps every time-varying piece and every
-delayed piece; its right-hand side is f(t, y) = A(t) y, or the split form
-above with xd = x(t - tau).  Everything in a step that does not depend on
-the state is computed ahead, a block of steps at a time: A(t) at the mid
-and end stage times, and on a delayed piece the diagonals d(t) and the
-drives u = off(t) xd, so that a stage costs A y or d * y + u.  The drives
+Two paths step the pieces, and both reserve a whole piece in the node
+store and write its nodes in place.
+
+An undelayed piece is linear, A(t) = c(t) B with c = 1 on a constant
+piece, so one RK4 step is a matrix: x+ = Phi_j x, applied by the gemv call
+of Phi_j @ x, written straight into the node's row.  The node derivatives
+A(t) x of a block of steps follow in one batched matmul.  On a constant
+piece Phi is one matrix, _rk4_transfer.  On a sinusoidal piece write
+H = h B and c1, c2, c4 for the profile at the step's start, middle and
+end (both middle stages read the middle).  The stages of one step from x
+are
+    h k1 = c1 H x
+    h k2 = c2 H (x + h k1 / 2) = c2 H x + c1 c2 H^2 x / 2
+    h k3 = c2 H (x + h k2 / 2) = c2 H x + c2^2 H^2 x / 2 + c1 c2^2 H^3 x / 4
+    h k4 = c4 H (x + h k3)     = c4 H x + c2 c4 H^2 x + c2^2 c4 H^3 x / 2
+                                 + c1 c2^2 c4 H^4 x / 4
+and x+ = x + (h k1 + 2 h k2 + 2 h k3 + h k4) / 6 collects to
+    Phi_j = I + a1 H + a2 H^2 + a3 H^3 + a4 H^4,
+    a1 = (c1 + 4 c2 + c4) / 6,    a2 = c2 (c1 + c2 + c4) / 6,
+    a3 = c2^2 (c1 + c4) / 12,     a4 = c1 c2^2 c4 / 24.
+Every stage is a polynomial in the one matrix H applied to x, so this is
+RK4 exactly, for any profile; only the rounding differs from the stage
+form.  With c = 1 the a are 1, 1/2, 1/6, 1/24: the degree-4 Taylor
+polynomial of exp(hB) that _rk4_transfer evaluates in Horner form.  B
+has zero row sums, so Phi_j does too, plus the identity: its rows sum to
+one.  For h M <= 1/2 (M the schedule bound) Phi_j is also non-negative:
+with b = max|B_kk|, B = b (Q - I), Q >= 0, and s = h b, Phi_j is
+sum_k p^(k)(-s) s^k Q^k / k! for p(z) = 1 + a1 z + ... + a4 z^4, and with
+0 <= c <= C = 1 + |depth| and C s <= h M <= 1/2 each p^(k)(-s) is >= 0
+(a1 >= 2 c2 / 3 outweighs 2 a2 s + 4 a4 s^3 <= c2 (1/2 + 1/48), a2
+outweighs 3 a3 s, a3 outweighs 4 a4 s, and p(-s) >= 1 - C s - (C s)^3/6).
+So each component of a new node is a convex combination of the
+components of the one before, as on a constant piece.
+
+A delayed piece is stepped by _march.  Everything in a step that does not
+depend on the state is computed ahead, a block of steps at a time: the
+diagonals d(t) and the drives u = off(t) xd at the mid and end stage
+times, with xd = x(t - tau), so that a stage costs d * y + u.  The drives
 of a block come from one np.matmul on a stack of column vectors, which
 makes one gemv call per row: the call that off @ xd makes, so every drive
 is the same to the last bit.  XD @ off.T would not be: it goes to gemm,
 which sums in another order.  gemv also follows the strides of its
 matrix, so each stacked matrix must be row-major: a C-order copy, never
 np.array of a broadcast view, which keeps the broadcast's stride order and
-reads every matrix transposed.  A constant piece of an undelayed run takes
-the one other path: there an RK4 step is a fixed matrix, applied once per
-step, and the node derivatives A x follow in one batched matmul.  Both
-loops reserve a whole piece in the node store and write its nodes in
-place.
-
-Once its drives are known, a delayed block splits by component, and
-_scalar_rk4 steps each component in Python floats with the bits of the
-vector stage d * y + u; an undelayed time-varying piece keeps the vector
-loop, whose A y sums in gemv's order.
+reads every matrix transposed.  Once its drives are known, a delayed
+block splits by component, and _scalar_rk4 steps each component in Python
+floats with the bits of the vector stage d * y + u.
 
 Trajectories keep two derivative arrays.  The solution has corners at
 coupling discontinuities, so a node carries the derivative valid to its
@@ -57,7 +82,6 @@ import bisect
 import functools
 import math
 import warnings
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -223,7 +247,10 @@ class _NodeStore:
     Backed by preallocated numpy arrays that at least double when they
     grow, so a read-only snapshot of everything stored so far is a
     constant-time slice.  A stepping loop reserves a whole piece with
-    extend and writes its nodes in place; append adds one node."""
+    extend and writes its nodes in place; append adds one node.
+    simulate_ode knows its node count ahead and passes it as the capacity,
+    so its store never grows: a growth holds the old and the new arrays at
+    once while it copies."""
 
     def __init__(self, n: int, capacity: int = 256):
         self.size = 0
@@ -281,8 +308,8 @@ def _matvecs(M: np.ndarray, V: np.ndarray, out=None) -> np.ndarray:
 # Microseconds per step of a 20 s delayed sinusoidal piece at step 0.01
 # and tau = 1, median of 15 runs in 3 alternating processes per kernel, on
 # a shared 2-vCPU x86-64 machine with numpy 2.4 and one BLAS thread: the
-# stage d * y + u stepped on numpy vectors (the undelayed loop of _march
-# with that stage), and _scalar_rk4:
+# stage d * y + u stepped on numpy vectors (one numpy call per operation
+# of the loop in _scalar_rk4), and _scalar_rk4:
 #
 #     n         2    3    5    8   12   16   20   24   32   64
 #     vector   23   25   24   23   26   29   31   31   44   80
@@ -293,17 +320,18 @@ def _scalar_rk4(x, dx, h, d_mid, u_mid, d_end, u_end, xs, dr):
     components went into u ahead of the step (the method of steps), so
     component c of step j only reads column c of the drives, and each
     column is the scalar recursion y' = d_c(t) y + u_c(t).  The operations
-    and their order are those of the vector loop in _march with the stage
-    d * y + u (0.5 * h * dx there groups as half * k1 here, and the k-sum
-    adds from the left).  A Python float is an IEEE double and each
-    operation rounds once, as a numpy ufunc does each element, so xs and dr
-    get the vector form's values to the bit, signed zeros, infinities and
-    NaN included.  On a few components this skips some 20 numpy calls a
-    step on arrays of a few values; the cost grows with n and passes the
-    vector form's near n = 20 (table above), which no delayed run of the
-    benchmark reaches.  Returns copies of the last state and
-    derivative: a view would keep the store's buffer alive after the store
-    outgrows it."""
+    and their order are those of the RK4 stage loop on vectors,
+    k2 = f(x + 0.5 * h * k1), ..., x + (h / 6) * (k1 + 2 k2 + 2 k3 + k4),
+    with the stage d * y + u (0.5 * h * k1 there groups as half * k1
+    here, and the k-sum adds from the left).  A Python float is an IEEE
+    double and each operation rounds once, as a numpy ufunc does each
+    element, so xs and dr get the vector form's values to the bit, signed
+    zeros, infinities and NaN included.  On a few components this skips
+    some 20 numpy calls a step on arrays of a few values; the cost grows
+    with n and passes the vector form's near n = 20 (table above), which
+    no delayed run of the benchmark reaches.  Returns copies of the last
+    state and derivative: a view would keep the store's buffer alive after
+    the store outgrows it."""
     half, sixth = 0.5 * h, h / 6.0
     xcols, dcols = [], []
     for y, k1, dms, ums, des, ues in zip(
@@ -341,23 +369,21 @@ def _drives(A: np.ndarray, xd: np.ndarray, delay_diagonal: bool):
 
 def _march(store: _NodeStore, x: np.ndarray, schedule: CouplingSchedule,
            piece: int, a: float, grid: np.ndarray, h: float,
-           delayed=None) -> np.ndarray:
-    """Classical RK4 from the last stored node (a, x) through grid, over
-    the given schedule piece; node 0 is a and node i + 1 is grid[i].
+           delayed) -> np.ndarray:
+    """Classical RK4 of a delayed piece from the last stored node (a, x)
+    through grid; node 0 is a and node i + 1 is grid[i].
 
-    Undelayed (delayed None), f(t, y) = A(t) y.  Otherwise delayed is
-    (xd_nodes, xd_half, delay_diagonal): xd_nodes[i] is x(t - tau) at node
-    i and xd_half[i] half a step on, and f(t, y) = d(t) * y + off(t) xd as
-    split by _drives.  A(t) at the stage times and the drives off(t) xd
-    are state-free, so they are computed ahead, a block of steps at a time,
-    with the expressions and the BLAS calls of the per-stage form: the
-    batched drives make the gemv call of off @ xd per row, whereas
-    XD @ off.T would call gemm, which sums in another order.  Only the
-    stage arithmetic on the state is left to the step loop, which on a
-    delayed piece runs as one scalar recursion per component
-    (_scalar_rk4).  A node's stored derivative is k1 of the step that
-    leaves it."""
-    xd_nodes, xd_half, delay_diagonal = delayed or (None, None, False)
+    delayed is (xd_nodes, xd_half, delay_diagonal): xd_nodes[i] is
+    x(t - tau) at node i and xd_half[i] half a step on, and
+    f(t, y) = d(t) * y + off(t) xd as split by _drives.  The drives
+    off(t) xd are state-free, so they are computed ahead, a block of steps
+    at a time, with the expressions and the BLAS calls of the per-stage
+    form: the batched drives make the gemv call of off @ xd per row,
+    whereas XD @ off.T would call gemm, which sums in another order.  Only
+    the stage arithmetic on the state is left to the step loop, which runs
+    as one scalar recursion per component (_scalar_rk4).  A node's stored
+    derivative is k1 of the step that leaves it."""
+    xd_nodes, xd_half, delay_diagonal = delayed
     node_t = np.concatenate(([a], grid))
     mid_t = node_t[:-1] + 0.5 * h
 
@@ -365,11 +391,8 @@ def _march(store: _NodeStore, x: np.ndarray, schedule: CouplingSchedule,
         return _drives(schedule.entries_over(piece, times[rows]), xd[rows],
                        delay_diagonal)
 
-    if delayed is None:
-        dx = schedule.entries_over(piece, node_t[:1])[0] @ x
-    else:
-        d, u = drives(node_t, xd_nodes, slice(0, 1))
-        dx = d[0] * x + u[0]
+    d, u = drives(node_t, xd_nodes, slice(0, 1))
+    dx = d[0] * x + u[0]
     store.patch_right(dx)
     m = len(grid)
     ts, xs, dr, dl = store.extend(m)
@@ -377,20 +400,52 @@ def _march(store: _NodeStore, x: np.ndarray, schedule: CouplingSchedule,
     size = max(1, _BLOCK_ENTRIES // x.size ** 2)
     for lo in range(0, m, size):
         hi = min(lo + size, m)
-        if delayed is not None:
-            x, dx = _scalar_rk4(x, dx, h,
-                                *drives(mid_t, xd_half, slice(lo, hi)),
-                                *drives(node_t, xd_nodes, slice(lo + 1, hi + 1)),
-                                xs[lo:hi], dr[lo:hi])
-            continue
-        mid = schedule.entries_over(piece, mid_t[lo:hi])
-        end = schedule.entries_over(piece, node_t[lo + 1:hi + 1])
-        for j in range(hi - lo):
-            k2 = mid[j] @ (x + 0.5 * h * dx)
-            k3 = mid[j] @ (x + 0.5 * h * k2)
-            k4 = end[j] @ (x + h * k3)
-            xs[lo + j] = x = x + (h / 6.0) * (dx + 2.0 * k2 + 2.0 * k3 + k4)
-            dr[lo + j] = dx = end[j] @ x
+        x, dx = _scalar_rk4(x, dx, h,
+                            *drives(mid_t, xd_half, slice(lo, hi)),
+                            *drives(node_t, xd_nodes, slice(lo + 1, hi + 1)),
+                            xs[lo:hi], dr[lo:hi])
+    dl[:] = dr
+    return x
+
+
+def _sinusoidal_transfers(store: _NodeStore, x: np.ndarray,
+                          schedule: CouplingSchedule, piece: int, a: float,
+                          grid: np.ndarray, h: float) -> np.ndarray:
+    """Step an undelayed sinusoidal piece from the last stored node (a, x)
+    through grid by x <- Phi_j x, Phi_j = I + a1 H + a2 H^2 + a3 H^3 +
+    a4 H^4, H = h B, with the a of the module docstring, and store each
+    node with A(t) x.  The powers of H come once per piece, by 2-d
+    matmul.  A block of steps at a time, the profile, the a and the Phi_j
+    come from broadcast ufuncs, the Phi_j summed from the left, so each
+    has the bits that building it on its own gives; no gemm across the
+    steps.  Each Phi_j is applied by the gemv call of Phi_j @ x, written
+    straight into its row, and the derivatives of a block by one batched
+    matmul on entries_over, so they are A(t) x with its diagonal."""
+    H = h * schedule.couplings[piece]
+    powers = [H]
+    for _ in range(3):
+        powers.append(powers[-1] @ H)
+    eye = np.eye(len(x))
+    node_t = np.concatenate(([a], grid))
+    store.patch_right(schedule.entries_over(piece, node_t[:1])[0] @ x)
+    m = len(grid)
+    ts, xs, dr, dl = store.extend(m)
+    ts[:] = grid
+    size = max(1, _BLOCK_ENTRIES // x.size ** 2)
+    for lo in range(0, m, size):
+        hi = min(lo + size, m)
+        c = schedule.profile(piece, node_t[lo:hi + 1])
+        c1, c4 = c[:-1], c[1:]
+        c2 = schedule.profile(piece, node_t[lo:hi] + 0.5 * h)
+        alphas = ((c1 + 4.0 * c2 + c4) / 6.0, c2 * (c1 + c2 + c4) / 6.0,
+                  c2 * c2 * (c1 + c4) / 12.0, c1 * c2 * c2 * c4 / 24.0)
+        phi = eye
+        for alpha, power in zip(alphas, powers):
+            phi = phi + alpha[:, None, None] * power
+        for phi_j, row in zip(phi, xs[lo:hi]):
+            x = np.matmul(phi_j, x, out=row)
+        _matvecs(schedule.entries_over(piece, node_t[lo + 1:hi + 1]),
+                 xs[lo:hi], out=dr[lo:hi])
     dl[:] = dr
     return x
 
@@ -416,10 +471,12 @@ def simulate_ode(
     h_target = _step_target(step, schedule, t1 - t0)
     _advise_on_step(h_target, schedule.bound)
 
-    store = _NodeStore(n)
+    pieces = [(i, a, *_substeps(a, b, h_target))
+              for a, b, i in _pieces(schedule, t0, t1)]
+    # t0 and every step's end: the store is sized once and never grows.
+    store = _NodeStore(n, 1 + sum(m for _, _, m, _, _ in pieces))
     store.append(t0, x, evaluate_schedule(schedule, t0).entries @ x)
-    for a, b, i in _pieces(schedule, t0, t1):
-        m, h, grid = _substeps(a, b, h_target)
+    for i, a, m, h, grid in pieces:
         if schedule.constant[i]:
             A = schedule.couplings[i]
             store.patch_right(A @ x)
@@ -429,11 +486,10 @@ def simulate_ode(
             # The gemv call of phi @ x, written straight into its row.
             for row in xs:
                 x = np.matmul(phi, x, out=row)
-            x = x.copy()  # not a view of a buffer the store may outgrow
             _matvecs(A, xs, out=dr)
             dl[:] = dr
         else:
-            x = _march(store, x, schedule, i, a, grid, h)
+            x = _sinusoidal_transfers(store, x, schedule, i, a, grid, h)
     meta = {
         "method": "rk4",
         "requested_step": step,
@@ -645,6 +701,39 @@ def spread_series(trajectory: Trajectory):
     return trajectory.times, trajectory.spread
 
 
+def _window_extremes(row_max: np.ndarray, row_min: np.ndarray,
+                     lo: np.ndarray, hi: np.ndarray):
+    """Max of row_max and min of row_min over rows lo[j]..hi[j], inclusive,
+    for every j, by a sparse table (Bender and Farach-Colton, LATIN 2000):
+    level k holds the extremes of 2^k consecutive rows, and a window of L
+    rows is the two level-floor(log2 L) blocks that start and end it,
+    which may overlap, as max and min do not mind.  One level is held at a
+    time, and the windows of each level are read while it is.  np.maximum
+    and np.minimum pass a NaN on, so a window with a NaN row reads NaN.
+    Of extremes that compare equal only 0.0 and -0.0 differ in their bits;
+    an extreme of 0 takes the sign of the latest zero row up to hi[j],
+    which lies in the window, as a monotone deque that drops the earlier
+    of equal values would give."""
+    level = np.frexp(hi - lo + 1)[1] - 1  # floor(log2(L)), exact
+    top, bottom = np.empty(len(lo)), np.empty(len(lo))
+    tops, bottoms = row_max, row_min
+    for k in range(int(level.max()) + 1):
+        if k:
+            half = 1 << (k - 1)
+            tops = np.maximum(tops[:-half], tops[half:])
+            bottoms = np.minimum(bottoms[:-half], bottoms[half:])
+        at = level == k
+        starts, ends = lo[at], hi[at] - (1 << k) + 1
+        top[at] = np.maximum(tops[starts], tops[ends])
+        bottom[at] = np.minimum(bottoms[starts], bottoms[ends])
+    rows = np.arange(len(row_max))
+    for extreme, values in ((top, row_max), (bottom, row_min)):
+        latest = np.maximum.accumulate(np.where(values == 0.0, rows, -1))
+        zero = extreme == 0.0
+        extreme[zero] = values[latest[hi[zero]]]
+    return top, bottom
+
+
 def delayed_functional_series(trajectory: Trajectory, tau: float):
     """Sliding-window spread: max over [t - tau, t] minus min over it.
 
@@ -656,11 +745,11 @@ def delayed_functional_series(trajectory: Trajectory, tau: float):
     inside the hull of the two nodes, up to rounding.  A cubic read can
     overshoot both by far more, and the window then holds a value that the
     previous window did not: the functional grows on a run that contracts,
-    and its audit fails.  The stored nodes of a window are reduced in O(1)
-    amortised time by monotone deques over the row maxima and minima
-    (Lemire, Nordic J. Computing 2006), which is exact because max and min
-    do not round; a window with a NaN row or a NaN edge reads NaN, as
-    ndarray.max over it does.
+    and its audit fails.  The stored nodes of a window are reduced by
+    _window_extremes, exactly, because max and min do not round, and the
+    edge joins them as Python's max and min would join it: it wins only
+    when strictly beyond.  A window with a NaN row or a NaN edge reads NaN,
+    as ndarray.max over it does.
     """
     if not (tau > 0.0):
         raise ValueError(f"tau must be positive, got {tau!r}")
@@ -674,45 +763,19 @@ def delayed_functional_series(trajectory: Trajectory, tau: float):
     edge_q = np.maximum(times[first:] - tau, times[0])
     left = np.searchsorted(times[:-1], edge_q, side="right") - 1
     s = ((edge_q - times[left]) / (times[left + 1] - times[left]))[:, None]
-    # An edge on a node is that node (0 * inf in the linear read is NaN).
     with np.errstate(invalid="ignore"):
+        # An edge on a node is that node (0 * inf in the linear read is NaN).
         edge_states = np.where(s == 0.0, states[left],
                                (1.0 - s) * states[left] + s * states[left + 1])
-    # Node i's window holds the stored nodes lo_idx[i - first] .. i.
-    lo_idx = np.searchsorted(times, edge_q, side="left").tolist()
-    row_max = states.max(axis=1).tolist()
-    row_min = states.min(axis=1).tolist()
-    edge_max = edge_states.max(axis=1).tolist()
-    edge_min = edge_states.min(axis=1).tolist()
-    # Node indices whose row maxima decrease (minima increase) from the
-    # front; a NaN row stays out and is remembered by its index instead.
-    tops, bottoms = deque(), deque()
-    last_nan = -1
-    out = []
-    for i in range(lo_idx[0], len(times)):
-        top, bottom = row_max[i], row_min[i]
-        if top != top:
-            last_nan = i
-        else:
-            while tops and row_max[tops[-1]] <= top:
-                tops.pop()
-            tops.append(i)
-            while bottoms and row_min[bottoms[-1]] >= bottom:
-                bottoms.pop()
-            bottoms.append(i)
-        if i < first:
-            continue
-        j = i - first
-        lo = lo_idx[j]
-        # Python's max and min drop a NaN second argument, so a NaN edge is
-        # caught here, with the NaN rows.
-        if last_nan >= lo or edge_max[j] != edge_max[j]:
-            out.append(math.nan)
-            continue
-        while tops[0] < lo:
-            tops.popleft()
-        while bottoms[0] < lo:
-            bottoms.popleft()
-        out.append(max(row_max[tops[0]], edge_max[j])
-                   - min(row_min[bottoms[0]], edge_min[j]))
-    return times[first:], np.array(out)
+        # Node first + j's window holds the stored nodes from the first
+        # at or after its edge up to itself.
+        top, bottom = _window_extremes(
+            states.max(axis=1), states.min(axis=1),
+            np.searchsorted(times, edge_q, side="left"),
+            np.arange(first, len(times)))
+        edge_max, edge_min = edge_states.max(axis=1), edge_states.min(axis=1)
+        top = np.where(edge_max > top, edge_max, top)
+        bottom = np.where(edge_min < bottom, edge_min, bottom)
+        values = top - bottom
+    values[np.isnan(top) | np.isnan(edge_max)] = np.nan
+    return times[first:], values

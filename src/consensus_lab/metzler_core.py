@@ -224,21 +224,23 @@ class CouplingSchedule:
     def horizon(self) -> tuple:
         return (self.t_start, self.t_end)
 
+    def profile(self, i: int, times) -> np.ndarray:
+        """c_i(t) for every t in times, from math.sin on Python floats."""
+        depth, period = float(self.depths[i]), float(self.periods[i])
+        return np.array([
+            1.0 + depth * math.sin(2.0 * math.pi * t / period)
+            for t in np.asarray(times, dtype=float).tolist()])
+
     def entries_over(self, i: int, times) -> np.ndarray:
         """A(t) of piece i for every t in times, as a (len(times), n, n)
         stack: a read-only broadcast of B on a constant piece.  On a
-        sinusoidal piece each scale comes from math.sin on Python floats,
-        and each diagonal is minus the row sum of the scaled off-diagonal
-        entries, not scale * B_kk, so each row sums to zero up to that one
-        sum."""
+        sinusoidal piece each scale is profile(i, t), and each diagonal is
+        minus the row sum of the scaled off-diagonal entries, not
+        scale * B_kk, so each row sums to zero up to that one sum."""
         B = self.couplings[i]
         if self.constant[i]:
             return np.broadcast_to(B, (len(times),) + B.shape)
-        depth, period = float(self.depths[i]), float(self.periods[i])
-        scale = np.array([
-            1.0 + depth * math.sin(2.0 * math.pi * t / period)
-            for t in np.asarray(times, dtype=float).tolist()])
-        out = B * scale[:, None, None]
+        out = B * self.profile(i, times)[:, None, None]
         diag = np.arange(out.shape[1])
         out[:, diag, diag] = 0.0
         out[:, diag, diag] = -out.sum(axis=2)

@@ -6,6 +6,7 @@ cannot share a bug with the code under test.
 """
 
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -57,13 +58,17 @@ def brute_first_negative(entries):
                  if k != l and entries[k][l] < 0.0), None)
 
 
+def profile_at(depth, period, t):
+    """c(t) = 1 + depth sin(2 pi t / period) in Python floats."""
+    return 1.0 + float(depth) * math.sin(2.0 * math.pi * float(t) / float(period))
+
+
 def scaled_coupling(B, depth, period, t):
     """c(t) B for c(t) = 1 + depth sin(2 pi t / period), one matrix at a
     time, with the diagonal minus the 2-d row sum of the scaled
     off-diagonal entries: the per-time form that
     CouplingSchedule.entries_over stacks."""
-    scale = 1.0 + float(depth) * math.sin(2.0 * math.pi * float(t) / float(period))
-    out = B * scale
+    out = B * profile_at(depth, period, t)
     np.fill_diagonal(out, 0.0)
     np.fill_diagonal(out, -out.sum(axis=1))
     return out
@@ -178,6 +183,40 @@ def brute_transfer_loop(store, x, A, h, grid):
     return x
 
 
+def transfer_of_step(H, c1, c2, c4):
+    """Phi_j = I + a1 H + a2 H^2 + a3 H^3 + a4 H^4 of one RK4 step of
+    x' = c(t) B x, H = h B, from the profile c1, c2, c4 at the step's
+    start, middle and end (the dynamics module docstring derives the a),
+    with the operations of simulate_ode's blocks in their order."""
+    powers = [H]
+    for _ in range(3):
+        powers.append(powers[-1] @ H)
+    alphas = ((c1 + 4.0 * c2 + c4) / 6.0, c2 * (c1 + c2 + c4) / 6.0,
+              c2 * c2 * (c1 + c4) / 12.0, c1 * c2 * c2 * c4 / 24.0)
+    phi = np.eye(len(H))
+    for alpha, power in zip(alphas, powers):
+        phi = phi + alpha * power
+    return phi
+
+
+def brute_sinusoidal_transfers(store, x, schedule, i, a, grid, h):
+    """One undelayed sinusoidal piece: x <- Phi_j x per step, Phi_j built
+    for that step alone by transfer_of_step from the profile in Python
+    floats, and A(t) x from piece_entries_at; stored one node at a time."""
+    depth, period = schedule.depths[i], schedule.periods[i]
+    store.patch_right(piece_entries_at(schedule, i, a) @ x)
+    H = h * schedule.couplings[i]
+    t = a
+    for tt in grid:
+        phi = transfer_of_step(H, profile_at(depth, period, t),
+                               profile_at(depth, period, t + 0.5 * h),
+                               profile_at(depth, period, tt))
+        x = phi @ x
+        store.append(tt, x, piece_entries_at(schedule, i, tt) @ x)
+        t = tt
+    return x
+
+
 def brute_pieces(schedule, t0, t1):
     """(a, b, piece index) covering [t0, t1]: a scan over every piece."""
     for i, (start, end) in enumerate(zip(schedule.starts.tolist(),
@@ -232,9 +271,11 @@ def brute_march(store, x, a, grid, h, rhs_at, xd_nodes, xd_half):
     return x
 
 
-def brute_simulate_ode(schedule, x0, t0, t1, step=None):
+def brute_simulate_ode(schedule, x0, t0, t1, step=None, stages=False):
     """(times, states, derivs, derivs_left) of simulate_ode, stepped by the
-    per-node loops above."""
+    per-node loops above; with stages, sinusoidal pieces take the RK4
+    stage loop instead of their transfer rule, the same map up to
+    rounding."""
     x = np.array(x0, dtype=float)
     h_target = _step_target(step, schedule, t1 - t0)
     store = BruteStore()
@@ -243,10 +284,12 @@ def brute_simulate_ode(schedule, x0, t0, t1, step=None):
         m, h, grid = _substeps(a, b, h_target)
         if schedule.constant[i]:
             x = brute_transfer_loop(store, x, schedule.couplings[i], h, grid)
-        else:
+        elif stages:
             unused = [None] * (m + 1)
             x = brute_march(store, x, a, grid, h,
                             piece_rhs(schedule, i, linear), unused, unused)
+        else:
+            x = brute_sinusoidal_transfers(store, x, schedule, i, a, grid, h)
     return store.arrays()
 
 
@@ -304,6 +347,58 @@ def brute_delayed_functional_series(trajectory, tau):
         window = np.vstack((window, edge))
         out.append((float(times[i]), float(window.max()) - float(window.min())))
     return out
+
+
+def deque_delayed_functional_series(trajectory, tau):
+    """delayed_functional_series as it was before its sparse table: the
+    window extremes from monotone deques over the row maxima and minima
+    (Lemire, Nordic J. Computing 2006), which keep the latest of equal
+    extremes, and each window's value from Python's max, min and
+    subtraction; the bit-level reference for that function, ties of 0.0
+    and -0.0 and NaN payloads included."""
+    times = trajectory.times
+    states = trajectory.states
+    tiny = 1e-12 * max(1.0, tau)
+    first = int(np.searchsorted(times, times[0] + tau - tiny, side="left"))
+    edge_q = np.maximum(times[first:] - tau, times[0])
+    left = np.searchsorted(times[:-1], edge_q, side="right") - 1
+    s = ((edge_q - times[left]) / (times[left + 1] - times[left]))[:, None]
+    with np.errstate(invalid="ignore"):
+        edge_states = np.where(s == 0.0, states[left],
+                               (1.0 - s) * states[left] + s * states[left + 1])
+    lo_idx = np.searchsorted(times, edge_q, side="left").tolist()
+    row_max = states.max(axis=1).tolist()
+    row_min = states.min(axis=1).tolist()
+    edge_max = edge_states.max(axis=1).tolist()
+    edge_min = edge_states.min(axis=1).tolist()
+    tops, bottoms = deque(), deque()
+    last_nan = -1
+    out = []
+    for i in range(lo_idx[0], len(times)):
+        top, bottom = row_max[i], row_min[i]
+        if top != top:
+            last_nan = i
+        else:
+            while tops and row_max[tops[-1]] <= top:
+                tops.pop()
+            tops.append(i)
+            while bottoms and row_min[bottoms[-1]] >= bottom:
+                bottoms.pop()
+            bottoms.append(i)
+        if i < first:
+            continue
+        j = i - first
+        lo = lo_idx[j]
+        if last_nan >= lo or edge_max[j] != edge_max[j]:
+            out.append(math.nan)
+            continue
+        while tops[0] < lo:
+            tops.popleft()
+        while bottoms[0] < lo:
+            bottoms.popleft()
+        out.append(max(row_max[tops[0]], edge_max[j])
+                   - min(row_min[bottoms[0]], edge_min[j]))
+    return times[first:], np.array(out)
 
 
 def brute_trajectory_csv(path, trajectory, spreads):

@@ -37,13 +37,15 @@ from consensus_lab import (
 )
 from consensus_lab.dynamics import (_BLOCK_ENTRIES, _RK4_DISC_RADIUS,
                                     _NodeStore, _drives, _march, _pieces,
-                                    _rk4_transfer, _step_target)
+                                    _rk4_transfer, _step_target,
+                                    _window_extremes)
 from consensus_lab.scenario_cli import SinusoidalCoupling
 
 from conftest import (BruteStore, brute_delayed_functional_series, brute_march,
                       brute_pieces, brute_simulate_dde, brute_simulate_ode,
-                      chain_matrix, piece_rhs, random_metzler, split_delay,
-                      symmetric_pair)
+                      chain_matrix, deque_delayed_functional_series,
+                      piece_rhs, random_metzler, split_delay, symmetric_pair,
+                      transfer_of_step)
 
 
 def rk4_amplification(z):
@@ -186,8 +188,10 @@ class TestOde:
             "requested_step"] == 0.1
 
     def test_stage_loop_matches_transfer_loop(self, rng):
-        # depth 0 steps the stage loop through a coupling that never
-        # changes; the constant schedule steps the transfer matrix.
+        # depth 0 steps the sinusoidal transfer rule with c = 1, so
+        # Phi_j = I + H + H^2/2 + H^3/6 + H^4/24 summed from the powers of
+        # H; the constant schedule steps the same polynomial in Horner
+        # form (_rk4_transfer).  They differ in rounding only.
         weights = random_metzler(rng, 4).copy()
         np.fill_diagonal(weights, 0.0)
         spec = {"weights": weights.tolist()}
@@ -267,33 +271,41 @@ def _sinusoidal(rng, n, scale=1.0, **arcs):
 
 
 class TestBlockStepping:
-    """Both stepping loops write whole pieces into the node store; the
+    """Every stepping loop writes whole pieces into the node store; the
     per-node loops of conftest append the same nodes one at a time."""
 
     @pytest.mark.parametrize("kind", ["constant", "switching", "mixed",
-                                      "constant-sinusoidal-constant"])
+                                      "constant-sinusoidal-constant",
+                                      "sinusoidal-blocks"])
     def test_ode_matches_per_node_loops(self, rng, kind):
-        n = 5
+        n = 8 if kind == "sinusoidal-blocks" else 5
         if kind == "constant":
-            # 301 nodes in one piece, so the store grows inside a single
-            # extend.  The step is explicit: the default 1/(20 M) gives
-            # only ~134 nodes here.
+            # 301 nodes in one piece, past the store's default capacity of
+            # 256.  The step is explicit: the default 1/(20 M) gives only
+            # ~134 nodes here.
             sch = constant_schedule(random_metzler(rng, n), 0.0, 3.0)
             step = 0.01
         elif kind == "constant-sinusoidal-constant":
-            # The transfer loop writes each node into its row.  The state
-            # it hands on must not be a view of that row: the stage loop
-            # starts from it and grows the store (201 + 100 nodes > 256),
-            # and the last constant piece starts from the stage loop's.
+            # Each loop writes each node into its row and hands that row on
+            # as the next piece's state: the sinusoidal piece starts from
+            # the first constant piece's last row, and the last constant
+            # piece from the sinusoidal piece's (201 + 100 + 200 nodes).
             sch = build_schedule([(0.0, 2.0, random_metzler(rng, n)),
                                   (2.0, 3.0, _sinusoidal(rng, n)),
                                   (3.0, 5.0, random_metzler(rng, n))])
             step = 0.01
+        elif kind == "sinusoidal-blocks":
+            # 300 steps in one sinusoidal piece; a block at n = 8 is
+            # _BLOCK_ENTRIES // 64 = 64 steps, so the piece takes four
+            # whole blocks and a part of a fifth.
+            assert _BLOCK_ENTRIES // n ** 2 == 64
+            sch = build_schedule([(0.0, 3.0, _sinusoidal(rng, n))])
+            step = 0.01
         else:
             # Pieces of one step (0.01 at step 0.05) and of many steps; the
             # store fills up across pieces.  Mixed pieces alternate between
-            # the transfer loop and the stage loop, so each starts with
-            # patch_right on the other's last node.
+            # the constant transfer and the sinusoidal transfers, so each
+            # starts with patch_right on the other's last node.
             edges = [0.0, 0.01, 4.0, 4.01, 4.02, 9.0, 9.3, 15.0]
             pieces = []
             for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
@@ -305,11 +317,14 @@ class TestBlockStepping:
             step = 0.05
         x0 = rng.normal(size=n)
         traj = simulate_ode(sch, x0, 0.0, sch.horizon[1], step=step)
-        assert len(traj.times) > 256  # the store's first capacity
+        assert len(traj.times) > 256  # the store's default capacity
         brute = brute_simulate_ode(sch, x0, 0.0, sch.horizon[1], step=step)
         for got, want in zip((traj.times, traj.states, traj.derivs,
                               traj.derivs_left), brute):
             _assert_same_bytes(got, want)
+            # The store was sized once, to the run: each array is all of
+            # the buffer it views, so no growth copied it.
+            assert got.base is not None and len(got.base) == len(got)
 
     def test_stage_loop_with_delayed_inputs(self, rng):
         n, h = 4, 0.01
@@ -339,6 +354,75 @@ class TestBlockStepping:
         assert store.size == 250 + 150
         for got, want in zip(store.view(), brute.arrays()):
             _assert_same_bytes(got, want)
+
+
+class TestSinusoidalTransfers:
+    """An undelayed sinusoidal piece steps by Phi_j = I + a1 H + a2 H^2 +
+    a3 H^3 + a4 H^4 per step: RK4 exactly, in another rounding than the
+    stage loop (brute_march), which stays the reference for the map."""
+
+    def test_transfer_is_stochastic_up_to_hm_one_half(self, rng):
+        # The module docstring's claim: with 0 <= c <= C = 1 + |depth| and
+        # h M <= 1/2, Phi_j >= 0 with unit row sums.  Entries that are 0 in
+        # exact arithmetic may round below it: Phi's entries are sums of
+        # five terms of at most e^(2 h M) < 3 in all, built by at most
+        # three matmuls over n terms, so by less than (3 n + 10) eps * 3.
+        eps = np.finfo(float).eps
+        for _ in range(300):
+            n = int(rng.integers(2, 13))
+            B = random_metzler(rng, n, density=rng.uniform(0.1, 1.0))
+            if not B.any():
+                continue
+            C = 1.0 + float(rng.uniform(0.0, 1.0))
+            h = float(rng.choice([0.5, rng.uniform(0.0, 0.5)])) / (
+                C * np.abs(B).max())
+            c1, c2, c4 = rng.choice([0.0, C, rng.uniform(0.0, C)], 3)
+            phi = transfer_of_step(h * B, c1, c2, c4)
+            slack = 3.0 * (3 * n + 10) * eps
+            assert phi.min() >= -slack
+            assert np.abs(phi.sum(axis=1) - 1.0).max() <= slack
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_deviation_from_the_stage_loop_is_rounding(self, seed):
+        """Both kernels round the one exact map x+ = Phi_j x.  At the
+        default h M = 1/20, Phi_j >= 0 with unit row sums (the test
+        above), so with X = max|x0| every exact state keeps max|x| <= X,
+        and an error made at one step reaches the end without growth:
+        after m steps the kernels differ by at most the sum of their
+        per-step errors.  Per step, in units u = eps / 2, since
+        sum_k a_k ||H||^k <= e^(2 h M) - 1 < 0.11:
+          - the transfer: the gemv Phi x errs by n u X (1 + 0.11); the
+            four additions that build Phi_j from 1 err by 4.5 u, and the
+            powers of H and the a by (3 n + 10) u times 0.11;
+          - the stage loop: x + (h / 6) (k1 + 2 k2 + 2 k3 + k4) errs by
+            u X in the addition, and the sum, of size <= 0.11 X, by
+            (2 n + 8) u relatively (gemv over n terms; the diagonal of
+            A(t), a rounded row sum, differs from c B_kk by n u).
+        That is (1.6 n + 8) u X <= (n + 4) eps X a step.  The node
+        derivatives are A(t) x with the same A(t) on both sides, and
+        ||A(t)||_inf <= 2 M, so they differ by at most
+        2 M (bound + n eps X)."""
+        rng = np.random.default_rng(seed)
+        eps = np.finfo(float).eps
+        for depth, period in itertools.product((-1.0, -0.4, 0.7, 1.0),
+                                               (0.3, 1.7, 6.0)):
+            n = int(rng.integers(2, 13))
+            base = random_metzler(rng, n, density=rng.uniform(0.3, 1.0)).copy()
+            np.fill_diagonal(base, 0.0)
+            sch = build_schedule(
+                [(0.0, 3.0, SinusoidalCoupling(base, depth, period))])
+            x0 = rng.uniform(-1.0, 1.0, n)
+            traj = simulate_ode(sch, x0, 0.0, 3.0)
+            times, states, derivs, derivs_left = brute_simulate_ode(
+                sch, x0, 0.0, 3.0, stages=True)
+            _assert_same_bytes(traj.times, times)
+            X = np.abs(x0).max()
+            bound = (len(times) - 1) * (n + 4) * eps * X
+            deviation = np.abs(traj.states - states).max()
+            assert deviation <= bound, (depth, period, n, deviation, bound)
+            d_bound = 2.0 * sch.bound * (bound + n * eps * X)
+            assert np.abs(traj.derivs - derivs).max() <= d_bound
+            assert np.abs(traj.derivs_left - derivs_left).max() <= d_bound
 
 
 def _dde_schedule(rng, kind, n):
@@ -605,14 +689,14 @@ class TestDelayedFunctional:
     def test_non_increasing_for_coupling_delay(self):
         sch = constant_schedule(symmetric_pair(), 0.0, 20.0)
         traj = simulate_dde(sch, 0.5, [1.0, -1.0], 0.0, 20.0, step=0.01)
-        times, values = delayed_functional_series(traj, 0.5)
+        times, values = self._series(traj, 0.5)
         assert times[0] == pytest.approx(0.5)
         assert np.all(np.diff(values) <= 1e-10)
 
     def test_window_spread_dominates_plain_spread(self):
         sch = constant_schedule(symmetric_pair(), 0.0, 10.0)
         traj = simulate_dde(sch, 0.3, [2.0, -1.0], 0.0, 10.0)
-        times, window = delayed_functional_series(traj, 0.3)
+        times, window = self._series(traj, 0.3)
         all_times, plain = spread_series(traj)
         assert np.array_equal(times, all_times[-len(times):])
         assert np.all(window >= plain[-len(times):] - 1e-12)
@@ -630,6 +714,16 @@ class TestDelayedFunctional:
                           derivs_left=rng.normal(size=states.shape))
 
     @staticmethod
+    def _series(traj, tau):
+        """delayed_functional_series, checked to the bit against the deque
+        form it replaced: signed zeros and NaN payloads included."""
+        got = delayed_functional_series(traj, tau)
+        want = deque_delayed_functional_series(traj, tau)
+        for arr, ref in zip(got, want):
+            _assert_same_bytes(arr, ref)
+        return got
+
+    @staticmethod
     def _assert_same_series(got, want):
         for arr in got:
             assert isinstance(arr, np.ndarray)
@@ -645,7 +739,7 @@ class TestDelayedFunctional:
         traj = self._trajectory(rng, times, states)
         span = times[-1] - times[0]
         tau = span if tau == "span" else tau
-        got = delayed_functional_series(traj, tau)
+        got = self._series(traj, tau)
         if tau == span:
             assert len(got[0]) == len(got[1]) == 1
         self._assert_same_series(
@@ -655,7 +749,7 @@ class TestDelayedFunctional:
         # Binary fractions: every window edge t - tau is a node.
         times = 0.125 * np.arange(200)
         traj = self._trajectory(rng, times, rng.normal(size=(200, 3)))
-        got = delayed_functional_series(traj, 0.5)
+        got = self._series(traj, 0.5)
         assert np.isin(got[0] - 0.5, times).all()
         self._assert_same_series(
             got, brute_delayed_functional_series(traj, 0.5))
@@ -668,7 +762,7 @@ class TestDelayedFunctional:
         states[399] = np.nan
         traj = self._trajectory(rng, np.cumsum(rng.uniform(0.01, 0.03, 400)),
                                 states)
-        got = delayed_functional_series(traj, 0.4)
+        got = self._series(traj, 0.4)
         assert np.isnan(got[1]).any() and np.isfinite(got[1]).any()
         self._assert_same_series(
             got, brute_delayed_functional_series(traj, 0.4))
@@ -680,7 +774,7 @@ class TestDelayedFunctional:
         states[:, 0] = 1.0
         states[0] = np.nan
         traj = self._trajectory(rng, np.arange(5.0), states)
-        times, values = delayed_functional_series(traj, 1.5)
+        times, values = self._series(traj, 1.5)
         assert times.tolist() == [2.0, 3.0, 4.0]
         assert np.isnan(values[0])
         assert values[1:].tolist() == [1.0, 1.0]
@@ -690,8 +784,41 @@ class TestDelayedFunctional:
         states[:, 0] = 1.0
         states[3] = np.inf
         traj = self._trajectory(rng, np.arange(5.0), states)
-        _, values = delayed_functional_series(traj, 1.0)
+        _, values = self._series(traj, 1.0)
         assert values.tolist() == [1.0, 1.0, math.inf, math.inf]
+
+    @pytest.mark.parametrize("tau", [0.02, 0.05, 0.1])
+    def test_signed_zero_ties_nan_rows_and_nan_edges(self, rng, tau):
+        # Mostly rows of 0.0 and -0.0, so that many window extremes are
+        # ties that only the sign tells apart.  A run of infinite rows
+        # gives windows of inf - inf, whose NaN payload is the
+        # subtraction's.  NaN entries make NaN rows, and NaN edges where
+        # an edge falls next to one.
+        states = rng.choice([0.0, -0.0, 1.0, -1.0, np.inf], size=(600, 2),
+                            p=[0.42, 0.42, 0.06, 0.06, 0.04])
+        states[100:160] = np.inf
+        states[[300, 420, 421], rng.integers(0, 2, 3)] = np.nan
+        traj = self._trajectory(rng, np.cumsum(rng.uniform(0.01, 0.03, 600)),
+                                states)
+        _, values = self._series(traj, tau)
+        assert (values == 0.0).any()
+        assert np.isinf(values).any() and np.isnan(values).any()
+
+    def test_window_extremes_keep_the_latest_of_tied_zeros(self, rng):
+        # 0.0 and -0.0 compare equal; the monotone deque drops the earlier
+        # of equal values, so a window extreme of 0 is the latest zero's.
+        row_max = rng.choice([0.0, -0.0, -1.0], 400)
+        row_min = rng.choice([0.0, -0.0, 1.0], 400)
+        hi = np.arange(400)
+        lo = np.maximum(hi - rng.integers(0, 70, 400), 0)
+        top, bottom = _window_extremes(row_max, row_min, lo, hi)
+        for got, values, pick in ((top, row_max, max), (bottom, row_min, min)):
+            assert np.signbit(got[got == 0.0]).any()
+            assert not np.signbit(got[got == 0.0]).all()
+            for j, (a, b) in enumerate(zip(lo.tolist(), hi.tolist())):
+                extreme = pick(values[a:b + 1].tolist())
+                k = max(k for k in range(a, b + 1) if values[k] == extreme)
+                assert got[j].tobytes() == values[k].tobytes()
 
     def test_matches_slice_oracle_on_a_simulated_run(self, rng):
         # A delayed switching run: window edges fall between nodes.
@@ -700,7 +827,7 @@ class TestDelayedFunctional:
              for i in range(6)])
         traj = simulate_dde(sch, 0.7, rng.uniform(-1.0, 1.0, 3), 0.0, 6.0,
                             step=0.05)
-        got = delayed_functional_series(traj, 0.7)
+        got = self._series(traj, 0.7)
         assert got[0][0] == pytest.approx(0.7)
         self._assert_same_series(
             got, brute_delayed_functional_series(traj, 0.7))
@@ -725,6 +852,6 @@ class TestDelayedFunctional:
             step = float(rng.uniform(0.2, 1.0) / diag)
             traj = simulate_dde(sch, tau, rng.uniform(-1.0, 1.0, n), 0.0,
                                 sch.horizon[1], step=step)
-            _, values = delayed_functional_series(traj, tau)
+            _, values = self._series(traj, tau)
             report = monotonicity_from_series("delayed_spread", values)
             assert report.passed, (n, period, tau, step, report.worst_violation)
