@@ -24,6 +24,7 @@ from .errors import (
     NoConvergence,
     NodeOutOfRange,
     NonFiniteEntry,
+    NonFiniteState,
     NormTooLarge,
     NotSymmetric,
     NoTrappedComponent,

@@ -197,14 +197,14 @@ def verify_lemma_on_trajectory(
             f"window [{t_start}, {t_end}] outside trajectory "
             f"[{trajectory.t_start}, {trajectory.t_end}]")
     pc = coupling_numbers(integrate_schedule(schedule, t_start, T), group)
-    x_start = interpolate_state(trajectory, t_start)
+    x_start = interpolate_state(schedule, trajectory, t_start)
     mu = (float(x_start.min()), float(x_start.max()))
     members = x_start[np.array(pc.group) - 1]
     g0 = (float(members.min()), float(members.max()))
     if slack is None:
         slack = DEFAULT_SLACK_FACTOR * (1.0 + mu[1] - mu[0])
     beta, g_out, h_out, group_ok, trapped = _window_stage(
-        pc, mu, g0, interpolate_state(trajectory, t_end), slack)
+        pc, mu, g0, interpolate_state(schedule, trajectory, t_end), slack)
     mask = (trajectory.times >= t_start - 1e-12) & (trajectory.times <= t_end + 1e-12)
     inner = trajectory.states[mask]
     range_ok = bool(inner.size == 0 or (
@@ -308,7 +308,7 @@ def contraction_certificate(
                 f"certificate span [{t0}, {span_end}] outside {name} "
                 f"[{lo}, {hi}]")
 
-    x0 = interpolate_state(trajectory, t0)
+    x0 = interpolate_state(schedule, trajectory, t0)
     mu = (float(x0.min()), float(x0.max()))
     v0 = mu[1] - mu[0]
     slack = slack_factor * (1.0 + v0)
@@ -332,7 +332,8 @@ def contraction_certificate(
                 f"integral at threshold {delta}")
         pc = coupling_numbers(window, group)
         beta, g_out, h_out, group_ok, trapped = _window_stage(
-            pc, mu, bracket, interpolate_state(trajectory, w_start + T), slack)
+            pc, mu, bracket,
+            interpolate_state(schedule, trajectory, w_start + T), slack)
         if beta <= 0.0:
             raise NoTrappedComponent(
                 s,
@@ -370,7 +371,7 @@ def contraction_certificate(
     # log1p keeps the rate positive when prod(beta) underflows 1 - rho,
     # which happens for very weakly coupled stages (rho rounds to 1.0).
     rate = -math.log1p(-beta_product) / ((n - 1) * T) if n > 1 else math.inf
-    x_final = interpolate_state(trajectory, span_end)
+    x_final = interpolate_state(schedule, trajectory, span_end)
     observed_end = float(x_final.max() - x_final.min())
     observed = observed_end / v0 if v0 > 0.0 else 0.0
     contracted = observed_end <= rho * v0 + slack

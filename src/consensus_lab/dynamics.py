@@ -20,14 +20,13 @@ inside each window the delayed values are read by cubic Hermite
 interpolation on one node grid, the history samples followed by every
 computed node; the returned trajectory is that grid from t0 on.
 
-Two paths step the pieces, and both reserve a whole piece in the node
-store and write its nodes in place.
+Two paths step the pieces, and both write the nodes of a whole piece in
+place, simulate_ode into its times and states, allocated once.
 
 An undelayed piece is linear, A(t) = c(t) B with c = 1 on a constant
 piece, so one RK4 step is a matrix: x+ = Phi_j x, applied by the gemv call
-of Phi_j @ x, written straight into the node's row.  The node derivatives
-A(t) x of a block of steps follow in one batched matmul.  On a constant
-piece Phi is one matrix, _rk4_transfer.  On a sinusoidal piece write
+of Phi_j @ x, written straight into the node's row.  On a constant piece
+Phi is one matrix, _rk4_transfer.  On a sinusoidal piece write
 H = h B and c1, c2, c4 for the profile at the step's start, middle and
 end (both middle stages read the middle).  The stages of one step from x
 are
@@ -68,12 +67,14 @@ reads every matrix transposed.  Once its drives are known, a delayed
 block splits by component, and _scalar_rk4 steps each component in Python
 floats with the bits of the vector stage d * y + u.
 
-Trajectories keep two derivative arrays.  The solution has corners at
-coupling discontinuities, so a node carries the derivative valid to its
-right (derivs) and to its left (derivs_left); they differ only at
-breakpoints.  Interpolation over an interval uses the right derivative of
-its left node and the left derivative of its right node, which keeps the
-Hermite reads at integrator order across switches.
+A trajectory is its times and states.  The solution has corners at
+coupling discontinuities, but each interval [t_k, t_k+1] between nodes
+lies inside one schedule piece i, whose grid ends on its breakpoints, so
+on an undelayed run both derivatives of a Hermite read of the interval
+come from that piece: A_i(t_k) x_k and A_i(t_k+1) x_k+1.  interpolate_state
+finds i by bisection at the midpoint.  A delayed derivative
+d x + off x(t - tau) needs the history, so simulate_dde keeps both
+one-sided derivatives of its nodes for its own reads only.
 """
 
 from __future__ import annotations
@@ -89,33 +90,30 @@ import numpy as np
 
 from .errors import (
     HistoryGap,
+    NonFiniteState,
     OutOfHorizon,
     StepTooLargeWarning,
     WindowNotCovered,
 )
-from .metzler_core import CouplingSchedule, evaluate_schedule
+from .metzler_core import CouplingSchedule, _locate_piece, evaluate_schedule
 
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Dense integrator output: states and one-sided derivatives on a
-    strictly increasing grid."""
+    """Dense integrator output: states on a strictly increasing grid."""
 
     times: np.ndarray
     states: np.ndarray
-    derivs: np.ndarray
-    derivs_left: np.ndarray
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.times.ndim != 1 or self.states.ndim != 2:
             raise ValueError("times must be 1-d and states 2-d")
-        if not (len(self.times) == len(self.states)
-                == len(self.derivs) == len(self.derivs_left)):
-            raise ValueError("times, states, derivative array lengths disagree")
+        if len(self.times) != len(self.states):
+            raise ValueError("times and states lengths disagree")
         if np.any(np.diff(self.times) <= 0.0):
             raise ValueError("times must be strictly increasing")
-        for arr in (self.times, self.states, self.derivs, self.derivs_left):
+        for arr in (self.times, self.states):
             arr.setflags(write=False)
 
     @property
@@ -242,15 +240,11 @@ def _substeps(a: float, b: float, h_target: float):
 
 
 class _NodeStore:
-    """Grow-only buffer of integration nodes with one-sided derivatives.
-
-    Backed by preallocated numpy arrays that at least double when they
-    grow, so a read-only snapshot of everything stored so far is a
-    constant-time slice.  A stepping loop reserves a whole piece with
-    extend and writes its nodes in place; append adds one node.
-    simulate_ode knows its node count ahead and passes it as the capacity,
-    so its store never grows: a growth holds the old and the new arrays at
-    once while it copies."""
+    """Grow-only buffer of the nodes of a delayed run with the one-sided
+    derivatives that its reads of x(t - tau) need.  The arrays at least
+    double when they grow, so a snapshot of everything stored so far is a
+    constant-time slice.  _march reserves a whole piece with extend and
+    writes its nodes in place; append adds one node."""
 
     def __init__(self, n: int, capacity: int = 256):
         self.size = 0
@@ -295,14 +289,12 @@ class _NodeStore:
 _BLOCK_ENTRIES = 2 ** 12
 
 
-def _matvecs(M: np.ndarray, V: np.ndarray, out=None) -> np.ndarray:
-    """Row i is M[i] @ V[i] (M a stack, or one matrix for every row), to
-    the last bit: matmul on a stack of column vectors makes one gemv call
-    per row, the call that M[i] @ V[i] makes.  Each matrix must be
-    row-major, as a C-order stack or a broadcast of a C-order matrix is."""
-    if out is not None:
-        out = out[:, :, None]
-    return np.matmul(M, V[:, :, None], out=out)[:, :, 0]
+def _matvecs(M: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Row i is M[i] @ V[i] (M a stack), to the last bit: matmul on a stack
+    of column vectors makes one gemv call per row, the call that
+    M[i] @ V[i] makes.  Each matrix must be row-major, as a C-order stack
+    or a broadcast of a C-order matrix is."""
+    return np.matmul(M, V[:, :, None])[:, :, 0]
 
 
 # Microseconds per step of a 20 s delayed sinusoidal piece at step 0.01
@@ -408,29 +400,22 @@ def _march(store: _NodeStore, x: np.ndarray, schedule: CouplingSchedule,
     return x
 
 
-def _sinusoidal_transfers(store: _NodeStore, x: np.ndarray,
-                          schedule: CouplingSchedule, piece: int, a: float,
-                          grid: np.ndarray, h: float) -> np.ndarray:
-    """Step an undelayed sinusoidal piece from the last stored node (a, x)
-    through grid by x <- Phi_j x, Phi_j = I + a1 H + a2 H^2 + a3 H^3 +
-    a4 H^4, H = h B, with the a of the module docstring, and store each
-    node with A(t) x.  The powers of H come once per piece, by 2-d
-    matmul.  A block of steps at a time, the profile, the a and the Phi_j
-    come from broadcast ufuncs, the Phi_j summed from the left, so each
-    has the bits that building it on its own gives; no gemm across the
-    steps.  Each Phi_j is applied by the gemv call of Phi_j @ x, written
-    straight into its row, and the derivatives of a block by one batched
-    matmul on entries_over, so they are A(t) x with its diagonal."""
+def _sinusoidal_transfers(x: np.ndarray, schedule: CouplingSchedule,
+                          piece: int, a: float, grid: np.ndarray, h: float,
+                          xs: np.ndarray) -> np.ndarray:
+    """Step an undelayed sinusoidal piece from (a, x) through grid by
+    x <- Phi_j x (module docstring), node j into xs[j].  The powers of
+    H = h B come once per piece, by 2-d matmul; a block of steps at a time,
+    the profile, the a and the Phi_j come from broadcast ufuncs, the Phi_j
+    summed from the left, so each has the bits of a build on its own; no
+    gemm across the steps.  Each Phi_j @ x is one gemv, into its row."""
     H = h * schedule.couplings[piece]
     powers = [H]
     for _ in range(3):
         powers.append(powers[-1] @ H)
     eye = np.eye(len(x))
     node_t = np.concatenate(([a], grid))
-    store.patch_right(schedule.entries_over(piece, node_t[:1])[0] @ x)
     m = len(grid)
-    ts, xs, dr, dl = store.extend(m)
-    ts[:] = grid
     size = max(1, _BLOCK_ENTRIES // x.size ** 2)
     for lo in range(0, m, size):
         hi = min(lo + size, m)
@@ -444,10 +429,14 @@ def _sinusoidal_transfers(store: _NodeStore, x: np.ndarray,
             phi = phi + alpha[:, None, None] * power
         for phi_j, row in zip(phi, xs[lo:hi]):
             x = np.matmul(phi_j, x, out=row)
-        _matvecs(schedule.entries_over(piece, node_t[lo + 1:hi + 1]),
-                 xs[lo:hi], out=dr[lo:hi])
-    dl[:] = dr
     return x
+
+
+def _require_finite(x: np.ndarray, t: float, h: float, bound: float):
+    """NonFiniteState unless x is finite.  No linear step turns inf or NaN
+    finite again, so the last state of a piece speaks for all its nodes."""
+    if not np.isfinite(x).all():
+        raise NonFiniteState(float(t), f"step {h!r}, h M = {h * bound!r}")
 
 
 def simulate_ode(
@@ -461,7 +450,8 @@ def simulate_ode(
 
     Fixed-step classical RK4; inside each schedule piece the step divides
     the piece exactly, so breakpoints land on grid nodes.  Deterministic:
-    identical inputs give identical output arrays.
+    identical inputs give identical output arrays.  Raises NonFiniteState
+    at the end of the first piece whose last state is not finite.
     """
     _check_horizon(schedule, t0, t1)
     x = np.array(x0, dtype=float)
@@ -473,30 +463,27 @@ def simulate_ode(
 
     pieces = [(i, a, *_substeps(a, b, h_target))
               for a, b, i in _pieces(schedule, t0, t1)]
-    # t0 and every step's end: the store is sized once and never grows.
-    store = _NodeStore(n, 1 + sum(m for _, _, m, _, _ in pieces))
-    store.append(t0, x, evaluate_schedule(schedule, t0).entries @ x)
+    # t0 and every step's end, allocated once.
+    times = np.concatenate([[t0]] + [grid for *_, grid in pieces])
+    states = np.empty((len(times), n))
+    states[0], k = x, 1
     for i, a, m, h, grid in pieces:
+        xs, k = states[k:k + m], k + m
         if schedule.constant[i]:
-            A = schedule.couplings[i]
-            store.patch_right(A @ x)
-            phi = _rk4_transfer(A, h)
-            ts, xs, dr, dl = store.extend(m)
-            ts[:] = grid
+            phi = _rk4_transfer(schedule.couplings[i], h)
             # The gemv call of phi @ x, written straight into its row.
             for row in xs:
                 x = np.matmul(phi, x, out=row)
-            _matvecs(A, xs, out=dr)
-            dl[:] = dr
         else:
-            x = _sinusoidal_transfers(store, x, schedule, i, a, grid, h)
+            x = _sinusoidal_transfers(x, schedule, i, a, grid, h, xs)
+        _require_finite(x, grid[-1], h, schedule.bound)
     meta = {
         "method": "rk4",
         "requested_step": step,
         "effective_step_target": h_target,
         "schedule_bound": schedule.bound,
     }
-    return Trajectory(*store.view(), meta=meta)
+    return Trajectory(times, states, meta=meta)
 
 
 # --------------------------------------------------------------------------
@@ -540,14 +527,24 @@ def _hermite_many(
             + (h11 * h)[:, None] * derivs_left[idx + 1])
 
 
-def interpolate_state(trajectory: Trajectory, t: float) -> np.ndarray:
-    """State at time t by cubic Hermite interpolation of the stored grid."""
-    span = trajectory.t_end - trajectory.t_start
-    slack = 1e-12 * max(1.0, span)
-    return _hermite_many(
-        np.array([t]), trajectory.times, trajectory.states,
-        trajectory.derivs, trajectory.derivs_left, clamp_slack=slack,
-    )[0]
+def interpolate_state(schedule: CouplingSchedule, trajectory: Trajectory,
+                      t: float) -> np.ndarray:
+    """State at time t of an undelayed run of schedule (ValueError on a
+    delayed one), by cubic Hermite interpolation on the grid interval that
+    holds t, with the derivatives of its piece (module docstring)."""
+    if "tau" in trajectory.meta:
+        raise ValueError("interpolate_state reads undelayed runs only")
+    times, states = trajectory.times, trajectory.states
+    k = min(max(int(np.searchsorted(times, t, side="right")) - 1, 0),
+            len(times) - 2)
+    nodes = slice(k, k + 2)
+    piece = _locate_piece(schedule, 0.5 * float(times[k] + times[k + 1]))
+    A = schedule.entries_over(piece, times[nodes])
+    slopes = np.array([A[0] @ states[k], A[1] @ states[k + 1]])
+    slack = 1e-12 * max(1.0, trajectory.t_end - trajectory.t_start)
+    # slopes[0] is read as the right derivative at k, slopes[1] as the left.
+    return _hermite_many([t], times[nodes], states[nodes], slopes, slopes,
+                         clamp_slack=slack)[0]
 
 
 # --------------------------------------------------------------------------
@@ -628,7 +625,8 @@ def simulate_dde(
     DelayHistory covering that interval.  With delay_diagonal=True the
     instantaneous terms are delayed as well, i.e. dx/dt = A(t) x(t - tau);
     that variant exists to expose the destabilising effect of delaying the
-    self terms and is not covered by the contraction theory.
+    self terms and is not covered by the contraction theory.  Returns times
+    and states from t0 on; raises NonFiniteState as simulate_ode does.
     """
     if not (tau > 0.0):
         raise ValueError(f"tau must be positive, got {tau!r}")
@@ -679,6 +677,7 @@ def simulate_dde(
         for k, (i, a, grid, h) in enumerate(pieces):
             x = _march(store, x, schedule, i, a, grid, h,
                        (xd[2 * k], xd[2 * k + 1], delay_diagonal))
+            _require_finite(x, grid[-1], h, schedule.bound)
         w0 = w1
     meta = {
         "method": "rk4-method-of-steps",
@@ -688,7 +687,7 @@ def simulate_dde(
         "effective_step_target": h_target,
         "schedule_bound": schedule.bound,
     }
-    return Trajectory(*(arr[first:] for arr in store.view()), meta=meta)
+    return Trajectory(*(arr[first:] for arr in store.view()[:2]), meta=meta)
 
 
 # --------------------------------------------------------------------------

@@ -70,6 +70,15 @@ class HistoryGap(ConsensusLabError):
     its end."""
 
 
+class NonFiniteState(ConsensusLabError):
+    """A simulated state reached inf or NaN; t is the node where the
+    integrator saw it."""
+
+    def __init__(self, t: float, message: str):
+        self.t = t
+        super().__init__(f"state not finite at t = {t!r} ({message})")
+
+
 class WindowNotCovered(ConsensusLabError):
     """The trajectory is too short to evaluate a sliding window."""
 

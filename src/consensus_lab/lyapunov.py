@@ -2,20 +2,23 @@
 
 AUDITS is the one table of the functionals an audit can check.  Each
 entry holds the functional's series over a stored trajectory, the
-direction it moves in, and the hypothesis on the coupling under which it
-must move that way:
+direction it moves in, the hypothesis on the coupling under which it
+must move that way, and the runs it reads:
 
-  functional                direction        hypothesis
-  spread                    non-increasing   none
-  max_component             non-increasing   none
-  min_component             non-decreasing   none
-  delayed_spread            non-increasing   none (a delayed run; tau from its meta)
-  sum_of_squares            non-increasing   1'A = 0
-  centered_sum_of_squares   non-increasing   1'A = 0
-  weighted:<f>              non-increasing   p'A = 0 (p the audit's weights, or 1)
-  potential                 non-increasing   A = A'
+  functional                direction        hypothesis   runs
+  spread                    non-increasing   none         undelayed
+  max_component             non-increasing   none         undelayed
+  min_component             non-decreasing   none         undelayed
+  delayed_spread            non-increasing   none         delayed (tau from its meta)
+  sum_of_squares            non-increasing   1'A = 0      undelayed
+  centered_sum_of_squares   non-increasing   1'A = 0      undelayed
+  weighted:<f>              non-increasing   p'A = 0      undelayed
+  potential                 non-increasing   A = A'       undelayed
 
-for A = A(t) at every t.
+for A = A(t) at every t, and p the audit's weights, or 1.  Along a
+delayed run x(t) is pulled toward states of the window [t - tau, t], not
+toward the current hull, so the instantaneous functionals may grow; only
+the sliding-window spread must shrink there.
 
 The spread max(x) - min(x) is the workhorse certificate: it shrinks along
 every solution of the coupled dynamics, and the sliding-window spread does
@@ -25,8 +28,9 @@ p_1 f(x_1) + ... + p_n f(x_n) of a convex f is non-increasing, which for
 p = 1 is the disagreement-function argument for balanced digraphs
 (Olfati-Saber & Murray, IEEE TAC 49(9), 2004); symmetric coupling is the
 gradient flow of the potential -x'Ax/2.  check_hypotheses tests the
-hypotheses a list of functionals names on a schedule's coupling stack,
-and the scenario runner calls it before it evaluates any functional.
+hypotheses a list of functionals names on a schedule's coupling stack and
+the run's delay, and the scenario runner calls it before it evaluates any
+functional.
 
 Claims for balanced coupling, each with the tests that check it:
 
@@ -57,6 +61,7 @@ import numpy as np
 from .errors import (
     BalanceViolated,
     EmptyVector,
+    HypothesisUnverified,
     NegativeWeight,
     NormTooLarge,
     NotSymmetric,
@@ -144,11 +149,14 @@ class Functional:
     """One audit functional.  values(trajectory, p, B, f) is its series at
     the stored nodes, given the audit's weights p (None for all ones), the
     coupling B (for the potential) and the convex function f (for
-    weighted:<f>).  hypothesis is None, BALANCED, P_BALANCED or SYMMETRIC."""
+    weighted:<f>).  hypothesis is None, BALANCED, P_BALANCED or SYMMETRIC;
+    delayed marks the one functional of delayed runs, and every other one
+    needs an undelayed run."""
 
     values: Callable
     direction: str = "non-increasing"
     hypothesis: Optional[str] = None
+    delayed: bool = False
 
 
 def _weights(p, n: int) -> np.ndarray:
@@ -196,7 +204,7 @@ AUDITS = {
     "max_component": Functional(lambda run, p, B, f: run.states.max(axis=1)),
     "min_component": Functional(lambda run, p, B, f: run.states.min(axis=1),
                                 direction="non-decreasing"),
-    "delayed_spread": Functional(_delayed_spread),
+    "delayed_spread": Functional(_delayed_spread, delayed=True),
     "sum_of_squares": Functional(
         lambda run, p, B, f: _sum_of_squares(run.states), hypothesis=BALANCED),
     "centered_sum_of_squares": Functional(
@@ -225,18 +233,28 @@ def audit_entry(functional: str):
     return entry, f
 
 
-def check_hypotheses(functionals, couplings, starts, weights=None):
+def check_hypotheses(functionals, couplings, starts, weights=None, tau=None):
     """Check on a (k, n, n) coupling stack every hypothesis the named
-    functionals need; starts holds the start time of each piece.
+    functionals need; starts holds the start time of each piece, and tau
+    the delay of the run (None for an undelayed one).
 
     A schedule piece is A(t) = c(t) B with c(t) >= 0, so p'A(t) = c(t) p'B
     and A(t) is symmetric when B is: testing each fixed coupling B covers
     its piece.  Each test allows DEFAULT_ROW_TOL times max(1, the largest
     term it compares), as validate_coupling_matrix allows on a row sum.
-    Raises NotSymmetric, then BalanceViolated, for the first piece that
-    fails.
+    Raises HypothesisUnverified when the run is delayed and a functional
+    needs an undelayed one, then NotSymmetric, then BalanceViolated, for
+    the first piece that fails.
     """
-    needs = {audit_entry(name)[0].hypothesis for name in functionals}
+    entries = [audit_entry(name)[0] for name in functionals]
+    if tau is not None:
+        undelayed = [name for name, entry in zip(functionals, entries)
+                     if not entry.delayed]
+        if undelayed:
+            raise HypothesisUnverified(
+                f"{', '.join(undelayed)} need an undelayed run; this run "
+                f"has tau = {tau!r} (audit delayed_spread instead)")
+    needs = {entry.hypothesis for entry in entries}
     if needs - {None, BALANCED, P_BALANCED, SYMMETRIC}:
         raise ValueError(f"no check for some of the hypotheses {needs}")
     couplings = np.asarray(couplings, dtype=float)

@@ -12,7 +12,7 @@ the output directory and exits with a code that scripts can branch on:
      of a potential audit; or the theory behind an analysis does not
      cover the run (a delayed run)
   4  the scenario file is malformed
-  5  a numerical routine gave up
+  5  a numerical routine gave up, or a simulated state reached inf or NaN
 
 Reruns of the same file are byte-identical: all stochastic generators
 require a seed, floats are written as "%.17g" (round-trip exact, though
@@ -45,6 +45,7 @@ from .errors import (
     HypothesisUnverified,
     InvalidSpec,
     NoConvergence,
+    NonFiniteState,
     NormTooLarge,
     NotSymmetric,
     NoTrappedComponent,
@@ -80,6 +81,7 @@ _NUMERICAL_ERRORS = (
     HistoryGap,
     WindowNotCovered,
     DegenerateSeries,
+    NonFiniteState,
 )
 _HYPOTHESIS_ERRORS = (HypothesisUnverified, BalanceViolated, NotSymmetric)
 
@@ -597,7 +599,7 @@ def _audit(keys, config):
 
     def run(schedule, trajectory):
         lyapunov.check_hypotheses(names, schedule.couplings, schedule.starts,
-                                  weights)
+                                  weights, tau=trajectory.meta.get("tau"))
         failures, worst = [], []
         for fname in names:
             # The potential runs on constant coupling: one piece.
@@ -630,6 +632,9 @@ def _lemma(keys, config):
             f"the horizon [{config.t0}, {t1}]")
 
     def run(schedule, trajectory):
+        if config.delay is not None:
+            raise HypothesisUnverified(
+                _delay_not_covered(config.delay, "the lemma"))
         report = certify.verify_lemma_on_trajectory(
             schedule, trajectory, group, t_start, window, slack=slack)
         trapped = ",".join(str(v) for v in report.trapped) or "none"

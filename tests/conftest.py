@@ -172,9 +172,9 @@ class BruteStore:
 
 
 def brute_transfer_loop(store, x, A, h, grid):
-    """One constant undelayed piece: x <- phi x per step, stored one node
-    at a time, with the same two matrix-vector products per step as the
-    block-writing loop of simulate_ode."""
+    """One constant undelayed piece: x <- phi x per step, the product that
+    simulate_ode's loop makes, stored one node at a time with A x, the
+    derivative a Hermite read of the piece takes."""
     store.patch_right(A @ x)
     phi = _rk4_transfer(A, h)
     for tt in grid:
@@ -273,9 +273,10 @@ def brute_march(store, x, a, grid, h, rhs_at, xd_nodes, xd_half):
 
 def brute_simulate_ode(schedule, x0, t0, t1, step=None, stages=False):
     """(times, states, derivs, derivs_left) of simulate_ode, stepped by the
-    per-node loops above; with stages, sinusoidal pieces take the RK4
-    stage loop instead of their transfer rule, the same map up to
-    rounding."""
+    per-node loops above, with each node's derivatives to its right and to
+    its left kept as the reference for interpolate_state's; with stages,
+    sinusoidal pieces take the RK4 stage loop instead of their transfer
+    rule, the same map up to rounding."""
     x = np.array(x0, dtype=float)
     h_target = _step_target(step, schedule, t1 - t0)
     store = BruteStore()

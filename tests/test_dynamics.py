@@ -9,7 +9,6 @@ fully delayed variant d' = -2 d(t - tau) the windows are polynomials:
 d(t) = 2 - 4t on [0, tau], then d(tau) - 4 v + 4 v^2 at v = t - tau.
 """
 
-import contextlib
 import itertools
 import math
 import warnings
@@ -20,6 +19,7 @@ import pytest
 from consensus_lab import (
     DelayHistory,
     HistoryGap,
+    NonFiniteState,
     OutOfHorizon,
     StepTooLargeWarning,
     Trajectory,
@@ -36,9 +36,9 @@ from consensus_lab import (
     spread_series,
 )
 from consensus_lab.dynamics import (_BLOCK_ENTRIES, _RK4_DISC_RADIUS,
-                                    _NodeStore, _drives, _march, _pieces,
-                                    _rk4_transfer, _step_target,
-                                    _window_extremes)
+                                    _NodeStore, _drives, _hermite_many,
+                                    _march, _pieces, _rk4_transfer,
+                                    _step_target, _window_extremes)
 from consensus_lab.scenario_cli import SinusoidalCoupling
 
 from conftest import (BruteStore, brute_delayed_functional_series, brute_march,
@@ -64,7 +64,7 @@ class TestOde:
         sch = constant_schedule(chain_matrix(), 0.0, 5.0)
         traj = simulate_ode(sch, [1.0, 0.0], 0.0, 5.0)
         for t in (0.5, 1.0, 3.0, 5.0):
-            x = interpolate_state(traj, t)
+            x = interpolate_state(sch, traj, t)
             assert x[0] == pytest.approx(math.exp(-t), abs=1e-6)
             assert x[1] == 0.0
 
@@ -72,13 +72,13 @@ class TestOde:
         sch = constant_schedule(chain_matrix(), 0.0, 5.0)
         traj = simulate_ode(sch, [1.0, 0.0], 0.0, 5.0, step=0.005)
         for t in (0.5, 1.0, 3.0, 5.0):
-            x = interpolate_state(traj, t)
+            x = interpolate_state(sch, traj, t)
             assert x[0] == pytest.approx(math.exp(-t), abs=1e-10)
 
     def test_chain_approach_closed_form(self):
         sch = constant_schedule(chain_matrix(), 0.0, 4.0)
         traj = simulate_ode(sch, [0.0, 5.0], 0.0, 4.0)
-        x = interpolate_state(traj, 2.0)
+        x = interpolate_state(sch, traj, 2.0)
         assert x[0] == pytest.approx(5.0 * (1.0 - math.exp(-2.0)), abs=1e-6)
         assert x[1] == pytest.approx(5.0)
 
@@ -86,7 +86,7 @@ class TestOde:
         sch = constant_schedule(symmetric_pair(), 0.0, 3.0)
         traj = simulate_ode(sch, [1.0, -1.0], 0.0, 3.0)
         for t in (0.7, 1.9, 3.0):
-            x = interpolate_state(traj, t)
+            x = interpolate_state(sch, traj, t)
             assert x[0] == pytest.approx(math.exp(-2.0 * t), abs=1e-5)
             assert x[1] == pytest.approx(-math.exp(-2.0 * t), abs=1e-5)
 
@@ -98,16 +98,6 @@ class TestOde:
         assert traj.times[0] == 0.0 and traj.times[-1] == pytest.approx(2.3)
         assert np.all(np.diff(traj.times) > 0.0)
 
-    def test_one_sided_derivatives_differ_at_switch(self):
-        sch = build_schedule([(0.0, 1.0, chain_matrix()),
-                              (1.0, 2.0, 3.0 * chain_matrix())])
-        traj = simulate_ode(sch, [1.0, 0.0], 0.0, 2.0, step=0.25)
-        idx = traj.times.tolist().index(1.0)
-        left = traj.derivs_left[idx]
-        right = traj.derivs[idx]
-        # dx1/dt jumps from -x1 to -3 x1 at the switch
-        assert right[0] == pytest.approx(3.0 * left[0], rel=1e-9)
-
     def test_interpolation_matches_fine_reference_across_switch(self):
         sch = build_schedule([(0.0, 1.0, chain_matrix()),
                               (1.0, 2.0, 2.0 * chain_matrix())])
@@ -116,8 +106,8 @@ class TestOde:
         # cubic Hermite error bound h^4 |x''''| / 384 with h = 0.2 and the
         # rate-2 segment: ~1.8e-5
         for t in np.linspace(0.05, 1.95, 39):
-            a = interpolate_state(coarse, float(t))
-            b = interpolate_state(fine, float(t))
+            a = interpolate_state(sch, coarse, float(t))
+            b = interpolate_state(sch, fine, float(t))
             assert np.max(np.abs(a - b)) < 5e-5
 
     def test_spread_non_increasing_on_random_rooted_runs(self, rng):
@@ -141,7 +131,7 @@ class TestOde:
         sch = constant_schedule(chain_matrix(), 0.0, 1.0)
         traj = simulate_ode(sch, [1.0, 0.0], 0.0, 1.0)
         with pytest.raises(HistoryGap):
-            interpolate_state(traj, 1.5)
+            interpolate_state(sch, traj, 1.5)
 
     def test_step_advisory_warning(self):
         sch = constant_schedule(chain_matrix(), 0.0, 8.0)
@@ -203,14 +193,62 @@ class TestOde:
         b = simulate_ode(const, x0, 0.0, 3.0, step=0.01)
         np.testing.assert_array_equal(a.times, b.times)
         np.testing.assert_allclose(a.states, b.states, rtol=0.0, atol=1e-12)
-        np.testing.assert_allclose(a.derivs, b.derivs, rtol=0.0, atol=1e-12)
+        for t in np.linspace(0.005, 2.995, 7):
+            np.testing.assert_allclose(interpolate_state(flat, a, t),
+                                       interpolate_state(const, b, t),
+                                       rtol=0.0, atol=1e-12)
+
+    def test_overflow_stops_at_the_end_of_its_piece(self):
+        # h M = 200 at step 0.1: every step multiplies the state by about
+        # 400^4 / 24, so it passes the float range within a few pieces, and
+        # numpy warns as it does.
+        sch = build_schedule([(float(i), i + 1.0, 2000.0 * symmetric_pair())
+                              for i in range(6)])
+        with pytest.warns((StepTooLargeWarning, RuntimeWarning)) as seen, \
+                pytest.raises(NonFiniteState) as stopped:
+            simulate_ode(sch, [1.0, -1.0], 0.0, 6.0, step=0.1)
+        assert {w.category for w in seen} == {StepTooLargeWarning,
+                                              RuntimeWarning}
+        with np.errstate(over="ignore", invalid="ignore"):
+            times, states, _, _ = brute_simulate_ode(sch, [1.0, -1.0], 0.0, 6.0,
+                                                     step=0.1)
+        first = times[~np.isfinite(states).all(axis=1)][0]
+        assert stopped.value.t == math.ceil(first) < 6.0
 
     def test_trajectory_rejects_unsorted_times(self):
         times = np.array([0.0, 1.0, 0.5])
         states = np.zeros((3, 2))
         with pytest.raises(ValueError):
-            Trajectory(times=times, states=states, derivs=states.copy(),
-                       derivs_left=states.copy(), meta={})
+            Trajectory(times=times, states=states, meta={})
+
+
+class TestOnDemandDerivatives:
+    """interpolate_state takes both derivatives of an interval from the
+    schedule piece that stepped it.  The oracle stores them per node, the
+    one to the right of each node and the one to its left, which differ at
+    every switch; a Hermite read of its arrays must give the same bits."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 32])
+    def test_matches_the_stored_one_sided_derivatives(self, n):
+        rng = np.random.default_rng(n)
+        lengths = np.where(rng.random(8) < 0.4, 0.01, rng.uniform(0.2, 1.0, 8))
+        edges = np.concatenate(([0.0], np.cumsum(lengths)))
+        sch = build_schedule([
+            (lo, hi, _sinusoidal(rng, n, scale=1.0 / n) if rng.random() < 0.5
+             else random_metzler(rng, n) / n)
+            for lo, hi in zip(edges[:-1], edges[1:])])
+        assert not sch.constant.all() and sch.constant.any()
+        span = float(edges[-1])
+        x0 = rng.uniform(-1.0, 1.0, n)
+        traj = simulate_ode(sch, x0, 0.0, span)
+        # Pieces of 0.01 are one step long at the default step.
+        assert traj.meta["effective_step_target"] > 0.01
+        brute = brute_simulate_ode(sch, x0, 0.0, span)
+        queries = np.concatenate((rng.uniform(0.0, span, 60), edges,
+                                  edges - 1e-9, edges + 1e-9))
+        for t in queries[(queries >= 0.0) & (queries <= span)].tolist():
+            want = _hermite_many([t], *brute, clamp_slack=1e-12 * span)[0]
+            _assert_same_bytes(interpolate_state(sch, traj, t), want)
 
 
 class TestDefaultStep:
@@ -271,8 +309,8 @@ def _sinusoidal(rng, n, scale=1.0, **arcs):
 
 
 class TestBlockStepping:
-    """Every stepping loop writes whole pieces into the node store; the
-    per-node loops of conftest append the same nodes one at a time."""
+    """Every stepping loop writes whole pieces in place; the per-node loops
+    of conftest append the same nodes one at a time."""
 
     @pytest.mark.parametrize("kind", ["constant", "switching", "mixed",
                                       "constant-sinusoidal-constant",
@@ -280,9 +318,8 @@ class TestBlockStepping:
     def test_ode_matches_per_node_loops(self, rng, kind):
         n = 8 if kind == "sinusoidal-blocks" else 5
         if kind == "constant":
-            # 301 nodes in one piece, past the store's default capacity of
-            # 256.  The step is explicit: the default 1/(20 M) gives only
-            # ~134 nodes here.
+            # 301 nodes in one piece.  The step is explicit: the default
+            # 1/(20 M) gives only ~134 nodes here.
             sch = constant_schedule(random_metzler(rng, n), 0.0, 3.0)
             step = 0.01
         elif kind == "constant-sinusoidal-constant":
@@ -302,10 +339,10 @@ class TestBlockStepping:
             sch = build_schedule([(0.0, 3.0, _sinusoidal(rng, n))])
             step = 0.01
         else:
-            # Pieces of one step (0.01 at step 0.05) and of many steps; the
-            # store fills up across pieces.  Mixed pieces alternate between
-            # the constant transfer and the sinusoidal transfers, so each
-            # starts with patch_right on the other's last node.
+            # Pieces of one step (0.01 at step 0.05) and of many steps.
+            # Mixed pieces alternate between the constant transfer and the
+            # sinusoidal transfers, so each starts from the other's last
+            # node.
             edges = [0.0, 0.01, 4.0, 4.01, 4.02, 9.0, 9.3, 15.0]
             pieces = []
             for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
@@ -317,14 +354,12 @@ class TestBlockStepping:
             step = 0.05
         x0 = rng.normal(size=n)
         traj = simulate_ode(sch, x0, 0.0, sch.horizon[1], step=step)
-        assert len(traj.times) > 256  # the store's default capacity
+        assert len(traj.times) > 256
         brute = brute_simulate_ode(sch, x0, 0.0, sch.horizon[1], step=step)
-        for got, want in zip((traj.times, traj.states, traj.derivs,
-                              traj.derivs_left), brute):
+        for got, want in zip((traj.times, traj.states), brute):
             _assert_same_bytes(got, want)
-            # The store was sized once, to the run: each array is all of
-            # the buffer it views, so no growth copied it.
-            assert got.base is not None and len(got.base) == len(got)
+            # Allocated once, to the run: each array owns its memory.
+            assert got.base is None
 
     def test_stage_loop_with_delayed_inputs(self, rng):
         n, h = 4, 0.01
@@ -398,10 +433,7 @@ class TestSinusoidalTransfers:
             u X in the addition, and the sum, of size <= 0.11 X, by
             (2 n + 8) u relatively (gemv over n terms; the diagonal of
             A(t), a rounded row sum, differs from c B_kk by n u).
-        That is (1.6 n + 8) u X <= (n + 4) eps X a step.  The node
-        derivatives are A(t) x with the same A(t) on both sides, and
-        ||A(t)||_inf <= 2 M, so they differ by at most
-        2 M (bound + n eps X)."""
+        That is (1.6 n + 8) u X <= (n + 4) eps X a step."""
         rng = np.random.default_rng(seed)
         eps = np.finfo(float).eps
         for depth, period in itertools.product((-1.0, -0.4, 0.7, 1.0),
@@ -413,16 +445,13 @@ class TestSinusoidalTransfers:
                 [(0.0, 3.0, SinusoidalCoupling(base, depth, period))])
             x0 = rng.uniform(-1.0, 1.0, n)
             traj = simulate_ode(sch, x0, 0.0, 3.0)
-            times, states, derivs, derivs_left = brute_simulate_ode(
+            times, states, _, _ = brute_simulate_ode(
                 sch, x0, 0.0, 3.0, stages=True)
             _assert_same_bytes(traj.times, times)
             X = np.abs(x0).max()
             bound = (len(times) - 1) * (n + 4) * eps * X
             deviation = np.abs(traj.states - states).max()
             assert deviation <= bound, (depth, period, n, deviation, bound)
-            d_bound = 2.0 * sch.bound * (bound + n * eps * X)
-            assert np.abs(traj.derivs - derivs).max() <= d_bound
-            assert np.abs(traj.derivs_left - derivs_left).max() <= d_bound
 
 
 def _dde_schedule(rng, kind, n):
@@ -454,8 +483,7 @@ def _dde_schedule(rng, kind, n):
 
 
 def _assert_same_arrays(traj, brute):
-    for got, want in zip((traj.times, traj.states, traj.derivs,
-                          traj.derivs_left), brute):
+    for got, want in zip((traj.times, traj.states), brute):
         _assert_same_bytes(got, want)
 
 
@@ -463,7 +491,7 @@ class TestDdeStages:
     """simulate_dde computes the state-free parts of every RK4 step ahead,
     a block of steps at a time, and reads the history once per window; the
     oracle of conftest steps one stage at a time through entries_at, with
-    two Hermite reads per piece.  All four arrays must agree to the bit."""
+    two Hermite reads per piece.  Times and states must agree to the bit."""
 
     @pytest.mark.parametrize("n", [2, 5, 21])
     @pytest.mark.parametrize("kind, tau, delay_diagonal", [
@@ -476,32 +504,37 @@ class TestDdeStages:
         # several pieces and a piece or window of more than one block,
         # which at n = 2 (blocks of 1024 steps) takes a finer step; at
         # n = 21 a block is 9 steps.  The overflowing schedule has h M in
-        # the hundreds: its states and derivatives reach inf and then NaN,
-        # and must still match byte for byte.
+        # the hundreds: the oracle's states reach inf and then NaN, and
+        # simulate_dde stops at the end of the piece where they leave the
+        # float range.
         sch = _dde_schedule(rng, kind, n)
         x0 = rng.uniform(-1.0, 1.0, n)
         t1 = sch.horizon[1]
         if kind == "overflowing":
-            step = 0.1
-            # numpy warns as the states pass the float range and then meet
-            # inf - inf.
-            expected = pytest.warns((StepTooLargeWarning, RuntimeWarning))
-        else:
-            step = 0.02 if n > 2 else 0.0025
-            assert _BLOCK_ENTRIES // n**2 < 4.0 / step  # steps of the longest pieces
-            expected = contextlib.nullcontext()
-        with expected as seen:
-            traj = simulate_dde(sch, tau, x0, 0.0, t1, step=step,
-                                delay_diagonal=delay_diagonal)
-        if kind == "overflowing":
-            assert {w.category for w in seen} == {StepTooLargeWarning,
-                                                  RuntimeWarning}
-            assert np.isinf(np.concatenate((traj.states, traj.derivs))).any()
-            assert np.isnan(traj.states).any()
-        with np.errstate(over="ignore", invalid="ignore"):
-            brute = brute_simulate_dde(sch, tau, x0, 0.0, t1, step=step,
-                                       delay_diagonal=delay_diagonal)
-        _assert_same_arrays(traj, brute)
+            with pytest.warns(StepTooLargeWarning), \
+                    pytest.raises(NonFiniteState) as stopped:
+                simulate_dde(sch, tau, x0, 0.0, t1, step=0.1,
+                             delay_diagonal=delay_diagonal)
+            with np.errstate(over="ignore", invalid="ignore"):
+                times, states, _, _ = brute_simulate_dde(
+                    sch, tau, x0, 0.0, t1, step=0.1,
+                    delay_diagonal=delay_diagonal)
+            # It stops at the first end of a piece or a tau-window at or
+            # after the oracle's first non-finite node.
+            ends, w = set(sch.ends.tolist()), 0.0
+            while w < t1:
+                w = min(w + tau, t1)
+                ends.add(w)
+            first = times[~np.isfinite(states).all(axis=1)][0]
+            assert stopped.value.t == min(t for t in times[times >= first]
+                                          if t in ends)
+            return
+        step = 0.02 if n > 2 else 0.0025
+        assert _BLOCK_ENTRIES // n**2 < 4.0 / step  # steps of the longest pieces
+        traj = simulate_dde(sch, tau, x0, 0.0, t1, step=step,
+                            delay_diagonal=delay_diagonal)
+        _assert_same_arrays(traj, brute_simulate_dde(
+            sch, tau, x0, 0.0, t1, step=step, delay_diagonal=delay_diagonal))
 
     @pytest.mark.parametrize("delay_diagonal", [False, True])
     def test_matches_oracle_from_a_varying_history(self, rng, delay_diagonal):
@@ -608,31 +641,43 @@ class TestDdeStages:
                             == list(brute_pieces(sch, t0, t1)))
 
 
+def _nodes_in(traj, lo, hi):
+    """(times, states) of the stored nodes in [lo, hi]."""
+    inside = (traj.times >= lo) & (traj.times <= hi)
+    return traj.times[inside], traj.states[inside]
+
+
 class TestDde:
     def test_first_window_closed_form(self):
         sch = constant_schedule(symmetric_pair(), 0.0, 3.0)
         traj = simulate_dde(sch, 1.0, [1.0, -1.0], 0.0, 3.0)
-        for t in (0.5, 1.0):
-            x = interpolate_state(traj, t)
+        times, states = _nodes_in(traj, 0.0, 1.0)
+        assert len(times) > 10 and times[-1] == 1.0
+        for t, x in zip(times, states):
             assert x[0] == pytest.approx(2.0 * math.exp(-t) - 1.0, abs=1e-6)
             assert x[1] == pytest.approx(-x[0], abs=1e-9)
 
     def test_second_window_closed_form(self):
+        # d(t) = 4 e^{-t} - 4 t e^{1 - t} + 2 on [1, 2], d = x1 - x2 = 2 x1.
         sch = constant_schedule(symmetric_pair(), 0.0, 3.0)
         traj = simulate_dde(sch, 1.0, [1.0, -1.0], 0.0, 3.0)
-        d2 = 4.0 * math.exp(-2.0) - 8.0 * math.exp(-1.0) + 2.0
-        x = interpolate_state(traj, 2.0)
-        assert x[0] == pytest.approx(d2 / 2.0, abs=1e-6)
+        times, states = _nodes_in(traj, 1.0, 2.0)
+        assert len(times) > 10 and times[-1] == 2.0
+        for t, x in zip(times, states):
+            d = 4.0 * math.exp(-t) - 4.0 * t * math.exp(1.0 - t) + 2.0
+            assert x[0] == pytest.approx(d / 2.0, abs=1e-6)
 
     def test_fully_delayed_polynomial_windows(self):
         sch = constant_schedule(symmetric_pair(), 0.0, 2.0)
         traj = simulate_dde(sch, 0.5, [1.0, -1.0], 0.0, 2.0,
                             delay_diagonal=True)
         # d(t) = 2 - 4t on [0, 0.5]; d(0.5 + v) = -4v + 4v^2
-        x = interpolate_state(traj, 0.25)
-        assert x[0] == pytest.approx((2.0 - 1.0) / 2.0, abs=1e-9)
-        x = interpolate_state(traj, 1.0)
-        assert x[0] == pytest.approx(-0.5, abs=1e-9)
+        times, states = _nodes_in(traj, 0.0, 1.0)
+        assert len(times) > 10 and times[-1] == 1.0
+        for t, x in zip(times, states):
+            v = t - 0.5
+            d = 2.0 - 4.0 * t if v <= 0.0 else -4.0 * v + 4.0 * v * v
+            assert x[0] == pytest.approx(d / 2.0, abs=1e-9)
         assert traj.meta["delay_diagonal"] is True
         assert traj.meta["tau"] == pytest.approx(0.5)
 
@@ -642,21 +687,6 @@ class TestDde:
         traj = simulate_dde(sch, 0.4, hist, 0.0, 2.0)
         assert traj.times[0] == 0.0
         assert np.allclose(traj.states[0], [1.0, -1.0])
-
-    def test_left_derivative_at_t0_comes_from_the_history(self):
-        sch = constant_schedule(symmetric_pair(), 0.0, 2.0)
-        traj = simulate_dde(sch, 0.5, [1.0, -1.0], 0.0, 2.0)
-        np.testing.assert_array_equal(traj.derivs_left[0], [0.0, 0.0])
-        np.testing.assert_array_equal(traj.derivs[0], [-2.0, 2.0])
-        times = np.linspace(-0.5, 0.0, 6)
-        hist = DelayHistory(
-            tau=0.5, times=times,
-            states=np.column_stack([np.cos(times), np.sin(times)]),
-            derivs=np.column_stack([-np.sin(times), np.cos(times)]))
-        traj = simulate_dde(sch, 0.5, hist, 0.0, 2.0)
-        assert traj.times[0] == 0.0
-        np.testing.assert_array_equal(traj.derivs_left[0], hist.derivs[-1])
-        assert not np.array_equal(traj.derivs[0], hist.derivs[-1])
 
     def test_history_gap_rejected(self):
         sch = constant_schedule(symmetric_pair(), 0.0, 2.0)
@@ -677,12 +707,22 @@ class TestDde:
             simulate_dde(sch, 1.0, hist, 0.0, 3.0)
 
     def test_half_step_self_agreement(self):
+        # Every node of the coarse run is every second node of the fine
+        # one; they agree over the last window.
         sch = constant_schedule(symmetric_pair(), 0.0, 6.0)
         a = simulate_dde(sch, 0.5, [1.0, -1.0], 0.0, 6.0, step=0.05)
         b = simulate_dde(sch, 0.5, [1.0, -1.0], 0.0, 6.0, step=0.025)
-        xa = interpolate_state(a, 6.0)
-        xb = interpolate_state(b, 6.0)
-        assert np.max(np.abs(xa - xb)) < 1e-8
+        assert len(b.times) == 2 * len(a.times) - 1
+        np.testing.assert_allclose(b.times[::2], a.times, rtol=0.0, atol=1e-12)
+        last = a.times >= 5.5
+        assert last.sum() == 11
+        assert np.max(np.abs(a.states[last] - b.states[::2][last])) < 1e-8
+
+    def test_delayed_runs_are_not_interpolated(self):
+        sch = constant_schedule(symmetric_pair(), 0.0, 2.0)
+        traj = simulate_dde(sch, 0.5, [1.0, -1.0], 0.0, 2.0)
+        with pytest.raises(ValueError, match="undelayed"):
+            interpolate_state(sch, traj, 1.0)
 
 
 class TestDelayedFunctional:
@@ -708,10 +748,8 @@ class TestDelayedFunctional:
             delayed_functional_series(traj, 5.0)
 
     @staticmethod
-    def _trajectory(rng, times, states):
-        return Trajectory(times=np.asarray(times, dtype=float), states=states,
-                          derivs=rng.normal(size=states.shape),
-                          derivs_left=rng.normal(size=states.shape))
+    def _trajectory(times, states):
+        return Trajectory(times=np.asarray(times, dtype=float), states=states)
 
     @staticmethod
     def _series(traj, tau):
@@ -736,7 +774,7 @@ class TestDelayedFunctional:
         # Few distinct values: most window maxima and minima are ties.
         times = np.cumsum(rng.uniform(0.01, 0.04, 300))
         states = rng.integers(-2, 3, (300, 4)).astype(float)
-        traj = self._trajectory(rng, times, states)
+        traj = self._trajectory(times, states)
         span = times[-1] - times[0]
         tau = span if tau == "span" else tau
         got = self._series(traj, tau)
@@ -748,7 +786,7 @@ class TestDelayedFunctional:
     def test_matches_slice_oracle_on_node_edges(self, rng):
         # Binary fractions: every window edge t - tau is a node.
         times = 0.125 * np.arange(200)
-        traj = self._trajectory(rng, times, rng.normal(size=(200, 3)))
+        traj = self._trajectory(times, rng.normal(size=(200, 3)))
         got = self._series(traj, 0.5)
         assert np.isin(got[0] - 0.5, times).all()
         self._assert_same_series(
@@ -760,7 +798,7 @@ class TestDelayedFunctional:
         states[[90, 250], 1] = -np.inf
         states[[150, 151, 320], 2] = np.nan
         states[399] = np.nan
-        traj = self._trajectory(rng, np.cumsum(rng.uniform(0.01, 0.03, 400)),
+        traj = self._trajectory(np.cumsum(rng.uniform(0.01, 0.03, 400)),
                                 states)
         got = self._series(traj, 0.4)
         assert np.isnan(got[1]).any() and np.isfinite(got[1]).any()
@@ -773,7 +811,7 @@ class TestDelayedFunctional:
         states = np.zeros((5, 4))
         states[:, 0] = 1.0
         states[0] = np.nan
-        traj = self._trajectory(rng, np.arange(5.0), states)
+        traj = self._trajectory(np.arange(5.0), states)
         times, values = self._series(traj, 1.5)
         assert times.tolist() == [2.0, 3.0, 4.0]
         assert np.isnan(values[0])
@@ -783,7 +821,7 @@ class TestDelayedFunctional:
         states = np.zeros((5, 2))
         states[:, 0] = 1.0
         states[3] = np.inf
-        traj = self._trajectory(rng, np.arange(5.0), states)
+        traj = self._trajectory(np.arange(5.0), states)
         _, values = self._series(traj, 1.0)
         assert values.tolist() == [1.0, 1.0, math.inf, math.inf]
 
@@ -798,7 +836,7 @@ class TestDelayedFunctional:
                             p=[0.42, 0.42, 0.06, 0.06, 0.04])
         states[100:160] = np.inf
         states[[300, 420, 421], rng.integers(0, 2, 3)] = np.nan
-        traj = self._trajectory(rng, np.cumsum(rng.uniform(0.01, 0.03, 600)),
+        traj = self._trajectory(np.cumsum(rng.uniform(0.01, 0.03, 600)),
                                 states)
         _, values = self._series(traj, tau)
         assert (values == 0.0).any()

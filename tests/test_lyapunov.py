@@ -21,6 +21,7 @@ from consensus_lab import (
     CONVEX_REGISTRY,
     BalanceViolated,
     EmptyVector,
+    HypothesisUnverified,
     NegativeWeight,
     NormTooLarge,
     NotSymmetric,
@@ -97,8 +98,7 @@ class TestEigenAndExp:
 
 def _stored(rng, states):
     return Trajectory(times=np.cumsum(rng.uniform(0.01, 0.1, len(states))),
-                      states=states, derivs=np.zeros_like(states),
-                      derivs_left=np.zeros_like(states))
+                      states=states)
 
 
 # Each convex function of the registry on one Python float.
@@ -179,8 +179,7 @@ class TestAudits:
 
     def test_audit_of_no_samples(self):
         empty = np.empty((0, 2))
-        traj = Trajectory(times=np.empty(0), states=empty, derivs=empty,
-                          derivs_left=empty)
+        traj = Trajectory(times=np.empty(0), states=empty)
         with pytest.raises(EmptyVector):
             audit_monotonicity(traj, "spread")
 
@@ -327,6 +326,19 @@ class TestBalance:
             check_hypotheses(["potential"], sch.couplings, sch.starts)
         check_hypotheses(["potential"], sch.couplings[:2], sch.starts[:2])
 
+    def test_only_delayed_spread_reads_a_delayed_run(self):
+        sch = constant_schedule(symmetric_pair(), 0.0, 1.0)
+        check_hypotheses(["delayed_spread"], sch.couplings, sch.starts, tau=0.5)
+        for name in sorted(AUDITS):
+            if name == "delayed_spread":
+                continue
+            name = "weighted:abs" if name == "weighted" else name
+            check_hypotheses([name], sch.couplings, sch.starts)
+            with pytest.raises(HypothesisUnverified, match=f"{name} need an "
+                               "undelayed run; this run has tau = 0.5"):
+                check_hypotheses(["delayed_spread", name], sch.couplings,
+                                 sch.starts, tau=0.5)
+
     def test_an_unknown_hypothesis_is_refused(self, monkeypatch):
         # A table entry whose hypothesis has no check must not pass
         # unchecked.
@@ -384,12 +396,13 @@ def test_docstring_claims_name_existing_tests():
 
 def test_docstring_table_matches_audits():
     """The table in the lyapunov module docstring states each entry's
-    direction and hypothesis as AUDITS holds them."""
-    block = lyapunov.__doc__.split("hypothesis\n", 1)[1].split("\n\n", 1)[0]
-    rows = [re.split(r"\s{2,}", line.strip(), maxsplit=2)
+    direction, hypothesis and runs as AUDITS holds them."""
+    block = lyapunov.__doc__.split("runs\n", 1)[1].split("\n\n", 1)[0]
+    rows = [re.split(r"\s{2,}", line.strip(), maxsplit=3)
             for line in block.splitlines()]
-    assert sorted(name.partition(":")[0] for name, _, _ in rows) == sorted(AUDITS)
-    for name, direction, hypothesis in rows:
+    assert sorted(row[0].partition(":")[0] for row in rows) == sorted(AUDITS)
+    for name, direction, hypothesis, runs in rows:
         entry = AUDITS[name.partition(":")[0]]
         assert direction == entry.direction, name
-        assert hypothesis.startswith(entry.hypothesis or "none"), name
+        assert hypothesis == (entry.hypothesis or "none"), name
+        assert runs.split()[0] == ("delayed" if entry.delayed else "undelayed")

@@ -24,6 +24,7 @@ import consensus_lab
 from consensus_lab import (
     InvalidSpec,
     ParseError,
+    StepTooLargeWarning,
     Trajectory,
     ValidationError,
     evaluate_schedule,
@@ -648,6 +649,54 @@ class TestCommandLine:
             "[PASS] spectral" in report
         assert "verdict: FAIL (exit 3)" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("full", [False, True])
+    @pytest.mark.parametrize("analysis", [
+        {"kind": "lemma", "group": [1], "window": 2.0},
+        {"kind": "audit",
+         "functionals": ["sum_of_squares", "potential", "spread"]},
+    ], ids=["lemma", "audit"])
+    def test_undelayed_analyses_of_a_delayed_run_exit_3(self, tmp_path,
+                                                        capsys, analysis,
+                                                        full):
+        # Judged by the undelayed theory, the lemma reported [PASS] here
+        # ([FAIL] with full delay), and the audits [FAIL] (exit 2).
+        cfg = write(tmp_path, "delayed.yaml", scenario(
+            horizon=10.0, step=0.01, delay={"tau": 1.0, "full": full},
+            topology={"kind": "constant", "weights": [[0.0, 1.0], [1.0, 0.0]]},
+            analyses=[analysis]))
+        out = tmp_path / "o"
+        assert main(["run", cfg, "--output-dir", str(out)]) == 3
+        report = (out / "report.txt").read_text()
+        if analysis["kind"] == "audit":
+            assert ("[HYPOTHESIS] audit: sum_of_squares, potential, spread "
+                    "need an undelayed run; this run has tau = 1.0 (audit "
+                    "delayed_spread instead)\n") in report
+        else:
+            assert ("[HYPOTHESIS] lemma: the lemma " + (
+                "does not cover this run" if full else
+                "covers only undelayed runs")) in report
+        assert "verdict: FAIL (exit 3)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("delay", [None, {"tau": 0.5}])
+    def test_overflowing_run_exits_5(self, tmp_path, capsys, delay):
+        # h M = 200: the state leaves the float range, and no analysis
+        # judges what is left.
+        raw = dict(horizon=6.0, step=0.1,
+                   topology={"kind": "constant",
+                             "weights": [[0.0, 2000.0], [2000.0, 0.0]]},
+                   analyses=[{"kind": "audit", "functionals": ["spread"]}])
+        if delay:
+            raw.update(delay=delay, analyses=[
+                {"kind": "audit", "functionals": ["delayed_spread"]}])
+        cfg = write(tmp_path, "overflow.yaml", scenario(**raw))
+        out = tmp_path / "o"
+        with pytest.warns((StepTooLargeWarning, RuntimeWarning)):
+            assert main(["run", cfg, "--output-dir", str(out)]) == 5
+        stdout = capsys.readouterr().out
+        assert "numerical failure: NonFiniteState: state not finite" in stdout
+        assert "[PASS]" not in stdout and "[FAIL]" not in stdout
+        assert not (out / "report.txt").exists()
+
     def test_delayed_spread_passes_with_the_edge_off_the_grid(self, tmp_path):
         # At the default step the window edge t - 0.7 falls between nodes;
         # read by cubic Hermite it overshot both of its nodes and the audit
@@ -858,7 +907,7 @@ topology:
 initial_state: [1.0, -1.0]
 analyses:
   - kind: audit
-    functionals: [spread, delayed_spread]
+    functionals: [delayed_spread]
 """
         cfg = parse_config(text)
         assert run_scenario(cfg, str(tmp_path / "d")) == 0
@@ -906,8 +955,7 @@ class TestTrajectoryCsv:
             times = np.arange(rows) * 1e-5
             times[0] = -0.0
             states = values[:, 1:-1]
-            traj = Trajectory(times=times, states=states, derivs=states,
-                              derivs_left=states)
+            traj = Trajectory(times=times, states=states)
             blocked, brute = tmp_path / "blocked.csv", tmp_path / "brute.csv"
             _write_trajectory_csv(str(blocked), traj, values[:, -1])
             brute_trajectory_csv(str(brute), traj, values[:, -1])
@@ -930,8 +978,7 @@ class TestTrajectoryCsv:
         for rows in (1, block, block + 1, 2 * block + 5):
             calls.clear()
             states = rng.normal(size=(rows, n))
-            traj = Trajectory(times=np.arange(rows) * 0.1, states=states,
-                              derivs=states, derivs_left=states)
+            traj = Trajectory(times=np.arange(rows) * 0.1, states=states)
             _write_trajectory_csv(str(tmp_path / "t.csv"), traj,
                                   states.max(axis=1) - states.min(axis=1))
             assert len(calls) == -(-rows // block)
@@ -940,8 +987,7 @@ class TestTrajectoryCsv:
 
     @staticmethod
     def _same_as_brute(tmp_path, times, states, spreads):
-        traj = Trajectory(times=times, states=states, derivs=states,
-                          derivs_left=states)
+        traj = Trajectory(times=times, states=states)
         blocked, brute = tmp_path / "blocked.csv", tmp_path / "brute.csv"
         _write_trajectory_csv(str(blocked), traj, spreads)
         brute_trajectory_csv(str(brute), traj, spreads)
