@@ -21,7 +21,7 @@ interpolation on one node grid, the history samples followed by every
 computed node; the returned trajectory is that grid from t0 on.
 
 Two paths step the pieces, and both write the nodes of a whole piece in
-place, simulate_ode into its times and states, allocated once.
+place, into times and states that each run allocates once.
 
 An undelayed piece is linear, A(t) = c(t) B with c = 1 on a constant
 piece, so one RK4 step is a matrix: x+ = Phi_j x, applied by the gemv call
@@ -53,19 +53,72 @@ outweighs 3 a3 s, a3 outweighs 4 a4 s, and p(-s) >= 1 - C s - (C s)^3/6).
 So each component of a new node is a convex combination of the
 components of the one before, as on a constant piece.
 
-A delayed piece is stepped by _march.  Everything in a step that does not
-depend on the state is computed ahead, a block of steps at a time: the
-diagonals d(t) and the drives u = off(t) xd at the mid and end stage
-times, with xd = x(t - tau), so that a stage costs d * y + u.  The drives
-of a block come from one np.matmul on a stack of column vectors, which
-makes one gemv call per row: the call that off @ xd makes, so every drive
-is the same to the last bit.  XD @ off.T would not be: it goes to gemm,
-which sums in another order.  gemv also follows the strides of its
-matrix, so each stacked matrix must be row-major: a C-order copy, never
-np.array of a broadcast view, which keeps the broadcast's stride order and
-reads every matrix transposed.  Once its drives are known, a delayed
-block splits by component, and _scalar_rk4 steps each component in Python
-floats with the bits of the vector stage d * y + u.
+A delayed piece is stepped by _march as one affine recurrence per
+component.  Every delayed read of a tau-window lies in the window before
+it, so the reads xd = x(t - tau), and with them the drives u = off(t) xd
+at every stage time, are known before the window is stepped (the method
+of steps: Bellen and Zennaro, Numerical Methods for Delay Differential
+Equations, 2003).  The drives of many steps are one matmul, xd @ off.T; on
+a sinusoidal piece d = c(t) diag(B) and u = c(t) (xd @ off_B.T).  Then the
+stage f = d * y + u couples no two components, and each stage of a step
+is affine in its state, k_i = p_i y + q_i, from the drives at the step's
+start, middle and end (1, m, e):
+    p1 = d1,                  q1 = u1,
+    p2 = dm (1 + h p1 / 2),   q2 = dm h q1 / 2 + um,
+    p3 = dm (1 + h p2 / 2),   q3 = dm h q2 / 2 + um,
+    p4 = de (1 + h p3),       q4 = de h q3 + ue,
+where k1 is the derivative stored at the step's first node, the (d, u)
+at the end of the step before.  So y+ = r y + w with
+r = 1 + h (p1 + 2 p2 + 2 p3 + p4) / 6 and w = h (q1 + 2 q2 + 2 q3 + q4) / 6
+= W1 u1 + Wm um + We ue.  With z = h d, for constant d
+    r  = R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24,
+    W1 = h/6 (1 + z + z^2/2 + z^3/4),   Wm = h/6 (4 + 2 z + z^2/2),
+    We = h/6,
+and for any profile W1 = h/6 (1 + zm + zm^2/2 + ze zm^2/4),
+Wm = h/6 (4 + zm + ze (1 + zm/2)), We = h/6.  For h M <= 1 every z lies in
+[-1, 0]; there r grows with each z (6 r has the partial derivatives
+6 W1 / h >= 1/4 in z1, at least 1/2 in zm and 1 + h p3 >= 0 in ze), so
+r lies in [R(-1), 1] = [0.375, 1], and W1 >= h/24, Wm >= 5h/12.  off has
+row sums -d, so a constant state is a fixed point,
+r + W1 |d1| + Wm |dm| + We |de| = 1, and y+ is a convex combination of y
+and the reads.  With delay_diagonal d = 0: r = 1, w = h (u1 + 4 um + ue) / 6.
+
+_scan solves y_j+1 = r_j y_j + w_j by a Hillis-Steele doubling scan
+(Blelloch, "Prefix sums and their applications", CMU-CS-90-190, 1990) in
+ceil(log2 L) levels of numpy calls on (L, n) arrays.  _march takes the
+drives, (r, w), the scan and the stored derivatives de * y + ue a chunk
+of L <= _SCAN_ROWS steps at a time, carrying the last state, so no Python
+loop runs per step and no temporary grows with the piece.
+
+The kernel rounds otherwise than the RK4 stage loop (brute_march in the
+tests); the two differ by at most C eps X, with the terms below in units
+of eps, h M <= 1, X bounding |x| on the history and the run and the
+history derivatives within 2 M X.  A read adds at most h/4 times a stored
+derivative, which is at most 2 M times the reads, so the reads stay within
+X^ = 2 X.
+  - Per step, each route errs by (1 + h M (4 n + 64)) X^ at most: the
+    stage loop's four stages d * v + off xd, n + 2 roundings each on at
+    most 5.5 M X^, and its weighted sum; the kernel's drives (n + 1
+    roundings) and its expressions of r and w, at most 12 deep on terms
+    whose sizes add up to 2 h M X^; and the reads, two Hermite
+    evaluations of 12 roundings on inputs that differ.
+  - Per scan chunk of L steps, l = ceil(log2 L): each term of a state
+    passes the fold (2 roundings) and per level one product, one sum and
+    the log2 s roundings of the a it is multiplied by, so k = 2 +
+    l (l + 3) / 2 in all, and the chunk errs by k/2 (1 + S) X^: S = 1 on
+    coupling-delayed pieces, where the products of r weight the |w| to at
+    most X^, and S = 2 h M L with delay_diagonal, where r = 1 and
+    |w| <= 2 h M X^.
+  - Within a window errors do not grow: each step is a convex combination
+    (or, with delay_diagonal, adds h/6 A times fixed reads).  A Hermite
+    read is a combination of its two nodes and their stored derivatives
+    d y + off xd, whose coefficients sum in absolute value to
+    1 + 2 h |d| s^2 (1 - s) <= g = 1 + 8 h M / 27: the growth from one
+    window to the next.  With delay_diagonal the reads grow errors by at
+    most 1 + h M / 2, and a window of length T adds h |A| <= 2 h M of them
+    per step: g = 1 + 2 M T (1 + h M / 2).
+C is the product of the g over the windows times the sum of the other
+terms over the steps and chunks.
 
 A trajectory is its times and states.  The solution has corners at
 coupling discontinuities, but each interval [t_k, t_k+1] between nodes
@@ -95,7 +148,7 @@ from .errors import (
     StepTooLargeWarning,
     WindowNotCovered,
 )
-from .metzler_core import CouplingSchedule, _locate_piece, evaluate_schedule
+from .metzler_core import CouplingSchedule, _locate_piece
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,165 +292,98 @@ def _substeps(a: float, b: float, h_target: float):
     return m, h, grid
 
 
-class _NodeStore:
-    """Grow-only buffer of the nodes of a delayed run with the one-sided
-    derivatives that its reads of x(t - tau) need.  The arrays at least
-    double when they grow, so a snapshot of everything stored so far is a
-    constant-time slice.  _march reserves a whole piece with extend and
-    writes its nodes in place; append adds one node."""
-
-    def __init__(self, n: int, capacity: int = 256):
-        self.size = 0
-        self._t = np.empty(capacity)
-        self._x = np.empty((capacity, n))
-        self._dr = np.empty((capacity, n))
-        self._dl = np.empty((capacity, n))
-
-    def extend(self, m: int):
-        """Reserve the next m nodes; return writable (t, x, dr, dl) slices."""
-        end = self.size + m
-        if end > len(self._t):
-            cap = max(2 * len(self._t), end)
-            for name in ("_t", "_x", "_dr", "_dl"):
-                old = getattr(self, name)
-                new = np.empty((cap,) + old.shape[1:])
-                new[: self.size] = old[: self.size]
-                setattr(self, name, new)
-        nodes = slice(self.size, end)
-        self.size = end
-        return self._t[nodes], self._x[nodes], self._dr[nodes], self._dl[nodes]
-
-    def append(self, t, x, dx):
-        ts, xs, dr, dl = self.extend(1)
-        ts[0] = t
-        xs[0] = x
-        dr[0] = dl[0] = dx
-
-    def patch_right(self, dx_right):
-        # A new piece begins at the last stored node: its right derivative
-        # belongs to the new piece.
-        self._dr[self.size - 1] = dx_right
-
-    def view(self):
-        s = self.size
-        return self._t[:s], self._x[:s], self._dr[:s], self._dl[:s]
+# _march steps at most this many steps at a time, carrying the last state
+# from one chunk to the next, so its temporaries keep one size however long
+# a piece is.
+_SCAN_ROWS = 2 ** 8
 
 
-# Stage stacks are built for at most this many matrix entries at a time
-# (and never less than one step), so a long piece holds a block of its
-# stage matrices, not all of them, at once.
-_BLOCK_ENTRIES = 2 ** 12
+def _drives(schedule: CouplingSchedule, piece: int, times, xd: np.ndarray,
+            delay_diagonal: bool):
+    """(d, u) of the delayed stage f = d * y + u at times on piece, for the
+    delayed inputs xd (one row per time): d = c diag(B) and u = c off xd
+    with c = c(t) and off = B - diag(B), or d = 0 and off = B with
+    delay_diagonal.  The drives of all the times are one matmul,
+    xd @ off.T.  On a constant piece d is a broadcast of one row."""
+    B = schedule.couplings[piece]
+    d = np.zeros(len(B)) if delay_diagonal else B.diagonal()
+    u = xd @ (B - np.diag(d)).T
+    if schedule.constant[piece]:
+        return np.broadcast_to(d, u.shape), u
+    c = schedule.profile(piece, times)[:, None]
+    u *= c
+    return c * d, u
 
 
-def _matvecs(M: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Row i is M[i] @ V[i] (M a stack), to the last bit: matmul on a stack
-    of column vectors makes one gemv call per row, the call that
-    M[i] @ V[i] makes.  Each matrix must be row-major, as a C-order stack
-    or a broadcast of a C-order matrix is."""
-    return np.matmul(M, V[:, :, None])[:, :, 0]
-
-
-# Microseconds per step of a 20 s delayed sinusoidal piece at step 0.01
-# and tau = 1, median of 15 runs in 3 alternating processes per kernel, on
-# a shared 2-vCPU x86-64 machine with numpy 2.4 and one BLAS thread: the
-# stage d * y + u stepped on numpy vectors (one numpy call per operation
-# of the loop in _scalar_rk4), and _scalar_rk4:
-#
-#     n         2    3    5    8   12   16   20   24   32   64
-#     vector   23   25   24   23   26   29   31   31   44   80
-#     scalar    5    6    8   10   16   21   25   37   50  187
-def _scalar_rk4(x, dx, h, d_mid, u_mid, d_end, u_end, xs, dr):
-    """RK4 steps of the delayed stage f = d * y + u with the drives of a
-    block given, one component at a time.  Everything that mixes the
-    components went into u ahead of the step (the method of steps), so
-    component c of step j only reads column c of the drives, and each
-    column is the scalar recursion y' = d_c(t) y + u_c(t).  The operations
-    and their order are those of the RK4 stage loop on vectors,
-    k2 = f(x + 0.5 * h * k1), ..., x + (h / 6) * (k1 + 2 k2 + 2 k3 + k4),
-    with the stage d * y + u (0.5 * h * k1 there groups as half * k1
-    here, and the k-sum adds from the left).  A Python float is an IEEE
-    double and each operation rounds once, as a numpy ufunc does each
-    element, so xs and dr get the vector form's values to the bit, signed
-    zeros, infinities and NaN included.  On a few components this skips
-    some 20 numpy calls a step on arrays of a few values; the cost grows
-    with n and passes the vector form's near n = 20 (table above), which
-    no delayed run of the benchmark reaches.  Returns copies of the last
-    state and derivative: a view would keep the store's buffer alive after
-    the store outgrows it."""
+def _affine_steps(d1, dm, de, u1, um, ue, h: float):
+    """(r, w) of y+ = r * y + w, the RK4 steps of y' = d * y + u from the
+    drives at every step's start (d1, u1), middle (dm, um) and end (de, ue):
+    each stage is k_i = p_i y + q_i (module docstring)."""
     half, sixth = 0.5 * h, h / 6.0
-    xcols, dcols = [], []
-    for y, k1, dms, ums, des, ues in zip(
-            x.tolist(), dx.tolist(), d_mid.T.tolist(), u_mid.T.tolist(),
-            d_end.T.tolist(), u_end.T.tolist()):
-        ys, ks = [], []
-        for dm, um, de, ue in zip(dms, ums, des, ues):
-            k2 = dm * (y + half * k1) + um
-            k3 = dm * (y + half * k2) + um
-            k4 = de * (y + h * k3) + ue
-            y = y + sixth * (((k1 + 2.0 * k2) + 2.0 * k3) + k4)
-            k1 = de * y + ue
-            ys.append(y)
-            ks.append(k1)
-        xcols.append(ys)
-        dcols.append(ks)
-    xs.T[:] = xcols
-    dr.T[:] = dcols
-    return xs[-1].copy(), dr[-1].copy()
+    p2 = dm * (1.0 + half * d1)
+    p3 = dm * (1.0 + half * p2)
+    p4 = de * (1.0 + h * p3)
+    q2 = dm * (half * u1) + um
+    q3 = dm * (half * q2) + um
+    q4 = de * (h * q3) + ue
+    r = 1.0 + sixth * (((d1 + 2.0 * p2) + 2.0 * p3) + p4)
+    w = sixth * (((u1 + 2.0 * q2) + 2.0 * q3) + q4)
+    return r, w
 
 
-def _drives(A: np.ndarray, xd: np.ndarray, delay_diagonal: bool):
-    """Split the stage matrices A[j] for the delayed inputs xd[j]: the
-    stage is d[j] * y + u[j] with u[j] = off[j] @ xd[j], where d = diag(A)
-    and off = A - diag(A), or d = 0 and off = A with delay_diagonal."""
-    if delay_diagonal:
-        return np.zeros(xd.shape), _matvecs(A, xd)
-    # ndarray.copy is C order: np.array or np.copy of a broadcast view would
-    # keep the broadcast's stride order, and gemv would read off transposed.
-    off = A.copy()
-    diag = np.arange(off.shape[1])
-    off[:, diag, diag] = 0.0
-    return A.diagonal(axis1=1, axis2=2), _matvecs(off, xd)
+def _scan(a: np.ndarray, b: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """y_j+1 = a_j y_j + b_j from y_0 = y, in place: b holds the states on
+    return and a is spent.  y folds into b_0, and level s composes each
+    step's map with the one s steps before it,
+    (a, b)_k <- (a_k a_k-s, a_k b_k-s + b_k).  Returns the last state."""
+    b[0] += a[0] * y
+    s = 1
+    while s < len(b):
+        b[s:] += a[s:] * b[:-s]
+        # numpy reads the overlapping operands as they were before.
+        a[s:] *= a[:-s]
+        s *= 2
+    return b[-1]
 
 
-def _march(store: _NodeStore, x: np.ndarray, schedule: CouplingSchedule,
-           piece: int, a: float, grid: np.ndarray, h: float,
-           delayed) -> np.ndarray:
-    """Classical RK4 of a delayed piece from the last stored node (a, x)
-    through grid; node 0 is a and node i + 1 is grid[i].
+def _march(x: np.ndarray, schedule: CouplingSchedule, piece: int, a: float,
+           grid: np.ndarray, h: float, xd: np.ndarray, delay_diagonal: bool,
+           nodes) -> np.ndarray:
+    """Classical RK4 of a delayed piece from (a, x) through grid; node 0 is
+    a and node i + 1 is grid[i].
 
-    delayed is (xd_nodes, xd_half, delay_diagonal): xd_nodes[i] is
-    x(t - tau) at node i and xd_half[i] half a step on, and
-    f(t, y) = d(t) * y + off(t) xd as split by _drives.  The drives
-    off(t) xd are state-free, so they are computed ahead, a block of steps
-    at a time, with the expressions and the BLAS calls of the per-stage
-    form: the batched drives make the gemv call of off @ xd per row,
-    whereas XD @ off.T would call gemm, which sums in another order.  Only
-    the stage arithmetic on the state is left to the step loop, which runs
-    as one scalar recursion per component (_scalar_rk4).  A node's stored
-    derivative is k1 of the step that leaves it."""
-    xd_nodes, xd_half, delay_diagonal = delayed
-    node_t = np.concatenate(([a], grid))
-    mid_t = node_t[:-1] + 0.5 * h
-
-    def drives(times, xd, rows):
-        return _drives(schedule.entries_over(piece, times[rows]), xd[rows],
-                       delay_diagonal)
-
-    d, u = drives(node_t, xd_nodes, slice(0, 1))
-    dx = d[0] * x + u[0]
-    store.patch_right(dx)
+    xd holds x(t - tau) at the m + 1 nodes, then half a step before each of
+    the last m.  nodes is (dx, xs, dr), written in place: the derivative to
+    the right of node 0 and the states and derivatives of the nodes of
+    grid.  A node's stored derivative is k1 of the step that leaves it
+    (module docstring)."""
+    dx, xs, dr = nodes
     m = len(grid)
-    ts, xs, dr, dl = store.extend(m)
-    ts[:] = grid
-    size = max(1, _BLOCK_ENTRIES // x.size ** 2)
-    for lo in range(0, m, size):
-        hi = min(lo + size, m)
-        x, dx = _scalar_rk4(x, dx, h,
-                            *drives(mid_t, xd_half, slice(lo, hi)),
-                            *drives(node_t, xd_nodes, slice(lo + 1, hi + 1)),
-                            xs[lo:hi], dr[lo:hi])
-    dl[:] = dr
+    node_t = np.concatenate(([a], grid))
+    times = np.concatenate((node_t, node_t[:-1] + 0.5 * h))
+    # Past the stability disc the states may overflow; _require_finite
+    # reports that, typed, at the end of the piece.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, m, _SCAN_ROWS):
+            k = min(_SCAN_ROWS, m - lo)
+            rows = np.r_[lo:lo + k + 1, m + 1 + lo:m + 1 + lo + k]
+            d, u = _drives(schedule, piece, times[rows], xd[rows],
+                           delay_diagonal)
+            if not lo:
+                dx[:] = d[0] * x + u[0]
+            steps = slice(lo, lo + k)
+            r, xs[steps] = _affine_steps(d[:k], d[k + 1:], d[1:k + 1], u[:k],
+                                         u[k + 1:], u[1:k + 1], h)
+            x = _scan(r, xs[steps], x)
+            np.multiply(d[1:k + 1], xs[steps], out=dr[steps])
+            dr[steps] += u[1:k + 1]
     return x
+
+
+# Transfer stacks are built for at most this many matrix entries at a time
+# (and never less than one step), so a long piece holds a block of its
+# transfer matrices, not all of them, at once.
+_BLOCK_ENTRIES = 2 ** 12
 
 
 def _sinusoidal_transfers(x: np.ndarray, schedule: CouplingSchedule,
@@ -645,40 +631,54 @@ def simulate_dde(
     def interp(queries, snap):
         return _hermite_many(queries, *snap, clamp_slack=clamp_slack)
 
-    # One node grid: history samples first, then every computed node; the
-    # trajectory is its part from the t0 node on.
-    store = _NodeStore(n)
-    for sample in zip(hist.times, hist.states, hist.derivs):
-        store.append(*sample)
-    x = interp([t0], store.view())[0]
-    if abs(hist.times[-1] - t0) > 1e-12 * tau:
-        d, u = _drives(evaluate_schedule(schedule, t0).entries[None],
-                       interp([t0 - tau], store.view()), delay_diagonal)
-        store.append(t0, x, d[0] * x + u[0])
-    first = store.size - 1
-
-    w0 = t0
+    # One node grid: the history samples, then the t0 node (the last sample
+    # if it lies within 1e-12 tau of t0) and every computed node, whose
+    # times and states are the trajectory.  Every window's pieces are known
+    # before stepping, so the nodes from t0 on are counted and allocated
+    # once, with both one-sided derivatives for the reads.  A last window
+    # too short for _pieces to resolve at t has no piece.
+    windows, w0 = [], t0
     span_tiny = 1e-12 * max(1.0, abs(t1 - t0))
     while w0 < t1 - span_tiny:
         w1 = min(w0 + tau, t1)
+        windows.append([(i, a, *_substeps(a, b, h_target)[1:])
+                        for a, b, i in _pieces(schedule, w0, w1)])
+        w0 = w1
+    size = 1 + sum(len(nodes) for pieces in windows for *_, nodes in pieces)
+    times, states = np.empty(size), np.empty((size, n))
+    right, left = np.empty((size, n)), np.empty((size, n))
+    samples = (hist.times, hist.states, hist.derivs, hist.derivs)
+    x = interp([t0], samples)[0]
+    if abs(hist.times[-1] - t0) > 1e-12 * tau:
+        d, u = _drives(schedule, _locate_piece(schedule, t0), [t0],
+                       interp([t0 - tau], samples), delay_diagonal)
+        times[0], states[0], right[0] = t0, x, (d * x + u)[0]
+    else:
+        times[0], states[0], right[0] = (arr[-1] for arr in samples[:3])
+        samples = [arr[:-1] for arr in samples]
+    left[0], k = right[0], 1
+
+    for pieces in windows:
         # The delayed reads of this window lie in [w0 - tau, w1 - tau], which
         # is computed already: one Hermite call reads them for all of its
         # pieces, and since each query row is computed on its own, the batch
-        # changes no value.
-        pieces, queries = [], []
-        for a, b, i in _pieces(schedule, w0, w1):
-            _, h, grid = _substeps(a, b, h_target)
-            pieces.append((i, a, grid, h))
-            queries += [np.concatenate(([a], grid)) - tau, (grid - 0.5 * h) - tau]
-        # A last window too short for _pieces to resolve at t has no piece.
-        if pieces:
-            xd = interp(np.concatenate(queries), store.view())
+        # changes no value.  The history joins the grid for reads before t0.
+        queries = [np.concatenate(([a], nodes, nodes - 0.5 * h)) - tau
+                   for _, a, h, nodes in pieces]
+        if queries:
+            grid = [arr[:k] for arr in (times, states, right, left)]
+            if queries[0][0] < times[0]:
+                grid = [np.concatenate(pair) for pair in zip(samples, grid)]
+            xd = interp(np.concatenate(queries), grid)
             xd = np.split(xd, np.cumsum([len(q) for q in queries])[:-1])
-        for k, (i, a, grid, h) in enumerate(pieces):
-            x = _march(store, x, schedule, i, a, grid, h,
-                       (xd[2 * k], xd[2 * k + 1], delay_diagonal))
-            _require_finite(x, grid[-1], h, schedule.bound)
-        w0 = w1
+        for j, (i, a, h, nodes) in enumerate(pieces):
+            rows = slice(k, k + len(nodes))
+            times[rows] = nodes
+            x = _march(x, schedule, i, a, nodes, h, xd[j], delay_diagonal,
+                       (right[k - 1], states[rows], right[rows]))
+            left[rows] = right[rows]
+            k = rows.stop
+            _require_finite(x, nodes[-1], h, schedule.bound)
     meta = {
         "method": "rk4-method-of-steps",
         "tau": tau,
@@ -687,7 +687,7 @@ def simulate_dde(
         "effective_step_target": h_target,
         "schedule_bound": schedule.bound,
     }
-    return Trajectory(*(arr[first:] for arr in store.view()[:2]), meta=meta)
+    return Trajectory(times, states, meta=meta)
 
 
 # --------------------------------------------------------------------------

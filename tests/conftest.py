@@ -14,9 +14,10 @@ import pytest
 from consensus_lab import (OutOfHorizon, contraction_certificate,
                            evaluate_schedule, from_offdiagonal, simulate_ode,
                            validate_coupling_matrix)
-from consensus_lab.dynamics import (_coerce_history, _hermite_many,
-                                    _history_slack, _rk4_transfer,
+from consensus_lab.dynamics import (_coerce_history, _drives, _hermite_many,
+                                    _history_slack, _march, _rk4_transfer,
                                     _step_target, _substeps)
+from consensus_lab.metzler_core import _locate_piece
 
 
 def random_metzler(rng, n, density=0.6, wmax=2.0):
@@ -326,6 +327,63 @@ def brute_simulate_dde(schedule, tau, history, t0, t1, step=None,
                             xd_nodes, xd_half)
         w0 = w1
     return tuple(arr[first:] for arr in store.arrays())
+
+
+def shadow_simulate_dde(schedule, tau, history, t0, t1, step=None,
+                        delay_diagonal=False):
+    """brute_simulate_dde with every piece stepped twice from one state and
+    one set of reads: by dynamics._march, whose nodes go on into the node
+    lists, and by brute_march, whose nodes are only compared.  The t0 node
+    takes its derivative from dynamics._drives, so the nodes kept are
+    simulate_dde's to the bit.  Returns (times, states) of those nodes and,
+    per piece, (m, h, X, deviation): the steps, the step, the largest |x|
+    among the piece's start, reads and both routes' nodes, and the largest
+    difference of the two routes' nodes."""
+    hist = _coerce_history(history, tau, t0)
+    h_target = min(_step_target(step, schedule, t1 - t0, tau), tau)
+    slack = _history_slack(tau, t0)
+    form = split_delay(delay_diagonal)
+    store = BruteStore()
+    for sample in zip(hist.times, hist.states, hist.derivs):
+        store.append(*sample)
+    x = _hermite_many([t0], *store.arrays(), clamp_slack=slack)[0]
+    if abs(hist.times[-1] - t0) > 1e-12 * tau:
+        xd0 = _hermite_many([t0 - tau], *store.arrays(), clamp_slack=slack)
+        d, u = _drives(schedule, _locate_piece(schedule, t0), [t0], xd0,
+                       delay_diagonal)
+        store.append(t0, x, (d * x + u)[0])
+    first = len(store.t) - 1
+    pieces = []
+    w0 = t0
+    while w0 < t1 - 1e-12 * max(1.0, abs(t1 - t0)):
+        w1 = min(w0 + tau, t1)
+        snap = store.arrays()
+        for a, b, i in brute_pieces(schedule, w0, w1):
+            m, h, grid = _substeps(a, b, h_target)
+            xd_nodes = _hermite_many(np.concatenate(([a], grid)) - tau, *snap,
+                                     clamp_slack=slack)
+            xd_half = _hermite_many((grid - 0.5 * h) - tau, *snap,
+                                    clamp_slack=slack)
+            shape = (m, len(x))
+            dx, xs, dr = np.empty(len(x)), np.empty(shape), np.empty(shape)
+            _march(x, schedule, i, a, grid, h,
+                   np.concatenate((xd_nodes, xd_half)), delay_diagonal,
+                   (dx, xs, dr))
+            brute = BruteStore()
+            brute.append(a, x, dx)
+            brute_march(brute, x, a, grid, h, piece_rhs(schedule, i, form),
+                        xd_nodes, xd_half)
+            xb = brute.arrays()[1][1:]
+            X = max(np.abs(x).max(), np.abs(xs).max(), np.abs(xb).max(),
+                    np.abs(xd_nodes).max(), np.abs(xd_half).max())
+            pieces.append((m, h, X, np.abs(xs - xb).max()))
+            store.patch_right(dx)
+            for sample in zip(grid, xs, dr):
+                store.append(*sample)
+            x = xs[-1]
+        w0 = w1
+    times, states, _, _ = store.arrays()
+    return times[first:], states[first:], pieces
 
 
 def brute_delayed_functional_series(trajectory, tau):

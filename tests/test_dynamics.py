@@ -12,6 +12,7 @@ d(t) = 2 - 4t on [0, tau], then d(tau) - 4 v + 4 v^2 at v = t - tau.
 import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -36,15 +37,17 @@ from consensus_lab import (
     spread_series,
 )
 from consensus_lab.dynamics import (_BLOCK_ENTRIES, _RK4_DISC_RADIUS,
-                                    _NodeStore, _drives, _hermite_many,
-                                    _march, _pieces, _rk4_transfer,
-                                    _step_target, _window_extremes)
+                                    _SCAN_ROWS, _affine_steps, _drives,
+                                    _hermite_many, _march, _pieces,
+                                    _rk4_transfer, _scan, _step_target,
+                                    _substeps, _window_extremes)
 from consensus_lab.scenario_cli import SinusoidalCoupling
 
 from conftest import (BruteStore, brute_delayed_functional_series, brute_march,
                       brute_pieces, brute_simulate_dde, brute_simulate_ode,
                       chain_matrix, deque_delayed_functional_series,
-                      piece_rhs, random_metzler, split_delay, symmetric_pair,
+                      piece_entries_at, piece_rhs, random_metzler,
+                      shadow_simulate_dde, split_delay, symmetric_pair,
                       transfer_of_step)
 
 
@@ -361,35 +364,6 @@ class TestBlockStepping:
             # Allocated once, to the run: each array owns its memory.
             assert got.base is None
 
-    def test_stage_loop_with_delayed_inputs(self, rng):
-        n, h = 4, 0.01
-        store, brute = _NodeStore(n), BruteStore()
-        for t in np.linspace(-1.0, 0.0, 250):
-            sample = (t, rng.normal(size=n), rng.normal(size=n))
-            store.append(*sample)
-            brute.append(*sample)
-
-        x = x_brute = store.view()[1][-1].copy()
-        a = 0.0
-        # A sinusoidal piece that crosses the first capacity, then a
-        # constant one.
-        sch = build_schedule([(0.0, 0.5, _sinusoidal(rng, n)),
-                              (0.5, 1.5, random_metzler(rng, n))])
-        for i, length in enumerate(sch.ends - sch.starts):
-            m = int(round(length / h))
-            grid = a + h * np.arange(1, m + 1)
-            xd_nodes = rng.normal(size=(m + 1, n))
-            xd_half = rng.normal(size=(m, n))
-            x = _march(store, x, sch, i, a, grid, h, (xd_nodes, xd_half, False))
-            x_brute = brute_march(brute, x_brute, a, grid, h,
-                                  piece_rhs(sch, i, split_delay(False)),
-                                  xd_nodes, xd_half)
-            a = grid[-1]
-        _assert_same_bytes(x, x_brute)
-        assert store.size == 250 + 150
-        for got, want in zip(store.view(), brute.arrays()):
-            _assert_same_bytes(got, want)
-
 
 class TestSinusoidalTransfers:
     """An undelayed sinusoidal piece steps by Phi_j = I + a1 H + a2 H^2 +
@@ -482,16 +456,82 @@ def _dde_schedule(rng, kind, n):
     return build_schedule(pieces)
 
 
-def _assert_same_arrays(traj, brute):
-    for got, want in zip((traj.times, traj.states), brute):
-        _assert_same_bytes(got, want)
+EPS = np.finfo(float).eps
+
+
+def _piece_terms(n, bound, m, h, delay_diagonal):
+    """The per-step and per-chunk terms of the dynamics module docstring's
+    bound for a delayed piece of m steps of h, in units of eps X^."""
+    hm = h * bound
+    terms = m * (1.0 + hm * (4 * n + 64))
+    for lo in range(0, m, _SCAN_ROWS):
+        rows = min(_SCAN_ROWS, m - lo)
+        levels = (rows - 1).bit_length()  # ceil(log2(rows))
+        spread = 2.0 * hm * rows if delay_diagonal else 1.0
+        terms += (2 + levels * (levels + 3) / 2) / 2 * (1.0 + spread)
+    return terms
+
+
+def dde_deviation_bound(schedule, tau, t0, t1, step, delay_diagonal, X):
+    """The dynamics module docstring's bound on the states of simulate_dde
+    against the RK4 stage loop, C eps X^ with X^ = 2 X, for X bounding |x|
+    on the history and both runs: the per-step and per-chunk terms of every
+    piece, times the growth g of every tau-window."""
+    n, M = schedule.n, schedule.bound
+    h_target = min(_step_target(step, schedule, t1 - t0, tau), tau)
+    windows, w0 = [], t0
+    while w0 < t1 - 1e-12 * max(1.0, abs(t1 - t0)):
+        w1 = min(w0 + tau, t1)
+        pieces = brute_pieces(schedule, w0, w1)
+        windows.append((w1 - w0, [_substeps(a, b, h_target)[:2]
+                                  for a, b, _ in pieces]))
+        w0 = w1
+    h = max(hp for _, pieces in windows for _, hp in pieces)
+    assert h * M <= 1.0  # the bound's hypothesis
+    terms, growth = 0.0, 1.0
+    for T, pieces in windows:
+        terms += sum(_piece_terms(n, M, m, hp, delay_diagonal)
+                     for m, hp in pieces)
+        growth *= (1.0 + 2.0 * M * T * (1.0 + h * M / 2.0) if delay_diagonal
+                   else 1.0 + 8.0 * h * M / 27.0)
+    return growth * terms * EPS * 2.0 * X
+
+
+def _assert_near_oracle(traj, schedule, tau, history, t0, t1, step=None,
+                        delay_diagonal=False):
+    """The times of brute_simulate_dde to the bit, and its states within
+    dde_deviation_bound.  The bound's growth from window to window is a
+    worst case that long runs make loose, so each piece is also stepped
+    both ways from one state and one set of reads (shadow_simulate_dde),
+    where nothing grows: the run is the kernel's to the bit, and each
+    piece's stage loop lies within the piece's terms of the bound."""
+    args = (schedule, tau, history, t0, t1)
+    options = {"step": step, "delay_diagonal": delay_diagonal}
+    times, states, _, _ = brute_simulate_dde(*args, **options)
+    _assert_same_bytes(traj.times, times)
+    samples = (history.states if isinstance(history, DelayHistory)
+               else np.asarray(history))
+    X = max(np.abs(samples).max(), np.abs(states).max(),
+            np.abs(traj.states).max())
+    bound = dde_deviation_bound(schedule, tau, t0, t1, step, delay_diagonal, X)
+    deviation = np.abs(traj.states - states).max()
+    assert deviation <= bound, (deviation, bound)
+    times, states, pieces = shadow_simulate_dde(*args, **options)
+    _assert_same_bytes(traj.times, times)
+    _assert_same_bytes(traj.states, states)
+    for m, h, X, deviation in pieces:
+        bound = _piece_terms(schedule.n, schedule.bound, m, h,
+                             delay_diagonal) * EPS * X
+        assert deviation <= bound, (m, h, deviation, bound)
 
 
 class TestDdeStages:
-    """simulate_dde computes the state-free parts of every RK4 step ahead,
-    a block of steps at a time, and reads the history once per window; the
-    oracle of conftest steps one stage at a time through entries_at, with
-    two Hermite reads per piece.  Times and states must agree to the bit."""
+    """simulate_dde steps every delayed piece as an affine recurrence per
+    component, solved by a doubling scan, and reads the history once per
+    window; the oracle of conftest steps one stage at a time through
+    piece_entries_at, with two Hermite reads per piece.  Times agree to the
+    bit, and states within the bound the dynamics module docstring
+    derives."""
 
     @pytest.mark.parametrize("n", [2, 5, 21])
     @pytest.mark.parametrize("kind, tau, delay_diagonal", [
@@ -501,9 +541,8 @@ class TestDdeStages:
     ])
     def test_matches_per_stage_oracle(self, rng, kind, tau, delay_diagonal, n):
         # tau = 0.07 lies below one piece; a window of tau = 4.5 spans
-        # several pieces and a piece or window of more than one block,
-        # which at n = 2 (blocks of 1024 steps) takes a finer step; at
-        # n = 21 a block is 9 steps.  The overflowing schedule has h M in
+        # several pieces, and at n = 2 the finer step makes its longest
+        # pieces more than one scan chunk.  The overflowing schedule has h M in
         # the hundreds: the oracle's states reach inf and then NaN, and
         # simulate_dde stops at the end of the piece where they leave the
         # float range.
@@ -530,11 +569,11 @@ class TestDdeStages:
                                           if t in ends)
             return
         step = 0.02 if n > 2 else 0.0025
-        assert _BLOCK_ENTRIES // n**2 < 4.0 / step  # steps of the longest pieces
+        assert _SCAN_ROWS < 4.0 / 0.0025  # the longest pieces at n = 2
         traj = simulate_dde(sch, tau, x0, 0.0, t1, step=step,
                             delay_diagonal=delay_diagonal)
-        _assert_same_arrays(traj, brute_simulate_dde(
-            sch, tau, x0, 0.0, t1, step=step, delay_diagonal=delay_diagonal))
+        _assert_near_oracle(traj, sch, tau, x0, 0.0, t1, step=step,
+                            delay_diagonal=delay_diagonal)
 
     @pytest.mark.parametrize("delay_diagonal", [False, True])
     def test_matches_oracle_from_a_varying_history(self, rng, delay_diagonal):
@@ -549,8 +588,8 @@ class TestDdeStages:
         traj = simulate_dde(sch, tau, hist, 0.0, 8.0, step=0.02,
                             delay_diagonal=delay_diagonal)
         assert traj.times[0] == 0.0
-        _assert_same_arrays(traj, brute_simulate_dde(
-            sch, tau, hist, 0.0, 8.0, step=0.02, delay_diagonal=delay_diagonal))
+        _assert_near_oracle(traj, sch, tau, hist, 0.0, 8.0, step=0.02,
+                            delay_diagonal=delay_diagonal)
 
     @pytest.mark.parametrize("delay_diagonal", [False, True])
     def test_history_ending_just_before_t0_gets_a_t0_node(self, rng,
@@ -570,8 +609,8 @@ class TestDdeStages:
                             delay_diagonal=delay_diagonal)
         assert traj.times[0] == 0.0
         np.testing.assert_array_equal(traj.states[0], hist.states[-1])
-        _assert_same_arrays(traj, brute_simulate_dde(
-            sch, tau, hist, 0.0, 8.0, step=0.02, delay_diagonal=delay_diagonal))
+        _assert_near_oracle(traj, sch, tau, hist, 0.0, 8.0, step=0.02,
+                            delay_diagonal=delay_diagonal)
 
     @pytest.mark.parametrize("t0, tau", [(3e7, 0.2), (1e8, 0.1)])
     def test_constant_history_far_from_zero(self, t0, tau):
@@ -581,8 +620,7 @@ class TestDdeStages:
         hist = DelayHistory.constant([1.0, -1.0], tau, t_end=t0)
         traj = simulate_dde(sch, tau, hist, t0, t0 + 1.0)
         assert traj.times[0] == t0
-        _assert_same_arrays(traj, brute_simulate_dde(
-            sch, tau, [1.0, -1.0], t0, t0 + 1.0))
+        _assert_near_oracle(traj, sch, tau, [1.0, -1.0], t0, t0 + 1.0)
 
     def test_window_too_short_for_a_piece(self):
         # Far from 0 the tau-windows add up to a last window of 2.3e-10,
@@ -590,8 +628,7 @@ class TestDdeStages:
         sch = constant_schedule(symmetric_pair(), 1e6, 1e6 + 1.0)
         traj = simulate_dde(sch, 0.1, [1.0, -1.0], 1e6, 1e6 + 1.0)
         assert 0.0 < 1e6 + 1.0 - traj.times[-1] < 1e-9
-        _assert_same_arrays(traj, brute_simulate_dde(
-            sch, 0.1, [1.0, -1.0], 1e6, 1e6 + 1.0))
+        _assert_near_oracle(traj, sch, 0.1, [1.0, -1.0], 1e6, 1e6 + 1.0)
 
     def test_default_step_on_a_dense_switching_run(self):
         spec = {"kind": "random_switching", "period": 0.5,
@@ -600,29 +637,22 @@ class TestDdeStages:
         sch = generate_topology(spec, 12, 0.0, 3.0)
         x0 = np.random.default_rng(3).uniform(-1.0, 1.0, 12)
         traj = simulate_dde(sch, 0.3, x0, 0.0, 3.0)
-        _assert_same_arrays(traj, brute_simulate_dde(sch, 0.3, x0, 0.0, 3.0))
+        _assert_near_oracle(traj, sch, 0.3, x0, 0.0, 3.0)
 
-    @pytest.mark.parametrize("delay_diagonal", [False, True])
-    def test_drives_read_each_matrix_row_major(self, rng, delay_diagonal):
-        # np.array(np.broadcast_to(B, (k, n, n))) keeps the broadcast's
-        # stride order, so gemv would read every matrix of the stack
-        # transposed and sum each row in another order; at n = 9 that moves
-        # most of these drives.  Both stacks _drives meets must give the
-        # per-node products bit for bit.
-        n, k = 9, 64
-        B = random_metzler(rng, n)
-        xd = rng.normal(size=(k, n))
-        scaled = B * rng.uniform(0.0, 2.0, (k, 1, 1))
-        for A in (np.broadcast_to(B, (k, n, n)), scaled):
-            d, u = _drives(A, xd, delay_diagonal)
-            for j in range(k):
-                if delay_diagonal:
-                    d_want, off = np.zeros(n), A[j]
-                else:
-                    d_want, off = np.diag(A[j]), A[j].copy()
-                    np.fill_diagonal(off, 0.0)
-                assert np.array_equal(d[j], d_want)
-                assert np.array_equal(u[j], off @ xd[j])
+    def test_returned_arrays_own_their_memory(self):
+        # The node count is planned before stepping: the t0 node and the
+        # steps of every piece of every window, one allocation of each array.
+        spec = {"kind": "random_switching", "period": 0.5,
+                "link_probability": 0.9, "weight_range": [0.5, 1.5],
+                "seed": 1}
+        sch = generate_topology(spec, 8, 0.0, 20.0)
+        x0 = np.random.default_rng(8).uniform(-1.0, 1.0, 8)
+        traj = simulate_dde(sch, 1.0, x0, 0.0, 20.0, step=0.0039)
+        steps = sum(_substeps(a, b, 0.0039)[0] for k in range(20)
+                    for a, b, _ in brute_pieces(sch, float(k), k + 1.0))
+        assert len(traj.times) == 1 + steps == 5161
+        for arr in (traj.times, traj.states):
+            assert arr.base is None
 
     def test_pieces_match_a_full_scan(self, rng):
         # Joins within the join tolerance may overlap or leave a sliver.
@@ -639,6 +669,174 @@ class TestDdeStages:
                 if t1 > t0:
                     assert (list(_pieces(sch, t0, t1))
                             == list(brute_pieces(sch, t0, t1)))
+
+
+class TestAffineSteps:
+    """The parts of _march: the drives of a piece, each step's (r, w) and
+    the doubling scan, each against a per-step or per-time reference."""
+
+    @pytest.mark.parametrize("delay_diagonal", [False, True])
+    def test_drives_are_the_per_time_products(self, rng, delay_diagonal):
+        # d = c diag(B) to the bit; u = c (xd @ off_B.T) sums each row in
+        # gemm's order, the per-time product off(t) @ xd in gemv's, each
+        # with n + 1 roundings of terms that add up to at most 2 M X.
+        n, k = 9, 64
+        xd = rng.uniform(-1.0, 1.0, (k, n))
+        times = np.sort(rng.uniform(0.0, 1.0, k))
+        for sch in (constant_schedule(random_metzler(rng, n), 0.0, 1.0),
+                    build_schedule([(0.0, 1.0, _sinusoidal(rng, n))])):
+            d, u = _drives(sch, 0, times, xd, delay_diagonal)
+            c = sch.profile(0, times)
+            B = sch.couplings[0]
+            for j, t in enumerate(times.tolist()):
+                A = piece_entries_at(sch, 0, t)
+                d_want = (np.zeros(n) if delay_diagonal
+                          else c[j] * np.diag(B))
+                _assert_same_bytes(np.broadcast_to(d, (k, n))[j], d_want)
+                off = A if delay_diagonal else A - np.diag(np.diag(A))
+                assert np.abs(u[j] - off @ xd[j]).max() <= \
+                    (2 * n + 2) * EPS * sch.bound
+
+    def test_steps_are_the_formula_in_python_floats(self, rng):
+        # Each (r_j, w_j) is the module docstring's stage algebra
+        # evaluated for that step alone in Python floats, which round as
+        # numpy's ufuncs round each element: to the bit, with d varying
+        # per step, one row of d for every step, and d = 0.
+        m, n, h = 50, 3, 0.0173
+        ds = [-rng.uniform(0.0, 8.0, (m, n)) for _ in range(3)]
+        us = [rng.normal(size=(m, n)) for _ in range(3)]
+        row = -rng.uniform(0.0, 8.0, n)
+        for d1, dm, de in (ds, (row, row, row), (np.zeros(n),) * 3):
+            r, w = (np.broadcast_to(v, (m, n))
+                    for v in _affine_steps(d1, dm, de, *us, h))
+            for j, c in itertools.product(range(m), range(n)):
+                a1, am, ae = (float(np.broadcast_to(v, (m, n))[j, c])
+                              for v in (d1, dm, de))
+                b1, bm, be = (float(v[j, c]) for v in us)
+                p2 = am * (1.0 + 0.5 * h * a1)
+                p3 = am * (1.0 + 0.5 * h * p2)
+                p4 = ae * (1.0 + h * p3)
+                q2 = am * (0.5 * h * b1) + bm
+                q3 = am * (0.5 * h * q2) + bm
+                q4 = ae * (h * q3) + be
+                r_want = 1.0 + h / 6.0 * (((a1 + 2.0 * p2) + 2.0 * p3) + p4)
+                w_want = h / 6.0 * (((b1 + 2.0 * q2) + 2.0 * q3) + q4)
+                assert float(r[j, c]).hex() == r_want.hex()
+                assert float(w[j, c]).hex() == w_want.hex()
+
+    @pytest.mark.parametrize("kind", ["constant", "sinusoidal"])
+    def test_steps_are_convex_up_to_hm_one(self, rng, kind):
+        # The module docstring's sign condition, read from the kernel's own
+        # arrays: r from zero drives and each read weight from a unit
+        # drive at that stage.  For h M <= 1, r lies in [0.375, 1], up to
+        # the rounding of r, at most 10 roundings on terms that add up to
+        # at most 2; the weights are >= 0, and a constant state is a fixed
+        # point, r + W1 |d1| + Wm |dm| + We |de| = 1, up to 40 roundings
+        # on terms of at most 2 in all.
+        for _ in range(150):
+            n = int(rng.integers(2, 13))
+            scale = 10.0 ** rng.uniform(-3.0, 3.0)
+            density = rng.uniform(0.1, 1.0)
+            if kind == "constant":
+                sch = constant_schedule(
+                    scale * random_metzler(rng, n, density=density), 0.0, 1.0)
+            else:
+                sch = build_schedule([(0.0, 1.0, _sinusoidal(
+                    rng, n, scale=scale, density=density))])
+            if sch.bound == 0.0:
+                continue
+            h = float(rng.choice([1.0, rng.uniform(0.0, 1.0)])) / sch.bound
+            while h * sch.bound > 1.0:
+                h = np.nextafter(h, 0.0)
+            t = rng.uniform(0.0, 1.0, 20)
+            zeros = np.zeros((20, n))
+            d1, dm, de = (_drives(sch, 0, times, zeros, False)[0]
+                          for times in (t, t + 0.5 * h, t + h))
+            r, _ = _affine_steps(d1, dm, de, zeros, zeros, zeros, h)
+            units = [[1.0 if k == i else 0.0 for k in range(3)]
+                     for i in range(3)]
+            W = [_affine_steps(d1, dm, de, *(v + zeros for v in unit), h)[1]
+                 for unit in units]
+            assert r.max() <= 1.0 and r.min() >= 0.375 - 10 * EPS
+            assert min(w.min() for w in W) >= 0.0
+            fixed = r - W[0] * d1 - W[1] * dm - W[2] * de
+            assert np.abs(fixed - 1.0).max() <= 40 * EPS
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 100, 255, 256])
+    @pytest.mark.parametrize("delay_diagonal", [False, True])
+    def test_scan_is_the_recurrence(self, rng, m, delay_diagonal):
+        # Against the recurrence in exact rationals: each term of a state
+        # passes k = 2 + l (l + 3) / 2 roundings at l = ceil(log2 m) levels
+        # (module docstring), so a state errs by at most
+        # k eps / 2 (|y| + sum of |w|), plus eps / 2 |y_j| for rounding the
+        # exact value to a float.
+        n = 3
+        r = (np.ones((m, n)) if delay_diagonal
+             else rng.uniform(0.375, 1.0, (m, n)))
+        w = rng.uniform(-1.0, 1.0, (m, n)) * (1.0 if delay_diagonal
+                                               else 1.0 - r)
+        y0 = rng.uniform(-1.0, 1.0, n)
+        xs = w.copy()
+        _assert_same_bytes(_scan(r.copy(), xs, y0.copy()), xs[-1])
+        exact = np.empty((m, n))
+        for c in range(n):
+            y = Fraction(float(y0[c]))
+            for j in range(m):
+                y = Fraction(float(r[j, c])) * y + Fraction(float(w[j, c]))
+                exact[j, c] = float(y)
+        levels = (m - 1).bit_length()
+        k = 2 + levels * (levels + 3) / 2
+        bound = k * EPS / 2 * (np.abs(y0) + np.abs(w).sum(axis=0))
+        assert (np.abs(xs - exact) <= bound + EPS / 2 * np.abs(exact)).all()
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 21, 64])
+    @pytest.mark.parametrize("kind", ["constant", "switching", "sinusoidal"])
+    @pytest.mark.parametrize("delay_diagonal", [False, True])
+    def test_march_matches_the_stage_loop(self, rng, n, kind, delay_diagonal):
+        # Pieces of 1, 40 and 300 steps (two scan chunks), the reads drawn
+        # at random within [-1, 1], at h M up to 1.  Both routes go on from
+        # their own states, and with the reads given nothing grows, so the
+        # states differ by at most the sum of the pieces' terms of the
+        # module docstring's bound.  A stored derivative d y + u differs by
+        # M times that, plus the drives' rounding ((2 n + 1) eps M X) and
+        # that of the diagonal and of the product and sum on each route.
+        lengths = [300] if kind == "constant" else [1, 40, 300]
+        arcs = {"density": 1.0 if n == 2 else 0.6}
+        pieces, a = [], 0.0
+        for m in lengths:
+            entries = random_metzler(rng, n, **arcs) / n
+            if kind == "sinusoidal":
+                entries = _sinusoidal(rng, n, scale=1.0 / n, **arcs)
+            pieces.append((a, a + m, entries))
+            a += m
+        sch = build_schedule(pieces)
+        h = float(rng.uniform(0.1, 1.0)) / sch.bound
+        x = x_brute = rng.uniform(-1.0, 1.0, n)
+        size = 1 + sum(lengths)
+        states, derivs = np.empty((size, n)), np.zeros((size, n))
+        states[0] = x
+        brute = BruteStore()
+        brute.append(0.0, x, np.zeros(n))
+        a, k, terms = 0.0, 1, 0.0
+        for i, m in enumerate(lengths):
+            grid = a + h * np.arange(1, m + 1)
+            xd_nodes = rng.uniform(-1.0, 1.0, (m + 1, n))
+            xd_half = rng.uniform(-1.0, 1.0, (m, n))
+            x = _march(x, sch, i, a, grid, h,
+                       np.concatenate((xd_nodes, xd_half)), delay_diagonal,
+                       (derivs[k - 1], states[k:k + m], derivs[k:k + m]))
+            rhs = piece_rhs(sch, i, split_delay(delay_diagonal))
+            x_brute = brute_march(brute, x_brute, a, grid, h, rhs,
+                                  xd_nodes, xd_half)
+            terms += _piece_terms(n, sch.bound, m, h, delay_diagonal)
+            a, k = grid[-1], k + m
+        _, want, want_derivs, _ = brute.arrays()
+        X = max(1.0, np.abs(states).max(), np.abs(want).max())
+        bound = terms * EPS * X
+        assert np.abs(states - want).max() <= bound
+        M = sch.bound
+        assert np.abs(derivs - want_derivs).max() <= \
+            M * bound + (3 * n + 8) * EPS * M * X
 
 
 def _nodes_in(traj, lo, hi):
