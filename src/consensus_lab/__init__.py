@@ -40,9 +40,7 @@ from .errors import (
     WindowNotCovered,
 )
 from .metzler_core import (
-    CouplingMatrix,
     CouplingSchedule,
-    IntegratedCoupling,
     SinusoidalCoupling,
     build_schedule,
     constant_schedule,

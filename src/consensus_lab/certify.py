@@ -69,7 +69,8 @@ class PartitionCoupling:
 
 
 def coupling_numbers(window, group) -> PartitionCoupling:
-    """Partition the nodes of an integrated window and total the coupling."""
+    """Partition the nodes of an integrated window, the n-by-n array that
+    integrate_schedule returns, and total the coupling."""
     entries = coupling_entries(window)
     n = entries.shape[0]
     members = sorted(set(int(k) for k in group))

@@ -92,19 +92,17 @@ def window_connectivity_report(
     schedule: CouplingSchedule,
     delta: float,
     T: float,
-    horizon: tuple | None = None,
     sample_step: float | None = None,
 ) -> WindowConnectivityReport:
-    """Scan window starts t in [t0, t1 - T] on a grid and intersect the root
-    sets of the delta-digraphs of each window integral."""
+    """Scan window starts t in [t0, t1 - T] of the schedule's horizon on a
+    grid and intersect the root sets of the delta-digraphs of each window
+    integral."""
     if not (delta > 0.0):
         raise NegativeThreshold(
             f"window connectivity scan needs delta > 0, got {delta!r}")
     if not (T > 0.0):
         raise ValueError(f"window length must be positive, got T = {T!r}")
-    if horizon is None:
-        horizon = schedule.horizon
-    t0, t1 = horizon
+    t0, t1 = schedule.horizon
     if t1 - t0 < T:
         raise ValueError(
             f"horizon [{t0}, {t1}] shorter than one window of length {T}")
@@ -123,7 +121,7 @@ def window_connectivity_report(
         n=schedule.n,
         delta=delta,
         T=T,
-        horizon=(float(t0), float(t1)),
+        horizon=(t0, t1),
         sample_step=float(sample_step),
         window_starts=starts,
         roots_per_window=masks,

@@ -4,8 +4,10 @@ The basic object is an n-by-n real matrix with non-negative off-diagonal
 entries whose rows sum to zero: row k holds the rates at which component k is
 attracted towards the others, and the diagonal entry balances the row.
 validate_coupling_matrix and from_offdiagonal check one such matrix or a
-(k, n, n) stack of them in one pass.  A schedule assembles such matrices
-into a bounded piecewise map t -> A(t), right-continuous at its breakpoints.
+(k, n, n) stack of them in one pass and return it as a read-only array: a
+coupling is an array that passed the check, not a type of its own.  A
+schedule assembles such matrices into a bounded piecewise map t -> A(t),
+right-continuous at its breakpoints.
 Each piece is a fixed coupling B times a scalar profile: c = 1 on a
 constant piece, c(t) = 1 + d sin(2 pi t / P) on a SinusoidalCoupling, so
 A(t) = c(t) B, and a schedule holds its pieces as arrays: the breakpoints,
@@ -51,78 +53,56 @@ def _as_matrices(entries, ndims=(2, 3)) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
-class CouplingMatrix:
-    """Validated coupling matrix (off-diagonal >= 0, zero row sums), or a
-    (k, n, n) stack of them."""
+def _check(stack: np.ndarray, tol: float = DEFAULT_ROW_TOL) -> None:
+    """Raise the first fault of a (k, n, n) stack, if it has one: the error
+    that checking its matrices one at a time would raise first.
 
-    n: int
-    entries: np.ndarray
-    tol_row: float = DEFAULT_ROW_TOL
-
-    def __post_init__(self):
-        self.entries.setflags(write=False)
-
-
-def _raise_fault(arr: np.ndarray, tol_row: float):
-    """Raise the first fault of one matrix, if it has one.
-
-    NonFiniteEntry on a NaN or infinite entry, NegativeOffDiagonal on a
-    negative coupling rate (both with 1-based indices), RowSumViolation when
-    a row sum exceeds tol_row times max(1, max|entry|), scaled up for large
-    entries so that the check stays meaningful after long-window
-    integration.  Non-finite entries come first: no comparison sees a NaN,
-    and an infinity would make the row tolerance infinite.
+    A matrix has a fault when it has a NaN or infinite entry
+    (NonFiniteEntry), a negative off-diagonal entry (NegativeOffDiagonal;
+    both with 1-based indices, the first in row-major order) or a row sum
+    beyond tol times max(1, max|entry|) (RowSumViolation, on the worst
+    row), scaled up for large entries so that the check stays meaningful
+    after long-window integration.  Non-finite entries come first: no
+    comparison sees a NaN, and an infinity would make the row tolerance
+    infinite.
     """
-    # argwhere goes row by row: the first offender is the top-left one.
-    nonfinite = np.argwhere(~np.isfinite(arr))
-    if len(nonfinite):
-        k, l = nonfinite[0].tolist()
-        raise NonFiniteEntry(k + 1, l + 1, float(arr[k, l]))
-    negative = np.argwhere((arr < 0.0) & ~np.eye(arr.shape[0], dtype=bool))
-    if len(negative):
-        k, l = negative[0].tolist()
-        raise NegativeOffDiagonal(k + 1, l + 1, float(arr[k, l]))
-    tol = tol_row * max(1.0, float(np.max(np.abs(arr))))
-    sums = arr.sum(axis=1)
-    worst = int(np.argmax(np.abs(sums)))
-    if abs(sums[worst]) > tol:
-        raise RowSumViolation(worst + 1, float(sums[worst]))
-
-
-def _faulty(stack: np.ndarray, tol_row: float) -> np.ndarray:
-    """Flag each matrix of a (k, n, n) stack that _raise_fault rejects: its
-    three checks, taken for the whole stack at once."""
-    off = ~np.eye(stack.shape[-1], dtype=bool)
     with np.errstate(all="ignore"):
-        row_tol = tol_row * np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
-        return (~np.isfinite(stack).all(axis=(1, 2))
-                | ((stack < 0.0) & off).any(axis=(1, 2))
-                | (np.abs(stack.sum(axis=2)).max(axis=1) > row_tol))
+        nonfinite = ~np.isfinite(stack)
+        negative = (stack < 0.0) & ~np.eye(stack.shape[-1], dtype=bool)
+        sums = stack.sum(axis=2)
+        row_tol = tol * np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
+        over = np.abs(sums) > row_tol[:, None]
+    faulty = (nonfinite | negative).any(axis=(1, 2)) | over.any(axis=1)
+    if not faulty.any():
+        return
+    i = int(np.argmax(faulty))
+    for mask, error in ((nonfinite[i], NonFiniteEntry),
+                        (negative[i], NegativeOffDiagonal)):
+        if mask.any():
+            k, l = np.argwhere(mask)[0].tolist()
+            raise error(k + 1, l + 1, float(stack[i, k, l]))
+    worst = int(np.argmax(np.abs(sums[i])))
+    raise RowSumViolation(worst + 1, float(sums[i, worst]))
 
 
-def validate_coupling_matrix(entries, tol_row: float = DEFAULT_ROW_TOL) -> CouplingMatrix:
+def validate_coupling_matrix(entries) -> np.ndarray:
     """Check the sign pattern and row sums of one matrix or of a (k, n, n)
-    stack; return the wrapped entries.
+    stack; return a read-only copy of the entries.
 
     Raises NonFiniteEntry, NegativeOffDiagonal or RowSumViolation (see
-    _raise_fault).  A stack is screened in one pass, and its first flagged
-    matrix is checked again on its own, so the stack raises what checking
-    its matrices one at a time would: the first offender row-major over
-    (matrix, k, l), with the same message.  The diagonal is implied: once
-    off-diagonal entries are non-negative and rows sum to zero, a_kk equals
-    minus the off-diagonal row sum.
+    _check); a stack raises what checking its matrices one at a time would.
+    The diagonal is implied: once off-diagonal entries are non-negative and
+    rows sum to zero, a_kk equals minus the off-diagonal row sum.
     """
     arr = _as_matrices(entries)
-    stack = arr.reshape((-1,) + arr.shape[-2:])
-    for i in np.flatnonzero(_faulty(stack, tol_row)):
-        _raise_fault(stack[i], tol_row)
-    return CouplingMatrix(n=arr.shape[-1], entries=arr, tol_row=tol_row)
+    _check(arr.reshape((-1,) + arr.shape[-2:]))
+    arr.setflags(write=False)
+    return arr
 
 
-def from_offdiagonal(weights, tol_row: float = DEFAULT_ROW_TOL) -> CouplingMatrix:
+def from_offdiagonal(weights) -> np.ndarray:
     """Build a coupling matrix, or a (k, n, n) stack of them, from
-    non-negative off-diagonal weights.
+    non-negative off-diagonal weights; the result is read-only.
 
     The input diagonal must be zero; the output diagonal is set to minus the
     off-diagonal row sum, so row sums vanish by construction.  As in
@@ -138,17 +118,17 @@ def from_offdiagonal(weights, tol_row: float = DEFAULT_ROW_TOL) -> CouplingMatri
         out[:, diag, diag] = -out.sum(axis=2)
     weight_fault = ((stack[:, diag, diag] != 0.0).any(axis=1)
                     | (stack < 0.0).any(axis=(1, 2)))
-    for i in np.flatnonzero(weight_fault | _faulty(out, tol_row)):
-        if np.any(np.diag(stack[i]) != 0.0):
+    first = int(np.argmax(weight_fault)) if weight_fault.any() else len(stack)
+    _check(out[:first])
+    if first < len(stack):
+        if np.any(stack[first, diag, diag] != 0.0):
             raise ValueError("diagonal of the weight matrix must be zero")
-        negative = np.argwhere(stack[i] < 0.0)  # the diagonal is zero
-        if len(negative):
-            k, l = negative[0].tolist()
-            raise NegativeWeight(
-                f"weight ({k + 1},{l + 1}) = {float(stack[i, k, l])!r} is negative")
-        _raise_fault(out[i], tol_row)
-    return CouplingMatrix(n=arr.shape[-1], entries=out.reshape(arr.shape),
-                          tol_row=tol_row)
+        k, l = np.argwhere(stack[first] < 0.0)[0].tolist()
+        raise NegativeWeight(
+            f"weight ({k + 1},{l + 1}) = {float(stack[first, k, l])!r} is negative")
+    out = out.reshape(arr.shape)
+    out.setflags(write=False)
+    return out
 
 
 class SinusoidalCoupling:
@@ -176,7 +156,7 @@ class SinusoidalCoupling:
         self.depth = float(depth)
         self.period = float(period)
         self.bound = (1.0 + abs(self.depth)) * float(
-            np.max(np.abs(self.coupling.entries)))
+            np.max(np.abs(self.coupling)))
         if not math.isfinite(self.bound):
             raise InvalidSpec(f"entries reach {self.bound} at the profile peak")
 
@@ -189,9 +169,8 @@ class CouplingSchedule:
     B_i = couplings[i] and c_i(t) = 1 + depths[i] sin(2 pi t / periods[i]).
     ``constant`` marks the pieces given as constant matrices; they carry
     depth 0 and period 1, so c = 1 there.  Every array is read-only.
-    ``bound`` is the declared uniform bound on |a_kl(t)|, checked at
-    construction against max|B| on constant pieces and (1 + |depth|) max|B|
-    on sinusoidal ones.
+    ``bound`` is the uniform bound on |a_kl(t)|: the largest of max|B| on
+    constant pieces and (1 + |depth|) max|B| on sinusoidal ones.
     """
 
     starts: np.ndarray
@@ -201,7 +180,6 @@ class CouplingSchedule:
     periods: np.ndarray
     constant: np.ndarray
     bound: float
-    tol_row: float = DEFAULT_ROW_TOL
 
     def __post_init__(self):
         for arr in (self.starts, self.ends, self.couplings, self.depths,
@@ -247,40 +225,33 @@ class CouplingSchedule:
         return out
 
 
-def build_schedule(
-    segments: Iterable,
-    bound: float | None = None,
-    tol_row: float = DEFAULT_ROW_TOL,
-) -> CouplingSchedule:
+def build_schedule(segments: Iterable) -> CouplingSchedule:
     """Assemble and validate a schedule from (t_start, t_end, coupling)
-    pieces, the coupling a matrix, a CouplingMatrix or a SinusoidalCoupling.
+    pieces, the coupling a matrix or a SinusoidalCoupling.
 
-    Segments must have positive length, agree on the matrix size, and be
-    contiguous and non-overlapping once sorted by start.  The plain matrices
-    are validated as one stack; a CouplingMatrix is valid already, and a
-    sinusoidal piece is c(t) B with c >= 0.  The pieces' entry bounds
-    (max|B|, times 1 + |depth| on sinusoidal pieces) must not exceed a
-    declared ``bound``; when omitted, their maximum is declared.
+    Segment times must be finite, segments must have positive length, agree
+    on the matrix size, and be contiguous and non-overlapping once sorted by
+    start.  The couplings B are validated as one stack, in the order given;
+    a sinusoidal piece is c(t) B with c >= 0.
     """
     pieces = []
     for t0, t1, gen in segments:
         sinusoid = isinstance(gen, SinusoidalCoupling)
-        plain = not (sinusoid or isinstance(gen, CouplingMatrix))
-        B = (gen.coupling.entries if sinusoid else
-             _as_matrices(gen, (2,)) if plain else gen.entries)
+        if not (math.isfinite(t0) and math.isfinite(t1)):
+            raise ScheduleError(f"segment [{t0}, {t1}] has a non-finite end")
         if not (t1 > t0):
             raise ScheduleError(f"segment [{t0}, {t1}] has non-positive length")
-        pieces.append((float(t0), float(t1), B, gen.depth if sinusoid else 0.0,
-                       gen.period if sinusoid else 1.0, not sinusoid, plain))
+        pieces.append((float(t0), float(t1),
+                       gen.coupling if sinusoid else _as_matrices(gen, (2,)),
+                       gen.depth if sinusoid else 0.0,
+                       gen.period if sinusoid else 1.0, not sinusoid))
     if not pieces:
         raise ScheduleError("schedule needs at least one segment")
     if len({piece[2].shape for piece in pieces}) > 1:
         raise ScheduleError("segments disagree on the matrix size")
-    plain = [piece[2] for piece in pieces if piece[6]]
-    if plain:
-        validate_coupling_matrix(np.stack(plain), tol_row)
+    _check(np.stack([piece[2] for piece in pieces]))
     pieces.sort(key=lambda piece: piece[0])
-    starts, ends, couplings, depths, periods, constant, _ = map(
+    starts, ends, couplings, depths, periods, constant = map(
         np.array, zip(*pieces))
     join_tol = 1e-9 * max(1.0, ends[-1] - starts[0])
     gaps = np.flatnonzero(np.abs(starts[1:] - ends[:-1]) > join_tol)
@@ -290,21 +261,13 @@ def build_schedule(
             f"segment starting at {starts[i].item()} does not join the previous "
             f"segment ending at {ends[i - 1].item()}")
     peaks = (1.0 + np.abs(depths)) * np.abs(couplings).max(axis=(1, 2))
-    observed = float(peaks.max())
-    if bound is None:
-        bound = observed
-    elif observed > bound * (1.0 + 1e-12) + 1e-12:
-        raise ScheduleError(
-            f"observed entry bound {observed} exceeds the declared bound {bound}")
     return CouplingSchedule(starts, ends, couplings, depths, periods, constant,
-                            float(bound), tol_row)
+                            float(peaks.max()))
 
 
-def constant_schedule(
-    matrix, t_start: float, t_end: float, tol_row: float = DEFAULT_ROW_TOL
-) -> CouplingSchedule:
+def constant_schedule(matrix, t_start: float, t_end: float) -> CouplingSchedule:
     """Single-segment schedule holding one matrix on [t_start, t_end]."""
-    return build_schedule([(t_start, t_end, matrix)], tol_row=tol_row)
+    return build_schedule([(t_start, t_end, matrix)])
 
 
 def _locate_piece(schedule: CouplingSchedule, t: float) -> int:
@@ -318,30 +281,12 @@ def _locate_piece(schedule: CouplingSchedule, t: float) -> int:
     return max(bisect.bisect_right(schedule.starts.tolist(), t) - 1, 0)
 
 
-def evaluate_schedule(schedule: CouplingSchedule, t: float) -> CouplingMatrix:
-    """Evaluate A(t); right-continuous at breakpoints."""
+def evaluate_schedule(schedule: CouplingSchedule, t: float) -> np.ndarray:
+    """Evaluate A(t), read-only; right-continuous at breakpoints."""
     i = _locate_piece(schedule, t)
     if schedule.constant[i]:
-        return CouplingMatrix(n=schedule.n, entries=schedule.couplings[i],
-                              tol_row=schedule.tol_row)
-    return validate_coupling_matrix(schedule.entries_over(i, [t])[0],
-                                    tol_row=schedule.tol_row)
-
-
-@dataclass(frozen=True, eq=False)
-class IntegratedCoupling:
-    """Entrywise integral of a schedule over one window."""
-
-    n: int
-    entries: np.ndarray
-    window: tuple
-
-    def __post_init__(self):
-        self.entries.setflags(write=False)
-
-    @property
-    def duration(self) -> float:
-        return self.window[1] - self.window[0]
+        return schedule.couplings[i]
+    return validate_coupling_matrix(schedule.entries_over(i, [t])[0])
 
 
 def integrate_windows(
@@ -397,11 +342,9 @@ def integrate_windows(
             total[rows] += schedule.couplings[k[rows]] * w[rows, None, None]
     # The integral of a valid coupling map is itself a valid coupling matrix,
     # up to rounding proportional to the window; the floor of 1e-9 absorbs
-    # the rounding of a sum over many pieces when a caller sets tol_row below
-    # it.  A window with a non-finite entry, which only overflow can produce,
-    # is always bad.
-    validate_coupling_matrix(
-        total, tol_row=max(schedule.tol_row * max(1.0, T), 1e-9))
+    # the rounding of a sum over many pieces.  A window with a non-finite
+    # entry, which only overflow can produce, is always bad.
+    _check(total, max(DEFAULT_ROW_TOL * max(1.0, T), 1e-9))
     return total
 
 
@@ -409,16 +352,14 @@ def integrate_schedule(
     schedule: CouplingSchedule,
     t: float,
     T: float,
-) -> IntegratedCoupling:
-    """Integrate A(s) entrywise over [t, t+T]: the one-window case of
-    integrate_windows."""
+) -> np.ndarray:
+    """Integrate A(s) entrywise over [t, t+T], read-only: the one-window
+    case of integrate_windows."""
     entries = integrate_windows(schedule, [t], T)[0]
-    return IntegratedCoupling(n=schedule.n, entries=entries,
-                              window=(float(t), float(t + T)))
+    entries.setflags(write=False)
+    return entries
 
 
 def coupling_entries(matrix) -> np.ndarray:
-    """Entries of a CouplingMatrix, IntegratedCoupling, or plain array."""
-    if isinstance(matrix, (CouplingMatrix, IntegratedCoupling)):
-        return matrix.entries
+    """A caller's square matrix as a float array (ValueError otherwise)."""
     return _as_matrices(matrix, (2,))

@@ -276,6 +276,9 @@ def parse_config(text: str, name: str = "<memory>") -> ScenarioConfig:
         raise ValidationError("nodes", f"need at least one node, got {n}")
     horizon = keys("horizon", _positive)
     t0 = keys("t0", _number, 0.0)
+    if not math.isfinite(t0 + horizon):
+        raise ValidationError(
+            "horizon", f"t0 + horizon = {t0 + horizon} is not finite")
     seed = keys("seed", _seed)
     step = keys("step", _positive)
     delay = keys("delay", _delay)
@@ -366,7 +369,7 @@ def _arc_coupling(keys: _Keys, n: int, bidirectional: bool = False):
                 off[i, k, l] = w
                 if both:
                     off[i, l, k] = w
-        return from_offdiagonal(off).entries
+        return from_offdiagonal(off)
     return couplings
 
 
@@ -376,6 +379,9 @@ def _periods(t0: float, t1: float, length: float):
     start = t0
     while start < t1 - 1e-12:
         end = min(start + length, t1)
+        if not end > start:
+            raise InvalidSpec(
+                f"a period of {length} does not advance past t = {start}")
         yield start, end
         start = end
 
@@ -487,13 +493,13 @@ def _random_switching(keys, n, seed):
                         for _ in spans])
         off[:, range(n), range(n)] = 0.0
         return [(*span, coupling) for span, coupling
-                in zip(spans, from_offdiagonal(off).entries)]
+                in zip(spans, from_offdiagonal(off))]
     return build
 
 
 def _sinusoidal(keys, n, seed):
     keys.allow(required=("depth", "period"), optional=("matrix", "weights"))
-    base = _coupling(keys, n).entries.copy()
+    base = _coupling(keys, n).copy()
     np.fill_diagonal(base, 0.0)
     depth = keys("depth", _number)
     if not abs(depth) <= 1.0:
@@ -699,7 +705,7 @@ def _spectral(keys, config):
             source = "constant coupling"
         else:
             span = schedule.t_end - schedule.t_start
-            matrix = integrate_schedule(schedule, schedule.t_start, span).entries / span
+            matrix = integrate_schedule(schedule, schedule.t_start, span) / span
             source = "time-averaged coupling"
         report = spectral_graph_equivalence(matrix, delta, **options)
         eigs = report.verdict.eigenvalues

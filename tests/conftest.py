@@ -12,19 +12,18 @@ import numpy as np
 import pytest
 
 from consensus_lab import (OutOfHorizon, contraction_certificate,
-                           evaluate_schedule, from_offdiagonal, simulate_ode,
-                           validate_coupling_matrix)
+                           evaluate_schedule, from_offdiagonal, simulate_ode)
 from consensus_lab.dynamics import (_coerce_history, _drives, _hermite_many,
                                     _history_slack, _march, _rk4_transfer,
                                     _step_target, _substeps)
-from consensus_lab.metzler_core import _locate_piece
+from consensus_lab.metzler_core import DEFAULT_ROW_TOL, _check, _locate_piece
 
 
 def random_metzler(rng, n, density=0.6, wmax=2.0):
     """Random Metzler zero-row-sum entries with the given arc density."""
     off = rng.uniform(0.1, wmax, (n, n)) * (rng.random((n, n)) < density)
     np.fill_diagonal(off, 0.0)
-    return from_offdiagonal(off).entries
+    return from_offdiagonal(off)
 
 
 def brute_reachable(n, arcs, start):
@@ -148,8 +147,7 @@ def brute_window_integral(schedule, t, T):
             w = max(w + d * (P / np.pi) * np.sin(np.pi * (lo + hi) / P)
                     * np.sin(np.pi * w / P), 0.0)
         total += schedule.couplings[i] * w
-    validate_coupling_matrix(total, tol_row=max(schedule.tol_row * max(1.0, T),
-                                                1e-9))
+    _check(total[None], max(DEFAULT_ROW_TOL * max(1.0, T), 1e-9))
     return total
 
 
@@ -281,7 +279,7 @@ def brute_simulate_ode(schedule, x0, t0, t1, step=None, stages=False):
     x = np.array(x0, dtype=float)
     h_target = _step_target(step, schedule, t1 - t0)
     store = BruteStore()
-    store.append(t0, x, evaluate_schedule(schedule, t0).entries @ x)
+    store.append(t0, x, evaluate_schedule(schedule, t0) @ x)
     for a, b, i in brute_pieces(schedule, t0, t1):
         m, h, grid = _substeps(a, b, h_target)
         if schedule.constant[i]:
@@ -311,7 +309,7 @@ def brute_simulate_dde(schedule, tau, history, t0, t1, step=None,
     x = _hermite_many([t0], *store.arrays(), clamp_slack=slack)[0]
     if abs(hist.times[-1] - t0) > 1e-12 * tau:
         xd0 = _hermite_many([t0 - tau], *store.arrays(), clamp_slack=slack)[0]
-        store.append(t0, x, form(evaluate_schedule(schedule, t0).entries)(x, xd0))
+        store.append(t0, x, form(evaluate_schedule(schedule, t0))(x, xd0))
     first = len(store.t) - 1
     w0 = t0
     while w0 < t1 - 1e-12 * max(1.0, abs(t1 - t0)):

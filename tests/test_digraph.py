@@ -22,7 +22,7 @@ def ring_entries(n, w=1.0):
     off = np.zeros((n, n))
     for k in range(n):
         off[k, (k + 1) % n] = w
-    return from_offdiagonal(off).entries
+    return from_offdiagonal(off)
 
 
 def roots_of(entries, delta):
@@ -79,7 +79,7 @@ class TestRoots:
     def test_isolated_node_kills_roots(self):
         off = np.zeros((3, 3))
         off[0, 1] = off[1, 0] = 1.0
-        assert roots_of(from_offdiagonal(off).entries, 0.0) == set()
+        assert roots_of(from_offdiagonal(off), 0.0) == set()
 
 
 class TestRootMasks:
@@ -128,7 +128,7 @@ class TestWindowConnectivity:
                     off[rng.integers(0, n, n), rng.integers(0, n, n)] = 1.0
                     np.fill_diagonal(off, 0.0)
                 pieces.append((0.5 * i, 0.5 * (i + 1),
-                               from_offdiagonal(off).entries))
+                               from_offdiagonal(off)))
             sch = build_schedule(pieces)
             report = window_connectivity_report(sch, delta=0.2, T=1.0)
             assert len(report.window_starts) == 41

@@ -263,7 +263,7 @@ class TestDefaultStep:
         # Node 1 follows node 2 at weight 2.5: M = 2.5 at every n.
         off = np.zeros((n, n))
         off[0, 1] = 2.5
-        sch = constant_schedule(from_offdiagonal(off).entries, 0.0, 10.0)
+        sch = constant_schedule(from_offdiagonal(off), 0.0, 10.0)
         assert sch.bound == 2.5
         assert _step_target(None, sch, 10.0) == 1.0 / (20.0 * 2.5)
         assert simulate_ode(sch, np.ones(n), 0.0, 10.0).meta[

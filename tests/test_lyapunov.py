@@ -217,7 +217,7 @@ class TestAudits:
         p = rng.uniform(0.5, 2.0, 4)
         off = rng.uniform(0.1, 2.0, (4, 4))
         np.fill_diagonal(off, 0.0)
-        B = from_offdiagonal(off + off.T).entries
+        B = from_offdiagonal(off + off.T)
         Bl, pl = B.tolist(), p.tolist()
 
         def centered(r):

@@ -39,15 +39,15 @@ from conftest import (brute_first_negative, brute_window_integral,
 
 def family_at(family, t):
     """A(t) of a SinusoidalCoupling, one matrix at a time."""
-    return scaled_coupling(family.coupling.entries, family.depth,
+    return scaled_coupling(family.coupling, family.depth,
                            family.period, t)
 
 
 class TestValidation:
     def test_accepts_zero_row_sum_metzler(self):
         m = validate_coupling_matrix(chain_matrix())
-        assert m.n == 2
-        assert np.array_equal(m.entries, chain_matrix())
+        assert m.shape == (2, 2)
+        assert np.array_equal(m, chain_matrix())
 
     def test_rejects_negative_off_diagonal(self):
         bad = np.array([[1.0, -1.0], [0.0, 0.0]])
@@ -115,8 +115,8 @@ class TestValidation:
                         [0.5, 0.0, 0.0],
                         [0.0, 3.0, 0.0]])
         m = from_offdiagonal(off)
-        assert np.allclose(np.diag(m.entries), [-3.0, -0.5, -3.0])
-        assert np.allclose(m.entries.sum(axis=1), 0.0)
+        assert np.allclose(np.diag(m), [-3.0, -0.5, -3.0])
+        assert np.allclose(m.sum(axis=1), 0.0)
 
     def test_from_offdiagonal_rejects_negative_weight(self):
         off = np.array([[0.0, -0.1], [0.0, 0.0]])
@@ -133,7 +133,7 @@ class TestValidation:
             n = int(rng.integers(1, 9))
             entries = random_metzler(rng, n)
             m = validate_coupling_matrix(entries)
-            assert np.allclose(m.entries.sum(axis=1), 0.0, atol=1e-10)
+            assert np.allclose(m.sum(axis=1), 0.0, atol=1e-10)
 
 
 def _error_of(call, *args):
@@ -157,7 +157,7 @@ def _faulty_stack(rng, k, n):
     negative weight), a non-zero weight diagonal, or a row-sum violation."""
     weights = rng.uniform(0.1, 2.0, (k, n, n)) * (rng.random((k, n, n)) < 0.7)
     weights[:, range(n), range(n)] = 0.0
-    mats = from_offdiagonal(weights).entries.copy()
+    mats = from_offdiagonal(weights).copy()
     for i in range(k):
         for _ in range(int(rng.integers(0, 3))):
             r, c = rng.integers(0, n, 2)
@@ -209,12 +209,14 @@ class TestStackedValidation:
         weights = rng.uniform(0.0, 2.0, (9, 17, 17))
         weights[:, range(17), range(17)] = 0.0
         stack = from_offdiagonal(weights)
-        assert stack.n == 17 and stack.entries.shape == (9, 17, 17)
-        for w, entries in zip(weights, stack.entries):
-            assert np.array_equal(entries, from_offdiagonal(w).entries)
-        assert np.array_equal(validate_coupling_matrix(stack.entries).entries,
-                              stack.entries)
-        assert not stack.entries.flags.writeable
+        assert stack.shape == (9, 17, 17)
+        for w, entries in zip(weights, stack):
+            assert np.array_equal(entries, from_offdiagonal(w))
+        assert np.array_equal(validate_coupling_matrix(stack), stack)
+        for arr in (stack, from_offdiagonal(weights[0]),
+                    validate_coupling_matrix(stack),
+                    validate_coupling_matrix(chain_matrix())):
+            assert not arr.flags.writeable
 
     def test_schedule_arrays_are_read_only(self, rng):
         sch = _random_schedule(rng, 3, "mixed", 4.0)
@@ -231,14 +233,14 @@ class TestSchedules:
     def test_constant_schedule_roundtrip(self):
         sch = constant_schedule(chain_matrix(), 0.0, 4.0)
         assert sch.horizon == (0.0, 4.0)
-        assert np.array_equal(evaluate_schedule(sch, 1.7).entries,
+        assert np.array_equal(evaluate_schedule(sch, 1.7),
                               chain_matrix())
 
     def test_right_continuity_at_breakpoint(self):
         a = chain_matrix()
         b = 2.0 * chain_matrix()
         sch = build_schedule([(0.0, 1.0, a), (1.0, 3.0, b)])
-        assert np.array_equal(evaluate_schedule(sch, 1.0).entries, b)
+        assert np.array_equal(evaluate_schedule(sch, 1.0), b)
 
     def test_rejects_gap(self):
         a = chain_matrix()
@@ -250,9 +252,11 @@ class TestSchedules:
         with pytest.raises(ScheduleError):
             build_schedule([(0.0, 1.0, a), (0.5, 2.0, a)])
 
-    def test_rejects_declared_bound_below_observed(self):
-        with pytest.raises(ScheduleError):
-            build_schedule([(0.0, 1.0, chain_matrix())], bound=0.5)
+    @pytest.mark.parametrize("t0, t1", [(0.0, math.inf), (-math.inf, 0.0),
+                                        (0.0, math.nan), (1e308, 2e308)])
+    def test_rejects_non_finite_segment_time(self, t0, t1):
+        with pytest.raises(ScheduleError, match="non-finite"):
+            constant_schedule(chain_matrix(), t0, t1)
 
     def test_out_of_horizon(self):
         sch = constant_schedule(chain_matrix(), 0.0, 1.0)
@@ -264,7 +268,7 @@ class TestWindowIntegrals:
     def test_constant_piece_is_exact(self):
         sch = constant_schedule(chain_matrix(), 0.0, 10.0)
         w = integrate_schedule(sch, 1.0, 2.5)
-        assert np.array_equal(w.entries, 2.5 * chain_matrix())
+        assert np.array_equal(w, 2.5 * chain_matrix())
 
     def test_alternating_pair_window(self):
         # each leader holds for 1 time unit; over T = 2 both directions
@@ -273,8 +277,8 @@ class TestWindowIntegrals:
         b = np.array([[-1.0, 1.0], [0.0, 0.0]])
         sch = build_schedule([(0.0, 1.0, a), (1.0, 2.0, b)])
         w = integrate_schedule(sch, 0.0, 2.0)
-        assert w.entries[1, 0] == pytest.approx(1.0, abs=1e-12)
-        assert w.entries[0, 1] == pytest.approx(1.0, abs=1e-12)
+        assert w[1, 0] == pytest.approx(1.0, abs=1e-12)
+        assert w[0, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_window_spanning_many_segments(self, rng):
         mats = [random_metzler(rng, 3) for _ in range(6)]
@@ -283,7 +287,7 @@ class TestWindowIntegrals:
         w = integrate_schedule(sch, 0.25, 2.0)
         expected = (0.25 * mats[0] + 0.5 * (mats[1] + mats[2] + mats[3])
                     + 0.25 * mats[4])
-        assert np.allclose(w.entries, expected, atol=1e-12)
+        assert np.allclose(w, expected, atol=1e-12)
 
     def test_sinusoidal_closed_form(self):
         # int_0^(1/2) (1 + 0.5 sin 2 pi t) dt = 1/2 + 1/(2 pi)
@@ -292,9 +296,9 @@ class TestWindowIntegrals:
         sch = build_schedule([(0.0, 2.0, family)])
         w = integrate_schedule(sch, 0.0, 0.5)
         expected = 0.5 + 1.0 / (2.0 * math.pi)
-        assert w.entries[0, 1] == pytest.approx(expected, abs=1e-9)
-        assert w.entries[1, 0] == pytest.approx(expected, abs=1e-9)
-        assert w.entries[0, 0] == pytest.approx(-expected, abs=1e-9)
+        assert w[0, 1] == pytest.approx(expected, abs=1e-9)
+        assert w[1, 0] == pytest.approx(expected, abs=1e-9)
+        assert w[0, 0] == pytest.approx(-expected, abs=1e-9)
 
     def test_quadrature_against_trapezoid_refinement(self, rng):
         base = random_metzler(rng, 4).copy()
@@ -307,7 +311,7 @@ class TestWindowIntegrals:
         vals = np.stack([family_at(family, t) for t in grid])
         widths = np.diff(grid)[:, None, None]
         oracle = np.sum(widths * (vals[:-1] + vals[1:]) / 2.0, axis=0)
-        assert np.max(np.abs(w.entries - oracle)) < 1e-8
+        assert np.max(np.abs(w - oracle)) < 1e-8
 
     def test_integrated_rows_sum_to_zero(self, rng):
         for _ in range(20):
@@ -318,8 +322,7 @@ class TestWindowIntegrals:
             t = float(rng.uniform(0.0, 2.0))
             T = float(rng.uniform(0.5, 2.0))
             w = integrate_schedule(sch, t, T)
-            assert np.allclose(w.entries.sum(axis=1), 0.0, atol=1e-9)
-            assert w.duration == pytest.approx(T)
+            assert np.allclose(w.sum(axis=1), 0.0, atol=1e-9)
 
     def test_window_outside_horizon(self):
         sch = constant_schedule(chain_matrix(), 0.0, 2.0)
@@ -426,7 +429,7 @@ class TestSinusoidalCoupling:
                 assert np.array_equal(entries, family_at(family, t))
                 assert np.array_equal(entries, family_at(family, float(t)))
                 assert np.array_equal(
-                    entries, evaluate_schedule(sch, float(t)).entries)
+                    entries, evaluate_schedule(sch, float(t)))
         const = build_schedule([(0.0, 1.0, random_metzler(rng, 4))])
         view = const.entries_over(0, times[:5])
         assert view.shape == (5, 4, 4)
@@ -459,8 +462,13 @@ class TestWindowStack:
     def test_single_window_is_integrate_schedule(self, rng):
         sch = _random_schedule(rng, 3, "mixed", 4.0)
         w = integrate_schedule(sch, 0.5, 2.0)
-        assert np.array_equal(w.entries, integrate_windows(sch, [0.5], 2.0)[0])
-        assert w.window == (0.5, 2.5)
+        assert np.array_equal(w, integrate_windows(sch, [0.5], 2.0)[0])
+        # A read-only result, at a constant piece and a sinusoidal one.
+        assert sch.constant[:2].tolist() == [True, False]
+        mids = (sch.starts + sch.ends) / 2.0
+        for arr in (w, evaluate_schedule(sch, float(mids[0])),
+                    evaluate_schedule(sch, float(mids[1]))):
+            assert not arr.flags.writeable
 
     def test_no_windows(self):
         sch = constant_schedule(chain_matrix(), 0.0, 1.0)

@@ -7,7 +7,9 @@ at unit weight integrates to 1.0 on both off-diagonal entries over one
 full cycle of length 2.
 """
 
+import ast
 import functools
+import itertools
 import math
 import os
 import re
@@ -35,7 +37,7 @@ from consensus_lab import (
     run_scenario,
 )
 from consensus_lab import csvfmt, lyapunov
-from consensus_lab.scenario_cli import _write_trajectory_csv, main
+from consensus_lab.scenario_cli import _periods, _write_trajectory_csv, main
 
 from conftest import brute_trajectory_csv
 
@@ -425,7 +427,7 @@ class TestTopologyGeneration:
     def test_ring_entries(self):
         cfg = parse_config(RING_DEMO)
         sch = generate_topology(cfg.topology, cfg.n, 0.0, 6.0, None)
-        A = evaluate_schedule(sch, 0.0).entries
+        A = evaluate_schedule(sch, 0.0)
         for k in range(3):
             assert A[k, (k + 1) % 3] == 1.0
             assert A[(k + 1) % 3, k] == 0.0
@@ -435,7 +437,7 @@ class TestTopologyGeneration:
     def test_star_hub_selection(self):
         spec = {"kind": "star", "hub": 2, "weight": 0.5}
         sch = generate_topology(spec, 4, 0.0, 1.0, None)
-        A = evaluate_schedule(sch, 0.0).entries
+        A = evaluate_schedule(sch, 0.0)
         hub = 1
         for k in range(4):
             if k != hub:
@@ -444,29 +446,29 @@ class TestTopologyGeneration:
 
     def test_line_direction_flag(self):
         both = evaluate_schedule(
-            generate_topology({"kind": "line"}, 3, 0.0, 1.0, None), 0.0).entries
+            generate_topology({"kind": "line"}, 3, 0.0, 1.0, None), 0.0)
         assert both[1, 0] == 1.0 and both[0, 1] == 1.0
         directed = evaluate_schedule(
             generate_topology({"kind": "line", "bidirectional": False},
-                              3, 0.0, 1.0, None), 0.0).entries
+                              3, 0.0, 1.0, None), 0.0)
         assert directed[1, 0] == 1.0 and directed[0, 1] == 0.0
 
     def test_alternating_cycle_integral_frozen(self):
         spec = {"kind": "alternating_leader_follower", "period": 2.0}
         sch = generate_topology(spec, 2, 0.0, 4.0, None)
         w = integrate_schedule(sch, 0.0, 2.0)
-        assert w.entries[0, 1] == pytest.approx(1.0, abs=1e-12)
-        assert w.entries[1, 0] == pytest.approx(1.0, abs=1e-12)
-        first = evaluate_schedule(sch, 0.0).entries
+        assert w[0, 1] == pytest.approx(1.0, abs=1e-12)
+        assert w[1, 0] == pytest.approx(1.0, abs=1e-12)
+        first = evaluate_schedule(sch, 0.0)
         assert first[1, 0] == 1.0 and first[0, 1] == 0.0
 
     def test_alternating_broadcasts_to_all_followers(self):
         spec = {"kind": "alternating_leader_follower", "period": 1.0,
                 "weight": 2.0}
         sch = generate_topology(spec, 4, 0.0, 2.0, None)
-        A = evaluate_schedule(sch, 0.0).entries
+        A = evaluate_schedule(sch, 0.0)
         assert all(A[k, 0] == 2.0 for k in range(1, 4))
-        B = evaluate_schedule(sch, 0.5).entries
+        B = evaluate_schedule(sch, 0.5)
         assert B[0, 1] == 2.0 and B[2, 1] == 2.0 and B[3, 1] == 2.0
 
     def test_random_switching_reproducible(self):
@@ -506,8 +508,8 @@ class TestTopologyGeneration:
             {"until": 2.0, "weights": [[0.0, 0.0], [1.0, 0.0]]},
         ]}
         sch = generate_topology(spec, 2, 1.0, 2.0, None)
-        assert evaluate_schedule(sch, 1.5).entries[0, 1] == 1.0
-        assert evaluate_schedule(sch, 2.5).entries[1, 0] == 1.0
+        assert evaluate_schedule(sch, 1.5)[0, 1] == 1.0
+        assert evaluate_schedule(sch, 2.5)[1, 0] == 1.0
         with pytest.raises(InvalidSpec):
             generate_topology(spec, 2, 0.0, 5.0, None)
 
@@ -515,9 +517,9 @@ class TestTopologyGeneration:
         spec = {"kind": "sinusoidal", "depth": 0.5, "period": 1.0,
                 "weights": [[0.0, 2.0], [2.0, 0.0]]}
         sch = generate_topology(spec, 2, 0.0, 4.0, None)
-        at_zero = evaluate_schedule(sch, 0.0).entries
+        at_zero = evaluate_schedule(sch, 0.0)
         assert at_zero[0, 1] == pytest.approx(2.0, abs=1e-12)
-        at_crest = evaluate_schedule(sch, 0.25).entries
+        at_crest = evaluate_schedule(sch, 0.25)
         assert at_crest[0, 1] == pytest.approx(3.0, abs=1e-12)
         assert at_crest[0, 0] == pytest.approx(-3.0, abs=1e-12)
 
@@ -560,6 +562,13 @@ class TestTopologyGeneration:
         with pytest.raises(ValidationError) as generated:
             generate_topology(spec, 3, 0.0, 2.0, seed=4)
         assert str(generated.value) == str(parsed.value)
+
+    @pytest.mark.parametrize("length", [0.5, 0.25])
+    def test_period_below_the_float_spacing_rejected(self, length):
+        # At t = 1e17 floats are 16 apart, so t + length rounds back to t;
+        # alternating_leader_follower steps by half its period.
+        with pytest.raises(InvalidSpec, match="does not advance"):
+            list(itertools.islice(_periods(1e17, 1e17 + 100.0, length), 3))
 
     def test_generate_topology_checks_the_horizon(self):
         for horizon in (0.0, INF, NAN):
@@ -801,6 +810,18 @@ class TestCommandLine:
         assert "config error" in capsys.readouterr().out
         assert main(["run", str(tmp_path / "missing.yaml")]) == 4
 
+    def test_overflowing_horizon_end_exits_4(self, tmp_path, capsys):
+        text = scenario(t0=1e308, horizon=1e308, topology={
+            "kind": "constant", "matrix": [[-1.0, 1.0], [1.0, -1.0]]})
+        with pytest.raises(ValidationError, match="t0 \\+ horizon = inf"):
+            parse_config(text)
+        cfg = write(tmp_path, "overflow.yaml", text)
+        out = tmp_path / "o"
+        assert main(["check", cfg]) == 4
+        assert main(["run", cfg, "--output-dir", str(out)]) == 4
+        assert "is not finite" in capsys.readouterr().out
+        assert not out.exists()
+
     def test_numerical_failure_exits_5(self, tmp_path, capsys):
         cfg = write(tmp_path, "ambiguous.yaml", AMBIGUOUS_SPECTRUM)
         assert main(["run", cfg, "--output-dir", str(tmp_path / "o")]) == 5
@@ -930,6 +951,24 @@ analyses:
         assert run_scenario(cfg, str(tmp_path / "s")) == 0
         report = (tmp_path / "s" / "report.txt").read_text()
         assert "time-averaged coupling" in report
+
+
+class TestLibrarySketch:
+    def test_commented_results_hold(self):
+        sketch = re.search(r"## Library sketch\n+```python\n(.*?)```",
+                           _README, re.S).group(1)
+        namespace, shown = {}, {}
+        for statement in ast.parse(sketch).body:
+            code = ast.get_source_segment(sketch, statement)
+            if isinstance(statement, ast.Expr):
+                shown[code] = eval(code, namespace)
+            else:
+                exec(code, namespace)
+        assert shown['cl.audit_monotonicity(traj, "spread").passed'] is True
+        assert shown["cl.estimate_decay_rate(times, spreads)"] == (
+            pytest.approx(3.0, rel=1e-4))
+        assert shown["report.passed"] is True
+        assert shown["cl.spectral_graph_equivalence(A).agree"] is True
 
 
 class TestTrajectoryCsv:

@@ -28,7 +28,7 @@ def ring(n, w=1.0):
     off = np.zeros((n, n))
     for k in range(n):
         off[k, (k + 1) % n] = w
-    return from_offdiagonal(off).entries
+    return from_offdiagonal(off)
 
 
 def sorted_eigs(values):
@@ -155,7 +155,7 @@ def _switching_time_average():
     spec = {"kind": "random_switching", "period": 0.5,
             "link_probability": 0.3, "weight_range": [0.5, 1.5], "seed": 2}
     sch = generate_topology(spec, 20, 0.0, 10.0)
-    return integrate_schedule(sch, 0.0, 10.0).entries / 10.0
+    return integrate_schedule(sch, 0.0, 10.0) / 10.0
 
 
 def _dense_constant():
@@ -163,7 +163,7 @@ def _dense_constant():
     fixed = np.random.default_rng(9024)
     off = fixed.uniform(0.5, 1.5, (24, 24)) * (fixed.random((24, 24)) < 0.3)
     np.fill_diagonal(off, 0.0)
-    return from_offdiagonal(off).entries
+    return from_offdiagonal(off)
 
 
 @pytest.mark.parametrize("make", [_switching_time_average, _dense_constant],
