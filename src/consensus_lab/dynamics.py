@@ -24,9 +24,9 @@ Two paths step the pieces, and both write the nodes of a whole piece in
 place, into times and states that each run allocates once.
 
 An undelayed piece is linear, A(t) = c(t) B with c = 1 on a constant
-piece, so one RK4 step is a matrix: x+ = Phi_j x, applied by the gemv call
-of Phi_j @ x, written straight into the node's row.  On a constant piece
-Phi is one matrix, _rk4_transfer.  On a sinusoidal piece write
+piece, so one RK4 step is a matrix, x+ = Phi_j x, one gemv into the
+node's row; _transfers yields the Phi_j, on a constant piece the one
+matrix _rk4_transfer.  On a sinusoidal piece write
 H = h B and c1, c2, c4 for the profile at the step's start, middle and
 end (both middle stages read the middle).  The stages of one step from x
 are
@@ -135,14 +135,17 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import (
     HistoryGap,
+    InvalidSpec,
     NonFiniteState,
     OutOfHorizon,
     StepTooLargeWarning,
@@ -242,6 +245,19 @@ def _advise_on_step(h: float, bound: float):
         )
 
 
+def _require_memory(span: float, h: float, row_bytes: int):
+    """InvalidSpec unless the node arrays of a run, about span / h rows of
+    row_bytes each, fit in physical memory.  Checked before any loop or
+    allocation, so a tiny step or delay is refused at once instead of
+    failing in numpy or looping for ever over its windows; span / h may be
+    inf, which is refused too."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if not span / h * row_bytes <= memory:
+        raise InvalidSpec(
+            f"step {h!r} over a span of {span!r} needs about {span / h:.3g} "
+            f"nodes; physical memory holds {memory // row_bytes} of them")
+
+
 def _pieces(schedule: CouplingSchedule, t0: float, t1: float):
     """Yield (a, b, i) covering [t0, t1] with schedule piece i, cut at the
     schedule breakpoints.
@@ -304,12 +320,10 @@ def _drives(schedule: CouplingSchedule, piece: int, times, xd: np.ndarray,
     delayed inputs xd (one row per time): d = c diag(B) and u = c off xd
     with c = c(t) and off = B - diag(B), or d = 0 and off = B with
     delay_diagonal.  The drives of all the times are one matmul,
-    xd @ off.T.  On a constant piece d is a broadcast of one row."""
+    xd @ off.T; c is exactly 1.0 on a constant piece."""
     B = schedule.couplings[piece]
     d = np.zeros(len(B)) if delay_diagonal else B.diagonal()
     u = xd @ (B - np.diag(d)).T
-    if schedule.constant[piece]:
-        return np.broadcast_to(d, u.shape), u
     c = schedule.profile(piece, times)[:, None]
     u *= c
     return c * d, u
@@ -386,23 +400,26 @@ def _march(x: np.ndarray, schedule: CouplingSchedule, piece: int, a: float,
 _BLOCK_ENTRIES = 2 ** 12
 
 
-def _sinusoidal_transfers(x: np.ndarray, schedule: CouplingSchedule,
-                          piece: int, a: float, grid: np.ndarray, h: float,
-                          xs: np.ndarray) -> np.ndarray:
-    """Step an undelayed sinusoidal piece from (a, x) through grid by
-    x <- Phi_j x (module docstring), node j into xs[j].  The powers of
-    H = h B come once per piece, by 2-d matmul; a block of steps at a time,
-    the profile, the a and the Phi_j come from broadcast ufuncs, the Phi_j
-    summed from the left, so each has the bits of a build on its own; no
-    gemm across the steps.  Each Phi_j @ x is one gemv, into its row."""
-    H = h * schedule.couplings[piece]
+def _transfers(schedule: CouplingSchedule, piece: int, a: float,
+               grid: np.ndarray, h: float):
+    """Yield blocks of the transfers Phi_j of an undelayed piece from a
+    through grid (module docstring): on a constant piece its _rk4_transfer
+    once per step.  On a sinusoidal one the powers of H = h B come once, by
+    2-d matmul; a block of steps at a time, the profile, the a and the Phi_j
+    come from broadcast ufuncs, the Phi_j summed from the left, so each has
+    the bits of a build on its own; no gemm across the steps."""
+    B = schedule.couplings[piece]
+    if schedule.constant[piece]:
+        yield repeat(_rk4_transfer(B, h), len(grid))
+        return
+    H = h * B
     powers = [H]
     for _ in range(3):
         powers.append(powers[-1] @ H)
-    eye = np.eye(len(x))
+    eye = np.eye(len(B))
     node_t = np.concatenate(([a], grid))
     m = len(grid)
-    size = max(1, _BLOCK_ENTRIES // x.size ** 2)
+    size = max(1, _BLOCK_ENTRIES // B.size)
     for lo in range(0, m, size):
         hi = min(lo + size, m)
         c = schedule.profile(piece, node_t[lo:hi + 1])
@@ -413,9 +430,7 @@ def _sinusoidal_transfers(x: np.ndarray, schedule: CouplingSchedule,
         phi = eye
         for alpha, power in zip(alphas, powers):
             phi = phi + alpha[:, None, None] * power
-        for phi_j, row in zip(phi, xs[lo:hi]):
-            x = np.matmul(phi_j, x, out=row)
-    return x
+        yield phi
 
 
 def _require_finite(x: np.ndarray, t: float, h: float, bound: float):
@@ -445,6 +460,7 @@ def simulate_ode(
     if x.shape != (n,):
         raise ValueError(f"x0 must have shape ({n},), got {x.shape}")
     h_target = _step_target(step, schedule, t1 - t0)
+    _require_memory(t1 - t0, h_target, 8 * (n + 1))
     _advise_on_step(h_target, schedule.bound)
 
     pieces = [(i, a, *_substeps(a, b, h_target))
@@ -454,14 +470,11 @@ def simulate_ode(
     states = np.empty((len(times), n))
     states[0], k = x, 1
     for i, a, m, h, grid in pieces:
-        xs, k = states[k:k + m], k + m
-        if schedule.constant[i]:
-            phi = _rk4_transfer(schedule.couplings[i], h)
-            # The gemv call of phi @ x, written straight into its row.
-            for row in xs:
-                x = np.matmul(phi, x, out=row)
-        else:
-            x = _sinusoidal_transfers(x, schedule, i, a, grid, h, xs)
+        transfers = chain.from_iterable(_transfers(schedule, i, a, grid, h))
+        # The gemv call of phi @ x, written straight into its row.
+        for phi, row in zip(transfers, states[k:k + m]):
+            x = np.matmul(phi, x, out=row)
+        k += m
         _require_finite(x, grid[-1], h, schedule.bound)
     meta = {
         "method": "rk4",
@@ -551,6 +564,12 @@ class DelayHistory:
     def __post_init__(self):
         if not (self.tau > 0.0):
             raise ValueError(f"tau must be positive, got {self.tau!r}")
+        if (np.ndim(self.times) != 1 or np.ndim(self.states) != 2
+                or np.shape(self.derivs) != np.shape(self.states)
+                or len(self.states) != len(self.times)):
+            raise ValueError(
+                "history needs 1-d times and 2-d states and derivs, with "
+                "one row per time and equal widths")
         if np.any(np.diff(self.times) <= 0.0):
             raise ValueError("history times must be strictly increasing")
         # t_end - tau rounds at the spacing of floats near t_end.
@@ -623,6 +642,8 @@ def simulate_dde(
         raise ValueError(
             f"history has {hist.states.shape[1]} components, schedule has {n}")
     h_target = min(_step_target(step, schedule, t1 - t0, tau), tau)
+    # h_target <= tau, so this bounds the tau-windows too.
+    _require_memory(t1 - t0, h_target, 8 * (3 * n + 1))
     _advise_on_step(h_target, schedule.bound)
     # Delayed reads clamp within the slack that _coerce_history grants, so
     # every history it accepts reads at t0 - tau and at t0.

@@ -172,4 +172,5 @@ class ValidationError(ConsensusLabError):
 
 
 class InvalidSpec(ConsensusLabError):
-    """A topology generator spec is not satisfiable."""
+    """A topology generator spec is not satisfiable, or a run's step or
+    delay is so small that its nodes cannot fit in physical memory."""

@@ -135,19 +135,13 @@ class SinusoidalCoupling:
     """Fixed coupling B scaled by the profile c(t) = 1 + depth sin(2 pi t / period).
 
     B is built from non-negative off-diagonal base weights by
-    from_offdiagonal.  |depth| may not exceed 1, so c(t) >= 0 and every A(t)
-    is a valid coupling matrix; (1 + |depth|) max|B| bounds its entries and
-    is attained on any piece that spans a period.
+    from_offdiagonal, which checks them.  |depth| may not exceed 1, so
+    c(t) >= 0 and every A(t) is a valid coupling matrix; (1 + |depth|) max|B|
+    bounds its entries and is attained on any piece that spans a period.
     """
 
     def __init__(self, base_offdiagonal, depth: float, period: float):
-        base = np.array(base_offdiagonal, dtype=float)
-        if base.ndim != 2 or base.shape[0] != base.shape[1]:
-            raise InvalidSpec(f"base weights must be square, got {base.shape}")
-        if np.any(np.diag(base) != 0.0):
-            raise InvalidSpec("base weights must have a zero diagonal")
-        if np.any(base < 0.0):
-            raise InvalidSpec("base weights must be non-negative")
+        base = _as_matrices(base_offdiagonal, (2,))
         if not (abs(depth) <= 1.0):
             raise InvalidSpec(f"depth must lie in [-1, 1], got {depth!r}")
         if not (period > 0.0):
@@ -203,11 +197,10 @@ class CouplingSchedule:
         return (self.t_start, self.t_end)
 
     def profile(self, i: int, times) -> np.ndarray:
-        """c_i(t) for every t in times, from math.sin on Python floats."""
-        depth, period = float(self.depths[i]), float(self.periods[i])
-        return np.array([
-            1.0 + depth * math.sin(2.0 * math.pi * t / period)
-            for t in np.asarray(times, dtype=float).tolist()])
+        """c_i(t) for every t in times: exactly 1.0 on a constant piece,
+        whose depth is 0."""
+        return 1.0 + self.depths[i] * np.sin(
+            2.0 * math.pi * np.asarray(times, dtype=float) / self.periods[i])
 
     def entries_over(self, i: int, times) -> np.ndarray:
         """A(t) of piece i for every t in times, as a (len(times), n, n)
@@ -284,8 +277,6 @@ def _locate_piece(schedule: CouplingSchedule, t: float) -> int:
 def evaluate_schedule(schedule: CouplingSchedule, t: float) -> np.ndarray:
     """Evaluate A(t), read-only; right-continuous at breakpoints."""
     i = _locate_piece(schedule, t)
-    if schedule.constant[i]:
-        return schedule.couplings[i]
     return validate_coupling_matrix(schedule.entries_over(i, [t])[0])
 
 

@@ -375,15 +375,16 @@ def _arc_coupling(keys: _Keys, n: int, bidirectional: bool = False):
 
 def _periods(t0: float, t1: float, length: float):
     """Consecutive intervals of ``length`` covering [t0, t1]; the last one
-    is cut at t1."""
-    start = t0
+    is cut at t1.  End k is t0 + k length, rounded once, so far from t = 0
+    the pieces do not take on the rounded length of the first one."""
+    start, k = t0, 1
     while start < t1 - 1e-12:
-        end = min(start + length, t1)
+        end = min(t0 + k * length, t1)
         if not end > start:
             raise InvalidSpec(
                 f"a period of {length} does not advance past t = {start}")
         yield start, end
-        start = end
+        start, k = end, k + 1
 
 
 def _constant(keys, n, seed):
@@ -628,6 +629,9 @@ def _lemma(keys, config):
     if not isinstance(group, list) or not group:
         raise ValidationError(keys.path("group"), "expected a non-empty list")
     group = [_node(v, config.n, keys.path("group")) for v in group]
+    if len(set(group)) == config.n:
+        raise ValidationError(keys.path("group"),
+                              "must leave at least one node outside the group")
     window = keys("window", _positive)
     t_start = keys("t_start", _number, config.t0)
     slack = keys("slack", _positive)

@@ -904,6 +904,18 @@ class TestDde:
         with pytest.raises(HistoryGap, match="past t0"):
             simulate_dde(sch, 1.0, hist, 0.0, 3.0)
 
+    @pytest.mark.parametrize("times, rows, width", [
+        ([-1.0, 0.0], 3, 2),
+        ([-1.0, -0.5, 0.0], 2, 2),
+        ([-1.0, 0.0], 2, 3),
+    ], ids=["derivs-rows", "times-rows", "derivs-width"])
+    def test_history_shapes_are_checked(self, times, rows, width):
+        # Before the check the first ran silently and the second raised
+        # IndexError deep inside simulate_dde.
+        with pytest.raises(ValueError, match="one row per time"):
+            DelayHistory(tau=1.0, times=np.array(times),
+                         states=np.ones((2, 2)), derivs=np.zeros((rows, width)))
+
     def test_half_step_self_agreement(self):
         # Every node of the coarse run is every second node of the fine
         # one; they agree over the last window.

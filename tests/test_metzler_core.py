@@ -33,8 +33,8 @@ from consensus_lab import metzler_core
 from consensus_lab.scenario_cli import SinusoidalCoupling
 
 from conftest import (brute_first_negative, brute_window_integral,
-                      chain_matrix, quadrature_window_integral, random_metzler,
-                      scaled_coupling)
+                      chain_matrix, profile_at, quadrature_window_integral,
+                      random_metzler, scaled_coupling)
 
 
 def family_at(family, t):
@@ -434,6 +434,24 @@ class TestSinusoidalCoupling:
         view = const.entries_over(0, times[:5])
         assert view.shape == (5, 4, 4)
         assert all(np.array_equal(e, const.couplings[0]) for e in view)
+
+
+    def test_profile_is_math_sin_bit_for_bit(self, rng):
+        # The numpy profile against conftest.profile_at, math.sin on Python
+        # floats: a platform whose np.sin rounds otherwise fails here.
+        times = np.concatenate([np.linspace(-1e6, 1e6, 100_001),
+                                rng.uniform(-1e6, 1e6, 20_000),
+                                rng.uniform(-10.0, 10.0, 20_000)])
+        depths = (1.0, -1.0, 0.37, -0.82, 1e-3)
+        periods = (1.0, 0.7, 3.0, 2.0 ** -5, 12345.6)
+        sch = build_schedule([
+            (float(i), i + 1.0,
+             SinusoidalCoupling([[0.0, 1.0], [1.0, 0.0]], depth, period))
+            for i, (depth, period) in enumerate(zip(depths, periods))])
+        for i, (depth, period) in enumerate(zip(depths, periods)):
+            want = np.array([profile_at(depth, period, t)
+                             for t in times.tolist()])
+            assert sch.profile(i, times).tobytes() == want.tobytes()
 
 
 class TestWindowStack:

@@ -412,6 +412,15 @@ initial_state: [1.0, -1.0]
         with pytest.raises(ValidationError, match=r"\.window: .*horizon"):
             parse_config(text)
 
+    @pytest.mark.parametrize("group", [[1, 2], [2, 1, 2]])
+    def test_lemma_group_must_leave_a_node_out(self, group):
+        # Nothing outside the group: the lemma has no complement to trap.
+        text = scenario(analyses=[{"kind": "lemma", "group": group,
+                                   "window": 0.5}])
+        with pytest.raises(ValidationError,
+                           match=r"\(lemma\)\.group: .*outside the group"):
+            parse_config(text)
+
     def test_windows_that_just_fit_are_accepted(self):
         cfg = parse_config(scenario(nodes=3, initial_state=[1.0, 0.0, -1.0], analyses=[
             {"kind": "certificate", "delta": 0.1, "window": 0.5, "root": 1},
@@ -563,12 +572,24 @@ class TestTopologyGeneration:
             generate_topology(spec, 3, 0.0, 2.0, seed=4)
         assert str(generated.value) == str(parsed.value)
 
-    @pytest.mark.parametrize("length", [0.5, 0.25])
+    @pytest.mark.parametrize("length", [0.5, 0.25, 10.0])
     def test_period_below_the_float_spacing_rejected(self, length):
-        # At t = 1e17 floats are 16 apart, so t + length rounds back to t;
+        # At t = 1e17 floats are 16 apart, so t + length rounds back to t,
+        # or, for 10, t + 10 and t + 20 both round to t + 16;
         # alternating_leader_follower steps by half its period.
         with pytest.raises(InvalidSpec, match="does not advance"):
             list(itertools.islice(_periods(1e17, 1e17 + 100.0, length), 3))
+
+    def test_periods_keep_their_length_far_from_zero(self):
+        # End k is t0 + k length rounded once: at 1e15 floats are 0.125
+        # apart, so pieces of 0.3 take 0.25 or 0.375 and do not drift to
+        # 12 pieces of 0.25.
+        t0, t1 = 1e15, 1e15 + 3.0
+        spans = list(_periods(t0, t1, 0.3))
+        assert len(spans) == 10 and spans[-1][1] == t1
+        for k, (start, end) in enumerate(spans, 1):
+            assert end == t0 + k * 0.3
+            assert abs((end - start) - 0.3) <= 0.125
 
     def test_generate_topology_checks_the_horizon(self):
         for horizon in (0.0, INF, NAN):
@@ -908,6 +929,27 @@ class TestCommandLine:
         assert proc.returncode == 0, proc.stderr
         assert "verdict: PASS (exit 0)" in proc.stdout
         assert (tmp_path / "m" / "report.txt").exists()
+
+    @pytest.mark.parametrize("changes", [
+        {"step": 1.0e-300},
+        {"delay": {"tau": 1.0e-300}},
+    ], ids=["step", "tau"])
+    def test_tiny_step_or_delay_is_refused_at_once(self, tmp_path, changes):
+        # Its nodes could never fit in memory: refused before any loop or
+        # allocation, in a subprocess so that a hang fails within the timeout.
+        cfg = write(tmp_path, "tiny.yaml", scenario(
+            topology={"kind": "constant", "weights": [[0.0, 1.0], [1.0, 0.0]]},
+            **changes))
+        src = os.path.dirname(os.path.dirname(consensus_lab.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "consensus_lab", "run", cfg,
+             "--output-dir", str(tmp_path / "o")],
+            capture_output=True, text=True, env=env, check=False, timeout=30)
+        assert proc.returncode == 4, proc.stderr
+        assert "config error: step" in proc.stdout
+        assert "physical memory" in proc.stdout
+        assert not (tmp_path / "o" / "report.txt").exists()
 
     def test_version(self, capsys):
         assert main(["version"]) == 0
