@@ -25,7 +25,6 @@ from .errors import (
     NodeOutOfRange,
     NonFiniteEntry,
     NonFiniteState,
-    NormTooLarge,
     NotSymmetric,
     NoTrappedComponent,
     OrderingViolated,
@@ -45,7 +44,6 @@ from .metzler_core import (
     build_schedule,
     constant_schedule,
     coupling_entries,
-    evaluate_schedule,
     from_offdiagonal,
     integrate_schedule,
     integrate_windows,
@@ -71,10 +69,7 @@ from .lyapunov import (
     MonotonicityReport,
     audit_monotonicity,
     check_hypotheses,
-    column_sums_zero,
-    matrix_exponential,
     monotonicity_from_series,
-    symmetric_part_nsd,
 )
 from .certify import (
     CertificateReport,

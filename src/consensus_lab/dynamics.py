@@ -139,7 +139,7 @@ import os
 import warnings
 from dataclasses import dataclass, field
 from itertools import chain, repeat
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -245,17 +245,34 @@ def _advise_on_step(h: float, bound: float):
         )
 
 
-def _require_memory(span: float, h: float, row_bytes: int):
-    """InvalidSpec unless the node arrays of a run, about span / h rows of
-    row_bytes each, fit in physical memory.  Checked before any loop or
-    allocation, so a tiny step or delay is refused at once instead of
-    failing in numpy or looping for ever over its windows; span / h may be
-    inf, which is refused too."""
+def _require_memory(count: float, item_bytes: int, cause: str, items: str,
+                    error: Callable[[str], Exception] = InvalidSpec):
+    """error(message) unless count items of item_bytes each fit in physical
+    memory.  Checked before any loop or allocation, so an input that could
+    never run is refused at once instead of failing in numpy or looping for
+    ever; count may be inf, which is refused too."""
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if not span / h * row_bytes <= memory:
-        raise InvalidSpec(
-            f"step {h!r} over a span of {span!r} needs about {span / h:.3g} "
-            f"nodes; physical memory holds {memory // row_bytes} of them")
+    if not count * item_bytes <= memory:
+        raise error(f"{cause} needs about {count:.3g} {items}; physical "
+                    f"memory holds {memory // item_bytes} of them")
+
+
+def _plan_step(schedule: CouplingSchedule, t0: float, t1: float,
+               step: Optional[float] = None,
+               tau: Optional[float] = None) -> float:
+    """The step target of a run over [t0, t1], at most tau on a delayed
+    run; InvalidSpec unless its about (t1 - t0) / h nodes fit in physical
+    memory: a time and a state each, and on a delayed run both one-sided
+    derivatives too (h <= tau, so this bounds the tau-windows as well).
+    Both simulators and the check command call it first."""
+    span, n = t1 - t0, schedule.n
+    h = _step_target(step, schedule, span, tau)
+    row_bytes = 8 * (n + 1)
+    if tau is not None:
+        h, row_bytes = min(h, tau), 8 * (3 * n + 1)
+    _require_memory(span / h, row_bytes,
+                    f"step {h!r} over a span of {span!r}", "nodes")
+    return h
 
 
 def _pieces(schedule: CouplingSchedule, t0: float, t1: float):
@@ -459,8 +476,7 @@ def simulate_ode(
     n = schedule.n
     if x.shape != (n,):
         raise ValueError(f"x0 must have shape ({n},), got {x.shape}")
-    h_target = _step_target(step, schedule, t1 - t0)
-    _require_memory(t1 - t0, h_target, 8 * (n + 1))
+    h_target = _plan_step(schedule, t0, t1, step)
     _advise_on_step(h_target, schedule.bound)
 
     pieces = [(i, a, *_substeps(a, b, h_target))
@@ -641,9 +657,7 @@ def simulate_dde(
     if hist.states.shape[1] != n:
         raise ValueError(
             f"history has {hist.states.shape[1]} components, schedule has {n}")
-    h_target = min(_step_target(step, schedule, t1 - t0, tau), tau)
-    # h_target <= tau, so this bounds the tau-windows too.
-    _require_memory(t1 - t0, h_target, 8 * (3 * n + 1))
+    h_target = _plan_step(schedule, t0, t1, step, tau)
     _advise_on_step(h_target, schedule.bound)
     # Delayed reads clamp within the slack that _coerce_history grants, so
     # every history it accepts reads at t0 - tau and at t0.

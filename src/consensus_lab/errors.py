@@ -97,10 +97,6 @@ class UnknownFunctional(ConsensusLabError):
     """A trajectory-functional name is not in the audit registry."""
 
 
-class NormTooLarge(ConsensusLabError):
-    """The scaled matrix norm exceeds what the exponential can certify."""
-
-
 class BalanceViolated(ConsensusLabError):
     """The weight vector is not a left null vector of the coupling."""
 

@@ -44,10 +44,9 @@ Claims for balanced coupling, each with the tests that check it:
   weighted:<f> is non-increasing on balanced runs
       tests/test_lyapunov.py::TestBalance::test_weighted_audits_pass_on_balanced_runs
 
-The negative-semidefiniteness test takes the eigenvalues of A + A' from
-LAPACK (numpy.linalg.eigvalsh).  numpy has no matrix exponential, so
-exp(At) is computed here by scaling and squaring with a truncated Taylor
-series.
+The first two are facts about the coupling, not about a run, so no code
+here computes them: the test takes the eigenvalues of A + A' from
+numpy.linalg.eigvalsh and exp(At) from scipy.linalg.expm.
 """
 
 from __future__ import annotations
@@ -63,17 +62,12 @@ from .errors import (
     EmptyVector,
     HypothesisUnverified,
     NegativeWeight,
-    NormTooLarge,
     NotSymmetric,
     UnknownFunction,
     UnknownFunctional,
 )
 from .dynamics import Trajectory, delayed_functional_series
 from .metzler_core import DEFAULT_ROW_TOL, coupling_entries
-
-# Beyond this infinity norm of A*t the squaring phase can no longer be
-# trusted to the advertised accuracy; refuse rather than return noise.
-_EXP_NORM_CAP = 1e4
 
 
 def _pwl(u):
@@ -88,50 +82,6 @@ CONVEX_REGISTRY: dict = {
     "relu": lambda u: np.maximum(u, 0.0),
     "pwl": _pwl,
 }
-
-
-# --------------------------------------------------------------------------
-# Symmetric-part definiteness and matrix exponential
-# --------------------------------------------------------------------------
-
-def symmetric_part_nsd(A, tol: float = 1e-10) -> bool:
-    """Whether A + A' has no eigenvalue above tol."""
-    entries = coupling_entries(A)
-    return bool(np.linalg.eigvalsh(entries + entries.T)[-1] <= tol)
-
-
-def column_sums_zero(A, tol: float = 1e-10) -> bool:
-    entries = coupling_entries(A)
-    return bool(np.max(np.abs(entries.sum(axis=0))) <= tol)
-
-
-def matrix_exponential(A, t: float = 1.0) -> np.ndarray:
-    """exp(A t) by scaling and squaring with a truncated Taylor series.
-
-    The scaled norm is held at or below 1/2, where the series converges to
-    machine precision in a few dozen terms.
-    """
-    B = coupling_entries(A) * t
-    norm = float(np.abs(B).sum(axis=1).max())
-    if norm > _EXP_NORM_CAP:
-        raise NormTooLarge(
-            f"|A t| norm {norm} exceeds cap {_EXP_NORM_CAP}; "
-            "split the interval instead")
-    squarings = 0
-    if norm > 0.5:
-        squarings = max(0, int(math.ceil(math.log2(norm / 0.5))))
-    C = B / (2.0 ** squarings)
-    n = C.shape[0]
-    result = np.eye(n) + C
-    term = C.copy()
-    for k in range(2, 60):
-        term = term @ C / k
-        result = result + term
-        if float(np.abs(term).max()) <= 1e-17 * max(1.0, float(np.abs(result).max())):
-            break
-    for _ in range(squarings):
-        result = result @ result
-    return result
 
 
 # --------------------------------------------------------------------------

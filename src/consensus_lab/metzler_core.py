@@ -274,12 +274,6 @@ def _locate_piece(schedule: CouplingSchedule, t: float) -> int:
     return max(bisect.bisect_right(schedule.starts.tolist(), t) - 1, 0)
 
 
-def evaluate_schedule(schedule: CouplingSchedule, t: float) -> np.ndarray:
-    """Evaluate A(t), read-only; right-continuous at breakpoints."""
-    i = _locate_piece(schedule, t)
-    return validate_coupling_matrix(schedule.entries_over(i, [t])[0])
-
-
 def integrate_windows(
     schedule: CouplingSchedule,
     starts,

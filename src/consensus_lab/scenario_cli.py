@@ -27,6 +27,7 @@ import functools
 import logging
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -35,7 +36,8 @@ import yaml
 
 from . import certify, csvfmt, lyapunov
 from .digraph import window_connectivity_report
-from .dynamics import Trajectory, simulate_dde, simulate_ode, spread_series
+from .dynamics import (Trajectory, _plan_step, _require_memory, simulate_dde,
+                       simulate_ode, spread_series)
 from .errors import (
     AmbiguousSpectrum,
     BalanceViolated,
@@ -46,7 +48,6 @@ from .errors import (
     InvalidSpec,
     NoConvergence,
     NonFiniteState,
-    NormTooLarge,
     NotSymmetric,
     NoTrappedComponent,
     OutOfHorizon,
@@ -77,7 +78,6 @@ EXIT_NUMERICAL = 5
 _NUMERICAL_ERRORS = (
     NoConvergence,
     AmbiguousSpectrum,
-    NormTooLarge,
     HistoryGap,
     WindowNotCovered,
     DegenerateSeries,
@@ -373,10 +373,21 @@ def _arc_coupling(keys: _Keys, n: int, bidirectional: bool = False):
     return couplings
 
 
-def _periods(t0: float, t1: float, length: float):
+# A listed span: a tuple of two floats and its slot in the list.
+_SPAN_BYTES = sys.getsizeof((0.0, 1.0)) + 2 * sys.getsizeof(0.0) + 8
+
+
+def _periods(t0: float, t1: float, length: float, matrix_bytes: int):
     """Consecutive intervals of ``length`` covering [t0, t1]; the last one
     is cut at t1.  End k is t0 + k length, rounded once, so far from t = 0
-    the pieces do not take on the rounded length of the first one."""
+    the pieces do not take on the rounded length of the first one.
+
+    Before the first is yielded, InvalidSpec when about (t1 - t0) / length
+    pieces would not fit in physical memory, each its listed span and the
+    matrix_bytes its schedule build holds for it."""
+    _require_memory((t1 - t0) / length, _SPAN_BYTES + matrix_bytes,
+                    f"a period of {length!r} over a span of {t1 - t0!r}",
+                    "pieces")
     start, k = t0, 1
     while start < t1 - 1e-12:
         end = min(t0 + k * length, t1)
@@ -458,8 +469,11 @@ def _alternating_leader_follower(keys, n, seed):
     def build(t0, t1):
         leaders = couplings(*([(k, leader) for k in range(n) if k != leader]
                               for leader in (0, 1)))
+        # Each piece shares one of the two couplings, and the schedule
+        # stacks a copy of it.
+        spans = _periods(t0, t1, half, 8 * n * n)
         return [(start, end, leaders[i % 2])
-                for i, (start, end) in enumerate(_periods(t0, t1, half))]
+                for i, (start, end) in enumerate(spans)]
     return build
 
 
@@ -486,7 +500,8 @@ def _random_switching(keys, n, seed):
 
     def build(t0, t1):
         rng = np.random.default_rng(draw_seed)
-        spans = list(_periods(t0, t1, period))
+        # Each piece has its row of off and its copy in the schedule stack.
+        spans = list(_periods(t0, t1, period, 16 * n * n))
         # Per period, in time order: the link mask, then the weights, the
         # draws that perfbench/scenarios.py repeats to check the runs.
         off = np.array([np.where(rng.random((n, n)) < prob,
@@ -560,9 +575,17 @@ def _connectivity(keys, config):
     delta = keys("delta", _positive)
     window = keys("window", _positive)
     sample_step = keys("sample_step", _positive)
-    if (config.t0 + config.horizon) - config.t0 < window:
+    span = (config.t0 + config.horizon) - config.t0 - window
+    if span < 0.0:
         raise ValidationError(
             keys.path("window"), f"{window} exceeds the horizon {config.horizon}")
+    # The scan keeps each window's start and its row of n root flags.
+    step, key = ((window / 10.0, "window") if sample_step is None
+                 else (sample_step, "sample_step"))
+    _require_memory(span / step + 1.0, 8 + config.n,
+                    f"a sample step of {step!r} over a span of {span!r}",
+                    "windows", functools.partial(ValidationError,
+                                                 keys.path(key)))
 
     def run(schedule, trajectory):
         report = window_connectivity_report(
@@ -879,8 +902,10 @@ def _cmd_check(args) -> int:
     for path in args.configs:
         try:
             config = load_config(path)
-            generate_topology(config.topology, config.n, config.t0,
-                              config.horizon, config.seed)
+            schedule = generate_topology(config.topology, config.n, config.t0,
+                                         config.horizon, config.seed)
+            _plan_step(schedule, config.t0, config.t0 + config.horizon,
+                       config.step, config.delay.tau if config.delay else None)
             print(f"{path}: ok ({config.n} nodes, "
                   f"{len(config.analyses)} analyses)")
         except (ConsensusLabError, OSError) as exc:

@@ -1,4 +1,6 @@
-"""Shared generators and brute-force oracles for the test suite.
+"""Shared generators and brute-force oracles for the test suite, and
+run_cli, which runs the command line in a subprocess with a capped
+address space.
 
 Oracles here deliberately take the dumbest correct route (per-node BFS,
 dense closed forms, adaptive quadrature, trapezoid refinement) so they
@@ -6,13 +8,18 @@ cannot share a bug with the code under test.
 """
 
 import math
+import os
+import resource
+import subprocess
+import sys
 from collections import deque
 
 import numpy as np
 import pytest
 
+import consensus_lab
 from consensus_lab import (OutOfHorizon, contraction_certificate,
-                           evaluate_schedule, from_offdiagonal, simulate_ode)
+                           from_offdiagonal, simulate_ode)
 from consensus_lab.dynamics import (_coerce_history, _drives, _hermite_many,
                                     _history_slack, _march, _rk4_transfer,
                                     _step_target, _substeps)
@@ -72,6 +79,12 @@ def scaled_coupling(B, depth, period, t):
     np.fill_diagonal(out, 0.0)
     np.fill_diagonal(out, -out.sum(axis=1))
     return out
+
+
+def coupling_at(schedule, t):
+    """A(t) of a schedule, right-continuous at its breakpoints; OutOfHorizon
+    outside it."""
+    return schedule.entries_over(_locate_piece(schedule, t), [t])[0]
 
 
 def piece_entries_at(schedule, i, t):
@@ -279,7 +292,7 @@ def brute_simulate_ode(schedule, x0, t0, t1, step=None, stages=False):
     x = np.array(x0, dtype=float)
     h_target = _step_target(step, schedule, t1 - t0)
     store = BruteStore()
-    store.append(t0, x, evaluate_schedule(schedule, t0) @ x)
+    store.append(t0, x, coupling_at(schedule, t0) @ x)
     for a, b, i in brute_pieces(schedule, t0, t1):
         m, h, grid = _substeps(a, b, h_target)
         if schedule.constant[i]:
@@ -309,7 +322,7 @@ def brute_simulate_dde(schedule, tau, history, t0, t1, step=None,
     x = _hermite_many([t0], *store.arrays(), clamp_slack=slack)[0]
     if abs(hist.times[-1] - t0) > 1e-12 * tau:
         xd0 = _hermite_many([t0 - tau], *store.arrays(), clamp_slack=slack)[0]
-        store.append(t0, x, form(evaluate_schedule(schedule, t0))(x, xd0))
+        store.append(t0, x, form(coupling_at(schedule, t0))(x, xd0))
     first = len(store.t) - 1
     w0 = t0
     while w0 < t1 - 1e-12 * max(1.0, abs(t1 - t0)):
@@ -467,6 +480,30 @@ def brute_trajectory_csv(path, trajectory, spreads):
         for t, row, v in zip(trajectory.times, trajectory.states, spreads):
             fh.write(",".join("%.17g" % float(value) for value in (t, *row, v))
                      + "\n")
+
+
+# The address space of a CLI subprocess: an input that allocates without
+# bound fails there, not on the machine.
+CLI_ADDRESS_SPACE = 2 * 2 ** 30
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS,
+                       (CLI_ADDRESS_SPACE, CLI_ADDRESS_SPACE))
+
+
+def run_cli(*args, timeout=30.0):
+    """``python -m consensus_lab *args`` in a subprocess with its address
+    space capped at CLI_ADDRESS_SPACE and one BLAS thread; a run past
+    timeout seconds raises subprocess.TimeoutExpired.  Returns the
+    CompletedProcess, with stdout and stderr as text."""
+    src = os.path.dirname(os.path.dirname(consensus_lab.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1")
+    return subprocess.run(
+        [sys.executable, "-m", "consensus_lab", *args], capture_output=True,
+        text=True, env=env, timeout=timeout, preexec_fn=_cap_address_space,
+        check=False)
 
 
 def witnessed_certificate(schedule, x0, t0, T, delta, root, step=None,

@@ -17,19 +17,16 @@ from scipy.linalg import expm as scipy_expm
 
 from consensus_lab import (
     build_schedule,
-    column_sums_zero,
     constant_schedule,
     delayed_functional_series,
     estimate_decay_rate,
     from_offdiagonal,
     generate_topology,
-    matrix_exponential,
     monotonicity_from_series,
     simulate_dde,
     simulate_ode,
     spectral_graph_equivalence,
     spread_series,
-    symmetric_part_nsd,
     verify_lemma_on_trajectory,
     window_connectivity_report,
 )
@@ -263,13 +260,13 @@ def test_c5_balance_equivalences(capsys):
         if i % 2 == 0:
             off = (off + off.T) / 2.0
         A = from_offdiagonal(off)
-        balanced = column_sums_zero(A)
-        mismatches += balanced != symmetric_part_nsd(A)
+        balanced = bool(np.abs(A.sum(axis=0)).max() <= 1e-10)
+        mismatches += balanced != bool(np.linalg.eigvalsh(A + A.T)[-1] <= 1e-10)
         if not balanced:
             continue
         balanced_seen += 1
         for t in (0.1, 1.0, 10.0):
-            P = matrix_exponential(A, t)
+            P = scipy_expm(A * t)
             worst_stochastic = max(
                 worst_stochastic,
                 float(np.max(np.abs(P.sum(axis=0) - 1.0))),

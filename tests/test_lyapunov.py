@@ -1,10 +1,7 @@
-"""Audit functionals, their hypotheses, eigen tests and the exponential.
+"""Audit functionals and their hypotheses.
 
-The 2x2 exponential oracle is the rank-one closed form: for
-A = [[-a, a], [b, -b]] and s = a + b,
-exp(At) = ( [[b, a], [b, a]] + e^{-st} [[a, -a], [-b, b]] ) / s.
-Larger cases are checked against scipy.linalg.expm.  Every entry of the
-audit table is checked against a per-node oracle in Python floats.
+Every entry of the audit table is checked against a per-node oracle in
+Python floats.
 """
 
 import ast
@@ -14,7 +11,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from consensus_lab import (
     AUDITS,
@@ -23,7 +19,6 @@ from consensus_lab import (
     EmptyVector,
     HypothesisUnverified,
     NegativeWeight,
-    NormTooLarge,
     NotSymmetric,
     SinusoidalCoupling,
     Trajectory,
@@ -32,68 +27,22 @@ from consensus_lab import (
     audit_monotonicity,
     build_schedule,
     check_hypotheses,
-    column_sums_zero,
     constant_schedule,
     delayed_functional_series,
     from_offdiagonal,
     lyapunov,
-    matrix_exponential,
     monotonicity_from_series,
     simulate_dde,
     simulate_ode,
-    symmetric_part_nsd,
 )
 
-from conftest import chain_matrix, random_metzler, symmetric_pair
-
-
-def expm_pair_oracle(a, b, t):
-    s = a + b
-    fixed = np.array([[b, a], [b, a]]) / s
-    decay = np.array([[a, -a], [-b, b]]) / s
-    return fixed + math.exp(-s * t) * decay
+from conftest import chain_matrix, symmetric_pair
 
 
 # Column-balanced but not symmetric: the directed 3-cycle 1 -> 2 -> 3 -> 1.
 CYCLE = np.array([[-1.0, 0.0, 1.0], [1.0, -1.0, 0.0], [0.0, 1.0, -1.0]])
 # p = (1, 2) is a left null vector: p'A = 0 with p != 1.
 WEIGHTED_PAIR = np.array([[-2.0, 2.0], [1.0, -1.0]])
-
-
-class TestEigenAndExp:
-    def test_nsd_detection(self):
-        assert symmetric_part_nsd(symmetric_pair())
-        assert not symmetric_part_nsd(np.array([[0.0, 0.0], [1.0, -1.0]]))
-
-    def test_column_sums(self):
-        assert column_sums_zero(symmetric_pair())
-        assert not column_sums_zero(chain_matrix())
-
-    def test_exponential_pair_closed_form(self):
-        A = np.array([[-1.0, 1.0], [2.0, -2.0]])
-        for t in (0.1, 0.7, 3.0):
-            ours = matrix_exponential(A, t)
-            assert np.max(np.abs(ours - expm_pair_oracle(1.0, 2.0, t))) < 1e-12
-
-    def test_exponential_matches_scipy(self, rng):
-        for _ in range(40):
-            n = int(rng.integers(2, 7))
-            A = random_metzler(rng, n)
-            t = float(rng.uniform(0.05, 5.0))
-            ours = matrix_exponential(A, t)
-            oracle = scipy.linalg.expm(np.asarray(A) * t)
-            assert np.max(np.abs(ours - oracle)) < 1e-10
-
-    def test_exponential_rows_stochastic(self, rng):
-        # zero row sums make exp(At) row-stochastic for any t >= 0
-        A = random_metzler(rng, 5)
-        E = matrix_exponential(A, 2.5)
-        assert np.allclose(E.sum(axis=1), 1.0, atol=1e-12)
-        assert np.all(E >= -1e-12)
-
-    def test_norm_cap(self):
-        with pytest.raises(NormTooLarge):
-            matrix_exponential(symmetric_pair(), 1e5)
 
 
 def _stored(rng, states):

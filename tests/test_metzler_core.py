@@ -21,7 +21,6 @@ from consensus_lab import (
     ScheduleError,
     build_schedule,
     constant_schedule,
-    evaluate_schedule,
     from_offdiagonal,
     integrate_schedule,
     integrate_windows,
@@ -33,8 +32,9 @@ from consensus_lab import metzler_core
 from consensus_lab.scenario_cli import SinusoidalCoupling
 
 from conftest import (brute_first_negative, brute_window_integral,
-                      chain_matrix, profile_at, quadrature_window_integral,
-                      random_metzler, scaled_coupling)
+                      chain_matrix, coupling_at, profile_at,
+                      quadrature_window_integral, random_metzler,
+                      scaled_coupling)
 
 
 def family_at(family, t):
@@ -233,14 +233,15 @@ class TestSchedules:
     def test_constant_schedule_roundtrip(self):
         sch = constant_schedule(chain_matrix(), 0.0, 4.0)
         assert sch.horizon == (0.0, 4.0)
-        assert np.array_equal(evaluate_schedule(sch, 1.7),
-                              chain_matrix())
+        assert np.array_equal(coupling_at(sch, 1.7), chain_matrix())
 
     def test_right_continuity_at_breakpoint(self):
         a = chain_matrix()
         b = 2.0 * chain_matrix()
         sch = build_schedule([(0.0, 1.0, a), (1.0, 3.0, b)])
-        assert np.array_equal(evaluate_schedule(sch, 1.0), b)
+        assert metzler_core._locate_piece(sch, 1.0) == 1
+        assert metzler_core._locate_piece(sch, 3.0) == 1
+        assert np.array_equal(coupling_at(sch, 1.0), b)
 
     def test_rejects_gap(self):
         a = chain_matrix()
@@ -261,7 +262,7 @@ class TestSchedules:
     def test_out_of_horizon(self):
         sch = constant_schedule(chain_matrix(), 0.0, 1.0)
         with pytest.raises(OutOfHorizon):
-            evaluate_schedule(sch, 2.0)
+            metzler_core._locate_piece(sch, 2.0)
 
 
 class TestWindowIntegrals:
@@ -428,8 +429,7 @@ class TestSinusoidalCoupling:
             for t, entries in zip(times, stack):
                 assert np.array_equal(entries, family_at(family, t))
                 assert np.array_equal(entries, family_at(family, float(t)))
-                assert np.array_equal(
-                    entries, evaluate_schedule(sch, float(t)))
+                assert np.array_equal(entries, coupling_at(sch, float(t)))
         const = build_schedule([(0.0, 1.0, random_metzler(rng, 4))])
         view = const.entries_over(0, times[:5])
         assert view.shape == (5, 4, 4)
@@ -481,12 +481,7 @@ class TestWindowStack:
         sch = _random_schedule(rng, 3, "mixed", 4.0)
         w = integrate_schedule(sch, 0.5, 2.0)
         assert np.array_equal(w, integrate_windows(sch, [0.5], 2.0)[0])
-        # A read-only result, at a constant piece and a sinusoidal one.
-        assert sch.constant[:2].tolist() == [True, False]
-        mids = (sch.starts + sch.ends) / 2.0
-        for arr in (w, evaluate_schedule(sch, float(mids[0])),
-                    evaluate_schedule(sch, float(mids[1]))):
-            assert not arr.flags.writeable
+        assert not w.flags.writeable
 
     def test_no_windows(self):
         sch = constant_schedule(chain_matrix(), 0.0, 1.0)

@@ -11,17 +11,12 @@ import ast
 import functools
 import itertools
 import math
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
-
-import consensus_lab
 
 from consensus_lab import (
     InvalidSpec,
@@ -29,7 +24,6 @@ from consensus_lab import (
     StepTooLargeWarning,
     Trajectory,
     ValidationError,
-    evaluate_schedule,
     generate_topology,
     integrate_schedule,
     parse_config,
@@ -39,7 +33,7 @@ from consensus_lab import (
 from consensus_lab import csvfmt, lyapunov
 from consensus_lab.scenario_cli import _periods, _write_trajectory_csv, main
 
-from conftest import brute_trajectory_csv
+from conftest import brute_trajectory_csv, coupling_at, run_cli
 
 
 RING_DEMO = """\
@@ -436,7 +430,7 @@ class TestTopologyGeneration:
     def test_ring_entries(self):
         cfg = parse_config(RING_DEMO)
         sch = generate_topology(cfg.topology, cfg.n, 0.0, 6.0, None)
-        A = evaluate_schedule(sch, 0.0)
+        A = coupling_at(sch, 0.0)
         for k in range(3):
             assert A[k, (k + 1) % 3] == 1.0
             assert A[(k + 1) % 3, k] == 0.0
@@ -446,7 +440,7 @@ class TestTopologyGeneration:
     def test_star_hub_selection(self):
         spec = {"kind": "star", "hub": 2, "weight": 0.5}
         sch = generate_topology(spec, 4, 0.0, 1.0, None)
-        A = evaluate_schedule(sch, 0.0)
+        A = coupling_at(sch, 0.0)
         hub = 1
         for k in range(4):
             if k != hub:
@@ -454,10 +448,10 @@ class TestTopologyGeneration:
                 assert A[hub, k] == 0.0
 
     def test_line_direction_flag(self):
-        both = evaluate_schedule(
+        both = coupling_at(
             generate_topology({"kind": "line"}, 3, 0.0, 1.0, None), 0.0)
         assert both[1, 0] == 1.0 and both[0, 1] == 1.0
-        directed = evaluate_schedule(
+        directed = coupling_at(
             generate_topology({"kind": "line", "bidirectional": False},
                               3, 0.0, 1.0, None), 0.0)
         assert directed[1, 0] == 1.0 and directed[0, 1] == 0.0
@@ -468,16 +462,16 @@ class TestTopologyGeneration:
         w = integrate_schedule(sch, 0.0, 2.0)
         assert w[0, 1] == pytest.approx(1.0, abs=1e-12)
         assert w[1, 0] == pytest.approx(1.0, abs=1e-12)
-        first = evaluate_schedule(sch, 0.0)
+        first = coupling_at(sch, 0.0)
         assert first[1, 0] == 1.0 and first[0, 1] == 0.0
 
     def test_alternating_broadcasts_to_all_followers(self):
         spec = {"kind": "alternating_leader_follower", "period": 1.0,
                 "weight": 2.0}
         sch = generate_topology(spec, 4, 0.0, 2.0, None)
-        A = evaluate_schedule(sch, 0.0)
+        A = coupling_at(sch, 0.0)
         assert all(A[k, 0] == 2.0 for k in range(1, 4))
-        B = evaluate_schedule(sch, 0.5)
+        B = coupling_at(sch, 0.5)
         assert B[0, 1] == 2.0 and B[2, 1] == 2.0 and B[3, 1] == 2.0
 
     def test_random_switching_reproducible(self):
@@ -517,8 +511,8 @@ class TestTopologyGeneration:
             {"until": 2.0, "weights": [[0.0, 0.0], [1.0, 0.0]]},
         ]}
         sch = generate_topology(spec, 2, 1.0, 2.0, None)
-        assert evaluate_schedule(sch, 1.5)[0, 1] == 1.0
-        assert evaluate_schedule(sch, 2.5)[1, 0] == 1.0
+        assert coupling_at(sch, 1.5)[0, 1] == 1.0
+        assert coupling_at(sch, 2.5)[1, 0] == 1.0
         with pytest.raises(InvalidSpec):
             generate_topology(spec, 2, 0.0, 5.0, None)
 
@@ -526,9 +520,9 @@ class TestTopologyGeneration:
         spec = {"kind": "sinusoidal", "depth": 0.5, "period": 1.0,
                 "weights": [[0.0, 2.0], [2.0, 0.0]]}
         sch = generate_topology(spec, 2, 0.0, 4.0, None)
-        at_zero = evaluate_schedule(sch, 0.0)
+        at_zero = coupling_at(sch, 0.0)
         assert at_zero[0, 1] == pytest.approx(2.0, abs=1e-12)
-        at_crest = evaluate_schedule(sch, 0.25)
+        at_crest = coupling_at(sch, 0.25)
         assert at_crest[0, 1] == pytest.approx(3.0, abs=1e-12)
         assert at_crest[0, 0] == pytest.approx(-3.0, abs=1e-12)
 
@@ -578,14 +572,14 @@ class TestTopologyGeneration:
         # or, for 10, t + 10 and t + 20 both round to t + 16;
         # alternating_leader_follower steps by half its period.
         with pytest.raises(InvalidSpec, match="does not advance"):
-            list(itertools.islice(_periods(1e17, 1e17 + 100.0, length), 3))
+            list(itertools.islice(_periods(1e17, 1e17 + 100.0, length, 0), 3))
 
     def test_periods_keep_their_length_far_from_zero(self):
         # End k is t0 + k length rounded once: at 1e15 floats are 0.125
         # apart, so pieces of 0.3 take 0.25 or 0.375 and do not drift to
         # 12 pieces of 0.25.
         t0, t1 = 1e15, 1e15 + 3.0
-        spans = list(_periods(t0, t1, 0.3))
+        spans = list(_periods(t0, t1, 0.3, 0))
         assert len(spans) == 10 and spans[-1][1] == t1
         for k, (start, end) in enumerate(spans, 1):
             assert end == t0 + k * 0.3
@@ -920,12 +914,7 @@ class TestCommandLine:
 
     def test_python_dash_m(self, tmp_path):
         cfg = write(tmp_path, "demo.yaml", RING_DEMO)
-        src = os.path.dirname(os.path.dirname(consensus_lab.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-m", "consensus_lab", "run", cfg,
-             "--output-dir", str(tmp_path / "m")],
-            capture_output=True, text=True, env=env, check=False)
+        proc = run_cli("run", cfg, "--output-dir", str(tmp_path / "m"))
         assert proc.returncode == 0, proc.stderr
         assert "verdict: PASS (exit 0)" in proc.stdout
         assert (tmp_path / "m" / "report.txt").exists()
@@ -940,15 +929,41 @@ class TestCommandLine:
         cfg = write(tmp_path, "tiny.yaml", scenario(
             topology={"kind": "constant", "weights": [[0.0, 1.0], [1.0, 0.0]]},
             **changes))
-        src = os.path.dirname(os.path.dirname(consensus_lab.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-m", "consensus_lab", "run", cfg,
-             "--output-dir", str(tmp_path / "o")],
-            capture_output=True, text=True, env=env, check=False, timeout=30)
+        proc = run_cli("run", cfg, "--output-dir", str(tmp_path / "o"))
         assert proc.returncode == 4, proc.stderr
         assert "config error: step" in proc.stdout
         assert "physical memory" in proc.stdout
+        assert not (tmp_path / "o" / "report.txt").exists()
+
+    @pytest.mark.parametrize("changes", [
+        {"step": 1.0e-300},
+        {"delay": {"tau": 1.0e-300}},
+        {"horizon": 1.0e8, "topology": SWITCHING},
+        {"horizon": 1.0e150, "topology": SWITCHING},
+        {"horizon": 1.0e8, "topology": {
+            "kind": "alternating_leader_follower", "period": 1.0}},
+        {"horizon": 4.0, "analyses": [{"kind": "connectivity", "delta": 0.1,
+                                       "window": 1.0, "sample_step": 1.0e-9}]},
+        {"horizon": 4.0, "analyses": [{"kind": "connectivity", "delta": 0.1,
+                                       "window": 1.0, "sample_step": 1.0e-300}]},
+        {"horizon": 4.0, "analyses": [{"kind": "connectivity", "delta": 0.1,
+                                       "window": 1.0e-10}]},
+    ], ids=["step", "tau", "switching-1e8", "switching-1e150",
+            "alternating-1e8", "sample-step-1e-9", "sample-step-1e-300",
+            "window-1e-10"])
+    def test_check_refuses_what_run_refuses_before_it_allocates(
+            self, tmp_path, changes):
+        # Inputs whose nodes, switching pieces or connectivity windows could
+        # never fit in memory exit 4 from both commands, at once and with no
+        # traceback; the address-space cap of run_cli keeps a regression
+        # from allocating on the machine.
+        cfg = write(tmp_path, "huge.yaml", scenario(**changes))
+        for args in (["check", cfg],
+                     ["run", cfg, "--output-dir", str(tmp_path / "o")]):
+            proc = run_cli(*args, timeout=10.0)
+            assert proc.returncode == 4, (args[0], proc.stdout, proc.stderr)
+            assert "physical memory holds" in proc.stdout, args[0]
+            assert "Traceback" not in proc.stderr, args[0]
         assert not (tmp_path / "o" / "report.txt").exists()
 
     def test_version(self, capsys):
