@@ -120,14 +120,15 @@ X^ = 2 X.
 C is the product of the g over the windows times the sum of the other
 terms over the steps and chunks.
 
-A trajectory is its times and states.  The solution has corners at
-coupling discontinuities, but each interval [t_k, t_k+1] between nodes
-lies inside one schedule piece i, whose grid ends on its breakpoints, so
-on an undelayed run both derivatives of a Hermite read of the interval
-come from that piece: A_i(t_k) x_k and A_i(t_k+1) x_k+1.  interpolate_state
-finds i by bisection at the midpoint.  A delayed derivative
-d x + off x(t - tau) needs the history, so simulate_dde keeps both
-one-sided derivatives of its nodes for its own reads only.
+A trajectory is its times and states, and the delay of its run.  The
+solution has corners at coupling discontinuities, but each interval
+[t_k, t_k+1] between nodes lies inside one schedule piece i, whose grid
+ends on its breakpoints, so on an undelayed run both derivatives of a
+Hermite read of the interval come from that piece: A_i(t_k) x_k and
+A_i(t_k+1) x_k+1.  interpolate_state finds i by bisection at the
+midpoint.  A delayed derivative d x + off x(t - tau) needs the history,
+so simulate_dde keeps both one-sided derivatives of its nodes for its
+own reads only.
 """
 
 from __future__ import annotations
@@ -137,7 +138,7 @@ import functools
 import math
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Callable, Optional, Sequence
 
@@ -156,11 +157,14 @@ from .metzler_core import CouplingSchedule, _locate_piece
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Dense integrator output: states on a strictly increasing grid."""
+    """Dense integrator output: states on a strictly increasing grid, and
+    the delay of the run: tau (None for an undelayed run) and whether the
+    self terms were delayed too."""
 
     times: np.ndarray
     states: np.ndarray
-    meta: dict = field(default_factory=dict)
+    tau: Optional[float] = None
+    delay_diagonal: bool = False
 
     def __post_init__(self):
         if self.times.ndim != 1 or self.states.ndim != 2:
@@ -492,13 +496,7 @@ def simulate_ode(
             x = np.matmul(phi, x, out=row)
         k += m
         _require_finite(x, grid[-1], h, schedule.bound)
-    meta = {
-        "method": "rk4",
-        "requested_step": step,
-        "effective_step_target": h_target,
-        "schedule_bound": schedule.bound,
-    }
-    return Trajectory(times, states, meta=meta)
+    return Trajectory(times, states)
 
 
 # --------------------------------------------------------------------------
@@ -547,7 +545,7 @@ def interpolate_state(schedule: CouplingSchedule, trajectory: Trajectory,
     """State at time t of an undelayed run of schedule (ValueError on a
     delayed one), by cubic Hermite interpolation on the grid interval that
     holds t, with the derivatives of its piece (module docstring)."""
-    if "tau" in trajectory.meta:
+    if trajectory.tau is not None:
         raise ValueError("interpolate_state reads undelayed runs only")
     times, states = trajectory.times, trajectory.states
     k = min(max(int(np.searchsorted(times, t, side="right")) - 1, 0),
@@ -714,15 +712,7 @@ def simulate_dde(
             left[rows] = right[rows]
             k = rows.stop
             _require_finite(x, nodes[-1], h, schedule.bound)
-    meta = {
-        "method": "rk4-method-of-steps",
-        "tau": tau,
-        "delay_diagonal": delay_diagonal,
-        "requested_step": step,
-        "effective_step_target": h_target,
-        "schedule_bound": schedule.bound,
-    }
-    return Trajectory(times, states, meta=meta)
+    return Trajectory(times, states, tau=tau, delay_diagonal=delay_diagonal)
 
 
 # --------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 """Exception types raised across the library.
 
 Everything inherits from ConsensusLabError so callers can catch the whole
-family at once.  The CLI maps these onto its documented exit codes.
+family at once.  Each class declares exit_code, the code `consensus-lab run`
+ends with when the error stops a run or an analysis once the scenario file
+has loaded (an error in loading it is 4): 2 for a failed verdict, 3 for a
+hypothesis that does not hold or a theory that does not cover the run, 4
+for an input error, and 5, the base class's, for the rest.
 """
 
 from __future__ import annotations
@@ -9,6 +13,7 @@ from __future__ import annotations
 
 class ConsensusLabError(Exception):
     """Base class for all library errors."""
+    exit_code = 5
 
 
 # --- coupling matrices and schedules ---------------------------------------
@@ -47,6 +52,7 @@ class ScheduleError(ConsensusLabError):
 
 class OutOfHorizon(ConsensusLabError):
     """A time or window falls outside the schedule horizon."""
+    exit_code = 4
 
 
 # --- digraphs ---------------------------------------------------------------
@@ -99,6 +105,7 @@ class UnknownFunctional(ConsensusLabError):
 
 class BalanceViolated(ConsensusLabError):
     """The weight vector is not a left null vector of the coupling."""
+    exit_code = 3
 
     def __init__(self, t: float, residual: float):
         self.t, self.residual = t, residual
@@ -107,6 +114,7 @@ class BalanceViolated(ConsensusLabError):
 
 class NotSymmetric(ConsensusLabError):
     """The coupling matrix must be symmetric for this operation."""
+    exit_code = 3
 
 
 # --- certification ----------------------------------------------------------
@@ -121,6 +129,7 @@ class OrderingViolated(ConsensusLabError):
 
 class NoTrappedComponent(ConsensusLabError):
     """A certification stage found no component strictly trapped."""
+    exit_code = 2
 
     def __init__(self, stage: int, message: str = ""):
         self.stage = stage
@@ -131,7 +140,9 @@ class NoTrappedComponent(ConsensusLabError):
 
 
 class HypothesisUnverified(ConsensusLabError):
-    """The sampled connectivity hypothesis could not be confirmed."""
+    """The sampled connectivity hypothesis could not be confirmed, or the
+    theory of an analysis does not cover the run."""
+    exit_code = 3
 
 
 class DegenerateSeries(ConsensusLabError):
@@ -152,6 +163,7 @@ class AmbiguousSpectrum(ConsensusLabError):
 
 class ParseError(ConsensusLabError):
     """The scenario file is not syntactically valid."""
+    exit_code = 4
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
@@ -161,6 +173,7 @@ class ParseError(ConsensusLabError):
 
 class ValidationError(ConsensusLabError):
     """The scenario tree has a missing, unknown, or ill-typed field."""
+    exit_code = 4
 
     def __init__(self, field: str, message: str):
         self.field = field
@@ -170,3 +183,4 @@ class ValidationError(ConsensusLabError):
 class InvalidSpec(ConsensusLabError):
     """A topology generator spec is not satisfiable, or a run's step or
     delay is so small that its nodes cannot fit in physical memory."""
+    exit_code = 4

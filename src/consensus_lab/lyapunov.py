@@ -9,7 +9,7 @@ must move that way, and the runs it reads:
   spread                    non-increasing   none         undelayed
   max_component             non-increasing   none         undelayed
   min_component             non-decreasing   none         undelayed
-  delayed_spread            non-increasing   none         delayed (tau from its meta)
+  delayed_spread            non-increasing   none         delayed (its tau)
   sum_of_squares            non-increasing   1'A = 0      undelayed
   centered_sum_of_squares   non-increasing   1'A = 0      undelayed
   weighted:<f>              non-increasing   p'A = 0      undelayed
@@ -144,9 +144,9 @@ def _potential(run, p, B, f):
 
 
 def _delayed_spread(run, p, B, f):
-    if "tau" not in run.meta:
-        raise UnknownFunctional("delayed_spread needs a delayed run (tau in its meta)")
-    return delayed_functional_series(run, run.meta["tau"])[1]
+    if run.tau is None:
+        raise UnknownFunctional("delayed_spread needs a delayed run")
+    return delayed_functional_series(run, run.tau)[1]
 
 
 AUDITS = {

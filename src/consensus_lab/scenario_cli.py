@@ -11,8 +11,13 @@ the output directory and exits with a code that scripts can branch on:
      p'A(t) = 0 of a sum-of-squares or weighted:<f> audit, or the symmetry
      of a potential audit; or the theory behind an analysis does not
      cover the run (a delayed run)
-  4  the scenario file is malformed
+  4  the scenario file is malformed, or its run could not fit in memory
   5  a numerical routine gave up, or a simulated state reached inf or NaN
+
+An error raised after loading carries its code as exit_code (errors
+module).  In an analysis it becomes that analysis's report line, tagged by
+its code; an input error (4), or one outside the analyses, stops the run
+before report.txt is written.
 
 Reruns of the same file are byte-identical: all stochastic generators
 require a seed, floats are written as "%.17g" (round-trip exact, though
@@ -38,25 +43,9 @@ from . import certify, csvfmt, lyapunov
 from .digraph import window_connectivity_report
 from .dynamics import (Trajectory, _plan_step, _require_memory, simulate_dde,
                        simulate_ode, spread_series)
-from .errors import (
-    AmbiguousSpectrum,
-    BalanceViolated,
-    ConsensusLabError,
-    DegenerateSeries,
-    HistoryGap,
-    HypothesisUnverified,
-    InvalidSpec,
-    NoConvergence,
-    NonFiniteState,
-    NotSymmetric,
-    NoTrappedComponent,
-    OutOfHorizon,
-    ParseError,
-    UnknownFunction,
-    UnknownFunctional,
-    ValidationError,
-    WindowNotCovered,
-)
+from .errors import (ConsensusLabError, HypothesisUnverified, InvalidSpec,
+                     ParseError, UnknownFunction, UnknownFunctional,
+                     ValidationError)
 from .metzler_core import (
     CouplingSchedule,
     SinusoidalCoupling,
@@ -74,16 +63,6 @@ EXIT_VERDICT = 2
 EXIT_HYPOTHESIS = 3
 EXIT_CONFIG = 4
 EXIT_NUMERICAL = 5
-
-_NUMERICAL_ERRORS = (
-    NoConvergence,
-    AmbiguousSpectrum,
-    HistoryGap,
-    WindowNotCovered,
-    DegenerateSeries,
-    NonFiniteState,
-)
-_HYPOTHESIS_ERRORS = (HypothesisUnverified, BalanceViolated, NotSymmetric)
 
 
 def _fmt(x: float) -> str:
@@ -552,10 +531,15 @@ def generate_topology(
     seed: Optional[int] = None,
 ) -> CouplingSchedule:
     """Check a topology spec as ``parse_config`` does, then build its
-    coupling schedule over [t0, t0 + horizon]."""
+    coupling schedule over [t0, t0 + horizon]; InvalidSpec when the
+    schedule cannot be built, an input error in ``check`` and ``run``."""
     build = _topology(spec, n, seed if seed is None else _seed(seed, "seed"))
     t0 = _number(t0, "t0")
-    return build_schedule(build(t0, t0 + _positive(horizon, "horizon")))
+    t1 = t0 + _positive(horizon, "horizon")
+    try:
+        return build_schedule(build(t0, t1))
+    except ConsensusLabError as exc:
+        raise InvalidSpec(str(exc)) from exc
 
 
 # --------------------------------------------------------------------------
@@ -629,7 +613,7 @@ def _audit(keys, config):
 
     def run(schedule, trajectory):
         lyapunov.check_hypotheses(names, schedule.couplings, schedule.starts,
-                                  weights, tau=trajectory.meta.get("tau"))
+                                  weights, tau=trajectory.tau)
         failures, worst = [], []
         for fname in names:
             # The potential runs on constant coupling: one piece.
@@ -665,9 +649,8 @@ def _lemma(keys, config):
             f"the horizon [{config.t0}, {t1}]")
 
     def run(schedule, trajectory):
-        if config.delay is not None:
-            raise HypothesisUnverified(
-                _delay_not_covered(config.delay, "the lemma"))
+        if trajectory.tau is not None:
+            raise HypothesisUnverified(_delay_not_covered(trajectory, "the lemma"))
         report = certify.verify_lemma_on_trajectory(
             schedule, trajectory, group, t_start, window, slack=slack)
         trapped = ",".join(str(v) for v in report.trapped) or "none"
@@ -678,15 +661,15 @@ def _lemma(keys, config):
     return run
 
 
-def _delay_not_covered(delay, analysis: str) -> str:
+def _delay_not_covered(trajectory: Trajectory, analysis: str) -> str:
     """Why an analysis built on the undelayed theory does not judge a
     delayed run."""
-    if delay.full:
+    if trajectory.delay_diagonal:
         return (f"{analysis} does not cover this run: the theory covers only "
                 f"delay in the off-diagonal terms, and this run delays the "
-                f"self terms too (tau={_fmt(delay.tau)}, full)")
+                f"self terms too (tau={_fmt(trajectory.tau)}, full)")
     return (f"{analysis} covers only undelayed runs and would certify the "
-            f"undelayed twin of this run (tau={_fmt(delay.tau)})")
+            f"undelayed twin of this run (tau={_fmt(trajectory.tau)})")
 
 
 def _certificate(keys, config):
@@ -704,9 +687,9 @@ def _certificate(keys, config):
             f"past the horizon end {config.t0 + config.horizon}")
 
     def run(schedule, trajectory):
-        if config.delay is not None:
+        if trajectory.tau is not None:
             raise HypothesisUnverified(
-                _delay_not_covered(config.delay, "the contraction certificate"))
+                _delay_not_covered(trajectory, "the contraction certificate"))
         report = certify.contraction_certificate(
             schedule, trajectory, config.t0, window, delta, root,
             verify_hypothesis=verify, slack_factor=slack_factor)
@@ -724,9 +707,9 @@ def _spectral(keys, config):
     options = {} if gap_tol is None else {"gap_tol": gap_tol}
 
     def run(schedule, trajectory):
-        if config.delay is not None and config.delay.full:
+        if trajectory.delay_diagonal:
             raise HypothesisUnverified(
-                _delay_not_covered(config.delay, "the spectral cross-check"))
+                _delay_not_covered(trajectory, "the spectral cross-check"))
         if len(schedule.constant) == 1 and schedule.constant[0]:
             matrix = schedule.couplings[0]
             source = "constant coupling"
@@ -764,26 +747,34 @@ def _analyses(config: ScenarioConfig) -> list:
     return out
 
 
-def _run_analysis(kind, run, schedule, trajectory) -> AnalysisResult:
-    try:
-        passed, detail = run(schedule, trajectory)
-    except _HYPOTHESIS_ERRORS as exc:
-        return AnalysisResult(kind, "hypothesis", str(exc))
-    except NoTrappedComponent as exc:
-        return AnalysisResult(kind, "fail", str(exc))
-    except _NUMERICAL_ERRORS as exc:
-        return AnalysisResult(kind, "numerical",
-                              f"{type(exc).__name__}: {exc}")
-    return AnalysisResult(kind, "pass" if passed else "fail", detail)
-
-
-# Report tag and exit code of each analysis status.
+# Report tag and exit code of each analysis status.  An error that ends an
+# analysis gives it the status of the error's exit_code.
 _STATUS = {
     "pass": ("[PASS]", EXIT_PASS),
     "fail": ("[FAIL]", EXIT_VERDICT),
     "hypothesis": ("[HYPOTHESIS]", EXIT_HYPOTHESIS),
     "numerical": ("[ERROR]", EXIT_NUMERICAL),
 }
+_ERROR_STATUS = {code: status for status, (_, code) in _STATUS.items()}
+
+
+def _describe(exc: ConsensusLabError) -> str:
+    """The message of an error, after its class name if it has exit 5."""
+    if exc.exit_code == EXIT_NUMERICAL:
+        return f"{type(exc).__name__}: {exc}"
+    return str(exc)
+
+
+def _run_analysis(kind, run, schedule, trajectory) -> AnalysisResult:
+    """The verdict of one analysis, or the status of the error that ended
+    it; an input error (exit 4) ends the run instead."""
+    try:
+        passed, detail = run(schedule, trajectory)
+    except ConsensusLabError as exc:
+        if exc.exit_code == EXIT_CONFIG:
+            raise
+        return AnalysisResult(kind, _ERROR_STATUS[exc.exit_code], _describe(exc))
+    return AnalysisResult(kind, "pass" if passed else "fail", detail)
 
 
 def _write_trajectory_csv(path: str, trajectory: Trajectory, spreads):
@@ -860,6 +851,11 @@ def run_scenario(config: ScenarioConfig, output_dir: str) -> int:
 # Command line front end
 # --------------------------------------------------------------------------
 
+# How the line of an error that stops a run begins, by its exit_code.
+_STOPPED = {EXIT_VERDICT: "verdict failed", EXIT_HYPOTHESIS: "hypothesis unverified",
+            EXIT_CONFIG: "config error", EXIT_NUMERICAL: "numerical failure"}
+
+
 def _cmd_run(args) -> int:
     try:
         config = load_config(args.config)
@@ -869,21 +865,18 @@ def _cmd_run(args) -> int:
     out = args.output_dir or _stem(args.config) + "_out"
     try:
         return run_scenario(config, out)
-    except (ParseError, ValidationError, InvalidSpec, OutOfHorizon) as exc:
-        print(f"config error: {exc}")
-        return EXIT_CONFIG
-    except _HYPOTHESIS_ERRORS as exc:
-        print(f"hypothesis unverified: {exc}")
-        return EXIT_HYPOTHESIS
-    except _NUMERICAL_ERRORS as exc:
-        print(f"numerical failure: {type(exc).__name__}: {exc}")
-        return EXIT_NUMERICAL
     except ConsensusLabError as exc:
-        print(f"error: {type(exc).__name__}: {exc}")
-        return EXIT_NUMERICAL
+        print(f"{_STOPPED[exc.exit_code]}: {_describe(exc)}")
+        return exc.exit_code
 
 
 def _cmd_batch(args) -> int:
+    stems = [_stem(path) for path in args.configs]
+    shared = [p for p, stem in zip(args.configs, stems) if stems.count(stem) > 1]
+    if shared:  # each file writes into the directory named after its stem
+        print(f"config error: {', '.join(shared)} would write the same "
+              f"output directories (one per file stem)")
+        return EXIT_CONFIG
     worst = EXIT_PASS
     for path in args.configs:
         sub = argparse.Namespace(

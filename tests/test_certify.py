@@ -24,6 +24,7 @@ from consensus_lab import (
     OrderingViolated,
     OutOfHorizon,
     PartitionCoupling,
+    Trajectory,
     beta_factor,
     build_schedule,
     constant_schedule,
@@ -234,6 +235,18 @@ class TestContractionCertificate:
         with pytest.raises(NoTrappedComponent) as err:
             witnessed_certificate(sch, [0.0, 1.0, -1.0], 0.0, 2.0,
                                     delta=0.1, root=1, step=0.001)
+        assert err.value.stage == 1
+
+    def test_no_complement_node_in_the_trap_bracket(self):
+        # A handed-in trajectory that holds still where the chain pulls
+        # node 1 from 1 toward 0: at the window end it lies above the trap
+        # bracket [0, 1/3].
+        sch = constant_schedule(chain_matrix(), 0.0, 2.0)
+        still = Trajectory(times=np.linspace(0.0, 2.0, 11),
+                           states=np.tile([1.0, 0.0], (11, 1)))
+        with pytest.raises(NoTrappedComponent,
+                           match="no complement node ended inside") as err:
+            contraction_certificate(sch, still, 0.0, 2.0, delta=0.1, root=2)
         assert err.value.stage == 1
 
     def test_span_must_fit_schedule(self):

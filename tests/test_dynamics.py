@@ -39,7 +39,8 @@ from consensus_lab import (
 from consensus_lab.dynamics import (_BLOCK_ENTRIES, _RK4_DISC_RADIUS,
                                     _SCAN_ROWS, _affine_steps, _drives,
                                     _hermite_many, _march, _pieces,
-                                    _rk4_transfer, _scan, _step_target,
+                                    _plan_step, _rk4_transfer, _scan,
+                                    _step_target,
                                     _substeps, _window_extremes)
 from consensus_lab.scenario_cli import SinusoidalCoupling
 
@@ -174,11 +175,13 @@ class TestOde:
             simulate_dde(sch, 0.5, [1.0, 0.0], 0.0, 1.0, step=step)
 
     def test_requested_step_recorded(self):
+        # The grid records the step: the requested one, or the planned
+        # default.
         sch = constant_schedule(chain_matrix(), 0.0, 1.0)
-        assert simulate_ode(sch, [1.0, 0.0], 0.0, 1.0).meta[
-            "requested_step"] is None
-        assert simulate_ode(sch, [1.0, 0.0], 0.0, 1.0, step=0.1).meta[
-            "requested_step"] == 0.1
+        assert simulate_ode(sch, [1.0, 0.0], 0.0, 1.0).times[1] == \
+            _plan_step(sch, 0.0, 1.0) == 0.05
+        np.testing.assert_allclose(np.diff(simulate_ode(
+            sch, [1.0, 0.0], 0.0, 1.0, step=0.1).times), 0.1)
 
     def test_stage_loop_matches_transfer_loop(self, rng):
         # depth 0 steps the sinusoidal transfer rule with c = 1, so
@@ -222,7 +225,7 @@ class TestOde:
         times = np.array([0.0, 1.0, 0.5])
         states = np.zeros((3, 2))
         with pytest.raises(ValueError):
-            Trajectory(times=times, states=states, meta={})
+            Trajectory(times=times, states=states)
 
 
 class TestOnDemandDerivatives:
@@ -245,7 +248,7 @@ class TestOnDemandDerivatives:
         x0 = rng.uniform(-1.0, 1.0, n)
         traj = simulate_ode(sch, x0, 0.0, span)
         # Pieces of 0.01 are one step long at the default step.
-        assert traj.meta["effective_step_target"] > 0.01
+        assert _plan_step(sch, 0.0, span) > 0.01
         brute = brute_simulate_ode(sch, x0, 0.0, span)
         queries = np.concatenate((rng.uniform(0.0, span, 60), edges,
                                   edges - 1e-9, edges + 1e-9))
@@ -266,8 +269,8 @@ class TestDefaultStep:
         sch = constant_schedule(from_offdiagonal(off), 0.0, 10.0)
         assert sch.bound == 2.5
         assert _step_target(None, sch, 10.0) == 1.0 / (20.0 * 2.5)
-        assert simulate_ode(sch, np.ones(n), 0.0, 10.0).meta[
-            "effective_step_target"] == 1.0 / (20.0 * 2.5)
+        assert _plan_step(sch, 0.0, 10.0) == 1.0 / (20.0 * 2.5)
+        assert simulate_ode(sch, np.ones(n), 0.0, 10.0).times[1] == 0.02
 
     def test_two_nodes_keep_the_former_rule_bitwise(self, rng):
         for w in np.concatenate(([1.0, 0.1, 3.0, 1e-7, 1e7],
@@ -876,8 +879,8 @@ class TestDde:
             v = t - 0.5
             d = 2.0 - 4.0 * t if v <= 0.0 else -4.0 * v + 4.0 * v * v
             assert x[0] == pytest.approx(d / 2.0, abs=1e-9)
-        assert traj.meta["delay_diagonal"] is True
-        assert traj.meta["tau"] == pytest.approx(0.5)
+        assert traj.delay_diagonal is True
+        assert traj.tau == 0.5
 
     def test_history_object_roundtrip(self):
         sch = constant_schedule(symmetric_pair(), 0.0, 2.0)

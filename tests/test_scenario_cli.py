@@ -30,7 +30,7 @@ from consensus_lab import (
     resolve_initial_state,
     run_scenario,
 )
-from consensus_lab import csvfmt, lyapunov
+from consensus_lab import csvfmt, errors, lyapunov, scenario_cli
 from consensus_lab.scenario_cli import _periods, _write_trajectory_csv, main
 
 from conftest import brute_trajectory_csv, coupling_at, run_cli
@@ -642,6 +642,65 @@ class TestCommandLine:
         assert main(["run", cfg, "--output-dir", str(tmp_path / "o")]) == 3
         assert "[HYPOTHESIS] certificate" in capsys.readouterr().out
 
+    def test_undelayed_lemma_runs_end_to_end(self, tmp_path, capsys):
+        cfg = write(tmp_path, "lemma.yaml", scenario(
+            nodes=3, horizon=2.0, topology={"kind": "ring"},
+            initial_state=[1.0, 0.0, -1.0],
+            analyses=[{"kind": "lemma", "group": [1], "window": 1.0}]))
+        out = tmp_path / "o"
+        assert main(["run", cfg, "--output-dir", str(out)]) == 0
+        report = (out / "report.txt").read_text()
+        assert re.search(r"^\[PASS\] lemma: beta=0\.036\d* trapped=\{3,2\} "
+                         r"group_within=True range_contained=True$",
+                         report, re.M), report
+        assert "verdict: PASS (exit 0)" in capsys.readouterr().out
+
+    def test_violated_audit_exits_2(self, tmp_path, capsys):
+        # h M = 1.2: inside the stability disc, but the transfer of this
+        # 4-node coupling has negative entries, and the largest component
+        # grows on the first step.
+        cfg = write(tmp_path, "violated.yaml", scenario(
+            nodes=4, horizon=2.0, step=0.4, initial_state=[2.0, 2.0, -2.0, 2.0],
+            topology={"kind": "constant", "weights": [
+                [0, 0, 3, 0], [2, 0, 0, 0], [0, 3, 0, 0], [0, 3, 0, 0]]},
+            analyses=[{"kind": "audit",
+                       "functionals": ["spread", "max_component"]}]))
+        out = tmp_path / "o"
+        assert main(["run", cfg, "--output-dir", str(out)]) == 2
+        report = (out / "report.txt").read_text()
+        assert re.search(r"^\[FAIL\] audit: violated by max_component; "
+                         r"spread: worst=0; max_component: worst=0\.07\d*$",
+                         report, re.M), report
+        assert "verdict: FAIL (exit 2)" in capsys.readouterr().out
+
+    def test_certificate_without_a_trap_reports_fail(self, tmp_path, capsys):
+        # Node 3 hears nobody: unchecked, stage 2 has nothing pulled toward
+        # the group {1, 2}.
+        cfg = write(tmp_path, "untrapped.yaml", scenario(
+            nodes=3, horizon=4.0, initial_state=[1.0, 0.0, -1.0],
+            topology={"kind": "constant",
+                      "weights": [[0, 1, 0], [1, 0, 0], [0, 0, 0]]},
+            analyses=[{"kind": "certificate", "delta": 0.1, "window": 1.0,
+                       "root": 1, "verify_hypothesis": False}]))
+        out = tmp_path / "o"
+        assert main(["run", cfg, "--output-dir", str(out)]) == 2
+        assert ("[FAIL] certificate: stage 2: no trapped component (trap "
+                "factor vanished" in (out / "report.txt").read_text())
+        assert "verdict: FAIL (exit 2)" in capsys.readouterr().out
+
+    def test_input_error_after_loading_exits_4(self, tmp_path, capsys):
+        # The pieces are checked at load time and built by run: one that
+        # stops short of the horizon is an input error of the build.
+        cfg = write(tmp_path, "short.yaml", scenario(horizon=3.0, topology={
+            "kind": "piecewise",
+            "pieces": [{"until": 1.0, "weights": [[0, 1], [1, 0]]}]}))
+        parse_config(Path(cfg).read_text())
+        out = tmp_path / "o"
+        assert main(["run", cfg, "--output-dir", str(out)]) == 4
+        assert ("config error: pieces cover [0.0, 1.0] but the horizon runs "
+                "to 3.0\n") in capsys.readouterr().out
+        assert not out.exists()
+
     @pytest.mark.parametrize("full", [True, False])
     def test_delayed_run_is_not_judged_by_undelayed_theory(self, tmp_path,
                                                            capsys, full):
@@ -874,6 +933,24 @@ class TestCommandLine:
         assert f"{good}: exit 0" in out
         assert f"{failing}: exit 2" in out
 
+    @pytest.mark.parametrize("output_dir", [True, False], ids=["root", "cwd"])
+    def test_batch_refuses_files_that_share_a_stem(self, tmp_path, capsys,
+                                                   monkeypatch, output_dir):
+        # a/x.yaml and b/x.yaml both write <root>/x (or x_out): the second
+        # one's outputs replaced the first one's, and both printed exit 0.
+        monkeypatch.chdir(tmp_path)
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+        paths = [write(tmp_path, "a/x.yaml", RING_DEMO),
+                 write(tmp_path, "b/x.yaml", ISOLATED_NODE),
+                 write(tmp_path, "y.yaml", RING_DEMO)]
+        root = ["--output-dir", str(tmp_path / "runs")] if output_dir else []
+        assert main(["batch", *paths, *root]) == 4
+        out = capsys.readouterr().out
+        assert out == (f"config error: {paths[0]}, {paths[1]} would write the "
+                       f"same output directories (one per file stem)\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b", "y.yaml"]
+
     def test_default_output_dir_is_config_stem(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         write(tmp_path, "demo.yaml", RING_DEMO)
@@ -899,10 +976,16 @@ class TestCommandLine:
         {"topology": {**SWITCHING, "seed": -1}},
         {"initial_state": {"distribution": "uniform", "low": -1.0, "high": 1.0,
                            "seed": -1}},
+        {"t0": 1e300, "horizon": 3.0},
+        {"horizon": 1e-300, "topology": {
+            "kind": "alternating_leader_follower", "period": 1.0}},
+        {"nodes": 3, "initial_state": [1, 0, -1], "topology": {
+            "kind": "ring", "weight": 1.5e308, "bidirectional": True}},
     ], ids=["inf-horizon", "nan-weight", "weights-diagonal", "audit-weights-text",
             "audit-weights-negative", "certificate-span", "lemma-window",
             "huge-weight", "analysis-without-kind", "analysis-not-a-mapping",
-            "negative-seed", "negative-topology-seed", "negative-draw-seed"])
+            "negative-seed", "negative-topology-seed", "negative-draw-seed",
+            "horizon-lost-at-t0", "no-switching-piece", "row-sum-overflow"])
     def test_malformed_files_exit_4_and_write_nothing(self, tmp_path, capsys,
                                                       changes):
         cfg = write(tmp_path, "bad.yaml", scenario(**changes))
@@ -969,6 +1052,91 @@ class TestCommandLine:
     def test_version(self, capsys):
         assert main(["version"]) == 0
         assert "consensus-lab 0.1.0" in capsys.readouterr().out
+
+
+# The documented exit code of every error class that does not have 5.
+EXIT_CODES = {"ParseError": 4, "ValidationError": 4, "InvalidSpec": 4,
+              "OutOfHorizon": 4, "HypothesisUnverified": 3,
+              "BalanceViolated": 3, "NotSymmetric": 3, "NoTrappedComponent": 2}
+ERRORS = sorted((cls for cls in vars(errors).values() if isinstance(cls, type)
+                 and issubclass(cls, errors.ConsensusLabError)),
+                key=lambda cls: cls.__name__)
+# Constructor arguments of the classes that take more than a message.
+ERROR_ARGS = {"NegativeOffDiagonal": (1, 2, -1.0), "NonFiniteEntry": (1, 2, INF),
+              "RowSumViolation": (1, 0.5), "BalanceViolated": (0.0, 3.0),
+              "NoTrappedComponent": (2,), "NonFiniteState": (1.0, "raised"),
+              "ValidationError": ("field", "raised")}
+# The report tag of each code, and how the line of an error that stops a
+# run begins.
+ERROR_TAGS = {2: "[FAIL]", 3: "[HYPOTHESIS]", 5: "[ERROR]"}
+STOPPED = {2: "verdict failed", 3: "hypothesis unverified", 4: "config error",
+           5: "numerical failure"}
+
+
+def _error(cls):
+    """An instance of cls, and how the CLI words it: a numerical error
+    (exit 5) after its class name."""
+    exc = cls(*ERROR_ARGS.get(cls.__name__, ("raised",)))
+    return exc, f"{cls.__name__}: {exc}" if cls.exit_code == 5 else str(exc)
+
+
+def _raise(exc):
+    def raiser(*args, **kwargs):
+        raise exc
+    return raiser
+
+
+class TestErrorExitCodes:
+    """Every error class ends `consensus-lab run` with its exit_code,
+    wherever it is raised once the file has loaded, and with 4 when it is
+    raised in loading."""
+
+    def test_declared_codes(self):
+        assert len(ERRORS) > 20 and errors.ConsensusLabError in ERRORS
+        assert set(EXIT_CODES) <= {cls.__name__ for cls in ERRORS}
+        for cls in ERRORS:
+            assert cls.exit_code == EXIT_CODES.get(cls.__name__, 5), cls
+
+    @pytest.mark.parametrize("cls", ERRORS, ids=lambda cls: cls.__name__)
+    def test_from_the_simulator(self, tmp_path, capsys, monkeypatch, cls):
+        exc, message = _error(cls)
+        monkeypatch.setattr(scenario_cli, "simulate_ode", _raise(exc))
+        cfg = write(tmp_path, "demo.yaml", RING_DEMO)
+        out = tmp_path / "o"
+        assert main(["run", cfg, "--output-dir", str(out)]) == cls.exit_code
+        assert capsys.readouterr().out.endswith(
+            f"{STOPPED[cls.exit_code]}: {message}\n")
+        assert not (out / "report.txt").exists()
+
+    @pytest.mark.parametrize("cls", ERRORS, ids=lambda cls: cls.__name__)
+    def test_from_an_analysis(self, tmp_path, capsys, monkeypatch, cls):
+        exc, message = _error(cls)
+        monkeypatch.setattr(lyapunov, "audit_monotonicity", _raise(exc))
+        cfg = write(tmp_path, "demo.yaml", RING_DEMO)
+        out = tmp_path / "o"
+        code = main(["run", cfg, "--output-dir", str(out)])
+        assert code == cls.exit_code
+        if code == 4:
+            # An input error stops the run, as it does in loading.
+            assert capsys.readouterr().out.endswith(f"config error: {message}\n")
+            assert not (out / "report.txt").exists()
+            return
+        report = (out / "report.txt").read_text()
+        assert f"\n{ERROR_TAGS[code]} audit: {message}\n" in report
+        # The other analyses still run and pass.
+        assert report.count("[PASS] ") == 3
+        assert report.endswith(f"verdict: FAIL (exit {code})\n")
+
+    @pytest.mark.parametrize("cls", ERRORS, ids=lambda cls: cls.__name__)
+    def test_in_loading(self, tmp_path, capsys, monkeypatch, cls):
+        exc, _ = _error(cls)
+        monkeypatch.setattr(scenario_cli, "parse_config", _raise(exc))
+        cfg = write(tmp_path, "demo.yaml", RING_DEMO)
+        out = tmp_path / "o"
+        assert main(["check", cfg]) == 4
+        assert main(["run", cfg, "--output-dir", str(out)]) == 4
+        assert capsys.readouterr().out.endswith(f"config error: {exc}\n")
+        assert not out.exists()
 
 
 class TestRunScenarioLibraryEntry:
