@@ -55,7 +55,6 @@ from .digraph import (
     window_connectivity_report,
 )
 from .dynamics import (
-    DelayHistory,
     Trajectory,
     delayed_functional_series,
     interpolate_state,

@@ -17,8 +17,9 @@ simulate_dde handles the delayed variant
 
 by the method of steps: the horizon is cut into windows of length tau, and
 inside each window the delayed values are read by cubic Hermite
-interpolation on one node grid, the history samples followed by every
-computed node; the returned trajectory is that grid from t0 on.
+interpolation on one node grid: the constant history x0, one row at
+t0 - tau, then the t0 node and every computed node; the returned
+trajectory is that grid from t0 on.
 
 Two paths step the pieces, and both write the nodes of a whole piece in
 place, into times and states that each run allocates once.
@@ -92,8 +93,8 @@ loop runs per step and no temporary grows with the piece.
 
 The kernel rounds otherwise than the RK4 stage loop (brute_march in the
 tests); the two differ by at most C eps X, with the terms below in units
-of eps, h M <= 1, X bounding |x| on the history and the run and the
-history derivatives within 2 M X.  A read adds at most h/4 times a stored
+of eps, h M <= 1 and X bounding |x| on the run (the history is x0, with
+derivatives 0).  A read adds at most h/4 times a stored
 derivative, which is at most 2 M times the reads, so the reads stay within
 X^ = 2 X.
   - Per step, each route errs by (1 + h M (4 n + 64)) X^ at most: the
@@ -261,6 +262,13 @@ def _require_memory(count: float, item_bytes: int, cause: str, items: str,
                     f"memory holds {memory // item_bytes} of them")
 
 
+def _resolution(t: float) -> float:
+    """The shortest interval that _pieces keeps as a piece ending at t,
+    1e-15 max(1, |t|): at least 4.5 ulps of t, so that no piece is the
+    rounding residue of a breakpoint."""
+    return 1e-15 * max(1.0, abs(t))
+
+
 def _plan_step(schedule: CouplingSchedule, t0: float, t1: float,
                step: Optional[float] = None,
                tau: Optional[float] = None) -> float:
@@ -268,7 +276,14 @@ def _plan_step(schedule: CouplingSchedule, t0: float, t1: float,
     run; InvalidSpec unless its about (t1 - t0) / h nodes fit in physical
     memory: a time and a state each, and on a delayed run both one-sided
     derivatives too (h <= tau, so this bounds the tau-windows as well).
-    Both simulators and the check command call it first."""
+    Both simulators and the check command call it first.
+
+    InvalidSpec too when the step, or the span if shorter, is at or below
+    _resolution of the run's largest time, max(|t0|, |t1|): a piece that
+    short ending there is dropped by _pieces, and steps and tau-windows
+    that short round to a few ulps of their times, or to none: w + tau
+    may equal w.  Above it the step and tau exceed 4.5 ulps of every time
+    of the run, so each window advances and the nodes stay distinct."""
     span, n = t1 - t0, schedule.n
     h = _step_target(step, schedule, span, tau)
     row_bytes = 8 * (n + 1)
@@ -276,6 +291,11 @@ def _plan_step(schedule: CouplingSchedule, t0: float, t1: float,
         h, row_bytes = min(h, tau), 8 * (3 * n + 1)
     _require_memory(span / h, row_bytes,
                     f"step {h!r} over a span of {span!r}", "nodes")
+    resolution = _resolution(max(abs(t0), abs(t1)))
+    if not min(h, span) > resolution:
+        raise InvalidSpec(
+            f"step {min(h, span)!r} over [{t0!r}, {t1!r}] is at or below "
+            f"{resolution!r}, the shortest piece resolved at those times")
     return h
 
 
@@ -296,7 +316,7 @@ def _pieces(schedule: CouplingSchedule, t0: float, t1: float):
             break
         a = max(t0, starts[i])
         b = min(t1, ends[i])
-        if b - a > 1e-15 * max(1.0, abs(b)):
+        if b - a > _resolution(b):
             yield a, b, i
 
 
@@ -516,8 +536,7 @@ def _hermite_many(
     Each interval uses the right derivative of its left node and the left
     derivative of its right node.  Queries past either end of the grid by
     at most clamp_slack are clamped to that end's node; simulate_dde reads
-    x(t0) this way from a history whose last sample falls short of t0 by up
-    to the slack _coerce_history grants."""
+    this way where a delayed read passes its last stored node."""
     q = np.asarray(queries, dtype=float)
     lo, hi = times[0], times[-1]
     if np.any(q < lo - clamp_slack) or np.any(q > hi + clamp_slack):
@@ -564,112 +583,45 @@ def interpolate_state(schedule: CouplingSchedule, trajectory: Trajectory,
 # Delayed dynamics
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class DelayHistory:
-    """Initial segment for a delayed run: x(s) on [t_end - tau, t_end], as
-    samples with derivatives (so the segment interpolates at integrator
-    order)."""
-
-    tau: float
-    times: np.ndarray
-    states: np.ndarray
-    derivs: np.ndarray
-
-    def __post_init__(self):
-        if not (self.tau > 0.0):
-            raise ValueError(f"tau must be positive, got {self.tau!r}")
-        if (np.ndim(self.times) != 1 or np.ndim(self.states) != 2
-                or np.shape(self.derivs) != np.shape(self.states)
-                or len(self.states) != len(self.times)):
-            raise ValueError(
-                "history needs 1-d times and 2-d states and derivs, with "
-                "one row per time and equal widths")
-        if np.any(np.diff(self.times) <= 0.0):
-            raise ValueError("history times must be strictly increasing")
-        # t_end - tau rounds at the spacing of floats near t_end.
-        covered = self.times[-1] - self.times[0]
-        if covered < self.tau * (1.0 - 1e-9) - 4.0 * np.spacing(abs(self.times[-1])):
-            raise HistoryGap(
-                f"history covers {covered}, needs the full delay {self.tau}")
-
-    @classmethod
-    def constant(cls, value: Sequence, tau: float, t_end: float = 0.0) -> "DelayHistory":
-        x = np.array(value, dtype=float)
-        times = np.array([t_end - tau, t_end])
-        return cls(
-            tau=float(tau),
-            times=times,
-            states=np.vstack([x, x]),
-            derivs=np.zeros((2, len(x))),
-        )
-
-
-def _history_slack(tau: float, t0: float) -> float:
-    """How far a history may miss t0 - tau or t0 and still be read there:
-    1e-9 max(1, tau), plus four ulps of t0, since t0 - tau rounds at the
-    spacing of floats near t0."""
-    return 1e-9 * max(1.0, tau) + 4.0 * float(np.spacing(abs(t0)))
-
-
-def _coerce_history(history, tau: float, t0: float) -> DelayHistory:
-    if isinstance(history, DelayHistory):
-        slack = _history_slack(tau, t0)
-        if history.times[0] > t0 - tau + slack or history.times[-1] < t0 - slack:
-            raise HistoryGap(
-                f"history grid [{history.times[0]}, {history.times[-1]}] does not "
-                f"cover [{t0 - tau}, {t0}]")
-        # History samples and computed nodes share one increasing grid, so
-        # no sample may come after t0 (simulate_dde takes a last sample
-        # within 1e-12 tau of t0 as the t0 node).
-        if history.times[-1] > t0 + 1e-12 * tau:
-            raise HistoryGap(
-                f"history grid [{history.times[0]}, {history.times[-1]}] runs "
-                f"past t0 = {t0}")
-        return history
-    return DelayHistory.constant(history, tau, t_end=t0)
-
-
 def simulate_dde(
     schedule: CouplingSchedule,
     tau: float,
-    history,
+    x0: Sequence,
     t0: float,
     t1: float,
     step: Optional[float] = None,
     delay_diagonal: bool = False,
 ) -> Trajectory:
-    """Integrate the delayed dynamics by the method of steps.
+    """Integrate the delayed dynamics by the method of steps from the
+    constant history x(s) = x0 on [t0 - tau, t0].
 
-    ``history`` is either a constant vector (held on [t0 - tau, t0]) or a
-    DelayHistory covering that interval.  With delay_diagonal=True the
-    instantaneous terms are delayed as well, i.e. dx/dt = A(t) x(t - tau);
-    that variant exists to expose the destabilising effect of delaying the
-    self terms and is not covered by the contraction theory.  Returns times
-    and states from t0 on; raises NonFiniteState as simulate_ode does.
+    With delay_diagonal=True the instantaneous terms are delayed as well,
+    i.e. dx/dt = A(t) x(t - tau); that variant exists to expose the
+    destabilising effect of delaying the self terms and is not covered by
+    the contraction theory.  Returns times and states from t0 on; raises
+    NonFiniteState as simulate_ode does.
     """
     if not (tau > 0.0):
         raise ValueError(f"tau must be positive, got {tau!r}")
     _check_horizon(schedule, t0, t1)
-    hist = _coerce_history(history, tau, t0)
+    x = np.array(x0, dtype=float)
     n = schedule.n
-    if hist.states.shape[1] != n:
-        raise ValueError(
-            f"history has {hist.states.shape[1]} components, schedule has {n}")
+    if x.shape != (n,):
+        raise ValueError(f"x0 must have shape ({n},), got {x.shape}")
     h_target = _plan_step(schedule, t0, t1, step, tau)
     _advise_on_step(h_target, schedule.bound)
-    # Delayed reads clamp within the slack that _coerce_history grants, so
-    # every history it accepts reads at t0 - tau and at t0.
-    clamp_slack = _history_slack(tau, t0)
+    # A read at fl(a - tau) may pass the last stored node, by a rounding or
+    # by a piece too short for _pieces at a window's end; it reads that node.
+    clamp_slack = 2.0 * _resolution(max(abs(t0), abs(t1)))
 
     def interp(queries, snap):
         return _hermite_many(queries, *snap, clamp_slack=clamp_slack)
 
-    # One node grid: the history samples, then the t0 node (the last sample
-    # if it lies within 1e-12 tau of t0) and every computed node, whose
-    # times and states are the trajectory.  Every window's pieces are known
-    # before stepping, so the nodes from t0 on are counted and allocated
-    # once, with both one-sided derivatives for the reads.  A last window
-    # too short for _pieces to resolve at t has no piece.
+    # One node grid: the t0 node and every computed node, whose times and
+    # states are the trajectory.  Every window's pieces are known before
+    # stepping, so the nodes are counted and allocated once, with both
+    # one-sided derivatives for the reads.  A last window too short for
+    # _pieces to resolve at t has no piece.
     windows, w0 = [], t0
     span_tiny = 1e-12 * max(1.0, abs(t1 - t0))
     while w0 < t1 - span_tiny:
@@ -680,16 +632,11 @@ def simulate_dde(
     size = 1 + sum(len(nodes) for pieces in windows for *_, nodes in pieces)
     times, states = np.empty(size), np.empty((size, n))
     right, left = np.empty((size, n)), np.empty((size, n))
-    samples = (hist.times, hist.states, hist.derivs, hist.derivs)
-    x = interp([t0], samples)[0]
-    if abs(hist.times[-1] - t0) > 1e-12 * tau:
-        d, u = _drives(schedule, _locate_piece(schedule, t0), [t0],
-                       interp([t0 - tau], samples), delay_diagonal)
-        times[0], states[0], right[0] = t0, x, (d * x + u)[0]
-    else:
-        times[0], states[0], right[0] = (arr[-1] for arr in samples[:3])
-        samples = [arr[:-1] for arr in samples]
-    left[0], k = right[0], 1
+    # The history is one row, x0 at t0 - tau with both derivatives 0; the t0
+    # node holds x0 with a left derivative of 0, and _march writes its right.
+    zero = np.zeros((1, n))
+    history = (np.array([t0 - tau]), x[None], zero, zero)
+    times[0], states[0], left[0], k = t0, x, 0.0, 1
 
     for pieces in windows:
         # The delayed reads of this window lie in [w0 - tau, w1 - tau], which
@@ -700,8 +647,8 @@ def simulate_dde(
                    for _, a, h, nodes in pieces]
         if queries:
             grid = [arr[:k] for arr in (times, states, right, left)]
-            if queries[0][0] < times[0]:
-                grid = [np.concatenate(pair) for pair in zip(samples, grid)]
+            if queries[0][0] < t0:
+                grid = [np.concatenate(pair) for pair in zip(history, grid)]
             xd = interp(np.concatenate(queries), grid)
             xd = np.split(xd, np.cumsum([len(q) for q in queries])[:-1])
         for j, (i, a, h, nodes) in enumerate(pieces):

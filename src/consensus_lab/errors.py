@@ -72,8 +72,7 @@ class StepTooLargeWarning(UserWarning):
 
 
 class HistoryGap(ConsensusLabError):
-    """The delay history does not cover the required interval, or runs past
-    its end."""
+    """A Hermite read falls outside the stored grid it interpolates."""
 
 
 class NonFiniteState(ConsensusLabError):

@@ -20,8 +20,7 @@ import pytest
 import consensus_lab
 from consensus_lab import (OutOfHorizon, contraction_certificate,
                            from_offdiagonal, simulate_ode)
-from consensus_lab.dynamics import (_coerce_history, _drives, _hermite_many,
-                                    _history_slack, _march, _rk4_transfer,
+from consensus_lab.dynamics import (_hermite_many, _march, _rk4_transfer,
                                     _step_target, _substeps)
 from consensus_lab.metzler_core import DEFAULT_ROW_TOL, _check, _locate_piece
 
@@ -306,24 +305,28 @@ def brute_simulate_ode(schedule, x0, t0, t1, step=None, stages=False):
     return store.arrays()
 
 
-def brute_simulate_dde(schedule, tau, history, t0, t1, step=None,
-                       delay_diagonal=False):
-    """(times, states, derivs, derivs_left) of simulate_dde by the method
-    of steps, stepped one stage at a time through piece_entries_at, with two
-    Hermite reads per piece on a fresh copy of the node lists."""
-    hist = _coerce_history(history, tau, t0)
-    n = schedule.n
-    h_target = min(_step_target(step, schedule, t1 - t0, tau), tau)
-    slack = _history_slack(tau, t0)
-    form = split_delay(delay_diagonal)
+def constant_history(x0, tau, t0, t1):
+    """(store, x, slack) to start a delayed oracle over [t0, t1] from: the
+    node lists holding x0 at t0 - tau and at t0, both with derivative 0
+    (the first step patches the right one of the t0 node), the state x0,
+    and how far a read may pass the stored grid: twice the shortest piece
+    kept at the run's largest time."""
+    x = np.array(x0, dtype=float)
     store = BruteStore()
-    for sample in zip(hist.times, hist.states, hist.derivs):
-        store.append(*sample)
-    x = _hermite_many([t0], *store.arrays(), clamp_slack=slack)[0]
-    if abs(hist.times[-1] - t0) > 1e-12 * tau:
-        xd0 = _hermite_many([t0 - tau], *store.arrays(), clamp_slack=slack)[0]
-        store.append(t0, x, form(coupling_at(schedule, t0))(x, xd0))
-    first = len(store.t) - 1
+    for t in (t0 - tau, t0):
+        store.append(t, x, np.zeros_like(x))
+    return store, x, 2e-15 * max(1.0, abs(t0), abs(t1))
+
+
+def brute_simulate_dde(schedule, tau, x0, t0, t1, step=None,
+                       delay_diagonal=False):
+    """(times, states, derivs, derivs_left) of simulate_dde from the
+    constant history x0 by the method of steps, stepped one stage at a time
+    through piece_entries_at, with two Hermite reads per piece on a fresh
+    copy of the node lists."""
+    h_target = min(_step_target(step, schedule, t1 - t0, tau), tau)
+    form = split_delay(delay_diagonal)
+    store, x, slack = constant_history(x0, tau, t0, t1)
     w0 = t0
     while w0 < t1 - 1e-12 * max(1.0, abs(t1 - t0)):
         w1 = min(w0 + tau, t1)
@@ -337,33 +340,21 @@ def brute_simulate_dde(schedule, tau, history, t0, t1, step=None,
             x = brute_march(store, x, a, grid, h, piece_rhs(schedule, i, form),
                             xd_nodes, xd_half)
         w0 = w1
-    return tuple(arr[first:] for arr in store.arrays())
+    return tuple(arr[1:] for arr in store.arrays())
 
 
-def shadow_simulate_dde(schedule, tau, history, t0, t1, step=None,
+def shadow_simulate_dde(schedule, tau, x0, t0, t1, step=None,
                         delay_diagonal=False):
     """brute_simulate_dde with every piece stepped twice from one state and
     one set of reads: by dynamics._march, whose nodes go on into the node
-    lists, and by brute_march, whose nodes are only compared.  The t0 node
-    takes its derivative from dynamics._drives, so the nodes kept are
-    simulate_dde's to the bit.  Returns (times, states) of those nodes and,
-    per piece, (m, h, X, deviation): the steps, the step, the largest |x|
-    among the piece's start, reads and both routes' nodes, and the largest
-    difference of the two routes' nodes."""
-    hist = _coerce_history(history, tau, t0)
+    lists, and by brute_march, whose nodes are only compared, so the nodes
+    kept are simulate_dde's to the bit.  Returns (times, states) of those
+    nodes and, per piece, (m, h, X, deviation): the steps, the step, the
+    largest |x| among the piece's start, reads and both routes' nodes, and
+    the largest difference of the two routes' nodes."""
     h_target = min(_step_target(step, schedule, t1 - t0, tau), tau)
-    slack = _history_slack(tau, t0)
     form = split_delay(delay_diagonal)
-    store = BruteStore()
-    for sample in zip(hist.times, hist.states, hist.derivs):
-        store.append(*sample)
-    x = _hermite_many([t0], *store.arrays(), clamp_slack=slack)[0]
-    if abs(hist.times[-1] - t0) > 1e-12 * tau:
-        xd0 = _hermite_many([t0 - tau], *store.arrays(), clamp_slack=slack)
-        d, u = _drives(schedule, _locate_piece(schedule, t0), [t0], xd0,
-                       delay_diagonal)
-        store.append(t0, x, (d * x + u)[0])
-    first = len(store.t) - 1
+    store, x, slack = constant_history(x0, tau, t0, t1)
     pieces = []
     w0 = t0
     while w0 < t1 - 1e-12 * max(1.0, abs(t1 - t0)):
@@ -394,7 +385,7 @@ def shadow_simulate_dde(schedule, tau, history, t0, t1, step=None,
             x = xs[-1]
         w0 = w1
     times, states, _, _ = store.arrays()
-    return times[first:], states[first:], pieces
+    return times[1:], states[1:], pieces
 
 
 def brute_delayed_functional_series(trajectory, tau):

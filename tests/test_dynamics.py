@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from consensus_lab import (
-    DelayHistory,
     HistoryGap,
     NonFiniteState,
     OutOfHorizon,
@@ -500,7 +499,7 @@ def dde_deviation_bound(schedule, tau, t0, t1, step, delay_diagonal, X):
     return growth * terms * EPS * 2.0 * X
 
 
-def _assert_near_oracle(traj, schedule, tau, history, t0, t1, step=None,
+def _assert_near_oracle(traj, schedule, tau, x0, t0, t1, step=None,
                         delay_diagonal=False):
     """The times of brute_simulate_dde to the bit, and its states within
     dde_deviation_bound.  The bound's growth from window to window is a
@@ -508,13 +507,11 @@ def _assert_near_oracle(traj, schedule, tau, history, t0, t1, step=None,
     both ways from one state and one set of reads (shadow_simulate_dde),
     where nothing grows: the run is the kernel's to the bit, and each
     piece's stage loop lies within the piece's terms of the bound."""
-    args = (schedule, tau, history, t0, t1)
+    args = (schedule, tau, x0, t0, t1)
     options = {"step": step, "delay_diagonal": delay_diagonal}
     times, states, _, _ = brute_simulate_dde(*args, **options)
     _assert_same_bytes(traj.times, times)
-    samples = (history.states if isinstance(history, DelayHistory)
-               else np.asarray(history))
-    X = max(np.abs(samples).max(), np.abs(states).max(),
+    X = max(np.abs(np.asarray(x0)).max(), np.abs(states).max(),
             np.abs(traj.states).max())
     bound = dde_deviation_bound(schedule, tau, t0, t1, step, delay_diagonal, X)
     deviation = np.abs(traj.states - states).max()
@@ -578,50 +575,12 @@ class TestDdeStages:
         _assert_near_oracle(traj, sch, tau, x0, 0.0, t1, step=step,
                             delay_diagonal=delay_diagonal)
 
-    @pytest.mark.parametrize("delay_diagonal", [False, True])
-    def test_matches_oracle_from_a_varying_history(self, rng, delay_diagonal):
-        n, tau = 5, 0.8
-        sch = _dde_schedule(rng, "mixed", n)
-        times = np.linspace(-tau, 0.0, 9)
-        phase = rng.uniform(0.0, 2.0 * np.pi, n)
-        hist = DelayHistory(
-            tau=tau, times=times,
-            states=np.cos(times[:, None] + phase),
-            derivs=-np.sin(times[:, None] + phase))
-        traj = simulate_dde(sch, tau, hist, 0.0, 8.0, step=0.02,
-                            delay_diagonal=delay_diagonal)
-        assert traj.times[0] == 0.0
-        _assert_near_oracle(traj, sch, tau, hist, 0.0, 8.0, step=0.02,
-                            delay_diagonal=delay_diagonal)
-
-    @pytest.mark.parametrize("delay_diagonal", [False, True])
-    def test_history_ending_just_before_t0_gets_a_t0_node(self, rng,
-                                                          delay_diagonal):
-        # _coerce_history accepts a last sample up to 1e-9 max(1, tau)
-        # before t0; x(t0) is read within the same slack, and the run
-        # starts from a node at t0 itself.
-        n, tau = 5, 0.8
-        sch = _dde_schedule(rng, "mixed", n)
-        times = np.linspace(-tau, -2e-10, 9)
-        phase = rng.uniform(0.0, 2.0 * np.pi, n)
-        hist = DelayHistory(
-            tau=tau, times=times,
-            states=np.cos(times[:, None] + phase),
-            derivs=-np.sin(times[:, None] + phase))
-        traj = simulate_dde(sch, tau, hist, 0.0, 8.0, step=0.02,
-                            delay_diagonal=delay_diagonal)
-        assert traj.times[0] == 0.0
-        np.testing.assert_array_equal(traj.states[0], hist.states[-1])
-        _assert_near_oracle(traj, sch, tau, hist, 0.0, 8.0, step=0.02,
-                            delay_diagonal=delay_diagonal)
-
     @pytest.mark.parametrize("t0, tau", [(3e7, 0.2), (1e8, 0.1)])
     def test_constant_history_far_from_zero(self, t0, tau):
         # t0 - tau rounds at the spacing of floats near t0 (3.7e-9 at 3e7),
-        # more than 1e-9 tau: the history still covers the full delay.
+        # more than 1e-9 tau; the first window reads the history row there.
         sch = constant_schedule(chain_matrix(), t0, t0 + 1.0)
-        hist = DelayHistory.constant([1.0, -1.0], tau, t_end=t0)
-        traj = simulate_dde(sch, tau, hist, t0, t0 + 1.0)
+        traj = simulate_dde(sch, tau, [1.0, -1.0], t0, t0 + 1.0)
         assert traj.times[0] == t0
         _assert_near_oracle(traj, sch, tau, [1.0, -1.0], t0, t0 + 1.0)
 
@@ -881,43 +840,6 @@ class TestDde:
             assert x[0] == pytest.approx(d / 2.0, abs=1e-9)
         assert traj.delay_diagonal is True
         assert traj.tau == 0.5
-
-    def test_history_object_roundtrip(self):
-        sch = constant_schedule(symmetric_pair(), 0.0, 2.0)
-        hist = DelayHistory.constant([1.0, -1.0], tau=0.4, t_end=0.0)
-        traj = simulate_dde(sch, 0.4, hist, 0.0, 2.0)
-        assert traj.times[0] == 0.0
-        assert np.allclose(traj.states[0], [1.0, -1.0])
-
-    def test_history_gap_rejected(self):
-        sch = constant_schedule(symmetric_pair(), 0.0, 2.0)
-        hist = DelayHistory.constant([1.0, -1.0], tau=0.2, t_end=0.0)
-        with pytest.raises(HistoryGap):
-            simulate_dde(sch, 0.7, hist, 0.0, 2.0)
-
-    def test_history_past_t0_rejected(self):
-        # Samples after t0 would sit in the node grid ahead of the t0 node
-        # and leak into the delayed reads.
-        sch = constant_schedule(symmetric_pair(), 0.0, 3.0)
-        times = np.linspace(-1.0, 0.5, 16)
-        hist = DelayHistory(
-            tau=1.0, times=times,
-            states=np.column_stack([np.cos(times), np.sin(times)]),
-            derivs=np.column_stack([-np.sin(times), np.cos(times)]))
-        with pytest.raises(HistoryGap, match="past t0"):
-            simulate_dde(sch, 1.0, hist, 0.0, 3.0)
-
-    @pytest.mark.parametrize("times, rows, width", [
-        ([-1.0, 0.0], 3, 2),
-        ([-1.0, -0.5, 0.0], 2, 2),
-        ([-1.0, 0.0], 2, 3),
-    ], ids=["derivs-rows", "times-rows", "derivs-width"])
-    def test_history_shapes_are_checked(self, times, rows, width):
-        # Before the check the first ran silently and the second raised
-        # IndexError deep inside simulate_dde.
-        with pytest.raises(ValueError, match="one row per time"):
-            DelayHistory(tau=1.0, times=np.array(times),
-                         states=np.ones((2, 2)), derivs=np.zeros((rows, width)))
 
     def test_half_step_self_agreement(self):
         # Every node of the coarse run is every second node of the fine

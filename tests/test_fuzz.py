@@ -120,7 +120,7 @@ def valid_scenario(draw):
         {"nodes": st.just(n), "horizon": st.just(horizon),
          "topology": topology(n, horizon), "initial_state": initial,
          "seed": SEED},
-        optional={"t0": st.sampled_from([0.0, -1.5]),
+        optional={"t0": st.sampled_from([0.0, -1.5, 1.0e15]),
                   "step": st.sampled_from([0.01, 0.05]),
                   "analyses": st.lists(analysis(n), max_size=3),
                   "delay": st.fixed_dictionaries(

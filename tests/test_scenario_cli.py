@@ -1049,6 +1049,37 @@ class TestCommandLine:
             assert "Traceback" not in proc.stderr, args[0]
         assert not (tmp_path / "o" / "report.txt").exists()
 
+    @pytest.mark.parametrize("t0, delay", [
+        (1.0e15, None), (1.0e15, {"tau": 0.5}),
+        (1.0e16, None), (1.0e16, {"tau": 0.5}),
+    ], ids=["1e15", "1e15-delay", "1e16", "1e16-delay"])
+    def test_check_and_run_refuse_steps_that_cannot_advance_time(
+            self, tmp_path, t0, delay):
+        # At these times a step of the 3-node ring rounds to a few ulps or
+        # to none: run ended in a traceback or integrated nothing yet
+        # passed, and a tau-window that short cannot advance w + tau past w.
+        extra = {"delay": delay} if delay else {}
+        cfg = write(tmp_path, "far.yaml", scenario(
+            nodes=3, horizon=4.0, t0=t0, topology={"kind": "ring"},
+            initial_state=[1.0, 0.0, -1.0], **extra))
+        for args in (["check", cfg],
+                     ["run", cfg, "--output-dir", str(tmp_path / "o")]):
+            proc = run_cli(*args, timeout=10.0)
+            assert proc.returncode == 4, (args[0], proc.stdout, proc.stderr)
+            assert "shortest piece resolved" in proc.stdout, args[0]
+            assert "Traceback" not in proc.stderr, args[0]
+        assert not (tmp_path / "o" / "report.txt").exists()
+
+    def test_far_t0_with_a_resolvable_step_still_runs(self, tmp_path):
+        cfg = write(tmp_path, "far.yaml", scenario(
+            nodes=3, horizon=4.0, t0=1.0e12, topology={"kind": "ring"},
+            initial_state=[1.0, 0.0, -1.0], delay={"tau": 0.5}))
+        proc = run_cli("run", cfg, "--output-dir", str(tmp_path / "o"),
+                       timeout=10.0)
+        assert proc.returncode == 0, proc.stderr
+        assert "verdict: PASS (exit 0)" in proc.stdout
+        assert (tmp_path / "o" / "report.txt").exists()
+
     def test_version(self, capsys):
         assert main(["version"]) == 0
         assert "consensus-lab 0.1.0" in capsys.readouterr().out
