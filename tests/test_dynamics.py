@@ -19,6 +19,7 @@ import pytest
 
 from consensus_lab import (
     HistoryGap,
+    InvalidSpec,
     NonFiniteState,
     OutOfHorizon,
     StepTooLargeWarning,
@@ -38,7 +39,8 @@ from consensus_lab import (
 from consensus_lab.dynamics import (_BLOCK_ENTRIES, _RK4_DISC_RADIUS,
                                     _SCAN_ROWS, _affine_steps, _drives,
                                     _hermite_many, _march, _pieces,
-                                    _plan_step, _rk4_transfer, _scan,
+                                    _plan_step, _resolution, _rk4_transfer,
+                                    _scan,
                                     _step_target,
                                     _substeps, _window_extremes)
 from consensus_lab.scenario_cli import SinusoidalCoupling
@@ -858,6 +860,57 @@ class TestDde:
         traj = simulate_dde(sch, 0.5, [1.0, -1.0], 0.0, 2.0)
         with pytest.raises(ValueError, match="undelayed"):
             interpolate_state(sch, traj, 1.0)
+
+    @pytest.mark.parametrize("x0", [[1.0], [1.0, -1.0, 0.0],
+                                    [[1.0, -1.0], [1.0, -1.0]]],
+                             ids=["short", "long", "matrix"])
+    def test_initial_state_shape_is_checked(self, x0):
+        sch = constant_schedule(symmetric_pair(), 0.0, 2.0)
+        with pytest.raises(ValueError, match="x0 must have shape"):
+            simulate_dde(sch, 0.5, x0, 0.0, 2.0)
+
+    @pytest.mark.parametrize("tau", [0.0, -0.5, math.nan])
+    def test_tau_must_be_positive(self, tau):
+        sch = constant_schedule(symmetric_pair(), 0.0, 2.0)
+        with pytest.raises(ValueError, match="tau must be positive"):
+            simulate_dde(sch, tau, [1.0, -1.0], 0.0, 2.0)
+
+
+class TestStepResolution:
+    """_plan_step refuses a step, or a span shorter than it, at or below
+    _resolution of the run's largest time; far from 0 such a run rounded
+    its times to duplicates, integrated nothing, or never advanced a
+    tau-window."""
+
+    T0 = 1.0e15
+
+    def test_bound_is_exact(self):
+        t1 = self.T0 + 4.0
+        sch = constant_schedule(chain_matrix(), self.T0, t1)
+        bound = _resolution(t1)
+        assert bound == 1e-15 * t1
+        with pytest.raises(InvalidSpec, match="shortest piece resolved"):
+            _plan_step(sch, self.T0, t1, step=bound)
+        above = math.nextafter(bound, math.inf)
+        assert _plan_step(sch, self.T0, t1, step=above) == above
+
+    def test_a_span_at_the_bound_is_refused(self):
+        # A step longer than the span leaves one piece of the span's length.
+        sch = constant_schedule(chain_matrix(), self.T0, self.T0 + 2.0)
+        assert _plan_step(sch, self.T0, self.T0 + 2.0, step=4.0) == 4.0
+        with pytest.raises(InvalidSpec, match="shortest piece resolved"):
+            _plan_step(sch, self.T0, self.T0 + 1.0, step=4.0)
+
+    @pytest.mark.parametrize("tau", [None, 0.5], ids=["ode", "dde"])
+    def test_both_simulators_refuse(self, tau):
+        sch = constant_schedule(chain_matrix(), self.T0, self.T0 + 4.0)
+        with pytest.raises(InvalidSpec, match="shortest piece resolved"):
+            if tau is None:
+                simulate_ode(sch, [1.0, -1.0], self.T0, self.T0 + 4.0,
+                             step=0.05)
+            else:
+                simulate_dde(sch, tau, [1.0, -1.0], self.T0, self.T0 + 4.0,
+                             step=0.05)
 
 
 class TestDelayedFunctional:
