@@ -83,12 +83,12 @@ def coupling_numbers(window, group) -> PartitionCoupling:
         raise InvalidPartition("group must leave a non-empty complement")
     gi = np.array(members) - 1
     hi = np.array(rest) - 1
-    block_hh = entries[np.ix_(hi, hi)]
+    block_hh = entries[hi[:, None], hi]
     return PartitionCoupling(
         group=tuple(members),
         rest=tuple(rest),
-        a_gh=float(entries[np.ix_(gi, hi)].sum()),
-        a_hg=float(entries[np.ix_(hi, gi)].sum()),
+        a_gh=float(entries[gi[:, None], hi].sum()),
+        a_hg=float(entries[hi[:, None], gi].sum()),
         a_hh=float(block_hh.sum() - np.trace(block_hh)),
     )
 
@@ -198,14 +198,14 @@ def verify_lemma_on_trajectory(
             f"window [{t_start}, {t_end}] outside trajectory "
             f"[{trajectory.t_start}, {trajectory.t_end}]")
     pc = coupling_numbers(integrate_schedule(schedule, t_start, T), group)
-    x_start = interpolate_state(schedule, trajectory, t_start)
+    x_start, x_end = interpolate_state(schedule, trajectory, [t_start, t_end])
     mu = (float(x_start.min()), float(x_start.max()))
     members = x_start[np.array(pc.group) - 1]
     g0 = (float(members.min()), float(members.max()))
     if slack is None:
         slack = DEFAULT_SLACK_FACTOR * (1.0 + mu[1] - mu[0])
     beta, g_out, h_out, group_ok, trapped = _window_stage(
-        pc, mu, g0, interpolate_state(schedule, trajectory, t_end), slack)
+        pc, mu, g0, x_end, slack)
     mask = (trajectory.times >= t_start - 1e-12) & (trajectory.times <= t_end + 1e-12)
     inner = trajectory.states[mask]
     range_ok = bool(inner.size == 0 or (
@@ -309,7 +309,11 @@ def contraction_certificate(
                 f"certificate span [{t0}, {span_end}] outside {name} "
                 f"[{lo}, {hi}]")
 
-    x0 = interpolate_state(schedule, trajectory, t0)
+    starts = [t0 + (s - 1) * T for s in range(1, n)]
+    # The state at t0, at every stage's end and at span_end, in one read.
+    x0, *x_ends, x_final = interpolate_state(
+        schedule, trajectory, [t0] + [w_start + T for w_start in starts]
+        + [span_end])
     mu = (float(x0.min()), float(x0.max()))
     v0 = mu[1] - mu[0]
     slack = slack_factor * (1.0 + v0)
@@ -319,13 +323,13 @@ def contraction_certificate(
     stages = []
     beta_product = 1.0
     all_within = True
-    starts = [t0 + (s - 1) * T for s in range(1, n)]
     windows = (
         (window, masks is None or masks[j, root - 1])
         for stack, masks in scan_windows(
             schedule, starts, T, delta if verify_hypothesis else None)
         for j, window in enumerate(stack))
-    for s, w_start, (window, rooted) in zip(range(1, n), starts, windows):
+    for s, w_start, x_end, (window, rooted) in zip(range(1, n), starts,
+                                                   x_ends, windows):
         if not rooted:
             raise HypothesisUnverified(
                 f"stage {s}: node {root} is not a root of the "
@@ -333,8 +337,7 @@ def contraction_certificate(
                 f"integral at threshold {delta}")
         pc = coupling_numbers(window, group)
         beta, g_out, h_out, group_ok, trapped = _window_stage(
-            pc, mu, bracket,
-            interpolate_state(schedule, trajectory, w_start + T), slack)
+            pc, mu, bracket, x_end, slack)
         if beta <= 0.0:
             raise NoTrappedComponent(
                 s,
@@ -372,7 +375,6 @@ def contraction_certificate(
     # log1p keeps the rate positive when prod(beta) underflows 1 - rho,
     # which happens for very weakly coupled stages (rho rounds to 1.0).
     rate = -math.log1p(-beta_product) / ((n - 1) * T) if n > 1 else math.inf
-    x_final = interpolate_state(schedule, trajectory, span_end)
     observed_end = float(x_final.max() - x_final.min())
     observed = observed_end / v0 if v0 > 0.0 else 0.0
     contracted = observed_end <= rho * v0 + slack

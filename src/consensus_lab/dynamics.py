@@ -26,8 +26,12 @@ place, into times and states that each run allocates once.
 
 An undelayed piece is linear, A(t) = c(t) B with c = 1 on a constant
 piece, so one RK4 step is a matrix, x+ = Phi_j x, one gemv into the
-node's row; _transfers yields the Phi_j, on a constant piece the one
-matrix _rk4_transfer.  On a sinusoidal piece write
+node's row: ndarray.dot, the cblas_dgemv that np.matmul calls too, with
+less overhead per call.  _transfers yields the Phi_j, on a constant
+piece the one matrix _rk4_transfer, built for a block of constant pieces
+as one stack (h shaped (p, 1, 1); each matmul of a stack is the gemm of
+its own matrix), and _grids cuts every piece of a run into steps in one
+call.  On a sinusoidal piece write
 H = h B and c1, c2, c4 for the profile at the step's start, middle and
 end (both middle stages read the middle).  The stages of one step from x
 are
@@ -127,9 +131,9 @@ solution has corners at coupling discontinuities, but each interval
 ends on its breakpoints, so on an undelayed run both derivatives of a
 Hermite read of the interval come from that piece: A_i(t_k) x_k and
 A_i(t_k+1) x_k+1.  interpolate_state finds i by bisection at the
-midpoint.  A delayed derivative d x + off x(t - tau) needs the history,
-so simulate_dde keeps both one-sided derivatives of its nodes for its
-own reads only.
+midpoint, for a whole array of times at once.  A delayed derivative
+d x + off x(t - tau) needs the history, so simulate_dde keeps both
+one-sided derivatives of its nodes for its own reads only.
 """
 
 from __future__ import annotations
@@ -330,10 +334,12 @@ def _check_horizon(schedule: CouplingSchedule, t0: float, t1: float):
             f"integration horizon [{t0}, {t1}] outside schedule horizon [{s0}, {s1}]")
 
 
-def _rk4_transfer(A: np.ndarray, h: float) -> np.ndarray:
+def _rk4_transfer(A: np.ndarray, h) -> np.ndarray:
     """One classical RK4 step for constant A equals the degree-4 Taylor
-    polynomial of exp(hA); evaluated in Horner form."""
-    eye = np.eye(A.shape[0])
+    polynomial of exp(hA); evaluated in Horner form.  A may be a (p, n, n)
+    stack with h of shape (p, 1, 1): each matmul of the stack is the gemm
+    of its matrix alone, so each transfer has the bits of its own call."""
+    eye = np.eye(A.shape[-1])
     hA = h * A
     phi = eye + hA / 4.0
     phi = eye + (hA / 3.0) @ phi
@@ -346,6 +352,19 @@ def _substeps(a: float, b: float, h_target: float):
     h = (b - a) / m
     grid = a + h * np.arange(1, m + 1)
     grid[-1] = b
+    return m, h, grid
+
+
+def _grids(a: np.ndarray, b: np.ndarray, h_target: float):
+    """_substeps of every piece [a_i, b_i] at once, each element with the
+    same bits: (m, h, grid), with grid the step ends of the pieces one
+    after the other, each piece's last exactly its b."""
+    m = np.maximum(np.ceil((b - a) / h_target - 1e-9), 1.0).astype(np.int64)
+    h = (b - a) / m
+    stop = np.cumsum(m)
+    j = np.arange(1, m.sum() + 1) - np.repeat(stop - m, m)
+    grid = np.repeat(a, m) + np.repeat(h, m) * j
+    grid[stop - 1] = b
     return m, h, grid
 
 
@@ -439,20 +458,21 @@ def _march(x: np.ndarray, schedule: CouplingSchedule, piece: int, a: float,
 # (and never less than one step), so a long piece holds a block of its
 # transfer matrices, not all of them, at once.
 _BLOCK_ENTRIES = 2 ** 12
+# The one transfer of each constant piece, and the random_switching draws,
+# come in stacks of at most this many entries (and never less than one
+# piece).  Stacks of 2 ** 15 ran no faster and raised the peak resident
+# size of a long run of small switching scenarios by about 0.3 MB.
+_STACK_ENTRIES = 2 ** 13
 
 
-def _transfers(schedule: CouplingSchedule, piece: int, a: float,
-               grid: np.ndarray, h: float):
-    """Yield blocks of the transfers Phi_j of an undelayed piece from a
-    through grid (module docstring): on a constant piece its _rk4_transfer
-    once per step.  On a sinusoidal one the powers of H = h B come once, by
+def _wave_transfers(schedule: CouplingSchedule, piece: int, a: float,
+                    grid: np.ndarray, h: float):
+    """Yield blocks of the transfers Phi_j of a sinusoidal piece from a
+    through grid (module docstring).  The powers of H = h B come once, by
     2-d matmul; a block of steps at a time, the profile, the a and the Phi_j
     come from broadcast ufuncs, the Phi_j summed from the left, so each has
     the bits of a build on its own; no gemm across the steps."""
     B = schedule.couplings[piece]
-    if schedule.constant[piece]:
-        yield repeat(_rk4_transfer(B, h), len(grid))
-        return
     H = h * B
     powers = [H]
     for _ in range(3):
@@ -472,6 +492,29 @@ def _transfers(schedule: CouplingSchedule, piece: int, a: float,
         for alpha, power in zip(alphas, powers):
             phi = phi + alpha[:, None, None] * power
         yield phi
+
+
+def _transfers(schedule: CouplingSchedule, pieces, a, m, h, grid):
+    """Yield, for each piece of an undelayed run in turn, the transfers
+    Phi_j of its m steps of h from a through its part of grid (module
+    docstring).  A block of pieces at a time, the one _rk4_transfer of
+    each constant piece comes from one stack, h shaped (p, 1, 1); a
+    sinusoidal piece takes _wave_transfers."""
+    fixed = schedule.constant[pieces]
+    stop = np.cumsum(m).tolist()
+    size = max(1, _STACK_ENTRIES // schedule.couplings[0].size)
+    for lo in range(0, len(pieces), size):
+        block = np.arange(lo, min(lo + size, len(pieces)))
+        held = block[fixed[block]]
+        phis = iter(_rk4_transfer(schedule.couplings[pieces[held]],
+                                  h[held, None, None]))
+        for j in block.tolist():
+            if fixed[j]:
+                yield repeat(next(phis), m[j])
+            else:
+                yield chain.from_iterable(_wave_transfers(
+                    schedule, pieces[j], a[j], grid[stop[j] - m[j]:stop[j]],
+                    h[j]))
 
 
 def _require_finite(x: np.ndarray, t: float, h: float, bound: float):
@@ -503,19 +546,21 @@ def simulate_ode(
     h_target = _plan_step(schedule, t0, t1, step)
     _advise_on_step(h_target, schedule.bound)
 
-    pieces = [(i, a, *_substeps(a, b, h_target))
-              for a, b, i in _pieces(schedule, t0, t1)]
+    a, b, pieces = np.array(list(_pieces(schedule, t0, t1))).reshape(-1, 3).T
+    pieces = pieces.astype(np.intp)
+    m, h, grid = _grids(a, b, h_target)
     # t0 and every step's end, allocated once.
-    times = np.concatenate([[t0]] + [grid for *_, grid in pieces])
+    times = np.concatenate(([t0], grid))
     states = np.empty((len(times), n))
     states[0], k = x, 1
-    for i, a, m, h, grid in pieces:
-        transfers = chain.from_iterable(_transfers(schedule, i, a, grid, h))
-        # The gemv call of phi @ x, written straight into its row.
-        for phi, row in zip(transfers, states[k:k + m]):
-            x = np.matmul(phi, x, out=row)
-        k += m
-        _require_finite(x, grid[-1], h, schedule.bound)
+    steps = zip(_transfers(schedule, pieces, a, m, h, grid), m.tolist(),
+                h.tolist())
+    for transfers, m_j, h_j in steps:
+        # The gemv of phi @ x, written straight into its row.
+        for phi, row in zip(transfers, states[k:k + m_j]):
+            x = phi.dot(x, out=row)
+        k += m_j
+        _require_finite(x, times[k - 1], h_j, schedule.bound)
     return Trajectory(times, states)
 
 
@@ -545,38 +590,58 @@ def _hermite_many(
     q = np.clip(q, lo, hi)
     idx = np.searchsorted(times, q, side="right") - 1
     idx = np.clip(idx, 0, len(times) - 2)
-    h = times[idx + 1] - times[idx]
-    s = (q - times[idx]) / h
+    w00, w10, w01, w11 = _hermite_weights(q, times[idx], times[idx + 1])
+    return (w00 * states[idx] + w10 * derivs_right[idx]
+            + w01 * states[idx + 1] + w11 * derivs_left[idx + 1])
+
+
+def _hermite_weights(q, t0, t1):
+    """The weights of the cubic Hermite interpolant at each time of q inside
+    [t0, t1], as columns: of the state and the derivative at t0, then of
+    those at t1."""
+    h = t1 - t0
+    s = (q - t0) / h
     s2 = s * s
     s3 = s2 * s
     h00 = 2.0 * s3 - 3.0 * s2 + 1.0
     h10 = s3 - 2.0 * s2 + s
     h01 = -2.0 * s3 + 3.0 * s2
     h11 = s3 - s2
-    return (h00[:, None] * states[idx]
-            + (h10 * h)[:, None] * derivs_right[idx]
-            + h01[:, None] * states[idx + 1]
-            + (h11 * h)[:, None] * derivs_left[idx + 1])
+    return h00[:, None], (h10 * h)[:, None], h01[:, None], (h11 * h)[:, None]
 
 
 def interpolate_state(schedule: CouplingSchedule, trajectory: Trajectory,
-                      t: float) -> np.ndarray:
+                      t) -> np.ndarray:
     """State at time t of an undelayed run of schedule (ValueError on a
     delayed one), by cubic Hermite interpolation on the grid interval that
-    holds t, with the derivatives of its piece (module docstring)."""
+    holds t, with the derivatives of its piece (module docstring).  For a
+    1-d array of times, one row per time, each with the bits of a call
+    for its time alone: every step is computed row by row, the derivatives
+    by one stacked matmul, which makes the gemv of each row's own call."""
     if trajectory.tau is not None:
         raise ValueError("interpolate_state reads undelayed runs only")
     times, states = trajectory.times, trajectory.states
-    k = min(max(int(np.searchsorted(times, t, side="right")) - 1, 0),
-            len(times) - 2)
-    nodes = slice(k, k + 2)
-    piece = _locate_piece(schedule, 0.5 * float(times[k] + times[k + 1]))
-    A = schedule.entries_over(piece, times[nodes])
-    slopes = np.array([A[0] @ states[k], A[1] @ states[k + 1]])
+    q = np.asarray(t, dtype=float)
+    probes = q.reshape(-1)
+    k = np.clip(np.searchsorted(times, probes, side="right") - 1, 0,
+                len(times) - 2)
+    lo, hi = times[k], times[k + 1]
     slack = 1e-12 * max(1.0, trajectory.t_end - trajectory.t_start)
-    # slopes[0] is read as the right derivative at k, slopes[1] as the left.
-    return _hermite_many([t], times[nodes], states[nodes], slopes, slopes,
-                         clamp_slack=slack)[0]
+    gap = (probes < lo - slack) | (probes > hi + slack)
+    if gap.any():
+        j = int(np.argmax(gap))
+        raise HistoryGap(f"query range [{probes[j]}, {probes[j]}] outside "
+                         f"stored grid [{lo[j]}, {hi[j]}]")
+    nodes = np.stack((k, k + 1), axis=1)
+    A = schedule.entries_over(_locate_piece(schedule, 0.5 * (lo + hi)),
+                              times[nodes])
+    # slopes[:, 0] is read as the right derivative at k, slopes[:, 1] as
+    # the left one at k + 1.
+    slopes = np.matmul(A, states[nodes][..., None])[..., 0]
+    w00, w10, w01, w11 = _hermite_weights(np.clip(probes, lo, hi), lo, hi)
+    x = (w00 * states[k] + w10 * slopes[:, 0]
+         + w01 * states[k + 1] + w11 * slopes[:, 1])
+    return x if q.ndim else x[0]
 
 
 # --------------------------------------------------------------------------

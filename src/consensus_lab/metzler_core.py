@@ -22,7 +22,6 @@ its one-window case.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -43,9 +42,9 @@ DEFAULT_ROW_TOL = 1e-12
 
 
 def _as_matrices(entries, ndims=(2, 3)) -> np.ndarray:
-    """entries as a float array: one square matrix, or a (k, n, n) stack
-    when 3 is among ndims."""
-    arr = np.array(entries, dtype=float)
+    """entries as a float array, not copied when they already are one: one
+    square matrix, or a (k, n, n) stack when 3 is among ndims."""
+    arr = np.asarray(entries, dtype=float)
     if arr.ndim not in ndims or arr.shape[-1] != arr.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
     if arr.shape[-1] < 1:
@@ -94,7 +93,7 @@ def validate_coupling_matrix(entries) -> np.ndarray:
     The diagonal is implied: once off-diagonal entries are non-negative and
     rows sum to zero, a_kk equals minus the off-diagonal row sum.
     """
-    arr = _as_matrices(entries)
+    arr = _as_matrices(np.array(entries, dtype=float))
     _check(arr.reshape((-1,) + arr.shape[-2:]))
     arr.setflags(write=False)
     return arr
@@ -109,23 +108,26 @@ def from_offdiagonal(weights) -> np.ndarray:
     validate_coupling_matrix, a stack raises what building its matrices one
     at a time would.
     """
-    arr = _as_matrices(weights)
-    stack = arr.reshape((-1,) + arr.shape[-2:])
-    diag = np.arange(stack.shape[-1])
-    out = stack.copy()
+    # The one copy of the weights, which becomes the couplings.
+    arr = np.array(weights, dtype=float)
+    out = _as_matrices(arr).reshape((-1,) + arr.shape[-2:])
+    diag = np.arange(out.shape[-1])
+    weight_fault = ((out[:, diag, diag] != 0.0).any(axis=1)
+                    | (out < 0.0).any(axis=(1, 2)))
+    first = int(np.argmax(weight_fault)) if weight_fault.any() else len(out)
+    bad_diagonal = first < len(out) and np.any(out[first, diag, diag] != 0.0)
     out[:, diag, diag] = 0.0
     with np.errstate(all="ignore"):
         out[:, diag, diag] = -out.sum(axis=2)
-    weight_fault = ((stack[:, diag, diag] != 0.0).any(axis=1)
-                    | (stack < 0.0).any(axis=(1, 2)))
-    first = int(np.argmax(weight_fault)) if weight_fault.any() else len(stack)
     _check(out[:first])
-    if first < len(stack):
-        if np.any(stack[first, diag, diag] != 0.0):
-            raise ValueError("diagonal of the weight matrix must be zero")
-        k, l = np.argwhere(stack[first] < 0.0)[0].tolist()
+    if bad_diagonal:
+        raise ValueError("diagonal of the weight matrix must be zero")
+    if first < len(out):
+        # Its diagonal was zero, so its negative entries are off it.
+        off = ~np.eye(out.shape[-1], dtype=bool)
+        k, l = np.argwhere((out[first] < 0.0) & off)[0].tolist()
         raise NegativeWeight(
-            f"weight ({k + 1},{l + 1}) = {float(stack[first, k, l])!r} is negative")
+            f"weight ({k + 1},{l + 1}) = {float(out[first, k, l])!r} is negative")
     out = out.reshape(arr.shape)
     out.setflags(write=False)
     return out
@@ -196,25 +198,35 @@ class CouplingSchedule:
     def horizon(self) -> tuple:
         return (self.t_start, self.t_end)
 
-    def profile(self, i: int, times) -> np.ndarray:
+    def profile(self, i, times) -> np.ndarray:
         """c_i(t) for every t in times: exactly 1.0 on a constant piece,
-        whose depth is 0."""
+        whose depth is 0.  i may also be an array of pieces, one for each
+        row of times."""
+        if not isinstance(i, (int, np.integer)):
+            i = np.asarray(i)[:, None]
         return 1.0 + self.depths[i] * np.sin(
             2.0 * math.pi * np.asarray(times, dtype=float) / self.periods[i])
 
-    def entries_over(self, i: int, times) -> np.ndarray:
+    def entries_over(self, i, times) -> np.ndarray:
         """A(t) of piece i for every t in times, as a (len(times), n, n)
         stack: a read-only broadcast of B on a constant piece.  On a
         sinusoidal piece each scale is profile(i, t), and each diagonal is
         minus the row sum of the scaled off-diagonal entries, not
-        scale * B_kk, so each row sums to zero up to that one sum."""
+        scale * B_kk, so each row sums to zero up to that one sum.  With an
+        array of pieces, one for each row of times, the stack is
+        times.shape + (n, n), each matrix with the bits of a call for its
+        piece alone."""
         B = self.couplings[i]
-        if self.constant[i]:
-            return np.broadcast_to(B, (len(times),) + B.shape)
-        out = B * self.profile(i, times)[:, None, None]
-        diag = np.arange(out.shape[1])
-        out[:, diag, diag] = 0.0
-        out[:, diag, diag] = -out.sum(axis=2)
+        fixed = self.constant[i]
+        if np.all(fixed):
+            return np.broadcast_to(B[..., None, :, :],
+                                   np.shape(times) + B.shape[-2:])
+        out = B[..., None, :, :] * self.profile(i, times)[..., None, None]
+        diag = np.arange(out.shape[-1])
+        out[..., diag, diag] = 0.0
+        out[..., diag, diag] = -out.sum(axis=-1)
+        if np.ndim(i):
+            out[fixed] = B[fixed, None]
         return out
 
 
@@ -235,17 +247,23 @@ def build_schedule(segments: Iterable) -> CouplingSchedule:
         if not (t1 > t0):
             raise ScheduleError(f"segment [{t0}, {t1}] has non-positive length")
         pieces.append((float(t0), float(t1),
-                       gen.coupling if sinusoid else _as_matrices(gen, (2,)),
                        gen.depth if sinusoid else 0.0,
-                       gen.period if sinusoid else 1.0, not sinusoid))
+                       gen.period if sinusoid else 1.0, not sinusoid,
+                       gen.coupling if sinusoid else _as_matrices(gen, (2,))))
     if not pieces:
         raise ScheduleError("schedule needs at least one segment")
-    if len({piece[2].shape for piece in pieces}) > 1:
+    *scalars, matrices = zip(*pieces)
+    if len({matrix.shape for matrix in matrices}) > 1:
         raise ScheduleError("segments disagree on the matrix size")
-    _check(np.stack([piece[2] for piece in pieces]))
-    pieces.sort(key=lambda piece: piece[0])
-    starts, ends, couplings, depths, periods, constant = map(
-        np.array, zip(*pieces))
+    # The one copy of the couplings, checked in the order given.
+    couplings = np.stack(matrices)
+    _check(couplings)
+    starts, ends, depths, periods, constant = map(np.array, scalars)
+    if np.any(starts[1:] < starts[:-1]):
+        order = np.argsort(starts, kind="stable")
+        starts, ends, couplings, depths, periods, constant = (
+            arr[order] for arr in (starts, ends, couplings, depths, periods,
+                                   constant))
     join_tol = 1e-9 * max(1.0, ends[-1] - starts[0])
     gaps = np.flatnonzero(np.abs(starts[1:] - ends[:-1]) > join_tol)
     if len(gaps):
@@ -263,15 +281,21 @@ def constant_schedule(matrix, t_start: float, t_end: float) -> CouplingSchedule:
     return build_schedule([(t_start, t_end, matrix)])
 
 
-def _locate_piece(schedule: CouplingSchedule, t: float) -> int:
+def _locate_piece(schedule: CouplingSchedule, t):
+    """The piece that holds time t, or an array of the pieces that hold an
+    array of times; OutOfHorizon for the first time off the horizon."""
     t0, t1 = schedule.horizon
     edge = 1e-12 * max(1.0, abs(t0), abs(t1))
-    if t < t0 - edge or t > t1 + edge:
-        raise OutOfHorizon(f"t = {t!r} outside schedule horizon [{t0}, {t1}]")
-    t = min(max(t, t0), t1)
+    times = np.asarray(t, dtype=float)
+    outside = (times < t0 - edge) | (times > t1 + edge)
+    if outside.any():
+        bad = float(times.flat[np.argmax(outside)])
+        raise OutOfHorizon(f"t = {bad!r} outside schedule horizon [{t0}, {t1}]")
     # Right-continuity: t equal to a breakpoint selects the later segment;
     # the final endpoint falls to the last segment, which closes the horizon.
-    return max(bisect.bisect_right(schedule.starts.tolist(), t) - 1, 0)
+    pieces = np.maximum(np.searchsorted(
+        schedule.starts, np.clip(times, t0, t1), side="right") - 1, 0)
+    return pieces if pieces.ndim else int(pieces)
 
 
 def integrate_windows(
@@ -283,8 +307,9 @@ def integrate_windows(
 
     Returns the (w, n, n) stack of window integrals.  The windows are walked
     together, one schedule piece at a time: step j adds the j-th piece that
-    overlaps each window, so every window sums its pieces in schedule order
-    and each integral is the same to the last bit as when integrated alone.
+    overlaps each window, or 0 to a window with fewer, so every window sums
+    its pieces in schedule order and each integral is the same to the last
+    bit as when integrated alone.
     A piece A(s) = c(s) B over [lo, hi] adds B times the integral w of its
     profile, in closed form: w = hi - lo on a constant piece, and
     w = L + d (P / pi) sin(pi (lo + hi) / P) sin(pi L / P), with L = hi - lo,
@@ -304,7 +329,10 @@ def integrate_windows(
             f"horizon [{t0}, {t1}]")
     a = np.maximum(starts, t0)
     b = np.minimum(ends, t1)
-    total = np.zeros((len(starts), schedule.n, schedule.n))
+    # Each window's matrix is one row of n * n entries while it is summed,
+    # so the products broadcast over rows, not over the rows of matrices.
+    total = np.zeros((len(starts), schedule.n ** 2))
+    couplings = schedule.couplings.reshape(len(schedule.starts), -1)
     if len(starts):
         # Window i overlaps the pieces first[i] .. stop[i] - 1.
         first = np.maximum(
@@ -323,12 +351,16 @@ def integrate_windows(
             w = np.maximum(L + schedule.depths[k] * (P / np.pi)
                            * np.sin(np.pi * (lo + hi) / P)
                            * np.sin(np.pi * L / P), 0.0)
-            rows = np.flatnonzero(live)
-            total[rows] += schedule.couplings[k[rows]] * w[rows, None, None]
+            # A window past its last piece, or that meets this one in no
+            # length, adds B times 0: +-0, as B is finite, which leaves its
+            # sum as it is.
+            w = np.where(live, w, 0.0)
+            total += couplings[k] * w[:, None]
     # The integral of a valid coupling map is itself a valid coupling matrix,
     # up to rounding proportional to the window; the floor of 1e-9 absorbs
     # the rounding of a sum over many pieces.  A window with a non-finite
     # entry, which only overflow can produce, is always bad.
+    total = total.reshape(len(starts), schedule.n, schedule.n)
     _check(total, max(DEFAULT_ROW_TOL * max(1.0, T), 1e-9))
     return total
 

@@ -41,8 +41,8 @@ import yaml
 
 from . import certify, csvfmt, lyapunov
 from .digraph import window_connectivity_report
-from .dynamics import (Trajectory, _plan_step, _require_memory, simulate_dde,
-                       simulate_ode, spread_series)
+from .dynamics import (_STACK_ENTRIES, Trajectory, _plan_step, _require_memory,
+                       simulate_dde, simulate_ode, spread_series)
 from .errors import (ConsensusLabError, HypothesisUnverified, InvalidSpec,
                      ParseError, UnknownFunction, UnknownFunctional,
                      ValidationError)
@@ -483,9 +483,14 @@ def _random_switching(keys, n, seed):
         spans = list(_periods(t0, t1, period, 16 * n * n))
         # Per period, in time order: the link mask, then the weights, the
         # draws that perfbench/scenarios.py repeats to check the runs.
-        off = np.array([np.where(rng.random((n, n)) < prob,
-                                 rng.uniform(lo, hi, (n, n)), 0.0)
-                        for _ in spans])
+        # rng.uniform(lo, hi) is lo + (hi - lo) rng.random(), double for
+        # double, so one rng.random draws both for a block of periods.
+        off = np.empty((len(spans), n, n))
+        size = max(1, _STACK_ENTRIES // (2 * n * n))
+        for first in range(0, len(spans), size):
+            block = off[first:first + size]
+            u = rng.random((len(block), 2, n, n))
+            block[:] = np.where(u[:, 0] < prob, lo + (hi - lo) * u[:, 1], 0.0)
         off[:, range(n), range(n)] = 0.0
         return [(*span, coupling) for span, coupling
                 in zip(spans, from_offdiagonal(off))]

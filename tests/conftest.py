@@ -94,6 +94,20 @@ def piece_entries_at(schedule, i, t):
                            schedule.periods[i], t)
 
 
+def brute_switching_weights(n, periods, probability, weight_range, seed):
+    """The off-diagonal weights of the first ``periods`` periods of
+    random_switching, drawn one period at a time, as perfbench/scenarios.py
+    repeats them: rng.random((n, n)) for the link mask, then
+    rng.uniform(low, high, (n, n)) for the link weights."""
+    rng = np.random.default_rng(seed)
+    lo, hi = weight_range
+    off = np.array([np.where(rng.random((n, n)) < probability,
+                             rng.uniform(lo, hi, (n, n)), 0.0)
+                    for _ in range(periods)])
+    off[:, range(n), range(n)] = 0.0
+    return off
+
+
 def _simpson_slice(a, b, fa, fm, fb):
     return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
 

@@ -38,7 +38,7 @@ from consensus_lab import (
 )
 from consensus_lab.dynamics import (_BLOCK_ENTRIES, _RK4_DISC_RADIUS,
                                     _SCAN_ROWS, _affine_steps, _drives,
-                                    _hermite_many, _march, _pieces,
+                                    _grids, _hermite_many, _march, _pieces,
                                     _plan_step, _resolution, _rk4_transfer,
                                     _scan,
                                     _step_target,
@@ -256,6 +256,107 @@ class TestOnDemandDerivatives:
         for t in queries[(queries >= 0.0) & (queries <= span)].tolist():
             want = _hermite_many([t], *brute, clamp_slack=1e-12 * span)[0]
             _assert_same_bytes(interpolate_state(sch, traj, t), want)
+
+
+class TestBatchedReads:
+    """interpolate_state reads an array of times in one call; each row has
+    the bits of a call for its time alone."""
+
+    @pytest.mark.parametrize("kind", ["constant", "switching", "sinusoidal",
+                                      "mixed"])
+    def test_rows_match_one_call_per_time(self, rng, kind):
+        n, span = 6, 4.0
+        if kind == "constant":
+            sch = constant_schedule(random_metzler(rng, n), 0.0, span)
+        elif kind == "sinusoidal":
+            sch = build_schedule([(0.0, span, _sinusoidal(rng, n))])
+        else:
+            edges = [0.0, 0.5, 0.51, 1.7, 2.5, span]
+            sch = build_schedule([
+                (lo, hi, _sinusoidal(rng, n) if kind == "mixed" and i % 2
+                 else random_metzler(rng, n))
+                for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:]))])
+        traj = simulate_ode(sch, rng.uniform(-1.0, 1.0, n), 0.0, span,
+                            step=0.05)
+        nodes = traj.times
+        # Nodes, midpoints, breakpoints, both ends and just past them (within
+        # the read's slack), and random times, in no order.
+        probes = np.concatenate((nodes, 0.5 * (nodes[1:] + nodes[:-1]),
+                                 sch.starts, sch.ends, [-1e-12, span + 1e-12],
+                                 rng.uniform(0.0, span, 50)))
+        rng.shuffle(probes)
+        rows = interpolate_state(sch, traj, probes)
+        assert rows.shape == (len(probes), n)
+        for t, row in zip(probes.tolist(), rows):
+            _assert_same_bytes(row, interpolate_state(sch, traj, t))
+        _assert_same_bytes(interpolate_state(sch, traj, probes[:3].tolist()),
+                           rows[:3])
+        assert interpolate_state(sch, traj, []).shape == (0, n)
+
+    def test_first_time_off_the_grid_raises(self):
+        sch = constant_schedule(chain_matrix(), 0.0, 2.0)
+        traj = simulate_ode(sch, [1.0, 0.0], 0.0, 2.0)
+        with pytest.raises(HistoryGap, match=r"\[2\.5, 2\.5\]"):
+            interpolate_state(sch, traj, [1.0, 2.5, -1.0])
+
+    def test_delayed_runs_are_not_read_in_batches_either(self):
+        sch = constant_schedule(symmetric_pair(), 0.0, 2.0)
+        traj = simulate_dde(sch, 0.5, [1.0, -1.0], 0.0, 2.0)
+        with pytest.raises(ValueError, match="undelayed"):
+            interpolate_state(sch, traj, [0.5, 1.0])
+
+
+class TestTransferStack:
+    """simulate_ode builds the transfers of its constant pieces as stacks
+    and their grids in one call; each element has the bits of a build for
+    its piece alone."""
+
+    def test_stacked_horner_matches_one_transfer_per_piece(self, rng):
+        for n in range(2, 41):
+            p = int(rng.integers(1, 9))
+            B = np.stack([random_metzler(rng, n) for _ in range(p)])
+            # Steps of many sizes, some shared.
+            h = np.where(rng.random(p) < 0.3, 0.01, rng.uniform(1e-4, 0.2, p))
+            stack = _rk4_transfer(B, h[:, None, None])
+            assert stack.shape == (p, n, n)
+            for j in range(p):
+                _assert_same_bytes(stack[j], _rk4_transfer(B[j], float(h[j])))
+
+    def test_grids_match_one_piece_at_a_time(self, rng):
+        # Joined pieces far from and near t = 0, and pieces across it, where
+        # a + h m often misses b.
+        spans = []
+        for t0 in (-50.0, 0.0, 1e6):
+            lengths = np.concatenate((rng.uniform(1e-3, 2.0, 100),
+                                      [0.5, 0.1, 0.3, 1.0, 0.013]))
+            edges = t0 + np.concatenate(([0.0], np.cumsum(lengths)))
+            spans.append((edges[:-1], edges[1:]))
+        a = rng.uniform(-1.0, 1.0, 300)
+        spans.append((a, a + rng.uniform(1e-3, 1.0, 300)))
+        for a, b in spans:
+            for h_target in (0.013, 0.1, 0.5, 5.0):
+                m, h, grid = _grids(a, b, h_target)
+                parts = [_substeps(x, y, h_target)
+                         for x, y in zip(a.tolist(), b.tolist())]
+                assert m.tolist() == [part[0] for part in parts]
+                assert h.tolist() == [part[1] for part in parts]
+                _assert_same_bytes(
+                    grid, np.concatenate([part[2] for part in parts]))
+
+    def test_runs_longer_than_one_stack_match_per_node_loops(self, rng):
+        # A stack at n = 30 holds 2**13 // 900 = 9 constant pieces; this
+        # run has 100, with sinusoidal pieces inside the stacks' blocks.
+        n = 30
+        edges = np.linspace(0.0, 2.0, 101)
+        sch = build_schedule([
+            (lo, hi, _sinusoidal(rng, n) if i % 17 == 5
+             else random_metzler(rng, n))
+            for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:]))])
+        x0 = rng.normal(size=n)
+        traj = simulate_ode(sch, x0, 0.0, 2.0)
+        brute = brute_simulate_ode(sch, x0, 0.0, 2.0)
+        for got, want in zip((traj.times, traj.states), brute):
+            _assert_same_bytes(got, want)
 
 
 class TestDefaultStep:

@@ -264,6 +264,53 @@ class TestSchedules:
         with pytest.raises(OutOfHorizon):
             metzler_core._locate_piece(sch, 2.0)
 
+    def test_arrays_of_times_locate_and_read_as_one_at_a_time(self, rng):
+        # A given matrix keeps its own diagonal, here off minus its row sum
+        # by a rounding.
+        given = random_metzler(rng, 4).copy()
+        given[0, 0] += 1e-14
+        pieces = [random_metzler(rng, 4), _sinusoid(rng, 4, 0.5, 3.0), given,
+                  _sinusoid(rng, 4, -0.8, 2.0)]
+        sch = build_schedule([(float(i), i + 1.0, piece)
+                              for i, piece in enumerate(pieces)])
+        times = np.concatenate((sch.starts, sch.ends, [-1e-13, 4.0 + 1e-13],
+                                rng.uniform(0.0, 4.0, 40)))
+        pieces = metzler_core._locate_piece(sch, times)
+        assert pieces.tolist() == [metzler_core._locate_piece(sch, t)
+                                   for t in times.tolist()]
+        # Two times a row, each read on the row's piece.
+        grid = np.stack((times, times[::-1]), axis=1)
+        stack = sch.entries_over(pieces, grid)
+        assert stack.shape == (len(times), 2, 4, 4)
+        for i, row, entries in zip(pieces.tolist(), grid, stack):
+            want = sch.entries_over(i, row)
+            assert entries.tobytes() == np.ascontiguousarray(want).tobytes()
+        held = np.flatnonzero(sch.constant)
+        assert sch.entries_over(held, grid[:len(held)]).shape == (
+            len(held), 2, 4, 4)
+        with pytest.raises(OutOfHorizon, match=r"t = 4\.5 "):
+            metzler_core._locate_piece(sch, np.array([1.0, 4.5, 5.0]))
+
+    def test_inputs_are_copied_once_and_left_as_they_were(self, rng):
+        weights = rng.uniform(0.0, 2.0, (5, 4, 4))
+        weights[:, range(4), range(4)] = 0.0
+        before = weights.copy()
+        stack = from_offdiagonal(weights)
+        assert weights.flags.writeable and np.array_equal(weights, before)
+        assert not np.shares_memory(stack, weights)
+        entries = stack[0].copy()
+        checked = validate_coupling_matrix(entries)
+        assert entries.flags.writeable and not np.shares_memory(checked,
+                                                                 entries)
+        # Segments given out of order: the schedule's one copy is sorted.
+        sch = build_schedule([(1.0, 2.0, stack[1]), (0.0, 1.0, entries),
+                              (2.0, 3.0, stack[2])])
+        assert sch.starts.tolist() == [0.0, 1.0, 2.0]
+        assert np.array_equal(sch.couplings, stack[:3])
+        assert sch.constant.tolist() == [True] * 3
+        for arr in (entries, stack):
+            assert not np.shares_memory(sch.couplings, arr)
+
 
 class TestWindowIntegrals:
     def test_constant_piece_is_exact(self):

@@ -24,6 +24,7 @@ from consensus_lab import (
     StepTooLargeWarning,
     Trajectory,
     ValidationError,
+    from_offdiagonal,
     generate_topology,
     integrate_schedule,
     parse_config,
@@ -33,7 +34,8 @@ from consensus_lab import (
 from consensus_lab import csvfmt, errors, lyapunov, scenario_cli
 from consensus_lab.scenario_cli import _periods, _write_trajectory_csv, main
 
-from conftest import brute_trajectory_csv, coupling_at, run_cli
+from conftest import (brute_switching_weights, brute_trajectory_csv,
+                      coupling_at, run_cli)
 
 
 RING_DEMO = """\
@@ -497,6 +499,24 @@ class TestTopologyGeneration:
             np.fill_diagonal(off, 0.0)
             nz = off[off != 0.0]
             assert np.all((nz >= 0.5) & (nz <= 1.5))
+
+    @pytest.mark.parametrize("n", range(1, 31))
+    def test_random_switching_draws_one_period_at_a_time(self, n):
+        # Every n, links never, half the time and always, and one weight
+        # for every link; at n = 7 and 30 more periods than one block of
+        # draws holds (83 and 4 at 2**13 entries a block).
+        cases = [(0.0, [0.5, 1.5], 4), (0.5, [0.5, 1.5], 4),
+                 (1.0, [0.5, 1.5], 4), (0.5, [0.75, 0.75], 4)]
+        cases += {7: [(0.9, [0.5, 1.5], 700)],
+                  30: [(0.9, [0.5, 1.5], 40)]}.get(n, [])
+        for probability, weights, periods in cases:
+            spec = {"kind": "random_switching", "period": 0.5,
+                    "link_probability": probability,
+                    "weight_range": weights, "seed": 100 + n}
+            sch = generate_topology(spec, n, 0.0, 0.5 * periods)
+            want = from_offdiagonal(brute_switching_weights(
+                n, periods, probability, weights, 100 + n))
+            assert sch.couplings.tobytes() == want.tobytes()
 
     def test_scenario_seed_feeds_topology(self):
         spec = {"kind": "random_switching", "period": 1.0,
