@@ -140,11 +140,10 @@ from __future__ import annotations
 
 import bisect
 import functools
-import math
 import os
 import warnings
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -347,23 +346,23 @@ def _rk4_transfer(A: np.ndarray, h) -> np.ndarray:
     return eye + hA @ phi
 
 
-def _substeps(a: float, b: float, h_target: float):
-    m = max(1, int(math.ceil((b - a) / h_target - 1e-9)))
-    h = (b - a) / m
-    grid = a + h * np.arange(1, m + 1)
-    grid[-1] = b
-    return m, h, grid
-
-
 def _grids(a: np.ndarray, b: np.ndarray, h_target: float):
-    """_substeps of every piece [a_i, b_i] at once, each element with the
-    same bits: (m, h, grid), with grid the step ends of the pieces one
-    after the other, each piece's last exactly its b."""
+    """Cut every piece [a_i, b_i] into m_i = ceil((b_i - a_i) / h_target)
+    equal steps (at least one, and none for a rounding residue past a
+    whole number): (m, h, grid), with grid the step ends a_i + h_i j of
+    the pieces one after the other, each piece's last exactly its b_i.
+    Each step end is computed in place on one run-long array, with one
+    other array of that length alive at a time."""
     m = np.maximum(np.ceil((b - a) / h_target - 1e-9), 1.0).astype(np.int64)
     h = (b - a) / m
     stop = np.cumsum(m)
-    j = np.arange(1, m.sum() + 1) - np.repeat(stop - m, m)
-    grid = np.repeat(a, m) + np.repeat(h, m) * j
+    # j, the number of each step within its piece, 1 .. m_i.
+    j = np.arange(1, m.sum() + 1)
+    j -= np.repeat(stop - m, m)
+    grid = np.repeat(h, m)
+    grid *= j
+    del j
+    grid += np.repeat(a, m)
     grid[stop - 1] = b
     return m, h, grid
 
@@ -455,14 +454,11 @@ def _march(x: np.ndarray, schedule: CouplingSchedule, piece: int, a: float,
 
 
 # Transfer stacks are built for at most this many matrix entries at a time
-# (and never less than one step), so a long piece holds a block of its
-# transfer matrices, not all of them, at once.
+# (and never less than one matrix): the transfers of a block of steps of a
+# sinusoidal piece, or the one transfer of each of a block of constant
+# pieces, so a long run holds a block of its transfer matrices, not all of
+# them, at once.
 _BLOCK_ENTRIES = 2 ** 12
-# The one transfer of each constant piece, and the random_switching draws,
-# come in stacks of at most this many entries (and never less than one
-# piece).  Stacks of 2 ** 15 ran no faster and raised the peak resident
-# size of a long run of small switching scenarios by about 0.3 MB.
-_STACK_ENTRIES = 2 ** 13
 
 
 def _wave_transfers(schedule: CouplingSchedule, piece: int, a: float,
@@ -502,7 +498,7 @@ def _transfers(schedule: CouplingSchedule, pieces, a, m, h, grid):
     sinusoidal piece takes _wave_transfers."""
     fixed = schedule.constant[pieces]
     stop = np.cumsum(m).tolist()
-    size = max(1, _STACK_ENTRIES // schedule.couplings[0].size)
+    size = max(1, _BLOCK_ENTRIES // schedule.couplings[0].size)
     for lo in range(0, len(pieces), size):
         block = np.arange(lo, min(lo + size, len(pieces)))
         held = block[fixed[block]]
@@ -549,8 +545,9 @@ def simulate_ode(
     a, b, pieces = np.array(list(_pieces(schedule, t0, t1))).reshape(-1, 3).T
     pieces = pieces.astype(np.intp)
     m, h, grid = _grids(a, b, h_target)
-    # t0 and every step's end, allocated once.
+    # t0 and every step's end, allocated once; grid becomes a view of them.
     times = np.concatenate(([t0], grid))
+    grid = times[1:]
     states = np.empty((len(times), n))
     states[0], k = x, 1
     steps = zip(_transfers(schedule, pieces, a, m, h, grid), m.tolist(),
@@ -684,46 +681,55 @@ def simulate_dde(
 
     # One node grid: the t0 node and every computed node, whose times and
     # states are the trajectory.  Every window's pieces are known before
-    # stepping, so the nodes are counted and allocated once, with both
+    # stepping, so their steps are cut in one _grids call, whose step ends
+    # are the node times, and the nodes are allocated once, with both
     # one-sided derivatives for the reads.  A last window too short for
     # _pieces to resolve at t has no piece.
-    windows, w0 = [], t0
+    cuts, counts, w0 = [], [], t0
     span_tiny = 1e-12 * max(1.0, abs(t1 - t0))
     while w0 < t1 - span_tiny:
         w1 = min(w0 + tau, t1)
-        windows.append([(i, a, *_substeps(a, b, h_target)[1:])
-                        for a, b, i in _pieces(schedule, w0, w1)])
+        pieces = list(_pieces(schedule, w0, w1))
+        cuts += pieces
+        counts.append(len(pieces))
         w0 = w1
-    size = 1 + sum(len(nodes) for pieces in windows for *_, nodes in pieces)
-    times, states = np.empty(size), np.empty((size, n))
-    right, left = np.empty((size, n)), np.empty((size, n))
+    cuts = np.array(cuts).reshape(-1, 3)
+    m, h, times = _grids(cuts[:, 0], cuts[:, 1], h_target)
+    times = np.concatenate(([t0], times))
+    size = len(times)
+    states, right, left = (np.empty((size, n)) for _ in range(3))
     # The history is one row, x0 at t0 - tau with both derivatives 0; the t0
     # node holds x0 with a left derivative of 0, and _march writes its right.
     zero = np.zeros((1, n))
     history = (np.array([t0 - tau]), x[None], zero, zero)
-    times[0], states[0], left[0], k = t0, x, 0.0, 1
+    states[0], left[0] = x, 0.0
+    # Per piece: its schedule piece, start, step and rows of the node grid.
+    stops = 1 + np.cumsum(m)
+    steps = zip(cuts[:, 2].astype(np.intp).tolist(), cuts[:, 0].tolist(),
+                h.tolist(), map(slice, (stops - m).tolist(), stops.tolist()))
 
-    for pieces in windows:
+    for count in counts:
+        pieces = list(islice(steps, count))
+        if not pieces:
+            continue
         # The delayed reads of this window lie in [w0 - tau, w1 - tau], which
         # is computed already: one Hermite call reads them for all of its
         # pieces, and since each query row is computed on its own, the batch
         # changes no value.  The history joins the grid for reads before t0.
-        queries = [np.concatenate(([a], nodes, nodes - 0.5 * h)) - tau
-                   for _, a, h, nodes in pieces]
-        if queries:
-            grid = [arr[:k] for arr in (times, states, right, left)]
-            if queries[0][0] < t0:
-                grid = [np.concatenate(pair) for pair in zip(history, grid)]
-            xd = interp(np.concatenate(queries), grid)
-            xd = np.split(xd, np.cumsum([len(q) for q in queries])[:-1])
-        for j, (i, a, h, nodes) in enumerate(pieces):
-            rows = slice(k, k + len(nodes))
-            times[rows] = nodes
-            x = _march(x, schedule, i, a, nodes, h, xd[j], delay_diagonal,
-                       (right[k - 1], states[rows], right[rows]))
+        queries = [np.concatenate(([a], times[rows], times[rows] - 0.5 * h))
+                   - tau for _, a, h, rows in pieces]
+        k = pieces[0][3].start
+        known = [arr[:k] for arr in (times, states, right, left)]
+        if queries[0][0] < t0:
+            known = [np.concatenate(pair) for pair in zip(history, known)]
+        xd = interp(np.concatenate(queries), known)
+        xd = np.split(xd, np.cumsum([len(q) for q in queries])[:-1])
+        for (i, a, h, rows), reads in zip(pieces, xd):
+            x = _march(x, schedule, i, a, times[rows], h, reads,
+                       delay_diagonal,
+                       (right[rows.start - 1], states[rows], right[rows]))
             left[rows] = right[rows]
-            k = rows.stop
-            _require_finite(x, nodes[-1], h, schedule.bound)
+            _require_finite(x, times[rows.stop - 1], h, schedule.bound)
     return Trajectory(times, states, tau=tau, delay_diagonal=delay_diagonal)
 
 

@@ -281,21 +281,19 @@ def constant_schedule(matrix, t_start: float, t_end: float) -> CouplingSchedule:
     return build_schedule([(t_start, t_end, matrix)])
 
 
-def _locate_piece(schedule: CouplingSchedule, t):
-    """The piece that holds time t, or an array of the pieces that hold an
-    array of times; OutOfHorizon for the first time off the horizon."""
+def _locate_piece(schedule: CouplingSchedule, times: np.ndarray) -> np.ndarray:
+    """The pieces that hold an array of times; OutOfHorizon for the first
+    time off the horizon."""
     t0, t1 = schedule.horizon
     edge = 1e-12 * max(1.0, abs(t0), abs(t1))
-    times = np.asarray(t, dtype=float)
     outside = (times < t0 - edge) | (times > t1 + edge)
     if outside.any():
-        bad = float(times.flat[np.argmax(outside)])
+        bad = float(times[np.argmax(outside)])
         raise OutOfHorizon(f"t = {bad!r} outside schedule horizon [{t0}, {t1}]")
     # Right-continuity: t equal to a breakpoint selects the later segment;
     # the final endpoint falls to the last segment, which closes the horizon.
-    pieces = np.maximum(np.searchsorted(
+    return np.maximum(np.searchsorted(
         schedule.starts, np.clip(times, t0, t1), side="right") - 1, 0)
-    return pieces if pieces.ndim else int(pieces)
 
 
 def integrate_windows(

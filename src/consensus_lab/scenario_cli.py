@@ -41,8 +41,8 @@ import yaml
 
 from . import certify, csvfmt, lyapunov
 from .digraph import window_connectivity_report
-from .dynamics import (_STACK_ENTRIES, Trajectory, _plan_step, _require_memory,
-                       simulate_dde, simulate_ode, spread_series)
+from .dynamics import (Trajectory, _plan_step, _require_memory, simulate_dde,
+                       simulate_ode, spread_series)
 from .errors import (ConsensusLabError, HypothesisUnverified, InvalidSpec,
                      ParseError, UnknownFunction, UnknownFunctional,
                      ValidationError)
@@ -484,9 +484,11 @@ def _random_switching(keys, n, seed):
         # Per period, in time order: the link mask, then the weights, the
         # draws that perfbench/scenarios.py repeats to check the runs.
         # rng.uniform(lo, hi) is lo + (hi - lo) rng.random(), double for
-        # double, so one rng.random draws both for a block of periods.
+        # double, so one rng.random draws both for a block of periods: at
+        # most 2 ** 13 doubles, and never less than one period, so a long
+        # run holds a block of its draws, not all of them, at once.
         off = np.empty((len(spans), n, n))
-        size = max(1, _STACK_ENTRIES // (2 * n * n))
+        size = max(1, 2 ** 13 // (2 * n * n))
         for first in range(0, len(spans), size):
             block = off[first:first + size]
             u = rng.random((len(block), 2, n, n))

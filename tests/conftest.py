@@ -21,7 +21,7 @@ import consensus_lab
 from consensus_lab import (OutOfHorizon, contraction_certificate,
                            from_offdiagonal, simulate_ode)
 from consensus_lab.dynamics import (_hermite_many, _march, _rk4_transfer,
-                                    _step_target, _substeps)
+                                    _step_target)
 from consensus_lab.metzler_core import DEFAULT_ROW_TOL, _check, _locate_piece
 
 
@@ -83,7 +83,19 @@ def scaled_coupling(B, depth, period, t):
 def coupling_at(schedule, t):
     """A(t) of a schedule, right-continuous at its breakpoints; OutOfHorizon
     outside it."""
-    return schedule.entries_over(_locate_piece(schedule, t), [t])[0]
+    piece = _locate_piece(schedule, np.array([t]))[0]
+    return schedule.entries_over(piece, [t])[0]
+
+
+def brute_substeps(a, b, h_target):
+    """(m, h, grid) of one piece [a, b], cut one piece at a time: m equal
+    steps of h, and grid their ends a + h j, the last exactly b; the
+    oracle of dynamics._grids."""
+    m = max(1, int(math.ceil((b - a) / h_target - 1e-9)))
+    h = (b - a) / m
+    grid = a + h * np.arange(1, m + 1)
+    grid[-1] = b
+    return m, h, grid
 
 
 def piece_entries_at(schedule, i, t):
@@ -307,7 +319,7 @@ def brute_simulate_ode(schedule, x0, t0, t1, step=None, stages=False):
     store = BruteStore()
     store.append(t0, x, coupling_at(schedule, t0) @ x)
     for a, b, i in brute_pieces(schedule, t0, t1):
-        m, h, grid = _substeps(a, b, h_target)
+        m, h, grid = brute_substeps(a, b, h_target)
         if schedule.constant[i]:
             x = brute_transfer_loop(store, x, schedule.couplings[i], h, grid)
         elif stages:
@@ -346,7 +358,7 @@ def brute_simulate_dde(schedule, tau, x0, t0, t1, step=None,
         w1 = min(w0 + tau, t1)
         snap = store.arrays()
         for a, b, i in brute_pieces(schedule, w0, w1):
-            m, h, grid = _substeps(a, b, h_target)
+            m, h, grid = brute_substeps(a, b, h_target)
             xd_nodes = _hermite_many(np.concatenate(([a], grid)) - tau, *snap,
                                      clamp_slack=slack)
             xd_half = _hermite_many((grid - 0.5 * h) - tau, *snap,
@@ -375,7 +387,7 @@ def shadow_simulate_dde(schedule, tau, x0, t0, t1, step=None,
         w1 = min(w0 + tau, t1)
         snap = store.arrays()
         for a, b, i in brute_pieces(schedule, w0, w1):
-            m, h, grid = _substeps(a, b, h_target)
+            m, h, grid = brute_substeps(a, b, h_target)
             xd_nodes = _hermite_many(np.concatenate(([a], grid)) - tau, *snap,
                                      clamp_slack=slack)
             xd_half = _hermite_many((grid - 0.5 * h) - tau, *snap,

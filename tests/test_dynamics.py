@@ -41,14 +41,14 @@ from consensus_lab.dynamics import (_BLOCK_ENTRIES, _RK4_DISC_RADIUS,
                                     _grids, _hermite_many, _march, _pieces,
                                     _plan_step, _resolution, _rk4_transfer,
                                     _scan,
-                                    _step_target,
-                                    _substeps, _window_extremes)
+                                    _step_target, _window_extremes)
 from consensus_lab.scenario_cli import SinusoidalCoupling
 
 from conftest import (BruteStore, brute_delayed_functional_series, brute_march,
                       brute_pieces, brute_simulate_dde, brute_simulate_ode,
-                      chain_matrix, deque_delayed_functional_series,
-                      piece_entries_at, piece_rhs, random_metzler,
+                      brute_substeps, chain_matrix,
+                      deque_delayed_functional_series, piece_entries_at,
+                      piece_rhs, random_metzler,
                       shadow_simulate_dde, split_delay, symmetric_pair,
                       transfer_of_step)
 
@@ -336,7 +336,7 @@ class TestTransferStack:
         for a, b in spans:
             for h_target in (0.013, 0.1, 0.5, 5.0):
                 m, h, grid = _grids(a, b, h_target)
-                parts = [_substeps(x, y, h_target)
+                parts = [brute_substeps(x, y, h_target)
                          for x, y in zip(a.tolist(), b.tolist())]
                 assert m.tolist() == [part[0] for part in parts]
                 assert h.tolist() == [part[1] for part in parts]
@@ -344,8 +344,10 @@ class TestTransferStack:
                     grid, np.concatenate([part[2] for part in parts]))
 
     def test_runs_longer_than_one_stack_match_per_node_loops(self, rng):
-        # A stack at n = 30 holds 2**13 // 900 = 9 constant pieces; this
-        # run has 100, with sinusoidal pieces inside the stacks' blocks.
+        # A stack at n = 30 holds _BLOCK_ENTRIES // 900 = 4 constant
+        # pieces; this run has 100, with sinusoidal pieces inside the
+        # stacks' blocks.
+        assert _BLOCK_ENTRIES // 900 == 4
         n = 30
         edges = np.linspace(0.0, 2.0, 101)
         sch = build_schedule([
@@ -588,7 +590,7 @@ def dde_deviation_bound(schedule, tau, t0, t1, step, delay_diagonal, X):
     while w0 < t1 - 1e-12 * max(1.0, abs(t1 - t0)):
         w1 = min(w0 + tau, t1)
         pieces = brute_pieces(schedule, w0, w1)
-        windows.append((w1 - w0, [_substeps(a, b, h_target)[:2]
+        windows.append((w1 - w0, [brute_substeps(a, b, h_target)[:2]
                                   for a, b, _ in pieces]))
         w0 = w1
     h = max(hp for _, pieces in windows for _, hp in pieces)
@@ -713,7 +715,7 @@ class TestDdeStages:
         sch = generate_topology(spec, 8, 0.0, 20.0)
         x0 = np.random.default_rng(8).uniform(-1.0, 1.0, 8)
         traj = simulate_dde(sch, 1.0, x0, 0.0, 20.0, step=0.0039)
-        steps = sum(_substeps(a, b, 0.0039)[0] for k in range(20)
+        steps = sum(brute_substeps(a, b, 0.0039)[0] for k in range(20)
                     for a, b, _ in brute_pieces(sch, float(k), k + 1.0))
         assert len(traj.times) == 1 + steps == 5161
         for arr in (traj.times, traj.states):

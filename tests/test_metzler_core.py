@@ -239,8 +239,8 @@ class TestSchedules:
         a = chain_matrix()
         b = 2.0 * chain_matrix()
         sch = build_schedule([(0.0, 1.0, a), (1.0, 3.0, b)])
-        assert metzler_core._locate_piece(sch, 1.0) == 1
-        assert metzler_core._locate_piece(sch, 3.0) == 1
+        located = metzler_core._locate_piece(sch, np.array([1.0, 3.0]))
+        assert located.tolist() == [1, 1]
         assert np.array_equal(coupling_at(sch, 1.0), b)
 
     def test_rejects_gap(self):
@@ -262,7 +262,7 @@ class TestSchedules:
     def test_out_of_horizon(self):
         sch = constant_schedule(chain_matrix(), 0.0, 1.0)
         with pytest.raises(OutOfHorizon):
-            metzler_core._locate_piece(sch, 2.0)
+            metzler_core._locate_piece(sch, np.array([2.0]))
 
     def test_arrays_of_times_locate_and_read_as_one_at_a_time(self, rng):
         # A given matrix keeps its own diagonal, here off minus its row sum
@@ -275,9 +275,11 @@ class TestSchedules:
                               for i, piece in enumerate(pieces)])
         times = np.concatenate((sch.starts, sch.ends, [-1e-13, 4.0 + 1e-13],
                                 rng.uniform(0.0, 4.0, 40)))
+        # Piece i holds [i, i + 1), the last one its end too, and times
+        # within the edge tolerance of the horizon fall to its end pieces.
         pieces = metzler_core._locate_piece(sch, times)
-        assert pieces.tolist() == [metzler_core._locate_piece(sch, t)
-                                   for t in times.tolist()]
+        assert pieces.tolist() == np.minimum(
+            np.floor(np.clip(times, 0.0, 4.0)), 3.0).tolist()
         # Two times a row, each read on the row's piece.
         grid = np.stack((times, times[::-1]), axis=1)
         stack = sch.entries_over(pieces, grid)

@@ -504,7 +504,7 @@ class TestTopologyGeneration:
     def test_random_switching_draws_one_period_at_a_time(self, n):
         # Every n, links never, half the time and always, and one weight
         # for every link; at n = 7 and 30 more periods than one block of
-        # draws holds (83 and 4 at 2**13 entries a block).
+        # draws holds (83 and 4 at 2**13 doubles a block).
         cases = [(0.0, [0.5, 1.5], 4), (0.5, [0.5, 1.5], 4),
                  (1.0, [0.5, 1.5], 4), (0.5, [0.75, 0.75], 4)]
         cases += {7: [(0.9, [0.5, 1.5], 700)],
