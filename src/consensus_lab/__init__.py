@@ -47,6 +47,7 @@ from .metzler_core import (
     from_offdiagonal,
     integrate_schedule,
     integrate_windows,
+    schedule_from_arrays,
     validate_coupling_matrix,
 )
 from .digraph import (

@@ -6,12 +6,15 @@ attracted towards the others, and the diagonal entry balances the row.
 validate_coupling_matrix and from_offdiagonal check one such matrix or a
 (k, n, n) stack of them in one pass and return it as a read-only array: a
 coupling is an array that passed the check, not a type of its own.  A
-schedule assembles such matrices into a bounded piecewise map t -> A(t),
-right-continuous at its breakpoints.
+schedule is a bounded piecewise map t -> A(t), right-continuous at its
+breakpoints.
 Each piece is a fixed coupling B times a scalar profile: c = 1 on a
-constant piece, c(t) = 1 + d sin(2 pi t / P) on a SinusoidalCoupling, so
+constant piece, c(t) = 1 + d sin(2 pi t / P) on a sinusoidal one, so
 A(t) = c(t) B, and a schedule holds its pieces as arrays: the breakpoints,
-one read-only stack of the couplings B and the profile parameters.  Window
+one read-only (k, n, n) stack of the couplings B and the profile
+parameters.  schedule_from_arrays is its one constructor: it takes those
+arrays, checks the stack once and keeps it without a copy; build_schedule
+stacks a list of (start, end, coupling) segments for it.  Window
 integrals of a schedule are the raw material for the connectivity and
 contraction analyses elsewhere in the package; a piece adds B times the
 integral of its profile, which is closed form.  integrate_windows builds
@@ -52,6 +55,12 @@ def _as_matrices(entries, ndims=(2, 3)) -> np.ndarray:
     return arr
 
 
+def _max_abs(stack: np.ndarray) -> np.ndarray:
+    """max|B| of each B of a stack, to the bit, as |max(max B, -min B)|:
+    no stack-sized temporary |B|."""
+    return np.abs(np.maximum(stack.max(axis=(1, 2)), -stack.min(axis=(1, 2))))
+
+
 def _check(stack: np.ndarray, tol: float = DEFAULT_ROW_TOL) -> None:
     """Raise the first fault of a (k, n, n) stack, if it has one: the error
     that checking its matrices one at a time would raise first.
@@ -69,7 +78,7 @@ def _check(stack: np.ndarray, tol: float = DEFAULT_ROW_TOL) -> None:
         nonfinite = ~np.isfinite(stack)
         negative = (stack < 0.0) & ~np.eye(stack.shape[-1], dtype=bool)
         sums = stack.sum(axis=2)
-        row_tol = tol * np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
+        row_tol = tol * np.maximum(1.0, _max_abs(stack))
         over = np.abs(sums) > row_tol[:, None]
     faulty = (nonfinite | negative).any(axis=(1, 2)) | over.any(axis=1)
     if not faulty.any():
@@ -99,6 +108,33 @@ def validate_coupling_matrix(entries) -> np.ndarray:
     return arr
 
 
+def _fill_diagonal(stack: np.ndarray) -> np.ndarray:
+    """Set each diagonal of a (k, n, n) stack, in place, to minus the sum of
+    the rest of its row, so that rows sum to zero by construction; return
+    the stack."""
+    diag = np.arange(stack.shape[-1])
+    stack[:, diag, diag] = 0.0
+    with np.errstate(all="ignore"):
+        stack[:, diag, diag] = -stack.sum(axis=2)
+    return stack
+
+
+def _weight_fault(weights: np.ndarray) -> tuple:
+    """(i, error) of the first (k, n, n) weight matrix with a non-zero
+    diagonal (ValueError) or a negative weight (NegativeWeight); (k, None)."""
+    diag = np.arange(weights.shape[-1])
+    bad_diagonal = (weights[:, diag, diag] != 0.0).any(axis=1)
+    fault = bad_diagonal | (weights < 0.0).any(axis=(1, 2))
+    if not fault.any():
+        return len(weights), None
+    i = int(np.argmax(fault))
+    if bad_diagonal[i]:
+        return i, ValueError("diagonal of the weight matrix must be zero")
+    k, l = np.argwhere(weights[i] < 0.0)[0].tolist()
+    return i, NegativeWeight(
+        f"weight ({k + 1},{l + 1}) = {float(weights[i, k, l])!r} is negative")
+
+
 def from_offdiagonal(weights) -> np.ndarray:
     """Build a coupling matrix, or a (k, n, n) stack of them, from
     non-negative off-diagonal weights; the result is read-only.
@@ -111,23 +147,10 @@ def from_offdiagonal(weights) -> np.ndarray:
     # The one copy of the weights, which becomes the couplings.
     arr = np.array(weights, dtype=float)
     out = _as_matrices(arr).reshape((-1,) + arr.shape[-2:])
-    diag = np.arange(out.shape[-1])
-    weight_fault = ((out[:, diag, diag] != 0.0).any(axis=1)
-                    | (out < 0.0).any(axis=(1, 2)))
-    first = int(np.argmax(weight_fault)) if weight_fault.any() else len(out)
-    bad_diagonal = first < len(out) and np.any(out[first, diag, diag] != 0.0)
-    out[:, diag, diag] = 0.0
-    with np.errstate(all="ignore"):
-        out[:, diag, diag] = -out.sum(axis=2)
-    _check(out[:first])
-    if bad_diagonal:
-        raise ValueError("diagonal of the weight matrix must be zero")
-    if first < len(out):
-        # Its diagonal was zero, so its negative entries are off it.
-        off = ~np.eye(out.shape[-1], dtype=bool)
-        k, l = np.argwhere((out[first] < 0.0) & off)[0].tolist()
-        raise NegativeWeight(
-            f"weight ({k + 1},{l + 1}) = {float(out[first, k, l])!r} is negative")
+    first, fault = _weight_fault(out)
+    _check(_fill_diagonal(out)[:first])
+    if fault is not None:
+        raise fault
     out = out.reshape(arr.shape)
     out.setflags(write=False)
     return out
@@ -230,35 +253,48 @@ class CouplingSchedule:
         return out
 
 
-def build_schedule(segments: Iterable) -> CouplingSchedule:
-    """Assemble and validate a schedule from (t_start, t_end, coupling)
-    pieces, the coupling a matrix or a SinusoidalCoupling.
+def schedule_from_arrays(starts, ends, couplings, depths=None, periods=None,
+                         constant=None) -> CouplingSchedule:
+    """The schedule of pieces c_i(t) couplings[i] on [starts[i], ends[i]),
+    c_i the profile of depths[i] and periods[i], given with the constant
+    mask or not at all (then every piece is constant).
 
-    Segment times must be finite, segments must have positive length, agree
-    on the matrix size, and be contiguous and non-overlapping once sorted by
-    start.  The couplings B are validated as one stack, in the order given;
-    a sinusoidal piece is c(t) B with c >= 0.
-    """
-    pieces = []
-    for t0, t1, gen in segments:
-        sinusoid = isinstance(gen, SinusoidalCoupling)
-        if not (math.isfinite(t0) and math.isfinite(t1)):
-            raise ScheduleError(f"segment [{t0}, {t1}] has a non-finite end")
-        if not (t1 > t0):
-            raise ScheduleError(f"segment [{t0}, {t1}] has non-positive length")
-        pieces.append((float(t0), float(t1),
-                       gen.depth if sinusoid else 0.0,
-                       gen.period if sinusoid else 1.0, not sinusoid,
-                       gen.coupling if sinusoid else _as_matrices(gen, (2,))))
-    if not pieces:
+    Checks, in this order: the piece count, shapes and times
+    (ScheduleError), the (k, n, n) stack by one _check in the order given,
+    the profiles and the bound (InvalidSpec), and the joins once sorted by
+    start (ScheduleError).  The
+    arrays become the schedule's, read-only, and are not copied unless out
+    of order; the diagonal of a sinusoidal piece is set, in place, to minus
+    its off-diagonal row sum, as entries_over builds A(t)."""
+    couplings = _as_matrices(couplings, (3,))
+    k = len(couplings)
+    if depths is None:
+        depths, periods, constant = np.zeros(k), np.ones(k), np.ones(k, bool)
+    starts, ends, depths, periods = (np.asarray(arr, dtype=float) for arr
+                                     in (starts, ends, depths, periods))
+    constant = np.asarray(constant, dtype=bool)
+    if not k:
         raise ScheduleError("schedule needs at least one segment")
-    *scalars, matrices = zip(*pieces)
-    if len({matrix.shape for matrix in matrices}) > 1:
-        raise ScheduleError("segments disagree on the matrix size")
-    # The one copy of the couplings, checked in the order given.
-    couplings = np.stack(matrices)
+    if {a.shape for a in (starts, ends, depths, periods, constant)} != {(k,)}:
+        raise ScheduleError("each piece needs a start, end, depth, period "
+                            "and constant flag")
+    with np.errstate(invalid="ignore"):
+        finite = np.isfinite(starts) & np.isfinite(ends)
+        bad = np.flatnonzero(~(finite & (ends > starts)))
+    if len(bad):
+        i = bad[0]
+        raise ScheduleError(
+            f"segment [{starts[i].item()}, {ends[i].item()}] has "
+            + ("non-positive length" if finite[i] else "a non-finite end"))
     _check(couplings)
-    starts, ends, depths, periods, constant = map(np.array, scalars)
+    if not np.all((np.abs(depths) <= 1.0) & (periods > 0.0)):
+        raise InvalidSpec("profiles need |depth| <= 1 and a positive period")
+    if not constant.all():
+        couplings[~constant] = _fill_diagonal(couplings[~constant])
+    with np.errstate(over="ignore"):
+        bound = float(((1.0 + np.abs(depths)) * _max_abs(couplings)).max())
+    if not math.isfinite(bound):
+        raise InvalidSpec(f"entries reach {bound} at the profile peak")
     if np.any(starts[1:] < starts[:-1]):
         order = np.argsort(starts, kind="stable")
         starts, ends, couplings, depths, periods, constant = (
@@ -271,9 +307,22 @@ def build_schedule(segments: Iterable) -> CouplingSchedule:
         raise ScheduleError(
             f"segment starting at {starts[i].item()} does not join the previous "
             f"segment ending at {ends[i - 1].item()}")
-    peaks = (1.0 + np.abs(depths)) * np.abs(couplings).max(axis=(1, 2))
     return CouplingSchedule(starts, ends, couplings, depths, periods, constant,
-                            float(peaks.max()))
+                            bound)
+
+
+def build_schedule(segments: Iterable) -> CouplingSchedule:
+    """schedule_from_arrays of (t_start, t_end, coupling) segments, the
+    coupling a matrix or a SinusoidalCoupling, all of one size."""
+    pieces = [(t0, t1, gen.depth, gen.period, False, gen.coupling)
+              if isinstance(gen, SinusoidalCoupling)
+              else (t0, t1, 0.0, 1.0, True, _as_matrices(gen, (2,)))
+              for t0, t1, gen in segments]
+    if len({piece[-1].shape for piece in pieces}) != 1:
+        raise ScheduleError("segments disagree on the matrix size" if pieces
+                            else "schedule needs at least one segment")
+    *arrays, matrices = zip(*pieces)
+    return schedule_from_arrays(*arrays[:2], np.stack(matrices), *arrays[2:])
 
 
 def constant_schedule(matrix, t_start: float, t_end: float) -> CouplingSchedule:

@@ -32,7 +32,6 @@ import functools
 import logging
 import math
 import os
-import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -46,14 +45,9 @@ from .dynamics import (Trajectory, _plan_step, _require_memory, simulate_dde,
 from .errors import (ConsensusLabError, HypothesisUnverified, InvalidSpec,
                      ParseError, UnknownFunction, UnknownFunctional,
                      ValidationError)
-from .metzler_core import (
-    CouplingSchedule,
-    SinusoidalCoupling,
-    build_schedule,
-    from_offdiagonal,
-    integrate_schedule,
-    validate_coupling_matrix,
-)
+from .metzler_core import (CouplingSchedule, _check, _fill_diagonal,
+                           _weight_fault, integrate_schedule,
+                           schedule_from_arrays)
 from .spectral import spectral_graph_equivalence
 
 log = logging.getLogger("consensus_lab")
@@ -193,15 +187,18 @@ def _matrix_of(value, n: int, where: str) -> np.ndarray:
 
 def _coupling(keys: _Keys, n: int):
     """The coupling given by exactly one of ``matrix`` (full, zero row sums)
-    or ``weights`` (off-diagonal, zero diagonal)."""
+    or ``weights`` (off-diagonal, zero diagonal), checked by its schedule."""
     if ("matrix" in keys.value) == ("weights" in keys.value):
         raise ValidationError(keys.where, "give exactly one of 'matrix' or 'weights'")
     if "matrix" in keys.value:
-        return validate_coupling_matrix(_matrix_of(keys("matrix"), n, keys.where))
+        return _matrix_of(keys("matrix"), n, keys.where)
     weights = _matrix_of(keys("weights"), n, keys.where)
     if np.any(np.diag(weights) != 0.0):
         raise ValidationError(keys.path("weights"), "the diagonal must be zero")
-    return from_offdiagonal(weights)
+    _, fault = _weight_fault(weights[None])
+    if fault is not None:
+        raise fault
+    return _fill_diagonal(weights[None])[0]
 
 
 @dataclass(frozen=True)
@@ -261,8 +258,8 @@ def parse_config(text: str, name: str = "<memory>") -> ScenarioConfig:
     seed = keys("seed", _seed)
     step = keys("step", _positive)
     delay = keys("delay", _delay)
-    # The entries are checked here and built by run_scenario: loading a
-    # file builds no schedule.
+    # The keys are checked here; the couplings are checked when the
+    # schedule is built (check and run_scenario): loading builds none.
     topology = keys("topology")
     _topology(topology, n, seed)
     initial = keys("initial_state")
@@ -331,56 +328,56 @@ def resolve_initial_state(config: ScenarioConfig) -> np.ndarray:
 
 # --------------------------------------------------------------------------
 # Topologies: each entry checks its keys and returns build(t0, t1), the
-# list of (start, end, coupling) segments over [t0, t1]
+# coupling schedule over [t0, t1], whose constructor checks its couplings
 # --------------------------------------------------------------------------
 
 def _arc_coupling(keys: _Keys, n: int, bidirectional: bool = False):
-    """couplings(*arc_lists): the (len(arc_lists), n, n) stack of couplings
-    in which node k listens to node l at ``weight`` for each 0-based arc
-    (k, l) of a list, and l to k as well when ``bidirectional``."""
+    """couplings(listeners, speakers): a stack of couplings, one a row of
+    the two broadcast arrays of 0-based nodes, in which listeners[i, j]
+    listens to speakers[i, j] at ``weight``, and back when bidirectional."""
     w = keys("weight", _positive, 1.0)
     both = keys("bidirectional", _boolean, bidirectional)
 
-    def couplings(*arc_lists):
-        off = np.zeros((len(arc_lists), n, n))
-        for i, arcs in enumerate(arc_lists):
-            for k, l in arcs:
-                off[i, k, l] = w
-                if both:
-                    off[i, l, k] = w
-        return from_offdiagonal(off)
+    def couplings(listeners, speakers):
+        off = np.zeros((len(listeners), n, n))
+        i = np.arange(len(listeners))[:, None]
+        off[i, listeners, speakers] = w
+        if both:
+            off[i, speakers, listeners] = w
+        return _fill_diagonal(off)
     return couplings
 
 
-# A listed span: a tuple of two floats and its slot in the list.
-_SPAN_BYTES = sys.getsizeof((0.0, 1.0)) + 2 * sys.getsizeof(0.0) + 8
+def _periods(t0: float, t1: float, length: float, n: int):
+    """(starts, ends) of the consecutive intervals of ``length`` covering
+    [t0, t1], the last one cut at t1.  End k is t0 + k length, rounded once,
+    so far from t = 0 the pieces keep their length.  InvalidSpec, before
+    any array is made, unless about (t1 - t0) / length pieces fit in
+    physical memory, and when a period does not advance the time.
 
-
-def _periods(t0: float, t1: float, length: float, matrix_bytes: int):
-    """Consecutive intervals of ``length`` covering [t0, t1]; the last one
-    is cut at t1.  End k is t0 + k length, rounded once, so far from t = 0
-    the pieces do not take on the rounded length of the first one.
-
-    Before the first is yielded, InvalidSpec when about (t1 - t0) / length
-    pieces would not fit in physical memory, each its listed span and the
-    matrix_bytes its schedule build holds for it."""
-    _require_memory((t1 - t0) / length, _SPAN_BYTES + matrix_bytes,
+    A piece holds its n-by-n coupling (8 n^2 bytes), the three n-by-n
+    masks of its check (3 n^2) and a few rows and scalars of doubles."""
+    count = (t1 - t0) / length
+    _require_memory(count, 11 * n * n + 8 * (3 * n + 16),
                     f"a period of {length!r} over a span of {t1 - t0!r}",
                     "pieces")
-    start, k = t0, 1
-    while start < t1 - 1e-12:
-        end = min(t0 + k * length, t1)
-        if not end > start:
-            raise InvalidSpec(
-                f"a period of {length} does not advance past t = {start}")
-        yield start, end
-        start, k = end, k + 1
+    # Enough k for an end past t1: a piece starts while t1 is more than
+    # 1e-12 away, and the ends never decrease.
+    ends = np.minimum(t0 + np.arange(1, math.floor(count) + 3) * length, t1)
+    starts = np.concatenate(([t0], ends[:-1]))
+    live = starts < t1 - 1e-12
+    starts, ends = starts[live], ends[live]
+    stuck = np.flatnonzero(ends <= starts)
+    if len(stuck):
+        raise InvalidSpec(f"a period of {length} does not advance past "
+                          f"t = {starts[stuck[0]].item()}")
+    return starts, ends
 
 
 def _constant(keys, n, seed):
     keys.allow(optional=("matrix", "weights"))
     coupling = _coupling(keys, n)
-    return lambda t0, t1: [(t0, t1, coupling)]
+    return lambda t0, t1: schedule_from_arrays([t0], [t1], coupling[None])
 
 
 def _ring(keys, n, seed):
@@ -388,8 +385,9 @@ def _ring(keys, n, seed):
     couplings = _arc_coupling(keys, n)
     if n < 2:
         raise ValidationError(keys.where, "ring needs at least 2 nodes")
-    return lambda t0, t1: [
-        (t0, t1, couplings([(k, (k + 1) % n) for k in range(n)])[0])]
+    nodes = np.arange(n)
+    return lambda t0, t1: schedule_from_arrays(
+        [t0], [t1], couplings([nodes], [(nodes + 1) % n]))
 
 
 def _star(keys, n, seed):
@@ -398,15 +396,16 @@ def _star(keys, n, seed):
     hub = _node(keys("hub", default=1), n, keys.path("hub")) - 1
     if n < 2:
         raise ValidationError(keys.where, "star needs at least 2 nodes")
-    return lambda t0, t1: [
-        (t0, t1, couplings([(k, hub) for k in range(n) if k != hub])[0])]
+    return lambda t0, t1: schedule_from_arrays(
+        [t0], [t1], couplings([np.delete(np.arange(n), hub)], [[hub]]))
 
 
 def _line(keys, n, seed):
     keys.allow(optional=("weight", "bidirectional"))
     couplings = _arc_coupling(keys, n, bidirectional=True)
-    return lambda t0, t1: [
-        (t0, t1, couplings([(k, k - 1) for k in range(1, n)])[0])]
+    nodes = np.arange(1, n)
+    return lambda t0, t1: schedule_from_arrays(
+        [t0], [t1], couplings([nodes], [nodes - 1]))
 
 
 def _piecewise(keys, n, seed):
@@ -414,27 +413,31 @@ def _piecewise(keys, n, seed):
     pieces = keys("pieces")
     if not isinstance(pieces, list) or not pieces:
         raise ValidationError(keys.where, "pieces must be a non-empty list")
-    ends, couplings = [0.0], []
+    untils, couplings = [0.0], []
     for i, piece in enumerate(pieces):
         pkeys = _Keys(piece, f"{keys.where}.pieces[{i}]").allow(
             required=("until",), optional=("matrix", "weights"))
-        ends.append(pkeys("until", _positive))
-        if ends[-1] <= ends[-2]:
+        untils.append(pkeys("until", _positive))
+        if untils[-1] <= untils[-2]:
             raise ValidationError(
-                pkeys.path("until"), f"must exceed previous piece end {ends[-2]}")
+                pkeys.path("until"), f"must exceed previous piece end {untils[-2]}")
         couplings.append(_coupling(pkeys, n))
+    untils, couplings = np.array(untils[1:]), np.stack(couplings)
 
     def build(t0, t1):
-        segments, prev = [], t0
-        for until, coupling in zip(ends[1:], couplings):
-            end = min(t0 + until, t1)
-            if end > prev:
-                segments.append((prev, end, coupling))
-                prev = end
-        if prev < t1 - 1e-12:
-            raise InvalidSpec(
-                f"pieces cover [{t0}, {prev}] but the horizon runs to {t1}")
-        return segments
+        # Piece i ends at t0 + until, cut at t1; the ends never decrease,
+        # and a piece they leave no length is dropped.
+        ends = np.minimum(t0 + untils, t1)
+        if ends[-1] < t1 - 1e-12:
+            raise InvalidSpec(f"pieces cover [{t0}, {ends[-1].item()}] but "
+                              f"the horizon runs to {t1}")
+        starts = np.concatenate(([t0], ends[:-1]))
+        kept = ends > starts
+        schedule = schedule_from_arrays(starts[kept], ends[kept],
+                                        couplings[kept])
+        if not kept.all():  # a dropped piece must be a coupling all the same
+            _check(couplings[~kept])
+        return schedule
     return build
 
 
@@ -446,13 +449,12 @@ def _alternating_leader_follower(keys, n, seed):
         raise ValidationError(keys.where, "needs at least 2 nodes")
 
     def build(t0, t1):
-        leaders = couplings(*([(k, leader) for k in range(n) if k != leader]
-                              for leader in (0, 1)))
-        # Each piece shares one of the two couplings, and the schedule
-        # stacks a copy of it.
-        spans = _periods(t0, t1, half, 8 * n * n)
-        return [(start, end, leaders[i % 2])
-                for i, (start, end) in enumerate(spans)]
+        starts, ends = _periods(t0, t1, half, n)
+        # Every other node follows node 1, then node 2, by turns.
+        leaders = couplings([np.delete(np.arange(n), leader)
+                             for leader in (0, 1)], [[0], [1]])
+        return schedule_from_arrays(starts, ends,
+                                    leaders[np.arange(len(starts)) % 2])
     return build
 
 
@@ -479,35 +481,33 @@ def _random_switching(keys, n, seed):
 
     def build(t0, t1):
         rng = np.random.default_rng(draw_seed)
-        # Each piece has its row of off and its copy in the schedule stack.
-        spans = list(_periods(t0, t1, period, 16 * n * n))
+        starts, ends = _periods(t0, t1, period, n)
         # Per period, in time order: the link mask, then the weights, the
         # draws that perfbench/scenarios.py repeats to check the runs.
         # rng.uniform(lo, hi) is lo + (hi - lo) rng.random(), double for
         # double, so one rng.random draws both for a block of periods: at
         # most 2 ** 13 doubles, and never less than one period, so a long
         # run holds a block of its draws, not all of them, at once.
-        off = np.empty((len(spans), n, n))
+        off = np.empty((len(starts), n, n))
         size = max(1, 2 ** 13 // (2 * n * n))
-        for first in range(0, len(spans), size):
+        for first in range(0, len(off), size):
             block = off[first:first + size]
             u = rng.random((len(block), 2, n, n))
             block[:] = np.where(u[:, 0] < prob, lo + (hi - lo) * u[:, 1], 0.0)
-        off[:, range(n), range(n)] = 0.0
-        return [(*span, coupling) for span, coupling
-                in zip(spans, from_offdiagonal(off))]
+        return schedule_from_arrays(starts, ends, _fill_diagonal(off))
     return build
 
 
 def _sinusoidal(keys, n, seed):
     keys.allow(required=("depth", "period"), optional=("matrix", "weights"))
-    base = _coupling(keys, n).copy()
-    np.fill_diagonal(base, 0.0)
+    coupling = _coupling(keys, n)
     depth = keys("depth", _number)
     if not abs(depth) <= 1.0:
         raise ValidationError(keys.path("depth"), f"must lie in [-1, 1], got {depth}")
     period = keys("period", _positive)
-    return lambda t0, t1: [(t0, t1, SinusoidalCoupling(base, depth, period))]
+    # The schedule sets the diagonal of its copy from the off-diagonal.
+    return lambda t0, t1: schedule_from_arrays(
+        [t0], [t1], np.array([coupling]), [depth], [period], [False])
 
 
 _TOPOLOGIES = {
@@ -544,7 +544,7 @@ def generate_topology(
     t0 = _number(t0, "t0")
     t1 = t0 + _positive(horizon, "horizon")
     try:
-        return build_schedule(build(t0, t1))
+        return build(t0, t1)
     except ConsensusLabError as exc:
         raise InvalidSpec(str(exc)) from exc
 

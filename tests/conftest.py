@@ -18,8 +18,9 @@ import numpy as np
 import pytest
 
 import consensus_lab
-from consensus_lab import (OutOfHorizon, contraction_certificate,
-                           from_offdiagonal, simulate_ode)
+from consensus_lab import (InvalidSpec, OutOfHorizon, SinusoidalCoupling,
+                           contraction_certificate, from_offdiagonal,
+                           simulate_ode, validate_coupling_matrix)
 from consensus_lab.dynamics import (_hermite_many, _march, _rk4_transfer,
                                     _step_target)
 from consensus_lab.metzler_core import DEFAULT_ROW_TOL, _check, _locate_piece
@@ -118,6 +119,76 @@ def brute_switching_weights(n, periods, probability, weight_range, seed):
                     for _ in range(periods)])
     off[:, range(n), range(n)] = 0.0
     return off
+
+
+def brute_periods(t0, t1, length):
+    """The (start, end) intervals of ``length`` covering [t0, t1], one at a
+    time: end k is t0 + k length rounded once, cut at t1, and a piece
+    starts while t1 is more than 1e-12 away; InvalidSpec at the first one
+    that does not advance.  The oracle of scenario_cli._periods."""
+    spans, start, k = [], t0, 1
+    while start < t1 - 1e-12:
+        end = min(t0 + k * length, t1)
+        if not end > start:
+            raise InvalidSpec(
+                f"a period of {length} does not advance past t = {start}")
+        spans.append((start, end))
+        start, k = end, k + 1
+    return spans
+
+
+def brute_segments(spec, n, t0, t1):
+    """The (start, end, coupling) segments of a valid topology spec over
+    [t0, t1], one piece and one arc at a time, for build_schedule: the
+    route from which generate_topology builds its arrays."""
+    kind = spec["kind"]
+    w = spec.get("weight", 1.0)
+    both = spec.get("bidirectional", kind == "line")
+
+    def arcs(pairs):
+        off = np.zeros((n, n))
+        for k, l in pairs:
+            off[k, l] = w
+            if both:
+                off[l, k] = w
+        return from_offdiagonal(off)
+
+    def given(entry):
+        if "matrix" in entry:
+            return validate_coupling_matrix(entry["matrix"])
+        return from_offdiagonal(entry["weights"])
+
+    if kind == "constant":
+        return [(t0, t1, given(spec))]
+    if kind == "ring":
+        return [(t0, t1, arcs((k, (k + 1) % n) for k in range(n)))]
+    if kind == "star":
+        hub = spec.get("hub", 1) - 1
+        return [(t0, t1, arcs((k, hub) for k in range(n) if k != hub))]
+    if kind == "line":
+        return [(t0, t1, arcs((k, k - 1) for k in range(1, n)))]
+    if kind == "sinusoidal":
+        base = given(spec).copy()
+        np.fill_diagonal(base, 0.0)
+        return [(t0, t1, SinusoidalCoupling(base, spec["depth"],
+                                            spec["period"]))]
+    if kind == "piecewise":
+        segments, prev = [], t0
+        for piece in spec["pieces"]:
+            end = min(t0 + piece["until"], t1)
+            if end > prev:
+                segments.append((prev, end, given(piece)))
+                prev = end
+        return segments
+    if kind == "alternating_leader_follower":
+        leaders = [arcs((k, leader) for k in range(n) if k != leader)
+                   for leader in (0, 1)]
+        return [(a, b, leaders[i % 2]) for i, (a, b) in enumerate(
+            brute_periods(t0, t1, spec["period"] / 2.0))]
+    spans = brute_periods(t0, t1, spec["period"])
+    off = brute_switching_weights(n, len(spans), spec["link_probability"],
+                                  spec["weight_range"], spec["seed"])
+    return [(a, b, c) for (a, b), c in zip(spans, from_offdiagonal(off))]
 
 
 def _simpson_slice(a, b, fa, fm, fb):

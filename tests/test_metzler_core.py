@@ -13,6 +13,7 @@ import pytest
 
 from consensus_lab import (
     ConsensusLabError,
+    InvalidSpec,
     NegativeOffDiagonal,
     NegativeWeight,
     NonFiniteEntry,
@@ -24,12 +25,13 @@ from consensus_lab import (
     from_offdiagonal,
     integrate_schedule,
     integrate_windows,
+    schedule_from_arrays,
     validate_coupling_matrix,
     window_connectivity_report,
 )
 import consensus_lab
 from consensus_lab import metzler_core
-from consensus_lab.scenario_cli import SinusoidalCoupling
+from consensus_lab.metzler_core import SinusoidalCoupling
 
 from conftest import (brute_first_negative, brute_window_integral,
                       chain_matrix, coupling_at, profile_at,
@@ -230,6 +232,54 @@ class TestStackedValidation:
 
 
 class TestSchedules:
+    @pytest.mark.parametrize("entry", [0.0, -0.0, 1e-13, -1e-13])
+    def test_bound_keeps_the_bits_of_the_largest_magnitude(self, entry):
+        # max(max B, -min B) of [[-0.0]] is -0.0 or 0.0 by the order of the
+        # operands; the bound is |B|'s maximum, 0.0, either way.
+        B = np.array([[[entry]]])
+        want = np.abs(B).max().tobytes()
+        for sch in (schedule_from_arrays([0.0], [1.0], B.copy()),
+                    build_schedule([(0.0, 1.0, B[0])])):
+            assert np.float64(sch.bound).tobytes() == want
+        # A sinusoidal piece's diagonal is minus its empty off-diagonal sum.
+        sch = schedule_from_arrays([0.0], [1.0], B.copy(), [0.5], [1.0],
+                                   [False])
+        assert sch.couplings.tobytes() == np.float64(-0.0).tobytes()
+        assert np.float64(sch.bound).tobytes() == np.float64(0.0).tobytes()
+
+    def test_the_array_constructor_keeps_its_stack(self, rng):
+        stack = from_offdiagonal(rng.uniform(0.0, 1.0, (3, 4, 4))
+                                 * (1.0 - np.eye(4))).copy()
+        sch = schedule_from_arrays([0.0, 1.0, 2.0], [1.0, 2.0, 3.0], stack)
+        assert sch.couplings is stack and not stack.flags.writeable
+        assert sch.constant.tolist() == [True] * 3
+        assert sch.depths.tolist() == [0.0] * 3
+        assert sch.periods.tolist() == [1.0] * 3
+
+    @pytest.mark.parametrize("args, error, message", [
+        (([0.0, 1.0], [1.0], [[[0.0]]]), ScheduleError, "a start, end"),
+        (([], [], np.zeros((0, 2, 2))), ScheduleError,
+         "at least one segment"),
+        (([0.0, 2.0], [1.0, 2.0], [[[0.0]]] * 2), ScheduleError,
+         r"\[2\.0, 2\.0\] has non-positive length"),
+        (([0.0, 1.0], [1.0, math.inf], [[[0.0]]] * 2), ScheduleError,
+         r"\[1\.0, inf\] has a non-finite end"),
+        (([0.0], [1.0], [[[0.0]]], [1.5], [1.0], [False]), InvalidSpec,
+         r"\|depth\| <= 1"),
+        (([0.0], [1.0], [[[0.0]]], [0.5], [0.0], [False]), InvalidSpec,
+         "positive period"),
+        (([0.0], [1.0], 1e308 * chain_matrix()[None], [1.0], [1.0], [False]),
+         InvalidSpec, "entries reach inf at the profile peak"),
+        (([0.0, 1.5], [1.0, 2.0], [[[0.0]]] * 2), ScheduleError,
+         "starting at 1.5 does not join"),
+    ], ids=["lengths", "empty", "length", "non-finite", "depth", "period",
+            "bound", "gap"])
+    def test_the_array_constructor_refuses(self, args, error, message):
+        starts, ends, couplings, *profile = args
+        with pytest.raises(error, match=message):
+            schedule_from_arrays(starts, ends, np.array(couplings, dtype=float),
+                                 *profile)
+
     def test_constant_schedule_roundtrip(self):
         sch = constant_schedule(chain_matrix(), 0.0, 4.0)
         assert sch.horizon == (0.0, 4.0)
@@ -435,9 +485,8 @@ def _sinusoid(rng, n, depth, period):
 
 
 class TestSinusoidalCoupling:
-    def test_importable_from_package_and_scenario_layer(self):
+    def test_importable_from_package(self):
         assert consensus_lab.SinusoidalCoupling is SinusoidalCoupling
-        assert metzler_core.SinusoidalCoupling is SinusoidalCoupling
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_base_is_rejected(self, value):

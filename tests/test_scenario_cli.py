@@ -9,7 +9,6 @@ full cycle of length 2.
 
 import ast
 import functools
-import itertools
 import math
 import re
 from pathlib import Path
@@ -24,6 +23,7 @@ from consensus_lab import (
     StepTooLargeWarning,
     Trajectory,
     ValidationError,
+    build_schedule,
     from_offdiagonal,
     generate_topology,
     integrate_schedule,
@@ -31,11 +31,11 @@ from consensus_lab import (
     resolve_initial_state,
     run_scenario,
 )
-from consensus_lab import csvfmt, errors, lyapunov, scenario_cli
+from consensus_lab import csvfmt, errors, lyapunov, metzler_core, scenario_cli
 from consensus_lab.scenario_cli import _periods, _write_trajectory_csv, main
 
-from conftest import (brute_switching_weights, brute_trajectory_csv,
-                      coupling_at, run_cli)
+from conftest import (brute_periods, brute_segments, brute_switching_weights,
+                      brute_trajectory_csv, coupling_at, run_cli)
 
 
 RING_DEMO = """\
@@ -174,6 +174,47 @@ NON_FINITE = [
     ({"analyses": [{"kind": "lemma", "group": [1], "window": 0.5,
                     "slack": INF}]}, "analyses[0](lemma).slack"),
 ]
+
+
+# (spec, nodes, t0, horizon) of every topology kind; far from t = 0, with
+# pieces that the horizon cuts or drops, and a given matrix whose
+# diagonal is its off-diagonal row sum only up to a rounding.
+_OFF_BY_A_ROUNDING = [[-0.3, 0.1, 0.2], [0.5, -0.5, 0.0],
+                      [0.25, 0.25, -0.5]]
+TOPOLOGY_CASES = [
+    ({"kind": "constant", "matrix": _OFF_BY_A_ROUNDING}, 3, 0.0, 2.0),
+    ({"kind": "constant", "weights": [[0.0]]}, 1, -1.5, 2.0),
+    ({"kind": "ring", "weight": 0.7}, 5, 0.0, 1.0),
+    ({"kind": "ring", "bidirectional": True}, 2, 0.0, 1.0),
+    ({"kind": "star", "hub": 3, "weight": 2.5}, 4, 1e6, 3.0),
+    ({"kind": "line"}, 1, 0.0, 1.0),
+    ({"kind": "line", "bidirectional": False}, 6, 0.0, 1.0),
+    ({"kind": "piecewise", "pieces": [
+        {"until": 0.1, "matrix": _OFF_BY_A_ROUNDING},
+        {"until": 0.1 + 1e-11, "weights": [[0, 1, 0], [0, 0, 2], [3, 0, 0]]},
+        {"until": 0.7, "weights": [[0, 0, 0], [1, 0, 0], [0, 1, 0]]},
+        {"until": 9.0, "matrix": [[-1, 1, 0], [0, 0, 0], [0, 0, 0]]}]},
+     3, 1e6, 2.0),
+    ({"kind": "alternating_leader_follower", "period": 0.3, "weight": 1.5},
+     4, 1e6, 7.0),
+    ({"kind": "alternating_leader_follower", "period": 1.0}, 2, 0.0, 2.5),
+    ({**SWITCHING, "link_probability": 0.9}, 7, 0.0, 10.0),
+    ({**SWITCHING, "period": 0.1}, 3, 1e6, 4.3),
+    ({"kind": "sinusoidal", "depth": -0.8, "period": 2.0,
+      "matrix": _OFF_BY_A_ROUNDING}, 3, 0.0, 5.0),
+    ({"kind": "sinusoidal", "depth": 1.0, "period": 0.5,
+      "weights": [[0, 2, 0], [1, 0, 1], [0, 0, 0]]}, 3, 1e6, 1.0),
+]
+
+
+def _assert_same_schedule(got, want):
+    """Every array of two schedules, and the bound, to the bit."""
+    for name in ("starts", "ends", "couplings", "depths", "periods",
+                 "constant"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+    assert np.float64(got.bound).tobytes() == np.float64(want.bound).tobytes()
 
 
 class TestParsing:
@@ -592,18 +633,97 @@ class TestTopologyGeneration:
         # or, for 10, t + 10 and t + 20 both round to t + 16;
         # alternating_leader_follower steps by half its period.
         with pytest.raises(InvalidSpec, match="does not advance"):
-            list(itertools.islice(_periods(1e17, 1e17 + 100.0, length, 0), 3))
+            _periods(1e17, 1e17 + 100.0, length, 1)
 
     def test_periods_keep_their_length_far_from_zero(self):
         # End k is t0 + k length rounded once: at 1e15 floats are 0.125
         # apart, so pieces of 0.3 take 0.25 or 0.375 and do not drift to
         # 12 pieces of 0.25.
         t0, t1 = 1e15, 1e15 + 3.0
-        spans = list(_periods(t0, t1, 0.3, 0))
-        assert len(spans) == 10 and spans[-1][1] == t1
-        for k, (start, end) in enumerate(spans, 1):
+        starts, ends = _periods(t0, t1, 0.3, 1)
+        assert len(ends) == 10 and ends[-1] == t1
+        for k, (start, end) in enumerate(zip(starts, ends), 1):
             assert end == t0 + k * 0.3
             assert abs((end - start) - 0.3) <= 0.125
+
+    def test_period_ends_are_the_doubles_of_the_loop(self, rng):
+        # Far from 0 and next to the 1e-12 cut at t1: a horizon ending a
+        # few 1e-13 past a period end, or one ulp past it at 1e6 (where
+        # floats are 1.2e-10 apart, so the last piece is that ulp long).
+        end = 1e6 + 40 * 0.1
+        cases = [(1e6, 1e6 + 7.3, 0.1), (1e6, end, 0.1),
+                 (1e6, np.nextafter(end, np.inf), 0.1),
+                 (1e6, np.nextafter(end, 0.0), 0.1),
+                 (0.0, 3 * 0.1 + 5e-13, 0.1), (0.0, 3 * 0.1 - 5e-13, 0.1),
+                 (1e17, 1e17 + 100.0, 12.0), (1e17, 1e17 + 100.0, 10.0)]
+        for _ in range(300):
+            t0 = float(rng.choice([0.0, -3.5, 1e6, -1e6, 1e15]))
+            length = float(rng.choice([0.1, 0.3, 1 / 3, 0.5, 2.5]))
+            k = int(rng.integers(1, 60))
+            nudge = float(rng.choice([0.0, 1e-13, -1e-13, 5e-13, 2e-12]))
+            cases.append((t0, t0 + k * length + nudge, length))
+        for t0, t1, length in cases:
+            try:
+                want = brute_periods(t0, t1, length)
+            except InvalidSpec as exc:
+                with pytest.raises(InvalidSpec) as err:
+                    _periods(t0, t1, length, 1)
+                assert str(err.value) == str(exc)
+                continue
+            starts, ends = _periods(t0, t1, length, 1)
+            assert list(zip(starts.tolist(), ends.tolist())) == want, (
+                t0, t1, length)
+
+    @pytest.mark.parametrize("spec, n, t0, horizon", TOPOLOGY_CASES,
+                             ids=[case[0]["kind"] + f"-{i}" for i, case
+                                  in enumerate(TOPOLOGY_CASES)])
+    def test_arrays_are_the_schedule_of_the_segments(self, spec, n, t0,
+                                                     horizon):
+        _assert_same_schedule(generate_topology(spec, n, t0, horizon),
+                              build_schedule(brute_segments(
+                                  spec, n, t0, t0 + horizon)))
+
+    @pytest.mark.parametrize("n", range(1, 31))
+    def test_switching_arrays_across_a_draw_block(self, n):
+        # One period more than a block of draws holds (2**13 doubles).
+        periods = max(1, 2 ** 13 // (2 * n * n)) + 1
+        spec = {**SWITCHING, "link_probability": 0.7, "seed": 200 + n}
+        _assert_same_schedule(
+            generate_topology(spec, n, 1e6, 0.5 * periods),
+            build_schedule(brute_segments(spec, n, 1e6, 1e6 + 0.5 * periods)))
+
+    @pytest.mark.parametrize("spec, n, t0, horizon", TOPOLOGY_CASES,
+                             ids=[case[0]["kind"] + f"-{i}" for i, case
+                                  in enumerate(TOPOLOGY_CASES)])
+    def test_each_build_checks_its_couplings_once(self, monkeypatch, spec, n,
+                                                  t0, horizon):
+        calls = []
+        check = metzler_core._check
+
+        def counted(stack, *args):
+            calls.append(len(stack))
+            return check(stack, *args)
+        monkeypatch.setattr(metzler_core, "_check", counted)
+        monkeypatch.setattr(scenario_cli, "_check", counted)
+        sch = generate_topology(spec, n, t0, horizon)
+        # The pieces a piecewise horizon leaves no length are checked on
+        # their own, after the schedule's stack.
+        dropped = len(spec.get("pieces", sch.couplings)) - len(sch.couplings)
+        assert calls == [len(sch.couplings)] + [dropped] * (dropped > 0)
+
+    def test_switching_draws_into_the_schedule_stack(self, monkeypatch):
+        # The stack the draws fill is the one whose diagonal is filled and
+        # the one the schedule holds: no copy on the way.
+        drawn = []
+        fill = scenario_cli._fill_diagonal
+
+        def spy(stack):
+            drawn.append(stack)
+            return fill(stack)
+        monkeypatch.setattr(scenario_cli, "_fill_diagonal", spy)
+        sch = generate_topology(SWITCHING, 6, 0.0, 20.0)
+        assert len(drawn) == 1 and drawn[0].shape == (40, 6, 6)
+        assert np.shares_memory(drawn[0], sch.couplings)
 
     def test_generate_topology_checks_the_horizon(self):
         for horizon in (0.0, INF, NAN):
@@ -976,6 +1096,38 @@ class TestCommandLine:
         write(tmp_path, "demo.yaml", RING_DEMO)
         assert main(["run", "demo.yaml"]) == 0
         assert (tmp_path / "demo_out" / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("topology, message", [
+        ({"kind": "constant", "matrix": [[-1.0, 1.0], [-1.0, 1.0]]},
+         "entry (2,1) = -1.0 is negative"),
+        ({"kind": "piecewise", "pieces": [
+            {"until": 0.5, "weights": [[0, 1], [1, 0]]},
+            {"until": 1.0, "matrix": [[-1.0, 2.0], [1.0, -1.0]]}]},
+         "row 1 sums to 1.0, expected 0"),
+        ({"kind": "piecewise", "pieces": [
+            {"until": 1.0, "weights": [[0, 1], [1, 0]]},
+            {"until": 2.0, "matrix": [[-1.0, 1.0], [0.0, 1.0]]}]},
+         "row 2 sums to 1.0, expected 0"),
+        ({"kind": "sinusoidal", "depth": 0.5, "period": 1.0,
+          "matrix": [[-2.0, 1.0], [1.0, -1.0]]},
+         "row 1 sums to -1.0, expected 0"),
+        ({"kind": "constant", "weights": [[0.0, -1.0], [1.0, 0.0]]},
+         "weight (1,2) = -1.0 is negative"),
+        ({"kind": "sinusoidal", "depth": 1.0, "period": 1.0,
+          "weights": [[0.0, 1e308], [1e308, 0.0]]},
+         "entries reach inf at the profile peak"),
+    ], ids=["negative-entry", "row-sum", "row-sum-past-the-horizon",
+            "sinusoidal-row-sum",
+            "negative-weight", "sinusoidal-peak"])
+    def test_malformed_couplings_are_refused_with_their_message(
+            self, tmp_path, capsys, topology, message):
+        cfg = write(tmp_path, "bad.yaml", scenario(topology=topology))
+        out = tmp_path / "o"
+        assert main(["check", cfg]) == 4
+        assert main(["run", cfg, "--output-dir", str(out)]) == 4
+        assert capsys.readouterr().out == (f"{cfg}: config error: {message}\n"
+                                           f"config error: {message}\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("changes", [
         {"horizon": INF},
