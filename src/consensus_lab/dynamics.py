@@ -237,22 +237,6 @@ def _step_target(step: Optional[float], schedule: CouplingSchedule,
     return min(min(candidates), span)
 
 
-def _advise_on_step(h: float, bound: float):
-    """Warn when h*A may leave RK4's stability region.
-
-    With zero row sums and entries bounded by M, every Gershgorin disc of A
-    lies in {|z + M| <= M}, so h <= _RK4_DISC_RADIUS / M keeps the whole
-    spectrum of h*A stable.
-    """
-    if bound > 0.0 and h * bound > _RK4_DISC_RADIUS:
-        warnings.warn(
-            f"step {h} exceeds the RK4 stability budget "
-            f"{_RK4_DISC_RADIUS}/M = {_RK4_DISC_RADIUS / bound}",
-            StepTooLargeWarning,
-            stacklevel=3,
-        )
-
-
 def _require_memory(count: float, item_bytes: int, cause: str, items: str,
                     error: Callable[[str], Exception] = InvalidSpec):
     """error(message) unless count items of item_bytes each fit in physical
@@ -302,6 +286,34 @@ def _plan_step(schedule: CouplingSchedule, t0: float, t1: float,
     return h
 
 
+def _start(schedule: CouplingSchedule, x0, t0: float, t1: float,
+           step: Optional[float], tau: Optional[float] = None):
+    """(x0 as floats, the step target of _plan_step) of a run over [t0, t1]
+    inside the schedule's horizon.  Warns when h A may leave RK4's
+    stability region: with zero row sums and entries bounded by M, every
+    Gershgorin disc of A lies in {|z + M| <= M}, so h <= _RK4_DISC_RADIUS / M
+    keeps the whole spectrum of h A stable."""
+    if not (t1 > t0):
+        raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
+    s0, s1 = schedule.horizon
+    edge = 1e-9 * max(1.0, abs(s0), abs(s1))
+    if t0 < s0 - edge or t1 > s1 + edge:
+        raise OutOfHorizon(
+            f"integration horizon [{t0}, {t1}] outside schedule horizon [{s0}, {s1}]")
+    x = np.array(x0, dtype=float)
+    if x.shape != (schedule.n,):
+        raise ValueError(f"x0 must have shape ({schedule.n},), got {x.shape}")
+    h, bound = _plan_step(schedule, t0, t1, step, tau), schedule.bound
+    if bound > 0.0 and h * bound > _RK4_DISC_RADIUS:
+        warnings.warn(
+            f"step {h} exceeds the RK4 stability budget "
+            f"{_RK4_DISC_RADIUS}/M = {_RK4_DISC_RADIUS / bound}",
+            StepTooLargeWarning,
+            stacklevel=3,
+        )
+    return x, h
+
+
 def _pieces(schedule: CouplingSchedule, t0: float, t1: float):
     """Yield (a, b, i) covering [t0, t1] with schedule piece i, cut at the
     schedule breakpoints.
@@ -321,16 +333,6 @@ def _pieces(schedule: CouplingSchedule, t0: float, t1: float):
         b = min(t1, ends[i])
         if b - a > _resolution(b):
             yield a, b, i
-
-
-def _check_horizon(schedule: CouplingSchedule, t0: float, t1: float):
-    if not (t1 > t0):
-        raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
-    s0, s1 = schedule.horizon
-    edge = 1e-9 * max(1.0, abs(s0), abs(s1))
-    if t0 < s0 - edge or t1 > s1 + edge:
-        raise OutOfHorizon(
-            f"integration horizon [{t0}, {t1}] outside schedule horizon [{s0}, {s1}]")
 
 
 def _rk4_transfer(A: np.ndarray, h) -> np.ndarray:
@@ -534,14 +536,8 @@ def simulate_ode(
     identical inputs give identical output arrays.  Raises NonFiniteState
     at the end of the first piece whose last state is not finite.
     """
-    _check_horizon(schedule, t0, t1)
-    x = np.array(x0, dtype=float)
+    x, h_target = _start(schedule, x0, t0, t1, step)
     n = schedule.n
-    if x.shape != (n,):
-        raise ValueError(f"x0 must have shape ({n},), got {x.shape}")
-    h_target = _plan_step(schedule, t0, t1, step)
-    _advise_on_step(h_target, schedule.bound)
-
     a, b, pieces = np.array(list(_pieces(schedule, t0, t1))).reshape(-1, 3).T
     pieces = pieces.astype(np.intp)
     m, h, grid = _grids(a, b, h_target)
@@ -665,13 +661,8 @@ def simulate_dde(
     """
     if not (tau > 0.0):
         raise ValueError(f"tau must be positive, got {tau!r}")
-    _check_horizon(schedule, t0, t1)
-    x = np.array(x0, dtype=float)
+    x, h_target = _start(schedule, x0, t0, t1, step, tau)
     n = schedule.n
-    if x.shape != (n,):
-        raise ValueError(f"x0 must have shape ({n},), got {x.shape}")
-    h_target = _plan_step(schedule, t0, t1, step, tau)
-    _advise_on_step(h_target, schedule.bound)
     # A read at fl(a - tau) may pass the last stored node, by a rounding or
     # by a piece too short for _pieces at a window's end; it reads that node.
     clamp_slack = 2.0 * _resolution(max(abs(t0), abs(t1)))

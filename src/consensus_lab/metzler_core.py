@@ -14,7 +14,9 @@ A(t) = c(t) B, and a schedule holds its pieces as arrays: the breakpoints,
 one read-only (k, n, n) stack of the couplings B and the profile
 parameters.  schedule_from_arrays is its one constructor: it takes those
 arrays, checks the stack once and keeps it without a copy; build_schedule
-stacks a list of (start, end, coupling) segments for it.  Window
+stacks a list of (start, end, coupling) segments for it, and a stack
+checked as it was made is built by _schedule, which does not check it
+again.  Window
 integrals of a schedule are the raw material for the connectivity and
 contraction analyses elsewhere in the package; a piece adds B times the
 integral of its profile, which is closed form.  integrate_windows builds
@@ -119,22 +121,6 @@ def _fill_diagonal(stack: np.ndarray) -> np.ndarray:
     return stack
 
 
-def _weight_fault(weights: np.ndarray) -> tuple:
-    """(i, error) of the first (k, n, n) weight matrix with a non-zero
-    diagonal (ValueError) or a negative weight (NegativeWeight); (k, None)."""
-    diag = np.arange(weights.shape[-1])
-    bad_diagonal = (weights[:, diag, diag] != 0.0).any(axis=1)
-    fault = bad_diagonal | (weights < 0.0).any(axis=(1, 2))
-    if not fault.any():
-        return len(weights), None
-    i = int(np.argmax(fault))
-    if bad_diagonal[i]:
-        return i, ValueError("diagonal of the weight matrix must be zero")
-    k, l = np.argwhere(weights[i] < 0.0)[0].tolist()
-    return i, NegativeWeight(
-        f"weight ({k + 1},{l + 1}) = {float(weights[i, k, l])!r} is negative")
-
-
 def from_offdiagonal(weights) -> np.ndarray:
     """Build a coupling matrix, or a (k, n, n) stack of them, from
     non-negative off-diagonal weights; the result is read-only.
@@ -147,13 +133,39 @@ def from_offdiagonal(weights) -> np.ndarray:
     # The one copy of the weights, which becomes the couplings.
     arr = np.array(weights, dtype=float)
     out = _as_matrices(arr).reshape((-1,) + arr.shape[-2:])
-    first, fault = _weight_fault(out)
+    diag = np.arange(out.shape[-1])
+    bad_diagonal = (out[:, diag, diag] != 0.0).any(axis=1)
+    fault = bad_diagonal | (out < 0.0).any(axis=(1, 2))
+    first = int(np.argmax(fault)) if fault.any() else len(out)
+    if first < len(out) and not bad_diagonal[first]:
+        k, l = np.argwhere(out[first] < 0.0)[0].tolist()
+        negative = NegativeWeight(
+            f"weight ({k + 1},{l + 1}) = {float(out[first, k, l])!r} is negative")
     _check(_fill_diagonal(out)[:first])
-    if fault is not None:
-        raise fault
+    if first < len(out):
+        raise (ValueError("diagonal of the weight matrix must be zero")
+               if bad_diagonal[first] else negative)
     out = out.reshape(arr.shape)
     out.setflags(write=False)
     return out
+
+
+def _check_profile(depth, period) -> None:
+    """InvalidSpec unless |depth| <= 1 and period > 0, so that c(t) >= 0."""
+    if not (abs(depth) <= 1.0):
+        raise InvalidSpec(f"depth must lie in [-1, 1], got {depth!r}")
+    if not (period > 0.0):
+        raise InvalidSpec(f"period must be positive, got {period!r}")
+
+
+def _peak(couplings: np.ndarray, depths) -> float:
+    """The largest (1 + |depth|) max|B| of a stack, which bounds its
+    entries over every profile; InvalidSpec unless it is finite."""
+    with np.errstate(over="ignore"):
+        bound = float(((1.0 + np.abs(depths)) * _max_abs(couplings)).max())
+    if not math.isfinite(bound):
+        raise InvalidSpec(f"entries reach {bound} at the profile peak")
+    return bound
 
 
 class SinusoidalCoupling:
@@ -167,17 +179,10 @@ class SinusoidalCoupling:
 
     def __init__(self, base_offdiagonal, depth: float, period: float):
         base = _as_matrices(base_offdiagonal, (2,))
-        if not (abs(depth) <= 1.0):
-            raise InvalidSpec(f"depth must lie in [-1, 1], got {depth!r}")
-        if not (period > 0.0):
-            raise InvalidSpec(f"period must be positive, got {period!r}")
+        _check_profile(depth, period)
         self.coupling = from_offdiagonal(base)
-        self.depth = float(depth)
-        self.period = float(period)
-        self.bound = (1.0 + abs(self.depth)) * float(
-            np.max(np.abs(self.coupling)))
-        if not math.isfinite(self.bound):
-            raise InvalidSpec(f"entries reach {self.bound} at the profile peak")
+        self.depth, self.period = float(depth), float(period)
+        self.bound = _peak(self.coupling[None], self.depth)
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,20 +261,28 @@ class CouplingSchedule:
 def schedule_from_arrays(starts, ends, couplings, depths=None, periods=None,
                          constant=None) -> CouplingSchedule:
     """The schedule of pieces c_i(t) couplings[i] on [starts[i], ends[i]),
-    c_i the profile of depths[i] and periods[i], given with the constant
-    mask or not at all (then every piece is constant).
+    c_i the profile of depths[i] and periods[i] where constant[i] is false
+    and 1 (depth 0, period 1) where it is true; with no profile arrays
+    every piece is constant.  Checks the piece count, shapes and times
+    (ScheduleError), the stack by one _check in the order given, the
+    profiles and the bound (InvalidSpec; ScheduleError for a constant
+    piece with a profile), and the joins once sorted (ScheduleError).  The
+    arrays become the schedule's, read-only; the stack is copied only when
+    a piece is sinusoidal, whose diagonal is set to minus its off-diagonal
+    row sum, or the starts are out of order."""
+    return _schedule(starts, ends, couplings, depths, periods, constant,
+                     _check)
 
-    Checks, in this order: the piece count, shapes and times
-    (ScheduleError), the (k, n, n) stack by one _check in the order given,
-    the profiles and the bound (InvalidSpec), and the joins once sorted by
-    start (ScheduleError).  The
-    arrays become the schedule's, read-only, and are not copied unless out
-    of order; the diagonal of a sinusoidal piece is set, in place, to minus
-    its off-diagonal row sum, as entries_over builds A(t)."""
+
+def _schedule(starts, ends, couplings, depths=None, periods=None,
+              constant=None, check=None) -> CouplingSchedule:
+    """schedule_from_arrays with check(couplings), if given, in the place of
+    its _check: none for a stack that was checked when it was made."""
     couplings = _as_matrices(couplings, (3,))
     k = len(couplings)
-    if depths is None:
+    if depths is None and periods is None and constant is None:
         depths, periods, constant = np.zeros(k), np.ones(k), np.ones(k, bool)
+    times = starts, ends  # as given, for the messages
     starts, ends, depths, periods = (np.asarray(arr, dtype=float) for arr
                                      in (starts, ends, depths, periods))
     constant = np.asarray(constant, dtype=bool)
@@ -284,17 +297,19 @@ def schedule_from_arrays(starts, ends, couplings, depths=None, periods=None,
     if len(bad):
         i = bad[0]
         raise ScheduleError(
-            f"segment [{starts[i].item()}, {ends[i].item()}] has "
+            f"segment [{times[0][i]}, {times[1][i]}] has "
             + ("non-positive length" if finite[i] else "a non-finite end"))
-    _check(couplings)
-    if not np.all((np.abs(depths) <= 1.0) & (periods > 0.0)):
-        raise InvalidSpec("profiles need |depth| <= 1 and a positive period")
-    if not constant.all():
+    if check is not None:
+        check(couplings)
+    for depth, period in zip(depths[~constant].tolist(),
+                             periods[~constant].tolist()):
+        _check_profile(depth, period)
+    if np.any(constant & ((depths != 0.0) | (periods != 1.0))):
+        raise ScheduleError("a constant piece needs depth 0 and period 1")
+    if not constant.all():  # into a copy: the caller's stack is kept
+        couplings = couplings.copy()
         couplings[~constant] = _fill_diagonal(couplings[~constant])
-    with np.errstate(over="ignore"):
-        bound = float(((1.0 + np.abs(depths)) * _max_abs(couplings)).max())
-    if not math.isfinite(bound):
-        raise InvalidSpec(f"entries reach {bound} at the profile peak")
+    bound = _peak(couplings, depths)
     if np.any(starts[1:] < starts[:-1]):
         order = np.argsort(starts, kind="stable")
         starts, ends, couplings, depths, periods, constant = (

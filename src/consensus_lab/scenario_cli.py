@@ -45,9 +45,16 @@ from .dynamics import (Trajectory, _plan_step, _require_memory, simulate_dde,
 from .errors import (ConsensusLabError, HypothesisUnverified, InvalidSpec,
                      ParseError, UnknownFunction, UnknownFunctional,
                      ValidationError)
-from .metzler_core import (CouplingSchedule, _check, _fill_diagonal,
-                           _weight_fault, integrate_schedule,
-                           schedule_from_arrays)
+from .metzler_core import (
+    CouplingSchedule,
+    SinusoidalCoupling,  # re-exported for importers of this module
+    _check,
+    _fill_diagonal,
+    _schedule,
+    from_offdiagonal,
+    integrate_schedule,
+    validate_coupling_matrix,
+)
 from .spectral import spectral_graph_equivalence
 
 log = logging.getLogger("consensus_lab")
@@ -187,18 +194,15 @@ def _matrix_of(value, n: int, where: str) -> np.ndarray:
 
 def _coupling(keys: _Keys, n: int):
     """The coupling given by exactly one of ``matrix`` (full, zero row sums)
-    or ``weights`` (off-diagonal, zero diagonal), checked by its schedule."""
+    or ``weights`` (off-diagonal, zero diagonal), checked as it is read."""
     if ("matrix" in keys.value) == ("weights" in keys.value):
         raise ValidationError(keys.where, "give exactly one of 'matrix' or 'weights'")
     if "matrix" in keys.value:
-        return _matrix_of(keys("matrix"), n, keys.where)
+        return validate_coupling_matrix(_matrix_of(keys("matrix"), n, keys.where))
     weights = _matrix_of(keys("weights"), n, keys.where)
     if np.any(np.diag(weights) != 0.0):
         raise ValidationError(keys.path("weights"), "the diagonal must be zero")
-    _, fault = _weight_fault(weights[None])
-    if fault is not None:
-        raise fault
-    return _fill_diagonal(weights[None])[0]
+    return from_offdiagonal(weights)
 
 
 @dataclass(frozen=True)
@@ -258,8 +262,8 @@ def parse_config(text: str, name: str = "<memory>") -> ScenarioConfig:
     seed = keys("seed", _seed)
     step = keys("step", _positive)
     delay = keys("delay", _delay)
-    # The keys are checked here; the couplings are checked when the
-    # schedule is built (check and run_scenario): loading builds none.
+    # The entries are checked here and built by run_scenario: loading a
+    # file builds no schedule.
     topology = keys("topology")
     _topology(topology, n, seed)
     initial = keys("initial_state")
@@ -328,13 +332,15 @@ def resolve_initial_state(config: ScenarioConfig) -> np.ndarray:
 
 # --------------------------------------------------------------------------
 # Topologies: each entry checks its keys and returns build(t0, t1), the
-# coupling schedule over [t0, t1], whose constructor checks its couplings
+# coupling schedule over [t0, t1].  Each coupling is checked once: a given
+# one as it is read, a built one as soon as it is made.
 # --------------------------------------------------------------------------
 
 def _arc_coupling(keys: _Keys, n: int, bidirectional: bool = False):
-    """couplings(listeners, speakers): a stack of couplings, one a row of
-    the two broadcast arrays of 0-based nodes, in which listeners[i, j]
-    listens to speakers[i, j] at ``weight``, and back when bidirectional."""
+    """couplings(listeners, speakers): a checked stack of couplings, one a
+    row of the two broadcast arrays of 0-based nodes, in which
+    listeners[i, j] listens to speakers[i, j] at ``weight``, and back when
+    bidirectional."""
     w = keys("weight", _positive, 1.0)
     both = keys("bidirectional", _boolean, bidirectional)
 
@@ -344,7 +350,8 @@ def _arc_coupling(keys: _Keys, n: int, bidirectional: bool = False):
         off[i, listeners, speakers] = w
         if both:
             off[i, speakers, listeners] = w
-        return _fill_diagonal(off)
+        _check(_fill_diagonal(off))
+        return off
     return couplings
 
 
@@ -377,7 +384,7 @@ def _periods(t0: float, t1: float, length: float, n: int):
 def _constant(keys, n, seed):
     keys.allow(optional=("matrix", "weights"))
     coupling = _coupling(keys, n)
-    return lambda t0, t1: schedule_from_arrays([t0], [t1], coupling[None])
+    return lambda t0, t1: _schedule([t0], [t1], coupling[None])
 
 
 def _ring(keys, n, seed):
@@ -386,7 +393,7 @@ def _ring(keys, n, seed):
     if n < 2:
         raise ValidationError(keys.where, "ring needs at least 2 nodes")
     nodes = np.arange(n)
-    return lambda t0, t1: schedule_from_arrays(
+    return lambda t0, t1: _schedule(
         [t0], [t1], couplings([nodes], [(nodes + 1) % n]))
 
 
@@ -396,7 +403,7 @@ def _star(keys, n, seed):
     hub = _node(keys("hub", default=1), n, keys.path("hub")) - 1
     if n < 2:
         raise ValidationError(keys.where, "star needs at least 2 nodes")
-    return lambda t0, t1: schedule_from_arrays(
+    return lambda t0, t1: _schedule(
         [t0], [t1], couplings([np.delete(np.arange(n), hub)], [[hub]]))
 
 
@@ -404,7 +411,7 @@ def _line(keys, n, seed):
     keys.allow(optional=("weight", "bidirectional"))
     couplings = _arc_coupling(keys, n, bidirectional=True)
     nodes = np.arange(1, n)
-    return lambda t0, t1: schedule_from_arrays(
+    return lambda t0, t1: _schedule(
         [t0], [t1], couplings([nodes], [nodes - 1]))
 
 
@@ -433,11 +440,7 @@ def _piecewise(keys, n, seed):
                               f"the horizon runs to {t1}")
         starts = np.concatenate(([t0], ends[:-1]))
         kept = ends > starts
-        schedule = schedule_from_arrays(starts[kept], ends[kept],
-                                        couplings[kept])
-        if not kept.all():  # a dropped piece must be a coupling all the same
-            _check(couplings[~kept])
-        return schedule
+        return _schedule(starts[kept], ends[kept], couplings[kept])
     return build
 
 
@@ -449,12 +452,11 @@ def _alternating_leader_follower(keys, n, seed):
         raise ValidationError(keys.where, "needs at least 2 nodes")
 
     def build(t0, t1):
-        starts, ends = _periods(t0, t1, half, n)
         # Every other node follows node 1, then node 2, by turns.
         leaders = couplings([np.delete(np.arange(n), leader)
                              for leader in (0, 1)], [[0], [1]])
-        return schedule_from_arrays(starts, ends,
-                                    leaders[np.arange(len(starts)) % 2])
+        starts, ends = _periods(t0, t1, half, n)
+        return _schedule(starts, ends, leaders[np.arange(len(starts)) % 2])
     return build
 
 
@@ -494,7 +496,8 @@ def _random_switching(keys, n, seed):
             block = off[first:first + size]
             u = rng.random((len(block), 2, n, n))
             block[:] = np.where(u[:, 0] < prob, lo + (hi - lo) * u[:, 1], 0.0)
-        return schedule_from_arrays(starts, ends, _fill_diagonal(off))
+        _check(_fill_diagonal(off))
+        return _schedule(starts, ends, off)
     return build
 
 
@@ -506,8 +509,8 @@ def _sinusoidal(keys, n, seed):
         raise ValidationError(keys.path("depth"), f"must lie in [-1, 1], got {depth}")
     period = keys("period", _positive)
     # The schedule sets the diagonal of its copy from the off-diagonal.
-    return lambda t0, t1: schedule_from_arrays(
-        [t0], [t1], np.array([coupling]), [depth], [period], [False])
+    return lambda t0, t1: _schedule(
+        [t0], [t1], coupling[None], [depth], [period], [False])
 
 
 _TOPOLOGIES = {

@@ -42,7 +42,7 @@ from consensus_lab.dynamics import (_BLOCK_ENTRIES, _RK4_DISC_RADIUS,
                                     _plan_step, _resolution, _rk4_transfer,
                                     _scan,
                                     _step_target, _window_extremes)
-from consensus_lab.metzler_core import SinusoidalCoupling
+from consensus_lab.scenario_cli import SinusoidalCoupling
 
 from conftest import (BruteStore, brute_delayed_functional_series, brute_march,
                       brute_pieces, brute_simulate_dde, brute_simulate_ode,

@@ -31,7 +31,7 @@ from consensus_lab import (
 )
 import consensus_lab
 from consensus_lab import metzler_core
-from consensus_lab.metzler_core import SinusoidalCoupling
+from consensus_lab.scenario_cli import SinusoidalCoupling
 
 from conftest import (brute_first_negative, brute_window_integral,
                       chain_matrix, coupling_at, profile_at,
@@ -256,29 +256,60 @@ class TestSchedules:
         assert sch.depths.tolist() == [0.0] * 3
         assert sch.periods.tolist() == [1.0] * 3
 
-    @pytest.mark.parametrize("args, error, message", [
-        (([0.0, 1.0], [1.0], [[[0.0]]]), ScheduleError, "a start, end"),
-        (([], [], np.zeros((0, 2, 2))), ScheduleError,
+    @pytest.mark.parametrize("writeable", [False, True])
+    def test_a_sinusoidal_piece_leaves_the_callers_stack_as_it_was(
+            self, rng, writeable):
+        # A checked stack is read-only; its diagonals, off by a rounding
+        # from minus the off-diagonal sums, are neither written nor frozen.
+        stack = validate_coupling_matrix(random_metzler(rng, 4)[None]
+                                         .repeat(2, axis=0))
+        if writeable:
+            stack = stack.copy()
+        before = stack.tobytes()
+        sch = schedule_from_arrays([0.0, 1.0], [1.0, 2.0], stack,
+                                   [0.0, 0.5], [1.0, 2.0], [True, False])
+        assert stack.tobytes() == before
+        assert stack.flags.writeable == writeable
+        assert not np.shares_memory(sch.couplings, stack)
+        assert sch.couplings[0].tobytes() == stack[0].tobytes()
+        assert sch.couplings[1].tobytes() == metzler_core._fill_diagonal(
+            stack[1:].copy()).tobytes()
+
+    @pytest.mark.parametrize("args, kwargs, error, message", [
+        (([0.0, 1.0], [1.0], [[[0.0]]]), {}, ScheduleError, "a start, end"),
+        (([], [], np.zeros((0, 2, 2))), {}, ScheduleError,
          "at least one segment"),
-        (([0.0, 2.0], [1.0, 2.0], [[[0.0]]] * 2), ScheduleError,
+        (([0.0, 2.0], [1.0, 2.0], [[[0.0]]] * 2), {}, ScheduleError,
          r"\[2\.0, 2\.0\] has non-positive length"),
-        (([0.0, 1.0], [1.0, math.inf], [[[0.0]]] * 2), ScheduleError,
+        (([0.0, 1.0], [1.0, math.inf], [[[0.0]]] * 2), {}, ScheduleError,
          r"\[1\.0, inf\] has a non-finite end"),
-        (([0.0], [1.0], [[[0.0]]], [1.5], [1.0], [False]), InvalidSpec,
-         r"\|depth\| <= 1"),
-        (([0.0], [1.0], [[[0.0]]], [0.5], [0.0], [False]), InvalidSpec,
-         "positive period"),
-        (([0.0], [1.0], 1e308 * chain_matrix()[None], [1.0], [1.0], [False]),
+        (([0.0], [1.0], [[[0.0]]]), {"periods": [2.0]}, ScheduleError,
+         "a start, end, depth, period and constant flag"),
+        (([0.0], [1.0], [[[0.0]]]), {"constant": [False]}, ScheduleError,
+         "a start, end, depth, period and constant flag"),
+        (([0.0], [1.0], [[[0.0]]]),
+         {"depths": [1.5], "periods": [1.0], "constant": [False]},
+         InvalidSpec, r"depth must lie in \[-1, 1\], got 1\.5"),
+        (([0.0], [1.0], [[[0.0]]]),
+         {"depths": [0.5], "periods": [0.0], "constant": [False]},
+         InvalidSpec, "period must be positive, got 0.0"),
+        (([0.0], [1.0], [[[0.0]]]),
+         {"depths": [0.5], "periods": [1.0], "constant": [True]},
+         ScheduleError, "a constant piece needs depth 0 and period 1"),
+        (([0.0], [1.0], 1e308 * chain_matrix()[None]),
+         {"depths": [1.0], "periods": [1.0], "constant": [False]},
          InvalidSpec, "entries reach inf at the profile peak"),
-        (([0.0, 1.5], [1.0, 2.0], [[[0.0]]] * 2), ScheduleError,
+        (([0.0, 1.5], [1.0, 2.0], [[[0.0]]] * 2), {}, ScheduleError,
          "starting at 1.5 does not join"),
-    ], ids=["lengths", "empty", "length", "non-finite", "depth", "period",
+    ], ids=["lengths", "empty", "length", "non-finite", "periods-alone",
+            "constant-alone", "depth", "period", "constant-with-a-profile",
             "bound", "gap"])
-    def test_the_array_constructor_refuses(self, args, error, message):
-        starts, ends, couplings, *profile = args
+    def test_the_array_constructor_refuses(self, args, kwargs, error,
+                                           message):
+        starts, ends, couplings = args
         with pytest.raises(error, match=message):
             schedule_from_arrays(starts, ends, np.array(couplings, dtype=float),
-                                 *profile)
+                                 **kwargs)
 
     def test_constant_schedule_roundtrip(self):
         sch = constant_schedule(chain_matrix(), 0.0, 4.0)
@@ -485,8 +516,9 @@ def _sinusoid(rng, n, depth, period):
 
 
 class TestSinusoidalCoupling:
-    def test_importable_from_package(self):
+    def test_importable_from_package_and_scenario_layer(self):
         assert consensus_lab.SinusoidalCoupling is SinusoidalCoupling
+        assert metzler_core.SinusoidalCoupling is SinusoidalCoupling
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_base_is_rejected(self, value):

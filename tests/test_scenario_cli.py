@@ -706,10 +706,20 @@ class TestTopologyGeneration:
         monkeypatch.setattr(metzler_core, "_check", counted)
         monkeypatch.setattr(scenario_cli, "_check", counted)
         sch = generate_topology(spec, n, t0, horizon)
-        # The pieces a piecewise horizon leaves no length are checked on
-        # their own, after the schedule's stack.
-        dropped = len(spec.get("pieces", sch.couplings)) - len(sch.couplings)
-        assert calls == [len(sch.couplings)] + [dropped] * (dropped > 0)
+        # A given coupling is checked as it is read, a piece at a time, so
+        # a piece the horizon drops is checked too; a built stack once, as
+        # it is made: the two couplings the alternating kind takes turns
+        # with, or the schedule's stack.  No coupling is checked again when
+        # the schedule is built (2 or 3 calls before, 5 for the piecewise
+        # list of four).
+        kind = spec["kind"]
+        if kind in ("constant", "piecewise", "sinusoidal"):
+            want = [1] * len(spec.get("pieces", [spec]))
+        elif kind == "alternating_leader_follower":
+            want = [2]
+        else:
+            want = [len(sch.couplings)]
+        assert calls == want
 
     def test_switching_draws_into_the_schedule_stack(self, monkeypatch):
         # The stack the draws fill is the one whose diagonal is filled and
@@ -724,6 +734,52 @@ class TestTopologyGeneration:
         sch = generate_topology(SWITCHING, 6, 0.0, 20.0)
         assert len(drawn) == 1 and drawn[0].shape == (40, 6, 6)
         assert np.shares_memory(drawn[0], sch.couplings)
+
+    @pytest.mark.parametrize("topology, error, message", [
+        ({"kind": "constant", "matrix": [[-1.0, 1.0], [-1.0, 1.0]]},
+         "NegativeOffDiagonal", "entry (2,1) = -1.0 is negative"),
+        ({"kind": "sinusoidal", "depth": 0.5, "period": 1.0,
+          "matrix": [[-2.0, 1.0], [1.0, -1.0]]},
+         "RowSumViolation", "row 1 sums to -1.0, expected 0"),
+        ({"kind": "constant", "weights": [[0.0, -1.0], [1.0, 0.0]]},
+         "NegativeWeight", "weight (1,2) = -1.0 is negative"),
+        ({"kind": "constant", "weights": [[0.0, 1e308, 1e308],
+                                          [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]},
+         "NonFiniteEntry", "entry (1,1) = -inf is not finite"),
+        # A piece past the horizon, and one before a piece with a bad key:
+        # each is checked as it is read.
+        ({"kind": "piecewise", "pieces": [
+            {"until": 1.0, "weights": [[0, 1], [1, 0]]},
+            {"until": 2.0, "matrix": [[-1.0, 1.0], [0.0, 1.0]]}]},
+         "RowSumViolation", "row 2 sums to 1.0, expected 0"),
+        ({"kind": "piecewise", "pieces": [
+            {"until": 0.5, "matrix": [[-1.0, 1.0], [-1.0, 1.0]]},
+            {"until": 0.25, "weights": [[0, 1], [1, 0]]}]},
+         "NegativeOffDiagonal", "entry (2,1) = -1.0 is negative"),
+    ], ids=["matrix", "sinusoidal-matrix", "weights", "overflowing-weights",
+            "past-the-horizon", "before-a-bad-key"])
+    def test_given_couplings_are_refused_as_they_are_read(self, topology,
+                                                          error, message):
+        # With their own class, by parse_config and generate_topology
+        # alike, and before the initial state or the horizon is read.
+        n = 3 if "1e+308" in str(topology) else 2
+        text = scenario(nodes=n, topology=topology, initial_state=[0.0])
+        with pytest.raises(getattr(errors, error)) as exc:
+            parse_config(text)
+        assert str(exc.value) == message
+        with pytest.raises(getattr(errors, error)) as exc:
+            generate_topology(topology, n, 0.0, 0.0)
+        assert str(exc.value) == message
+
+    def test_built_couplings_are_checked_before_the_times(self):
+        # 1e17 + 2.5 rounds to 1e17, a segment of no length; the hub row
+        # of the star sums past the float range first.
+        spec = {"kind": "star", "weight": 1e308, "bidirectional": True}
+        with pytest.raises(InvalidSpec,
+                           match=r"^entry \(1,1\) = -inf is not finite$"):
+            generate_topology(spec, 3, 1e17, 2.5)
+        with pytest.raises(InvalidSpec, match="non-positive length"):
+            generate_topology({"kind": "star"}, 3, 1e17, 2.5)
 
     def test_generate_topology_checks_the_horizon(self):
         for horizon in (0.0, INF, NAN):
