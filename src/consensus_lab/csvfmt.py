@@ -4,32 +4,34 @@
 ``(("%.17g," * (columns - 1) + "%.17g\\n") * rows) % tuple(values)`` gives,
 byte for byte, without formatting one value at a time in Python.
 
-Digits and exponent.  A finite nonzero value is x = f * 2**k with f in
-[0.5, 1) (``np.frexp``).  For a decimal exponent E, the scaled value
-S = x * 10**(16 - E) is computed as an unevaluated sum hi + lo: f times a
-double-double table entry for 10**(16 - E), by Dekker's exact product,
-scaled by a power of two.  The table entries are within 2**-103.4 relative
-(exact integer anchors times exact powers of ten) and the product adds at
-most 2**-103.7, so |hi + lo - S| < 2**-46 while S < 2**56.5.  The 17
-significant digits are D = hi + round(lo), exact unless the fraction of S
-lies within 2**-40 of one half, and E is right when 10**16 <= S < 10**17.
+Digits and exponent.  ``"%.17g"`` writes a finite nonzero x as the 17
+digits D = round(S) of S = |x| * 10**(16 - E), 10**16 <= D < 10**17, and
+the exponent E with _FLOOR[E] <= |x| < _FLOOR[E + 1].  _FLOOR[E], the
+least double that prints with exponent E or more, is the first double at
+or above (10**17 - 1/2) * 10**(E - 17), where rounding to 17 digits
+reaches 10**E; no double equals that fraction.  The floor of ``log10``
+may be one off next to a power of ten, and one comparison with each of
+_FLOOR[E] and _FLOOR[E + 1] moves it onto E: the doubles nearest 1e-06
+and 1e-14 both lie below their power of ten and have a log10 of exactly
+-6 and -14, yet print as 9.9999999999999995e-07 and 1e-14.  With E so
+decided, 10**16 - 1/20 < S < 10**17 - 1/2, so D has 17 digits and no
+rounding carries into the exponent.
 
-``log10`` only estimates E: its rounded result floors to the wrong
-exponent next to a power of ten.  The decade is therefore decided from the
-unrounded S.  Where 10**16 < D < 10**17, |S - D| <= 1/2 puts S inside it;
-elsewhere the signs of (hi - 1e16) + lo and (hi - 1e17) + lo decide (both
-differences are exact there), and E moves by one where S is outside.  Only
-then is a round-up of D to 10**17 (9.99...95 to 10) carried into E.
-Deciding E after rounding would print 1e-06 for 9.9999999999999995e-07.
+With |x| = f * 2**k, f in [0.5, 1) (``np.frexp``), S is computed as an
+unevaluated sum hi + lo: f times the table entry 10**(16 - E) = (t + u) *
+2**g, by Dekker's exact product for f * t, scaled by 2**(k + g).  The
+table holds t, the nearest double in [1, 2), and u, the nearest double to
+the rest, from exact integers: within 2**-106 relative.  The product adds
+at most 2**-103.7, so |hi + lo - S| < 2**-46 while S < 2**56.5.  D = hi +
+round(lo) is exact unless the fraction of S lies within 2**-40 of one half.
 
-Fallback.  NaN, the infinities, a value whose S is within the error
-bound of a tie, and one whose decade is still undecided after the move
-are formatted by ``"%.17g" %`` one at a time and spliced in by position;
-the rest of the block stays vectorised.  (An exact tie would round right
-here too, since hi >= 2**53 is even and ``np.rint`` rounds half to even,
-but within the bound a tie cannot be told from a near-tie.)  The tables
-cover every finite double, subnormals included, and ±0.0 prints as ``0``
-and ``-0``.
+Fallback.  NaN, the infinities and a value whose S is within the error
+bound of a tie are formatted by ``"%.17g" %`` one at a time and spliced in
+by position; the rest of the block stays vectorised.  (An exact tie would
+round right here too, since hi >= 2**53 is even and ``np.rint`` rounds
+half to even, but within the bound a tie cannot be told from a near-tie.)
+Both tables cover every finite double, subnormals included, and ±0.0
+prints as ``0`` and ``-0``.
 
 Assembly.  Each value gets a 32-byte record of four little-endian words:
 the sign, the ``0.000`` of a small fixed-point value and the first digit in
@@ -64,26 +66,15 @@ import numpy as np
 # page-fault, on every call.
 BLOCK = 2**12
 
-# Decimal exponents of the tables.  Finite nonzero doubles have E in
-# [-324, 308]; the estimate may be one off, and a carry adds one.
-_EMIN, _EMAX = -326, 310
+# Decimal exponents of the tables.  Finite nonzero doubles have E, and
+# the floor of their log10, in [-324, 308]; _FLOOR is also read one above.
+_EMIN, _EMAX = -324, 309
 _E = np.arange(_EMIN, _EMAX + 1)
 
 # A fraction of S within this much of one half is a possible tie.
 _TIE = 0.5 - 2.0**-40
 
 _WORD = np.dtype("<u8")
-
-
-def _anchor(q: int):
-    """10**q as (hi + lo) * 2**g, hi in [1, 2], to 2**-105 relative."""
-    s = 4 * -q + 130 if q < 0 else 0
-    x = 10**q if q >= 0 else (1 << s) // 10**-q
-    b = x.bit_length()
-    y = x >> (b - 120) if b > 120 else x << (120 - b)
-    hi = math.ldexp(float(y), -119)
-    lo = math.ldexp(float(y - int(math.ldexp(hi, 119))), -119)
-    return hi, lo, b - 1 - s
 
 
 def _split(a):
@@ -100,29 +91,40 @@ def _two_product(a, a_hi, a_lo, b, b_hi, b_lo):
 
 
 def _powers():
-    """10**(16 - E) = (hi + lo) * 2**g for every E, hi in [1, 2).
+    """10**(16 - E) = (t + u) * 2**g for every E, from exact integers: t
+    the nearest double in [1, 2), u the nearest double to the rest.  Rows
+    t, Veltkamp's halves of t and u; and g."""
+    table = []
+    for q in (16 - _E).tolist():
+        # y = 10**q / 2**g as num / den in [1, 2); int / int rounds once.
+        num, den = 10**max(q, 0), 10**max(-q, 0)
+        g = num.bit_length() - den.bit_length()
+        num, den = num << max(-g, 0), den << max(g, 0)
+        if num < den:
+            num, g = num << 1, g - 1
+        t = num / den
+        rest = (num << 52) - int(t * 2**52) * den  # (y - t) * den * 2**52
+        table.append((t, rest / (den << 52), g))
+    t, u, g = np.array(table).T
+    return np.stack((t, *_split(t), u)), g.astype(np.int32)
 
-    q = 16 - E is split as 23 a + b: 10**(23 a) comes from exact integers
-    (28 anchors), 10**b <= 10**22 is an exact double, and their product is
-    exact up to the rounding of lo.
-    """
-    q = 16 - _E
-    a, b = np.divmod(q, 23)
-    anchors = np.array([_anchor(23 * i) for i in range(a.min(), a.max() + 1)])
-    a_hi, a_lo, a_g = anchors[a - a.min()].T
-    tens = np.concatenate(([1.0], np.cumprod(np.full(22, 10.0))))  # exact
-    d = tens[b]
-    p, e = _two_product(a_hi, *_split(a_hi), d, *_split(d))
-    e = e + a_lo * d
-    hi = p + e
-    lo = e - (hi - p)
-    _, g = np.frexp(hi)
-    g = g - 1
-    hi, lo = np.ldexp(hi, -g), np.ldexp(lo, -g)
-    return np.stack((hi, *_split(hi), lo)), (a_g + g).astype(np.int32)
+
+def _floors():
+    """The least double that "%.17g" prints with exponent E or more, for
+    every E: the first at or above (10**17 - 1/2) * 10**(E - 17) = num / den,
+    which no double equals; inf for _EMAX, above the largest double."""
+    floors = []
+    for e in range(_EMIN, _EMAX):
+        num = (2 * 10**17 - 1) * 10**max(e - 17, 0)
+        den = 2 * 10**max(17 - e, 0)
+        x = num / den
+        a, b = x.as_integer_ratio()
+        floors.append(x if a * den > num * b else math.nextafter(x, math.inf))
+    return np.array(floors + [math.inf])
 
 
 _POW, _POW_G = _powers()
+_FLOOR = _floors()
 
 
 def _ascii(codes):
@@ -199,19 +201,6 @@ def _scaled(f, k, e):
     return np.ldexp(p, shift), np.ldexp(err + f * t_lo, shift)
 
 
-def _decade(hi, lo):
-    """+1 where hi + lo >= 1e17, -1 where it is below 1e16, else 0."""
-    return np.subtract((hi - 1e17) + lo >= 0, (hi - 1e16) + lo < 0,
-                       dtype=np.int8)
-
-
-def _rounded(f, k, e):
-    """S as hi + lo, round(lo) and D = hi + round(lo)."""
-    hi, lo = _scaled(f, k, e)
-    r = np.rint(lo)
-    return hi, lo, r, hi.astype(np.int64) + r.astype(np.int64)
-
-
 def _decimal(v):
     """The 17 significant digits D of each value, its exponent E as
     e = E - _EMIN, and the values left to the per-value fallback (D is 0
@@ -219,22 +208,14 @@ def _decimal(v):
     x = np.abs(v)
     zero = x == 0.0
     odd = ~(x <= _MAX)  # NaN and the infinities
-    np.copyto(x, 2.0, where=zero | odd)  # a value off the decade edges
+    np.copyto(x, 2.0, where=zero | odd)  # any finite value: D is 0 there
     e = np.floor(np.log10(x)).astype(np.intp) - _EMIN
-    f, k = np.frexp(x)
-    hi, lo, r, d = _rounded(f, k, e)
-    # |S - D| <= 1/2, so E is right where 10**16 < D < 10**17.  Elsewhere
-    # the unrounded S decides, and E moves by one where S is outside.
-    edge = np.flatnonzero(
-        (d - (10**16 + 1)).view(np.uint64) > 9 * 10**16 - 2)
-    if edge.size:
-        e[edge] += _decade(hi[edge], lo[edge])
-        hi[edge], lo[edge], r[edge], d[edge] = _rounded(f[edge], k[edge], e[edge])
-        odd[edge] |= _decade(hi[edge], lo[edge]) != 0
+    e += x >= _FLOOR.take(e + 1)
+    e -= x < _FLOOR.take(e)
+    hi, lo = _scaled(*np.frexp(x), e)
+    r = np.rint(lo)
+    d = hi.astype(np.int64) + r.astype(np.int64)
     fallback = odd | (np.abs(lo - r) > _TIE)
-    carry = d == 10**17
-    e += carry
-    np.copyto(d, 10**16, where=carry)
     np.copyto(d, 0, where=zero | fallback)
     return d, e, fallback
 

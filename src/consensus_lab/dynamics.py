@@ -314,25 +314,36 @@ def _start(schedule: CouplingSchedule, x0, t0: float, t1: float,
     return x, h
 
 
-def _pieces(schedule: CouplingSchedule, t0: float, t1: float):
-    """Yield (a, b, i) covering [t0, t1] with schedule piece i, cut at the
-    schedule breakpoints.
+def _windows(schedule: CouplingSchedule, edges):
+    """Per window [edges[j], edges[j + 1]], the list of (a, b, i) covering
+    it with schedule piece i, cut at the schedule breakpoints, which are
+    read into lists once for all the windows.
 
-    The scan starts at the piece that holds t0, found by bisection, or at
-    an earlier one whose end still passes t0 (joins may overlap by the
-    schedule's join tolerance), and stops at the first piece that starts
-    at or after t1."""
+    Each window's scan starts at the piece that holds its start, found by
+    bisection, or at an earlier one whose end still passes it (joins may
+    overlap by the schedule's join tolerance), and stops at the first piece
+    that starts at or after its end."""
     starts, ends = schedule.starts.tolist(), schedule.ends.tolist()
-    k = max(bisect.bisect_right(starts, t0) - 1, 0)
-    while k > 0 and ends[k - 1] > t0:
-        k -= 1
-    for i in range(k, len(starts)):
-        if starts[i] >= t1:
-            break
-        a = max(t0, starts[i])
-        b = min(t1, ends[i])
-        if b - a > _resolution(b):
-            yield a, b, i
+    windows = []
+    for t0, t1 in zip(edges, edges[1:]):
+        k = max(bisect.bisect_right(starts, t0) - 1, 0)
+        while k > 0 and ends[k - 1] > t0:
+            k -= 1
+        pieces = []
+        for i in range(k, len(starts)):
+            if starts[i] >= t1:
+                break
+            a = max(t0, starts[i])
+            b = min(t1, ends[i])
+            if b - a > _resolution(b):
+                pieces.append((a, b, i))
+        windows.append(pieces)
+    return windows
+
+
+def _pieces(schedule: CouplingSchedule, t0: float, t1: float):
+    """The (a, b, i) covering [t0, t1]: _windows of the one window."""
+    return _windows(schedule, [t0, t1])[0]
 
 
 def _rk4_transfer(A: np.ndarray, h) -> np.ndarray:
@@ -538,7 +549,7 @@ def simulate_ode(
     """
     x, h_target = _start(schedule, x0, t0, t1, step)
     n = schedule.n
-    a, b, pieces = np.array(list(_pieces(schedule, t0, t1))).reshape(-1, 3).T
+    a, b, pieces = np.array(_pieces(schedule, t0, t1)).reshape(-1, 3).T
     pieces = pieces.astype(np.intp)
     m, h, grid = _grids(a, b, h_target)
     # t0 and every step's end, allocated once; grid becomes a view of them.
@@ -664,7 +675,7 @@ def simulate_dde(
     x, h_target = _start(schedule, x0, t0, t1, step, tau)
     n = schedule.n
     # A read at fl(a - tau) may pass the last stored node, by a rounding or
-    # by a piece too short for _pieces at a window's end; it reads that node.
+    # by a piece too short for _windows at a window's end; it reads that node.
     clamp_slack = 2.0 * _resolution(max(abs(t0), abs(t1)))
 
     def interp(queries, snap):
@@ -672,19 +683,17 @@ def simulate_dde(
 
     # One node grid: the t0 node and every computed node, whose times and
     # states are the trajectory.  Every window's pieces are known before
-    # stepping, so their steps are cut in one _grids call, whose step ends
-    # are the node times, and the nodes are allocated once, with both
-    # one-sided derivatives for the reads.  A last window too short for
-    # _pieces to resolve at t has no piece.
-    cuts, counts, w0 = [], [], t0
+    # stepping, from one _windows pass over the breakpoints, so their steps
+    # are cut in one _grids call, whose step ends are the node times, and
+    # the nodes are allocated once, with both one-sided derivatives for the
+    # reads.  A last window too short to resolve at t has no piece.
+    edges = [t0]
     span_tiny = 1e-12 * max(1.0, abs(t1 - t0))
-    while w0 < t1 - span_tiny:
-        w1 = min(w0 + tau, t1)
-        pieces = list(_pieces(schedule, w0, w1))
-        cuts += pieces
-        counts.append(len(pieces))
-        w0 = w1
-    cuts = np.array(cuts).reshape(-1, 3)
+    while edges[-1] < t1 - span_tiny:
+        edges.append(min(edges[-1] + tau, t1))
+    windows = _windows(schedule, edges)
+    cuts = np.array([cut for pieces in windows for cut in pieces])
+    cuts = cuts.reshape(-1, 3)
     m, h, times = _grids(cuts[:, 0], cuts[:, 1], h_target)
     times = np.concatenate(([t0], times))
     size = len(times)
@@ -699,7 +708,7 @@ def simulate_dde(
     steps = zip(cuts[:, 2].astype(np.intp).tolist(), cuts[:, 0].tolist(),
                 h.tolist(), map(slice, (stops - m).tolist(), stops.tolist()))
 
-    for count in counts:
+    for count in map(len, windows):
         pieces = list(islice(steps, count))
         if not pieces:
             continue

@@ -76,13 +76,16 @@ def _check(stack: np.ndarray, tol: float = DEFAULT_ROW_TOL) -> None:
     comparison sees a NaN, and an infinity would make the row tolerance
     infinite.
     """
+    diag = np.arange(stack.shape[-1])
     with np.errstate(all="ignore"):
         nonfinite = ~np.isfinite(stack)
-        negative = (stack < 0.0) & ~np.eye(stack.shape[-1], dtype=bool)
+        negative = stack < 0.0
+        negative[:, diag, diag] = False  # two stack-sized masks at most
         sums = stack.sum(axis=2)
         row_tol = tol * np.maximum(1.0, _max_abs(stack))
         over = np.abs(sums) > row_tol[:, None]
-    faulty = (nonfinite | negative).any(axis=(1, 2)) | over.any(axis=1)
+    faulty = (nonfinite.any(axis=(1, 2)) | negative.any(axis=(1, 2))
+              | over.any(axis=1))
     if not faulty.any():
         return
     i = int(np.argmax(faulty))

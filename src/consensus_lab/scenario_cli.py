@@ -362,10 +362,10 @@ def _periods(t0: float, t1: float, length: float, n: int):
     any array is made, unless about (t1 - t0) / length pieces fit in
     physical memory, and when a period does not advance the time.
 
-    A piece holds its n-by-n coupling (8 n^2 bytes), the three n-by-n
-    masks of its check (3 n^2) and a few rows and scalars of doubles."""
+    A piece holds its n-by-n coupling (8 n^2 bytes), the two n-by-n masks
+    of its check (2 n^2) and a few rows and scalars of doubles."""
     count = (t1 - t0) / length
-    _require_memory(count, 11 * n * n + 8 * (3 * n + 16),
+    _require_memory(count, 10 * n * n + 8 * (3 * n + 16),
                     f"a period of {length!r} over a span of {t1 - t0!r}",
                     "pieces")
     # Enough k for an end past t1: a piece starts while t1 is more than

@@ -9,6 +9,7 @@ fully delayed variant d' = -2 d(t - tau) the windows are polynomials:
 d(t) = 2 - 4t on [0, tau], then d(tau) - 4 v + 4 v^2 at v = t - tau.
 """
 
+import dataclasses
 import itertools
 import math
 import warnings
@@ -41,7 +42,7 @@ from consensus_lab.dynamics import (_BLOCK_ENTRIES, _RK4_DISC_RADIUS,
                                     _grids, _hermite_many, _march, _pieces,
                                     _plan_step, _resolution, _rk4_transfer,
                                     _scan,
-                                    _step_target, _window_extremes)
+                                    _step_target, _window_extremes, _windows)
 from consensus_lab.scenario_cli import SinusoidalCoupling
 
 from conftest import (BruteStore, brute_delayed_functional_series, brute_march,
@@ -736,6 +737,35 @@ class TestDdeStages:
                 if t1 > t0:
                     assert (list(_pieces(sch, t0, t1))
                             == list(brute_pieces(sch, t0, t1)))
+
+    def test_a_run_reads_its_breakpoints_once(self, rng):
+        # 500 tau-windows over 10 pieces: the breakpoints become lists once
+        # per run, not once per window, and each window's cut is the scan's.
+        spec = {"kind": "random_switching", "period": 0.5,
+                "link_probability": 0.9, "weight_range": [0.5, 1.5],
+                "seed": 2}
+        sch = generate_topology(spec, 2, 0.0, 5.0)
+        calls = []
+
+        class Counted(np.ndarray):
+            def tolist(self):
+                calls.append(len(self))
+                return super().tolist()
+
+        counted = dataclasses.replace(sch, starts=sch.starts.view(Counted),
+                                      ends=sch.ends.view(Counted))
+        x0 = rng.uniform(-1.0, 1.0, 2)
+        traj = simulate_dde(counted, 0.01, x0, 0.0, 5.0)
+        assert calls == [10, 10]
+        want = simulate_dde(sch, 0.01, x0, 0.0, 5.0)
+        _assert_same_bytes(traj.times, want.times)
+        _assert_same_bytes(traj.states, want.states)
+        edges = [0.0]
+        while edges[-1] < 5.0 - 5e-12:
+            edges.append(min(edges[-1] + 0.01, 5.0))
+        assert len(edges) == 501
+        assert _windows(sch, edges) == [list(brute_pieces(sch, w0, w1))
+                                        for w0, w1 in zip(edges, edges[1:])]
 
 
 class TestAffineSteps:

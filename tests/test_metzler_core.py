@@ -7,6 +7,7 @@ profile integrals.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -229,6 +230,22 @@ class TestStackedValidation:
                 arr[0] = 0
         assert sch.couplings.shape == (8, 3, 3)
         assert sch.constant.tolist() == [True, False] * 4
+
+    def test_the_check_holds_two_masks(self, rng):
+        # A valid (k, n, n) stack: the check's temporaries peak at two
+        # boolean masks of the stack's shape, 2 n^2 bytes a matrix, and a
+        # few rows of n doubles; a third mask would pass 3 n^2.
+        k, n = 20, 120
+        weights = rng.uniform(0.0, 2.0, (k, n, n))
+        weights[:, range(n), range(n)] = 0.0
+        stack = from_offdiagonal(weights)
+        tracemalloc.start()
+        try:
+            metzler_core._check(stack)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 2 * k * n * n < peak < 2.5 * k * n * n
 
 
 class TestSchedules:

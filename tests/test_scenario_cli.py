@@ -11,6 +11,7 @@ import ast
 import functools
 import math
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -1580,7 +1581,7 @@ class TestCsvKernel:
 
     def test_round_up_across_a_decade(self):
         # Rounded to 17 digits these reach the next power of ten; their
-        # exponent comes from the unrounded value, then the carry.
+        # exponent is the one the _FLOOR table gives the unrounded value.
         assert _kernel([9.9999999999999995e-07], 1) == b"9.9999999999999995e-07\n"
         near = np.array([float(f"9.99999999999999995e{k}")
                          for k in range(-320, 308)])
@@ -1655,3 +1656,64 @@ class TestCsvKernel:
         want = [("%.16e" % x).split("e") for x in values.tolist()]
         assert d.tolist() == [int(m.replace(".", "")) for m, _ in want]
         assert (e + csvfmt._EMIN).tolist() == [int(x) for _, x in want]
+
+
+def _exponent(x):
+    """The exponent "%.17g" writes for x: that of "%.16e" (C99 7.19.6.1)."""
+    return int(("%.16e" % x).split("e")[1])
+
+
+@pytest.mark.filterwarnings("error")
+class TestCsvTables:
+    """csvfmt's tables, checked in exact rationals for every exponent."""
+
+    def test_each_floor_is_the_least_double_of_its_exponent(self):
+        floors = csvfmt._FLOOR.tolist()
+        assert floors[0] == 5e-324 and floors[-1] == math.inf
+        for e, floor in zip(csvfmt._E.tolist(), floors):
+            edge = Fraction(2 * 10**17 - 1, 2) * Fraction(10) ** (e - 17)
+            below = math.nextafter(floor, 0.0)
+            assert Fraction(below) < edge
+            if below > 0.0:
+                assert _exponent(below) == e - 1
+            if floor < math.inf:
+                assert edge < Fraction(floor)
+                assert _exponent(floor) == e
+
+    def test_each_power_is_within_2_to_the_minus_106(self):
+        t, t_hi, t_lo, u = csvfmt._POW.tolist()
+        for q, g, *column in zip((16 - csvfmt._E).tolist(),
+                                 csvfmt._POW_G.tolist(), t, t_hi, t_lo, u):
+            exact = Fraction(10) ** q / Fraction(2) ** g
+            top, top_hi, top_lo, rest = column
+            assert 1.0 <= top < 2.0 and top_hi + top_lo == top
+            assert abs(Fraction(top) - exact) <= Fraction(1, 2**53)
+            assert (abs(Fraction(top) + Fraction(rest) - exact)
+                    <= exact / 2**106)
+
+    @pytest.mark.parametrize("shift", [-0.5, 0.5])
+    def test_any_estimate_within_one_is_moved_onto_the_exponent(
+            self, monkeypatch, shift):
+        # Any estimate within one of E will do: shifted by a half, the
+        # floor of log10 is one off, below or above, on about half of the
+        # values, and the _FLOOR comparisons must move it back onto E.
+        bits = np.random.default_rng(23).integers(
+            0, 2**64, 2**14, dtype=np.uint64, endpoint=False)
+        tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        values = np.concatenate([bits.view(np.float64), tens,
+                                 np.nextafter(tens, 0.0), csvfmt._FLOOR[:-1]])
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda x: log10(x) + shift)
+        assert _kernel(values, 1) == _percent(values, 1)
+
+    def test_next_to_every_floor(self):
+        floors = csvfmt._FLOOR[np.isfinite(csvfmt._FLOOR)]
+        values = [floors]
+        for to in (0.0, np.inf):
+            x = floors
+            for _ in range(3):
+                x = np.nextafter(x, to)
+                values.append(x)
+        values = np.concatenate(values)
+        values = np.concatenate([values, -values])
+        assert _kernel(values, 1) == _percent(values, 1)
